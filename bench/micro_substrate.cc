@@ -248,8 +248,7 @@ void
 BM_ClassifierPacket(benchmark::State &state)
 {
     sim::Simulation s;
-    nic::FlowDirector fdir(8);
-    nic::IdioClassifier cls(s, "cls", fdir, {}, 8);
+    nic::IdioClassifier cls(s, "cls", {}, 8);
     net::Packet p;
     p.flow.srcIp = 1;
     p.flow.dstIp = 2;
@@ -257,7 +256,7 @@ BM_ClassifierPacket(benchmark::State &state)
     p.flow.dstPort = 4;
     p.frameBytes = 1514;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cls.classify(p));
+        benchmark::DoNotOptimize(cls.classify(p, 5));
 }
 BENCHMARK(BM_ClassifierPacket);
 

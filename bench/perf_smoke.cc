@@ -7,6 +7,8 @@
  *
  *  - event-queue one-shot schedule/fire throughput,
  *  - deschedule/compaction churn throughput,
+ *  - the RSS Toeplitz hash, which the NIC computes for every packet
+ *    that no EP rule steers,
  *  - cache-hierarchy streaming-miss and PCIe-write throughput,
  *  - the headline simulated-packets-per-wall-second rate of a default
  *    single-burst run,
@@ -26,11 +28,15 @@
  *
  * The JSON output (default BENCH_perf.json) is committed periodically
  * as the repo's performance trajectory and is compared by
- * tools/bench_compare.py in CI. Wall-clock numbers are only comparable
- * across runs on similar hosts; `hw_threads` records how parallel the
- * sweep could actually go (the speedup criterion needs a multi-core
- * host — on a single-thread host the speedup fields are omitted from
- * the JSON and a notice is printed instead).
+ * tools/bench_compare.py in CI. Its "build" object records the build
+ * type, the IDIO_CHECK_INVARIANTS and IDIO_TRACE settings, the
+ * scheduler backend and the git revision; bench_compare refuses to
+ * compare files whose build configurations differ. Wall-clock
+ * numbers are only comparable across runs on similar hosts;
+ * `hw_threads` records how parallel the sweep could actually go (the
+ * speedup criterion needs a multi-core host — on a single-thread host
+ * the speedup fields are omitted from the JSON and a notice is
+ * printed instead).
  */
 
 #include <algorithm>
@@ -39,6 +45,7 @@
 #include <sstream>
 
 #include "common.hh"
+#include "net/flow.hh"
 #include "sim/event_queue.hh"
 #include "tenant_scenario.hh"
 #include "trace/chrome_export.hh"
@@ -127,6 +134,28 @@ microEventQueueSquashCompact(std::uint64_t ops)
                   secondsSince(start)};
     if (q.pending() != 0)
         sim::fatal("squash micro left %zu events pending", q.pending());
+    return r;
+}
+
+MicroResult
+microToeplitzHash(std::uint64_t ops)
+{
+    net::FiveTuple t;
+    t.srcIp = 0x0a000001;
+    t.dstIp = 0x0a000002;
+    t.dstPort = 5000;
+    // Summed, not XORed: the hash is linear over XOR, so the XOR of
+    // the hashes of every port value cancels to zero.
+    std::uint64_t sink = 0;
+    const auto start = Clock::now();
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        t.srcPort = static_cast<std::uint16_t>(i);
+        t.srcIp = 0x0a000000 | static_cast<std::uint32_t>(i >> 16);
+        sink += net::toeplitzHash(t);
+    }
+    MicroResult r{"toeplitzHash", ops, secondsSince(start)};
+    if (sink == 0)
+        sim::fatal("toeplitz micro hashed to zero");
     return r;
 }
 
@@ -428,6 +457,10 @@ main(int argc, char **argv)
     const bool full = !opts.scaledOnly;
 
     std::printf("=== perf_smoke: simulator host-side performance ===\n");
+    std::printf("build: %s, invariant checker %s, tracer %s, "
+                "revision %s\n",
+                IDIO_BUILD_TYPE, IDIO_CHECK_INVARIANTS ? "on" : "off",
+                IDIO_TRACE ? "on" : "off", IDIO_GIT_REVISION);
     std::printf("host threads: %u, sweep jobs: %u%s\n\n", hwThreads,
                 sweepJobs, full ? "" : " (--scaled-only)");
 
@@ -440,6 +473,8 @@ main(int argc, char **argv)
             minOfN([] {
                 return microEventQueueSquashCompact(2'000'000);
             }, microReps),
+            minOfN([] { return microToeplitzHash(2'000'000); },
+                   microReps),
             minOfN([] { return microCacheStreamingMiss(2'000'000); },
                    microReps),
             minOfN([] { return microCachePcieWrite(2'000'000); },
@@ -593,9 +628,15 @@ main(int argc, char **argv)
         w.beginObject();
         w.field("bench", "perf_smoke");
         w.field("hw_threads", hwThreads);
+        w.beginObject("build");
+        w.field("build_type", IDIO_BUILD_TYPE);
+        w.field("check_invariants", IDIO_CHECK_INVARIANTS != 0);
+        w.field("trace", IDIO_TRACE != 0);
         w.field("scheduler_backend",
                 sim::EventQueue::backendName(
                     sim::EventQueue::defaultBackend()));
+        w.field("revision", IDIO_GIT_REVISION);
+        w.end();
         if (full) {
             w.field("micro_reps", std::uint64_t(microReps));
             w.beginObject("micros");

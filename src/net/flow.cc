@@ -16,51 +16,39 @@ const std::uint8_t defaultRssKey[40] = {
     0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 };
 
-namespace
-{
-
-/** Bit @p b (MSB first) of the byte array @p bytes. */
-bool
-bitAt(const std::uint8_t *bytes, int b)
-{
-    return (bytes[b / 8] >> (7 - (b % 8))) & 1;
-}
-
-/** The 32 key bits starting at bit offset @p b. */
-std::uint32_t
-keyWindow(const std::uint8_t *key, int b)
-{
-    std::uint32_t w = 0;
-    for (int i = 0; i < 32; ++i)
-        w = (w << 1) | static_cast<std::uint32_t>(bitAt(key, b + i));
-    return w;
-}
-
-} // anonymous namespace
-
 std::uint32_t
 toeplitzHash(const FiveTuple &tuple, const std::uint8_t *key)
 {
     // Standard IPv4-with-ports RSS input: srcIp | dstIp | srcPort |
     // dstPort, 12 bytes big-endian. The protocol byte is not hashed.
-    std::uint8_t input[12];
-    input[0] = static_cast<std::uint8_t>(tuple.srcIp >> 24);
-    input[1] = static_cast<std::uint8_t>(tuple.srcIp >> 16);
-    input[2] = static_cast<std::uint8_t>(tuple.srcIp >> 8);
-    input[3] = static_cast<std::uint8_t>(tuple.srcIp);
-    input[4] = static_cast<std::uint8_t>(tuple.dstIp >> 24);
-    input[5] = static_cast<std::uint8_t>(tuple.dstIp >> 16);
-    input[6] = static_cast<std::uint8_t>(tuple.dstIp >> 8);
-    input[7] = static_cast<std::uint8_t>(tuple.dstIp);
-    input[8] = static_cast<std::uint8_t>(tuple.srcPort >> 8);
-    input[9] = static_cast<std::uint8_t>(tuple.srcPort);
-    input[10] = static_cast<std::uint8_t>(tuple.dstPort >> 8);
-    input[11] = static_cast<std::uint8_t>(tuple.dstPort);
+    const std::uint8_t input[12] = {
+        static_cast<std::uint8_t>(tuple.srcIp >> 24),
+        static_cast<std::uint8_t>(tuple.srcIp >> 16),
+        static_cast<std::uint8_t>(tuple.srcIp >> 8),
+        static_cast<std::uint8_t>(tuple.srcIp),
+        static_cast<std::uint8_t>(tuple.dstIp >> 24),
+        static_cast<std::uint8_t>(tuple.dstIp >> 16),
+        static_cast<std::uint8_t>(tuple.dstIp >> 8),
+        static_cast<std::uint8_t>(tuple.dstIp),
+        static_cast<std::uint8_t>(tuple.srcPort >> 8),
+        static_cast<std::uint8_t>(tuple.srcPort),
+        static_cast<std::uint8_t>(tuple.dstPort >> 8),
+        static_cast<std::uint8_t>(tuple.dstPort),
+    };
 
+    // Input bit b (MSB first) selects the 32 key bits starting at bit
+    // b. Keep that window in a register: XOR it in when the input bit
+    // is set, then slide it left by one, shifting in key bit b + 32.
+    std::uint32_t window = std::uint32_t(key[0]) << 24 |
+                           std::uint32_t(key[1]) << 16 |
+                           std::uint32_t(key[2]) << 8 | key[3];
     std::uint32_t result = 0;
-    for (int b = 0; b < 96; ++b) {
-        if (bitAt(input, b))
-            result ^= keyWindow(key, b);
+    for (int i = 0; i < 12; ++i) {
+        for (int bit = 7; bit >= 0; --bit) {
+            if ((input[i] >> bit) & 1)
+                result ^= window;
+            window = (window << 1) | ((key[i + 4] >> bit) & 1);
+        }
     }
     return result;
 }

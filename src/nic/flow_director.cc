@@ -26,6 +26,10 @@ FlowDirector::FlowDirector(std::uint32_t numCores,
             sim::fatal("RSS table size must be a power of two");
         if (rssQueues == 0)
             rssQueues = numCores;
+        if (rssQueues > numCores)
+            sim::fatal("FlowDirector: RETA fill over %u queues exceeds "
+                       "numCores %u",
+                       rssQueues, numCores);
         // Default fill round-robins queues over the table, the same
         // layout drivers program at device init.
         reta.resize(rssTableEntries);
@@ -35,8 +39,19 @@ FlowDirector::FlowDirector(std::uint32_t numCores,
 }
 
 void
+FlowDirector::checkTarget(const char *what, std::uint32_t target) const
+{
+    // lookup() hands its result to the classifier as a core index.
+    if (target >= numCores)
+        sim::fatal("FlowDirector: %s target %u out of range (numCores "
+                   "%u)",
+                   what, target, numCores);
+}
+
+void
 FlowDirector::addRule(const net::FiveTuple &flow, sim::CoreId core)
 {
+    checkTarget("EP rule", core);
     rules[flow] = core;
 }
 
@@ -49,7 +64,9 @@ FlowDirector::removeRule(const net::FiveTuple &flow)
 void
 FlowDirector::learn(const net::FiveTuple &flow, sim::CoreId core)
 {
-    filterTable[tableIndex(flow)] = static_cast<std::int32_t>(core);
+    checkTarget("ATR", core);
+    filterTable[net::toeplitzHash(flow) & (tableSize - 1)] =
+        static_cast<std::int32_t>(core);
 }
 
 sim::CoreId
@@ -59,17 +76,24 @@ FlowDirector::lookup(const net::FiveTuple &flow) const
     if (it != rules.end())
         return it->second;
 
-    const std::int32_t learned = filterTable[tableIndex(flow)];
+    // One hash serves both the ATR index and the RSS step.
+    const std::uint32_t hash = net::toeplitzHash(flow);
+    const std::int32_t learned = filterTable[hash & (tableSize - 1)];
     if (learned >= 0)
         return static_cast<sim::CoreId>(learned);
 
-    return rssQueue(flow);
+    return rssQueueForHash(hash);
 }
 
 std::uint32_t
 FlowDirector::rssQueue(const net::FiveTuple &flow) const
 {
-    const std::uint32_t hash = net::toeplitzHash(flow);
+    return rssQueueForHash(net::toeplitzHash(flow));
+}
+
+std::uint32_t
+FlowDirector::rssQueueForHash(std::uint32_t hash) const
+{
     if (reta.empty())
         return hash % numCores; // legacy direct modulus
     return reta[hash & (static_cast<std::uint32_t>(reta.size()) - 1)];
@@ -84,6 +108,8 @@ FlowDirector::setIndirection(const std::vector<std::uint32_t> &table)
     if (table.size() != reta.size())
         sim::fatal("setIndirection: size mismatch (RETA %zu, new %zu)",
                    reta.size(), table.size());
+    for (const std::uint32_t q : table)
+        checkTarget("RETA entry", q);
     reta = table;
 }
 

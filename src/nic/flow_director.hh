@@ -44,14 +44,14 @@ class FlowDirector
      * @param rssTableEntries RETA size (power of two); 0 keeps the
      *                        legacy direct-modulus RSS fallback.
      * @param rssQueues Queues the default RETA fill round-robins
-     *                  over; 0 means numCores.
+     *                  over; 0 means numCores, more is fatal.
      */
     explicit FlowDirector(std::uint32_t numCores,
                           std::uint32_t filterTableEntries = 8192,
                           std::uint32_t rssTableEntries = 0,
                           std::uint32_t rssQueues = 0);
 
-    /** Install an EP perfect-match rule. */
+    /** Install an EP perfect-match rule; @p core must be < numCores. */
     void addRule(const net::FiveTuple &flow, sim::CoreId core);
 
     /** Remove an EP rule; no-op when absent. */
@@ -59,11 +59,16 @@ class FlowDirector
 
     /**
      * ATR learning: record that @p core transmitted on @p flow, so RX
-     * traffic of the same flow is steered back to it.
+     * traffic of the same flow is steered back to it. @p core must be
+     * < numCores.
      */
     void learn(const net::FiveTuple &flow, sim::CoreId core);
 
-    /** Destination core for an RX packet. */
+    /**
+     * Destination core for an RX packet: its EP rule, else its ATR
+     * entry, else its RSS queue. Hashes the flow at most once; an EP
+     * hit does not hash at all. Always < numCores.
+     */
     sim::CoreId lookup(const net::FiveTuple &flow) const;
 
     /** Number of installed EP rules. */
@@ -79,7 +84,10 @@ class FlowDirector
      */
     std::uint32_t rssQueue(const net::FiveTuple &flow) const;
 
-    /** Overwrite the RETA (lengths must match; RETA mode only). */
+    /**
+     * Overwrite the RETA (lengths must match; RETA mode only). Every
+     * entry must be < numCores: lookup() returns it as a core.
+     */
     void setIndirection(const std::vector<std::uint32_t> &table);
 
     /** The RETA; empty in legacy direct-modulus mode. */
@@ -89,11 +97,11 @@ class FlowDirector
     }
 
   private:
-    std::uint32_t
-    tableIndex(const net::FiveTuple &flow) const
-    {
-        return net::toeplitzHash(flow) & (tableSize - 1);
-    }
+    /** The RETA (or legacy modulus) step for a Toeplitz @p hash. */
+    std::uint32_t rssQueueForHash(std::uint32_t hash) const;
+
+    /** Fatal unless @p target names one of the numCores cores. */
+    void checkTarget(const char *what, std::uint32_t target) const;
 
     std::uint32_t numCores;
     std::uint32_t tableSize;

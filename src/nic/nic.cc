@@ -69,8 +69,7 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
       cfg(config), trc(simulation.tracer().registerSource(name)),
       fdir(numCores, 8192, config.rssTableEntries, config.numQueues),
       dma(simulation, name + ".dma", target, config.pcieGBps),
-      cls(simulation, name + ".classifier", fdir, config.classifier,
-          numCores),
+      cls(simulation, name + ".classifier", config.classifier, numCores),
       descWbDelay(sim::nsToTicks(config.descWbDelayNs))
 {
     if (cfg.numQueues == 0)
@@ -114,13 +113,15 @@ Nic::deliver(net::Packet pkt)
     if (rxTap)
         rxTap(pkt.nicArrival, pkt);
 
-    // Queue selection happens before the ring-full check, as in real
-    // multi-queue hardware: the steering decision (EP/ATR filter or
-    // RSS hash) picks the ring whose occupancy then decides the drop.
-    // With one queue this degenerates to the historical single-ring
-    // path, byte-for-byte.
-    const std::uint32_t q =
-        cfg.numQueues > 1 ? fdir.lookup(pkt.flow) % cfg.numQueues : 0;
+    // One steering decision per packet (EP/ATR filter, else the RSS
+    // hash through the RETA) feeds both queue selection and the
+    // classifier. Queue selection happens before the ring-full check,
+    // as in real multi-queue hardware: the chosen ring's occupancy
+    // then decides the drop. The lookup is const, so making it for a
+    // packet that is then dropped changes no state. With one queue
+    // this degenerates to the historical single-ring path.
+    const sim::CoreId dest = fdir.lookup(pkt.flow);
+    const std::uint32_t q = cfg.numQueues > 1 ? dest % cfg.numQueues : 0;
     RxRing &ring = rings[q];
 
     if (!ring.hwCanFill()) {
@@ -131,7 +132,7 @@ Nic::deliver(net::Packet pkt)
         return;
     }
 
-    const Classification pktCls = cls.classify(pkt);
+    const Classification pktCls = cls.classify(pkt, dest);
     IDIO_TRACE_INSTANT(trc, trace::EventKind::NicClassify, now(),
                        pkt.id, pktCls.appClass, pktCls.destCore);
     const std::uint32_t idx = ring.hwClaim(pkt);

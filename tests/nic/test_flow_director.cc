@@ -145,6 +145,40 @@ TEST(FlowDirectorRssDeath, BadRetaUseIsFatal)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(FlowDirectorTargetDeath, EpRuleBeyondNumCoresIsFatal)
+{
+    // lookup() results index the classifier's per-core counters and
+    // pick the MLC the IDIO hint goes to: a target >= numCores would
+    // read past both.
+    nic::FlowDirector fd(4);
+    fd.addRule(flow(1000), 3);
+    EXPECT_EQ(fd.lookup(flow(1000)), 3u);
+    EXPECT_EXIT(fd.addRule(flow(1001), 4), ::testing::ExitedWithCode(1),
+                "EP rule target 4 out of range .numCores 4.");
+}
+
+TEST(FlowDirectorTargetDeath, AtrBeyondNumCoresIsFatal)
+{
+    nic::FlowDirector fd(4);
+    fd.learn(flow(2000), 3);
+    EXPECT_EQ(fd.lookup(flow(2000)), 3u);
+    EXPECT_EXIT(fd.learn(flow(2001), 9), ::testing::ExitedWithCode(1),
+                "ATR target 9 out of range .numCores 4.");
+}
+
+TEST(FlowDirectorTargetDeath, RetaBeyondNumCoresIsFatal)
+{
+    nic::FlowDirector fd(4, 8192, 64, 4);
+    fd.setIndirection(std::vector<std::uint32_t>(64, 3));
+    std::vector<std::uint32_t> table(64, 0);
+    table[63] = 4;
+    EXPECT_EXIT(fd.setIndirection(table), ::testing::ExitedWithCode(1),
+                "RETA entry target 4 out of range .numCores 4.");
+    EXPECT_EXIT(nic::FlowDirector(4, 8192, 64, /*rssQueues=*/5),
+                ::testing::ExitedWithCode(1),
+                "RETA fill over 5 queues exceeds numCores 4");
+}
+
 TEST(FlowDirectorDeath, BadTableSizeIsFatal)
 {
     EXPECT_EXIT(nic::FlowDirector(4, 1000),

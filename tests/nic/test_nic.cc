@@ -144,6 +144,24 @@ TEST_F(NicTest, DropsWhenRingExhausted)
     EXPECT_EQ(port->rxRing().backlog(), 32u);
 }
 
+TEST_F(NicTest, RingFullDropIsNotClassified)
+{
+    // The steering lookup runs before the ring-full check, but only a
+    // packet that gets a ring slot reaches the classifier.
+    for (int i = 0; i < 32; ++i)
+        port->deliver(packet());
+    EXPECT_EQ(port->classifier().packetsClassified.get(), 32u);
+    const std::uint32_t before = port->classifier().burstCounter(
+        port->flowDirector().lookup(packet().flow));
+
+    port->deliver(packet());
+    EXPECT_EQ(port->rxDrops.get(), 1u);
+    EXPECT_EQ(port->classifier().packetsClassified.get(), 32u);
+    EXPECT_EQ(port->classifier().burstCounter(
+                  port->flowDirector().lookup(packet().flow)),
+              before);
+}
+
 TEST_F(NicTest, SmallPacketSingleLine)
 {
     port->deliver(packet(64));
@@ -169,6 +187,105 @@ TEST_F(NicTest, RxCountersTrackBytes)
     port->deliver(packet(512));
     EXPECT_EQ(port->rxBytes.get(), 1536u);
     EXPECT_EQ(port->rxPackets.get(), 2u);
+}
+
+/**
+ * An 8-core port with 4 RX queues and a 64-entry RETA: steering
+ * targets range over all 8 cores, so ring = dest % 4 and the
+ * classifier's destCore = dest are distinguishable.
+ */
+class MultiQueueNicTest : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint32_t queues = 4;
+
+    MultiQueueNicTest()
+    {
+        nic::NicConfig cfg;
+        cfg.ringSize = 32;
+        cfg.numQueues = queues;
+        cfg.rssTableEntries = 64;
+        port = std::make_unique<nic::Nic>(s, "nic", cfg, target, alloc,
+                                          8);
+        port->start();
+        for (std::uint32_t q = 0; q < queues; ++q) {
+            for (std::uint32_t i = 0; i < 32; ++i)
+                port->rxRing(q).swArm(i, alloc.allocate(2048, 64), i);
+        }
+    }
+
+    static net::Packet
+    packet(std::uint16_t srcPort)
+    {
+        net::Packet p;
+        p.flow.srcIp = 0x0a000001;
+        p.flow.dstIp = 0x0a000002;
+        p.flow.srcPort = srcPort;
+        p.flow.dstPort = 5000;
+        p.frameBytes = 64;
+        return p;
+    }
+
+    /**
+     * Deliver one packet to an idle port; return the ring it landed in
+     * and check the classifier saw the same destination.
+     */
+    std::uint32_t
+    deliverOne(const net::Packet &p, sim::CoreId dest)
+    {
+        target.writes.clear();
+        std::vector<std::uint64_t> before;
+        for (std::uint32_t q = 0; q < queues; ++q)
+            before.push_back(port->queueRxPackets(q));
+        port->deliver(p);
+        s.runFor(10 * sim::oneUs);
+
+        EXPECT_FALSE(target.writes.empty());
+        for (const auto &w : target.writes)
+            EXPECT_EQ(w.meta.destCore, dest);
+        std::uint32_t ring = queues;
+        for (std::uint32_t q = 0; q < queues; ++q) {
+            if (port->queueRxPackets(q) != before[q]) {
+                EXPECT_EQ(ring, queues) << "packet landed in two rings";
+                ring = q;
+            }
+        }
+        return ring;
+    }
+
+    sim::Simulation s;
+    CountingTarget target;
+    mem::PhysAllocator alloc;
+    std::unique_ptr<nic::Nic> port;
+};
+
+TEST_F(MultiQueueNicTest, EpRuleSteersRingAndClassifier)
+{
+    port->flowDirector().addRule(packet(100).flow, 6);
+    EXPECT_EQ(deliverOne(packet(100), 6), 6 % queues);
+}
+
+TEST_F(MultiQueueNicTest, AtrEntrySteersRingAndClassifier)
+{
+    port->flowDirector().learn(packet(200).flow, 5);
+    EXPECT_EQ(deliverOne(packet(200), 5), 5 % queues);
+}
+
+TEST_F(MultiQueueNicTest, RetaSteersRingAndClassifier)
+{
+    // Default fill: each flow's destination is its RETA queue. Fewer
+    // packets than one ring holds, so none is dropped.
+    for (std::uint16_t p = 300; p < 324; ++p) {
+        const auto pkt = packet(p);
+        const sim::CoreId dest = port->flowDirector().rssQueue(pkt.flow);
+        ASSERT_LT(dest, queues);
+        EXPECT_EQ(deliverOne(pkt, dest), dest) << "srcPort " << p;
+    }
+
+    // A RETA naming cores beyond the queue count: the ring wraps, the
+    // classifier keeps the core.
+    port->flowDirector().setIndirection(std::vector<std::uint32_t>(64, 7));
+    EXPECT_EQ(deliverOne(packet(400), 7), 7 % queues);
 }
 
 } // anonymous namespace

@@ -3,10 +3,18 @@
 
 Usage:
   tools/bench_compare.py BASELINE.json CURRENT.json [--tolerance 0.15]
+                         [--across-configs]
 
-Both files are BENCH_perf.json outputs (see bench/perf_smoke.cc). The
-comparison walks every numeric leaf shared by both files and infers the
-"good" direction from the metric name:
+Both files are BENCH_perf.json outputs (see bench/perf_smoke.cc). Each
+carries a "build" stamp: build type, invariant checker, tracer and
+scheduler backend, plus the git revision. Files whose stamps differ in
+anything but the revision measure different programs, so the script
+refuses to compare them and exits 2; --across-configs compares them
+anyway, for a deliberate contrast such as the wheel vs heap backends.
+The revision is recorded for the reader and never compared.
+
+The comparison walks every numeric leaf shared by both files and infers
+the "good" direction from the metric name:
 
   higher is better   *PerSec, *speedup*, *_per_wall_sec*
   lower is better    nsPer*, *wallSec*, *WallSec*, events_per_packet,
@@ -63,6 +71,10 @@ INFORMATIONAL = {
 # counters, not wall-clock readings).
 HARD_LOWER = {"events_per_packet"}
 
+# Build-stamp fields that are recorded but do not make two builds
+# different programs.
+STAMP_IGNORED = {"revision"}
+
 # Simulated latency percentiles (tenant.*.rpc_p99_us and friends):
 # deterministic model outputs, so a rise beyond tolerance is a real
 # behaviour regression and gates hard, lower-is-better.
@@ -71,6 +83,21 @@ SIM_LATENCY_RE = re.compile(r"_p\d+_us$")
 
 def is_hard_lower(leaf: str) -> bool:
     return leaf in HARD_LOWER or bool(SIM_LATENCY_RE.search(leaf))
+
+
+def config_mismatches(base_doc: dict, cur_doc: dict) -> list[str]:
+    """Describe every way the two files' build configurations differ."""
+    base_stamp = base_doc.get("build")
+    cur_stamp = cur_doc.get("build")
+    missing = [name for name, stamp in (("baseline", base_stamp),
+                                        ("current", cur_stamp))
+               if not isinstance(stamp, dict)]
+    if missing:
+        return [f"{name} file has no build stamp" for name in missing]
+    return [f"{key}: {base_stamp.get(key)!r} vs {cur_stamp.get(key)!r}"
+            for key in sorted(base_stamp.keys() | cur_stamp.keys())
+            if key not in STAMP_IGNORED
+            and base_stamp.get(key) != cur_stamp.get(key)]
 
 
 def flatten(node, prefix=""):
@@ -112,10 +139,28 @@ def main() -> int:
         default=0.15,
         help="allowed fractional move in the bad direction (default 0.15)",
     )
+    ap.add_argument(
+        "--across-configs",
+        action="store_true",
+        help="compare even when the build stamps differ",
+    )
     args = ap.parse_args()
 
     base_doc = json.loads(args.baseline.read_text())
     cur_doc = json.loads(args.current.read_text())
+
+    mismatches = config_mismatches(base_doc, cur_doc)
+    if mismatches and not args.across_configs:
+        print("error: the two files come from different build "
+              "configurations and are not comparable:", file=sys.stderr)
+        for m in mismatches:
+            print(f"  {m}", file=sys.stderr)
+        print("rebuild one side to match (the committed trajectory is "
+              "a release-preset build), or pass --across-configs",
+              file=sys.stderr)
+        return 2
+    for m in mismatches:
+        print(f"NOTICE: comparing across build configs: {m}")
     base = dict(flatten(base_doc))
     cur = dict(flatten(cur_doc))
 
