@@ -52,6 +52,7 @@ MemoryHierarchy::MemoryHierarchy(sim::Simulation &simulation,
             cfg.mlc.assoc, cfg.replacement));
         totalMlcLines += cfg.mlcSize(c) / mem::lineSize;
     }
+    l1Watches.resize(cfg.numCores);
 
     sharedLlc = std::make_unique<NonInclusiveLlc>(
         simulation, name + ".llc", cfg.llcSizeBytes(),
@@ -273,9 +274,24 @@ MemoryHierarchy::l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty)
 }
 
 void
+MemoryHierarchy::repeatL1Hit(sim::CoreId core, sim::Addr addr,
+                             std::uint64_t n)
+{
+    PrivateCache &l1c = *l1s[core];
+    const LineRef ref = l1c.probe(mem::lineAlign(addr));
+    SIM_ASSERT(ref, "repeated L1 hit on a line not in L1");
+    l1c.hits += n;
+    l1c.tags().touchRepeat(ref, n);
+}
+
+void
 MemoryHierarchy::dropFromL1(sim::CoreId core, sim::Addr addr,
                             bool *dirtyOut)
 {
+    // A sleeping core's skipped reads stop repeating once the line
+    // goes: wake it while its hits can still be credited.
+    if (l1Watches[core].line == mem::lineAlign(addr))
+        l1Watches[core].onDrop();
     PrivateCache &l1c = *l1s[core];
     if (LineRef ref = l1c.probe(addr)) {
         if (dirtyOut)
@@ -443,9 +459,9 @@ MemoryHierarchy::invalidateRange(sim::CoreId core, sim::Addr addr,
                                  std::uint64_t bytes)
 {
     std::uint64_t dropped = 0;
-    const sim::Addr first = mem::lineAlign(addr);
-    const sim::Addr last = mem::lineAlign(addr + bytes - 1);
-    for (sim::Addr a = first; a <= last; a += mem::lineSize) {
+    sim::Addr a = mem::lineAlign(addr);
+    for (std::uint64_t n = mem::linesSpanned(addr, bytes); n > 0;
+         --n, a += mem::lineSize) {
         const bool hadLine = mlcs[core]->contains(a);
         if (coreInvalidate(core, a) && hadLine)
             ++dropped;

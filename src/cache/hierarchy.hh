@@ -122,6 +122,30 @@ class MemoryHierarchy : public sim::SimObject
      */
     bool mlcPrefetch(sim::CoreId core, sim::Addr addr);
 
+    /**
+     * @{ Idle-core support. A sleeping core watches the one L1 line
+     * its skipped steps read: @p onDrop fires just before that line
+     * leaves the core's L1 (PCIe-write invalidation, MLC eviction,
+     * directory back-invalidation, migration to a peer), while the
+     * skipped hits can still be credited against it. One watch per
+     * core; the watcher clears it with unwatchL1().
+     */
+    void
+    watchL1(sim::CoreId core, sim::Addr line, sim::Delegate<void()> onDrop)
+    {
+        l1Watches[core] = L1Watch{line, onDrop};
+    }
+
+    void unwatchL1(sim::CoreId core) { l1Watches[core] = L1Watch{}; }
+
+    /**
+     * Apply @p n more L1 read hits of @p addr by @p core: the hit
+     * counter and the replacement state end exactly as after @p n
+     * coreRead() hits. The line must be in the core's L1.
+     */
+    void repeatL1Hit(sim::CoreId core, sim::Addr addr, std::uint64_t n);
+    /** @} */
+
     /** Register the IDIO controller's MLC-writeback telemetry hook. */
     void setMlcWbObserver(MlcWbObserver obs) { mlcWbObserver = obs; }
 
@@ -391,6 +415,14 @@ class MemoryHierarchy : public sim::SimObject
 
     MlcWbObserver mlcWbObserver;
     PrefetchRetireObserver prefetchRetireObserver;
+
+    /** A sleeping core's watched L1 line (see watchL1). */
+    struct L1Watch
+    {
+        sim::Addr line = ~sim::Addr(0);
+        sim::Delegate<void()> onDrop;
+    };
+    std::vector<L1Watch> l1Watches;
 
     /** @{ Split-link mode state. */
     bool splitOn = false;

@@ -74,6 +74,18 @@ class ReplacementPolicy
     /** Record a use (hit or fill) of (set, way). */
     virtual void touch(std::uint32_t set, std::uint32_t way) = 0;
 
+    /**
+     * Record @p n uses of (set, way) in a row; the state ends as
+     * after @p n touch() calls. Policies override the loop with a
+     * closed form.
+     */
+    virtual void
+    touchRepeat(std::uint32_t set, std::uint32_t way, std::uint64_t n)
+    {
+        for (; n > 0; --n)
+            touch(set, way);
+    }
+
     /** Record a brand-new fill of (set, way). */
     virtual void
     fill(std::uint32_t set, std::uint32_t way)
@@ -109,6 +121,12 @@ class LruPolicy : public ReplacementPolicy
     {
         touchFast(set, way);
     }
+    void
+    touchRepeat(std::uint32_t set, std::uint32_t way,
+                std::uint64_t n) override
+    {
+        touchRepeatFast(set, way, n);
+    }
     std::uint32_t victim(std::uint32_t set, WayMask candidates) override
     {
         return victimFast(set, candidates);
@@ -121,6 +139,17 @@ class LruPolicy : public ReplacementPolicy
     touchFast(std::uint32_t set, std::uint32_t way)
     {
         stamps[std::size_t(set) * assoc + way] = ++clock;
+    }
+
+    /** n touches: the clock advances n, the way keeps the last. */
+    void
+    touchRepeatFast(std::uint32_t set, std::uint32_t way,
+                    std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        clock += n;
+        stamps[std::size_t(set) * assoc + way] = clock;
     }
 
     std::uint32_t
@@ -166,6 +195,9 @@ class RandomPolicy : public ReplacementPolicy
     ReplKind kind() const override { return ReplKind::Random; }
     void init(std::uint32_t numSets, std::uint32_t assoc) override;
     void touch(std::uint32_t, std::uint32_t) override {}
+    void touchRepeat(std::uint32_t, std::uint32_t, std::uint64_t) override
+    {
+    }
     std::uint32_t victim(std::uint32_t set, WayMask candidates) override;
     std::string name() const override { return "random"; }
 
@@ -192,6 +224,14 @@ class SrripPolicy : public ReplacementPolicy
     ReplKind kind() const override { return ReplKind::Srrip; }
     void init(std::uint32_t numSets, std::uint32_t assoc) override;
     void touch(std::uint32_t set, std::uint32_t way) override;
+    /** A touch resets the way's RRPV to 0: repeats change nothing. */
+    void
+    touchRepeat(std::uint32_t set, std::uint32_t way,
+                std::uint64_t n) override
+    {
+        if (n > 0)
+            touch(set, way);
+    }
     void fill(std::uint32_t set, std::uint32_t way) override;
     std::uint32_t victim(std::uint32_t set, WayMask candidates) override;
     std::string name() const override { return "srrip"; }

@@ -154,6 +154,16 @@ class TagArray
             policy->touch(ref.set, ref.way);
     }
 
+    /** Record @p n uses of an existing line, as n touch() calls. */
+    void
+    touchRepeat(const LineRef &ref, std::uint64_t n)
+    {
+        if (lruFast)
+            lruFast->touchRepeatFast(ref.set, ref.way, n);
+        else
+            policy->touchRepeat(ref.set, ref.way, n);
+    }
+
     /**
      * Choose a slot for a new fill of @p addr among @p candidates:
      * the lowest-index invalid candidate way if one exists (an O(1)

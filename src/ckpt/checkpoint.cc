@@ -273,6 +273,11 @@ std::vector<std::uint8_t>
 save(sim::Simulation &simulation)
 {
     sim::EventQueue &eq = simulation.eventq();
+    // Sleeping cores' skipped steps become counters and their next
+    // step a pending event: the state an uncut run would hold.
+    eq.wakeSleepers();
+    for (std::size_t i = 0; i < simulation.domainQueueCount(); ++i)
+        simulation.domainQueue(i).wakeSleepers();
     Serializer s;
     saveEventq(s, eq);
     // Per-domain queues of a sharded model. Single-queue simulations

@@ -41,13 +41,16 @@ Core::~Core()
 sim::Tick
 Core::read(sim::Addr addr, std::uint64_t bytes)
 {
+    wake(); // an access outside the core's own step
     sim::Tick lat = 0;
-    const sim::Addr first = mem::lineAlign(addr);
-    const sim::Addr last = mem::lineAlign(addr + bytes - 1);
-    for (sim::Addr a = first; a <= last; a += mem::lineSize) {
+    sim::Addr a = mem::lineAlign(addr);
+    for (std::uint64_t n = mem::linesSpanned(addr, bytes); n > 0;
+         --n, a += mem::lineSize) {
         const mem::AccessResult r = hier.coreRead(coreId, a);
         lat += r.latency;
         ++reads;
+        lastRead = a;
+        lastReadHitL1 = !r.pending && r.level == mem::HitLevel::L1;
         // Pending accesses count their level when the fill reply
         // arrives (fillArrived), not at probe time.
         if (!r.pending)
@@ -59,10 +62,11 @@ Core::read(sim::Addr addr, std::uint64_t bytes)
 sim::Tick
 Core::write(sim::Addr addr, std::uint64_t bytes)
 {
+    wake();
     sim::Tick lat = 0;
-    const sim::Addr first = mem::lineAlign(addr);
-    const sim::Addr last = mem::lineAlign(addr + bytes - 1);
-    for (sim::Addr a = first; a <= last; a += mem::lineSize) {
+    sim::Addr a = mem::lineAlign(addr);
+    for (std::uint64_t n = mem::linesSpanned(addr, bytes); n > 0;
+         --n, a += mem::lineSize) {
         const mem::AccessResult r = hier.coreWrite(coreId, a);
         lat += r.latency;
         ++writes;
@@ -75,6 +79,7 @@ Core::write(sim::Addr addr, std::uint64_t bytes)
 sim::Tick
 Core::invalidate(sim::Addr addr, std::uint64_t bytes)
 {
+    wake();
     const std::uint64_t lines = mem::linesSpanned(addr, bytes);
     hier.invalidateRange(coreId, addr, bytes);
     invalidations += lines;
@@ -84,6 +89,7 @@ Core::invalidate(sim::Addr addr, std::uint64_t bytes)
 void
 Core::run(Workload &wl, sim::Tick firstDelay)
 {
+    wake();
     workload = &wl;
     if (!stepEvent.scheduled())
         eventq().scheduleIn(&stepEvent, firstDelay);
@@ -92,6 +98,7 @@ Core::run(Workload &wl, sim::Tick firstDelay)
 void
 Core::halt()
 {
+    wake();
     workload = nullptr;
     fillsOutstanding = 0;
     fillLatAccum = 0;
@@ -104,6 +111,7 @@ Core::doStep()
 {
     if (!workload)
         return;
+    idleOffered = false;
     const sim::Tick delay = workload->step(*this);
     SIM_ASSERT(delay > 0, "workload step returned zero delay");
     ++steps;
@@ -113,7 +121,46 @@ Core::doStep()
     // until fillArrived() drains the replies.
     if (splitDispatch && splitDispatch(now() + delay))
         return;
+    if (idleOffered && trySleep(delay))
+        return;
     eventq().scheduleIn(&stepEvent, delay);
+}
+
+bool
+Core::trySleep(sim::Tick delay)
+{
+    // Split mode keeps polling: its core domain has no exact view of
+    // the descriptor line's L1 copy.
+    if (splitDispatch ||
+        !eventq().sleep(&stepEvent, now() + delay, delay, this))
+        return false;
+    asleep = true;
+    sleepPeriod = delay;
+    sleepLine = lastRead;
+    hier.watchL1(coreId, sleepLine,
+                 sim::Delegate<void()>::fromMember<&Core::wake>(this));
+    return true;
+}
+
+void
+Core::sleptThrough(std::uint64_t n)
+{
+    // Exactly what n more runs of the offered step would have done:
+    // one L1-hit read of the same line, the same delay.
+    reads += n;
+    hitsL1 += n;
+    steps += n;
+    busyTicks += n * sleepPeriod;
+    hier.repeatL1Hit(coreId, sleepLine, n);
+    if (workload)
+        workload->creditIdleSteps(n);
+}
+
+void
+Core::awoke()
+{
+    asleep = false;
+    hier.unwatchL1(coreId);
 }
 
 void
@@ -155,6 +202,7 @@ Core::serialize(ckpt::Serializer &s) const
     // restore; only the step schedule is dynamic. The split fill-wait
     // fields only exist (and only serialize) when the dispatch hook is
     // bound, keeping legacy checkpoint bytes unchanged.
+    SIM_ASSERT(!asleep, "checkpoint of a sleeping core");
     ckpt::serializeEvent(s, stepEvent);
     if (splitDispatch) {
         s.writeU32(fillsOutstanding);
@@ -166,6 +214,9 @@ Core::serialize(ckpt::Serializer &s) const
 void
 Core::unserialize(ckpt::Deserializer &d)
 {
+    // Restore cleared the queue's sleepers along with its events.
+    if (asleep)
+        awoke();
     ckpt::unserializeEvent(d, &stepEvent, &eventq());
     if (splitDispatch) {
         fillsOutstanding = d.readU32();

@@ -12,6 +12,16 @@
  * latency. Calibration (see DESIGN.md) makes one core sustain ~1 Mpps
  * of MTU-sized TouchDrop traffic, matching the paper's observed
  * ~12 Gbps per-core capacity.
+ *
+ * Idle cores sleep: a workload whose step just made one read that
+ * every later step would repeat exactly (an empty PMD poll) offers
+ * the step with offerIdle(). When that read hit L1 the core stops
+ * scheduling steps and lets the event queue count the skipped ones
+ * (sim::EventQueue::sleep). Anything that could change or observe a
+ * skipped step wakes the core first (wake()): the read's line leaving
+ * L1, an access made on the core's behalf outside its step, halt(),
+ * the ring watcher the PMD installs, and the queue itself at every
+ * run-call return. See DESIGN.md, "Idle cores".
  */
 
 #ifndef IDIO_CPU_CORE_HH
@@ -49,12 +59,18 @@ class Workload
 
     /** Human-readable workload name. */
     virtual std::string label() const = 0;
+
+    /**
+     * @p n repeats of the step that last called Core::offerIdle()
+     * were skipped while the core slept; count them as if run.
+     */
+    virtual void creditIdleSteps(std::uint64_t /*n*/) {}
 };
 
 /**
  * One physical core.
  */
-class Core : public sim::SimObject
+class Core : public sim::SimObject, private sim::Sleeper
 {
     stats::StatGroup statGroup;
 
@@ -119,6 +135,23 @@ class Core : public sim::SimObject
     /** Stop stepping the current workload. */
     void halt();
 
+    /**
+     * @{ Idle sleep. offerIdle() is called from inside
+     * Workload::step() right after the step's only access, a read
+     * that every later step would repeat with the same result and
+     * delay. wake() is safe to call at any time; a spurious wake only
+     * costs the skipped steps being dispatched again.
+     */
+    void offerIdle() { idleOffered = lastReadHitL1; }
+    void
+    wake()
+    {
+        if (asleep)
+            eventq().wake(&stepEvent);
+    }
+    bool sleeping() const { return asleep; }
+    /** @} */
+
     /** @{ Counters. */
     stats::Counter reads;
     stats::Counter writes;
@@ -152,11 +185,27 @@ class Core : public sim::SimObject
     void doStep();
     void countLevel(mem::HitLevel level);
 
+    /** Stop scheduling steps after one of period @p delay. */
+    bool trySleep(sim::Tick delay);
+
+    void sleptThrough(std::uint64_t n) override;
+    void awoke() override;
+
     sim::CoreId coreId;
     cache::MemoryHierarchy &hier;
     Workload *workload = nullptr;
     StepEvent stepEvent;
     sim::Tick invalLineCost;
+
+    /** @{ Idle-sleep state (never checkpointed: sleepers are woken
+     * before a checkpoint). */
+    sim::Addr lastRead = 0;
+    bool lastReadHitL1 = false;
+    bool idleOffered = false;
+    bool asleep = false;
+    sim::Tick sleepPeriod = 0;
+    sim::Addr sleepLine = 0;
+    /** @} */
 
     /** @{ Split-link fill-wait state (serialized in split mode). */
     std::function<bool(sim::Tick)> splitDispatch;

@@ -35,6 +35,12 @@ RxQueue::initialArm()
         ring.swArm(i, pool.at(idx).dataAddr, idx);
     }
     armNext = 0;
+    // A descriptor completing ends the core's idle sleep. Split mode
+    // polls a mirror fed over the link and never sleeps.
+    if (!splitOn)
+        nicPort.setRingWatcher(
+            qIdx, sim::Delegate<void()>::fromMember<&cpu::Core::wake>(
+                      &core));
 }
 
 PollResult

@@ -55,6 +55,9 @@ TimelineRecorder::stop()
 void
 TimelineRecorder::sample()
 {
+    // A tracked counter may be one a sleeping core's skipped steps
+    // still owe.
+    simRef.eventq().syncSleepers();
     const sim::Tick when = simRef.now();
     for (auto &t : tracks) {
         if (t->counter) {

@@ -53,6 +53,10 @@ NetworkFunction::step(cpu::Core &c)
         lat += res.latency;
         if (res.mbufs.empty()) {
             ++emptyPolls;
+            // With nothing deferred, the poll's one descriptor read is
+            // all this step did: every later empty poll repeats it.
+            if (lat == res.latency)
+                c.offerIdle();
             return std::max<sim::Tick>(1, lat + idleGap);
         }
         ++batches;

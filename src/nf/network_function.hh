@@ -66,6 +66,9 @@ class NetworkFunction : public cpu::Workload, public sim::SimObject
     sim::Tick step(cpu::Core &core) final;
     std::string label() const override { return name(); }
 
+    /** Skipped idle steps are empty polls. */
+    void creditIdleSteps(std::uint64_t n) override { emptyPolls += n; }
+
     const NfConfig &config() const { return cfg; }
 
     /** @{ Counters. */

@@ -84,6 +84,7 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
     }
     queueRx.assign(cfg.numQueues, 0);
     queueDrops.assign(cfg.numQueues, 0);
+    ringWatchers.resize(cfg.numQueues);
 
     payloadDoneHandler = dma.registerHandler(
         name + ".payloadDone",
@@ -215,6 +216,8 @@ void
 Nic::onDescComplete(std::uint32_t descIdx, std::uint32_t queue)
 {
     RxRing &ring = rings[queue];
+    if (ringWatchers[queue])
+        ringWatchers[queue]();
     ring.hwComplete(descIdx);
     IDIO_TRACE_INSTANT(trc, trace::EventKind::NicDescWb, now(),
                        ring.slot(descIdx).pkt.id, queue, descIdx);

@@ -24,6 +24,7 @@
 #include "nic/dma.hh"
 #include "nic/flow_director.hh"
 #include "nic/rx_ring.hh"
+#include "sim/delegate.hh"
 #include "sim/sim_object.hh"
 #include "stats/registry.hh"
 #include "trace/tracer.hh"
@@ -105,6 +106,17 @@ class Nic : public sim::SimObject
     void setDescReadyHook(DescReadyHook h) { descReady = std::move(h); }
 
     /**
+     * Invoked when a descriptor of ring @p queue completes, before
+     * software can see it: the polling core's wake-up (see
+     * cpu::Core::wake). One watcher per ring.
+     */
+    void
+    setRingWatcher(std::uint32_t queue, sim::Delegate<void()> w)
+    {
+        ringWatchers[queue] = w;
+    }
+
+    /**
      * Egress: DMA-read a frame for transmission.
      * @param txDone invoked when the last line has been read.
      * Anonymous-callback variant (not checkpointable while pending);
@@ -183,6 +195,7 @@ class Nic : public sim::SimObject
     NicConfig cfg;
     RxTap rxTap;
     DescReadyHook descReady;
+    std::vector<sim::Delegate<void()>> ringWatchers;
     trace::Source trc;
     FlowDirector fdir;
     DmaEngine dma;

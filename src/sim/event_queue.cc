@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 
 namespace sim
@@ -135,10 +136,11 @@ EventQueue::schedule(Event *ev, Tick when)
               ev->name().c_str(), (unsigned long long)when,
               (unsigned long long)curTick);
 
+    const std::uint64_t seq = freshSeq();
     ev->_scheduled = true;
     ev->_when = when;
-    ev->_seq = nextSeq;
-    insert(Entry{when, nextSeq++, Entry::tag(ev, false)});
+    ev->_seq = seq;
+    insert(when, seq, Entry::tag(ev, false));
 }
 
 void
@@ -151,6 +153,8 @@ EventQueue::deschedule(Event *ev)
     const std::uint64_t seq = ev->_seq;
     ev->_scheduled = false;
     --livePending;
+    if (seq & 1) [[unlikely]]
+        forgetRecovered(ev);
 
     if (minValid && when == cachedMin)
         minValid = false;
@@ -377,15 +381,247 @@ EventQueue::fireTickSlow()
     return fired;
 }
 
-void
+std::uint64_t
 EventQueue::fireOneOverflow()
 {
     dropSquashedTop();
     SIM_ASSERT(!heap.empty() && heap.front().when == curTick,
                "fireOne() with no event at the current tick");
-    fireEntry(popTop());
+    const Entry e = popTop();
+    fireEntry(e);
     if (livePending == 0)
         minValid = true;
+    return e.seq;
+}
+
+void
+EventQueue::insertAt(const Entry &e)
+{
+    if (minValid && e.when < cachedMin)
+        cachedMin = e.when;
+    ++livePending;
+    if (useHeap || ((e.when ^ wheelBase) >> spanBits)) {
+        push(e);
+        return;
+    }
+    const auto bySeq = [](const Entry &a, const Entry &b) {
+        return a.seq < b.seq;
+    };
+    if (draining && e.when == curTick) {
+        // The tick is being drained: the entry belongs among the
+        // batch's unfired remainder (the slot only holds schedules
+        // made during this drain, all of which sort after it).
+        drainBatch.insert(std::upper_bound(drainBatch.begin() +
+                                               drainPos + 1,
+                                           drainBatch.end(), e, bySeq),
+                          e);
+        return;
+    }
+    const unsigned l = levelFor(e.when);
+    const std::size_t idx = slotIndex(l, e.when);
+    auto &slot = slots[l][idx];
+    // Level-1/2 slots mix ticks; only same-tick order matters.
+    auto it = std::find_if(slot.begin(), slot.end(), [&e](const Entry &o) {
+        return o.when == e.when && o.seq > e.seq;
+    });
+    slot.insert(it, e);
+    markSlot(l, idx);
+}
+
+bool
+EventQueue::sleep(Event *ev, Tick first, Tick period, Sleeper *owner)
+{
+    SIM_ASSERT(!ev->_scheduled, "sleeping a scheduled event");
+    if (sleepForbidden || hookEvery || period == 0)
+        return false;
+    // Two sleepers sharing a tick would tie at equal positions with
+    // nothing left to order them; a recovered repeat on the grid
+    // likewise. Refuse: the caller keeps dispatching instead.
+    const Tick phase = first % period;
+    for (const SleepRec &z : sleeps) {
+        if (z.period == period) {
+            if (z.phase == phase)
+                return false;
+        } else {
+            const Tick d = z.g > first ? z.g - first : first - z.g;
+            if (d % std::gcd(z.period, period) == 0)
+                return false;
+        }
+    }
+    for (const Recovered &rec : recovered) {
+        if (rec.when >= first && (rec.when - first) % period == 0)
+            return false;
+    }
+    sleeps.push_back(SleepRec{ev, owner, first, period, phase, nextSeq,
+                              dispatchLog.size()});
+    sleepActive = true;
+    return true;
+}
+
+void
+EventQueue::wake(Event *ev)
+{
+    wakeAt(ev, curTick, dispatchSeq);
+}
+
+void
+EventQueue::wakeAt(Event *ev, Tick t, std::uint64_t s)
+{
+    auto it = std::find_if(sleeps.begin(), sleeps.end(),
+                           [ev](const SleepRec &z) { return z.ev == ev; });
+    SIM_ASSERT(it != sleeps.end(), "waking an event that is not asleep");
+    SleepRec z = *it;
+    const std::uint64_t n = resolveSleep(z, t, s);
+    *it = sleeps.back();
+    sleeps.pop_back();
+    if (sleeps.empty())
+        dispatchLog.clear();
+    if (n)
+        z.owner->sleptThrough(n);
+
+    const std::uint64_t seq = 2 * z.r - 1;
+    ev->_scheduled = true;
+    ev->_when = z.g;
+    ev->_seq = seq;
+    insertAt(Entry{z.g, seq, Entry::tag(ev, false)});
+    recovered.push_back(Recovered{ev, z.g});
+    updateSleepActive();
+    z.owner->awoke();
+}
+
+void
+EventQueue::wakeAllAt(Tick t, std::uint64_t s)
+{
+    while (!sleeps.empty())
+        wakeAt(sleeps.back().ev, t, s);
+}
+
+void
+EventQueue::syncSleepers()
+{
+    for (SleepRec &z : sleeps) {
+        if (const std::uint64_t n = resolveSleep(z, curTick, dispatchSeq))
+            z.owner->sleptThrough(n);
+    }
+}
+
+void
+EventQueue::forgetRecovered(const Event *ev)
+{
+    for (auto it = recovered.begin(); it != recovered.end(); ++it) {
+        if (it->ev == ev) {
+            *it = recovered.back();
+            recovered.pop_back();
+            break;
+        }
+    }
+    updateSleepActive();
+}
+
+void
+EventQueue::noteDispatch(const Entry &e)
+{
+    if (e.seq & 1)
+        forgetRecovered(e.ev());
+    if (sleeps.empty())
+        return;
+    dispatchLog.push_back(DispatchRec{e.when, e.seq, nextSeq});
+    if (dispatchLog.size() < dispatchLogCap)
+        return;
+    // Credit every sleeper up to this dispatch, then drop the records
+    // none of them can need again.
+    std::size_t keep = dispatchLog.size();
+    for (SleepRec &z : sleeps) {
+        if (const std::uint64_t n = resolveSleep(z, e.when, e.seq))
+            z.owner->sleptThrough(n);
+        keep = std::min(keep, z.logPos);
+    }
+    dispatchLog.erase(dispatchLog.begin(),
+                      dispatchLog.begin() +
+                          static_cast<std::ptrdiff_t>(keep));
+    for (SleepRec &z : sleeps)
+        z.logPos -= keep;
+}
+
+std::size_t
+EventQueue::logLowerBound(std::size_t from, Tick t) const
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(dispatchLog.begin() +
+                             static_cast<std::ptrdiff_t>(from),
+                         dispatchLog.end(), t,
+                         [](const DispatchRec &d, Tick v) {
+                             return d.when < v;
+                         }) -
+        dispatchLog.begin());
+}
+
+std::uint64_t
+EventQueue::seqCounterAfter(const SleepRec &z, Tick g,
+                            std::uint64_t r) const
+{
+    // The first logged dispatch ordered after (g, 2r - 1) began with
+    // the counter value a schedule at that position would take. No
+    // such dispatch yet (only possible between dispatches): nothing
+    // has been scheduled since, so the live counter.
+    const std::uint64_t pos = 2 * r - 1;
+    std::size_t j = logLowerBound(z.logPos, g);
+    while (j < dispatchLog.size() && dispatchLog[j].when == g &&
+           dispatchLog[j].seq < pos)
+        ++j;
+    SIM_ASSERT(j == dispatchLog.size() || dispatchLog[j].when != g ||
+                   dispatchLog[j].seq != pos,
+               "sleeping repeat tied with a dispatch");
+    return j == dispatchLog.size() ? nextSeq : dispatchLog[j].seqCounter;
+}
+
+std::uint64_t
+EventQueue::repeatPos(const SleepRec &z, std::uint64_t i) const
+{
+    // Repeat m's position only depends on repeat m-1's when a dispatch
+    // shares repeat m-1's tick; otherwise it is the counter before the
+    // first dispatch after that tick. Walk back to such an anchor,
+    // then forward through the shared ticks.
+    std::uint64_t m = i;
+    std::uint64_t r = z.r;
+    while (m > 0) {
+        const Tick prev = z.g + (m - 1) * z.period;
+        const std::size_t j = logLowerBound(z.logPos, prev);
+        if (j == dispatchLog.size()) {
+            r = nextSeq;
+            break;
+        }
+        if (dispatchLog[j].when != prev) {
+            r = dispatchLog[j].seqCounter;
+            break;
+        }
+        --m;
+    }
+    for (; m < i; ++m)
+        r = seqCounterAfter(z, z.g + m * z.period, r);
+    return r;
+}
+
+std::uint64_t
+EventQueue::resolveSleep(SleepRec &z, Tick t, std::uint64_t s)
+{
+    if (z.g > t || (z.g == t && 2 * z.r - 1 >= s))
+        return 0;
+    // Repeats 0..n-1 fall at ticks <= t; the last may follow the
+    // bound within tick t.
+    std::uint64_t n = (t - z.g) / z.period + 1;
+    const Tick last = z.g + (n - 1) * z.period;
+    const std::uint64_t rLast = repeatPos(z, n - 1);
+    if (last == t && 2 * rLast - 1 >= s) {
+        --n;
+        z.r = rLast;
+        z.g = last;
+    } else {
+        z.r = seqCounterAfter(z, last, rLast);
+        z.g = last + z.period;
+    }
+    z.logPos = logLowerBound(z.logPos, z.g);
+    return n;
 }
 
 bool
@@ -480,6 +716,12 @@ EventQueueRestoreAccess::clearPending(EventQueue &eq)
     drop(eq.drainBatch);
     eq.drainPos = 0;
     drop(eq.heap);
+    // Sleepers' owners reset their own state on restore.
+    eq.sleeps.clear();
+    eq.recovered.clear();
+    eq.dispatchLog.clear();
+    eq.sleepActive = false;
+    eq.dispatchSeq = EventQueue::betweenDispatches;
     eq.livePending = 0;
     eq.squashedCount = 0;
     eq.nextSeq = 0;

@@ -40,6 +40,15 @@
  * The queue also carries the hook the runtime invariant checker hangs
  * off: a callback invoked every N processed events, between events, so
  * whole-model sweeps observe only quiescent (post-transaction) state.
+ *
+ * Sleeping events: an event that would reschedule itself every
+ * `period` ticks with no effect but counters (an idle PMD poll) can
+ * sleep() instead. The queue dispatches none of the repeats; it
+ * counts them when asked and, on wake(), schedules the next repeat at
+ * the exact (tick, seq) position it would have had. Real schedules
+ * take even entry seqs (2n for the n-th); a recovered repeat takes
+ * the odd position 2n - 1 just ahead of the n-th real schedule,
+ * which is where its own schedule would have sorted.
  */
 
 #ifndef IDIO_SIM_EVENT_QUEUE_HH
@@ -103,6 +112,7 @@ class Event
      * Sequence number of the live schedule (valid only while
      * scheduled). Same-tick events fire in ascending sequence order;
      * checkpointing records it so restore can reproduce the order.
+     * Even for a fresh schedule, odd for a recovered sleeping repeat.
      */
     std::uint64_t seq() const { return _seq; }
 
@@ -198,6 +208,25 @@ class OneShotEvent final : public Event
 };
 
 /**
+ * Owner of a sleeping event (see EventQueue::sleep()).
+ */
+class Sleeper
+{
+  public:
+    /**
+     * @p n more skipped dispatches have happened. Called at the
+     * moment something could observe them, never ahead of time.
+     */
+    virtual void sleptThrough(std::uint64_t n) = 0;
+
+    /** The queue has scheduled the sleeping event again. */
+    virtual void awoke() = 0;
+
+  protected:
+    ~Sleeper() = default;
+};
+
+/**
  * The central event queue and time base for one Simulation.
  */
 class EventQueue
@@ -262,8 +291,8 @@ class EventQueue
         // pointer, so the Event-side bookkeeping (_scheduled, _when,
         // _seq) is skipped on this hot path. Identity lives in the
         // Entry alone.
-        const std::uint64_t seq = nextSeq++;
-        insert(Entry{when, seq, Entry::tag(ev, true)});
+        const std::uint64_t seq = freshSeq();
+        insert(when, seq, Entry::tag(ev, true));
         return seq;
     }
 
@@ -330,6 +359,7 @@ class EventQueue
         }
         if (curTick < limit && limit != maxTick)
             advanceTo(limit);
+        wakeOnReturn();
         return processed;
     }
 
@@ -353,6 +383,7 @@ class EventQueue
         if (cachedMin > limit || livePending == 0) {
             if (curTick < limit && limit != maxTick)
                 advanceTo(limit);
+            wakeOnReturn();
             return false;
         }
         advanceTo(cachedMin);
@@ -370,11 +401,10 @@ class EventQueue
                 fireEntry(e);
                 if (livePending == 0)
                     minValid = true;
-                return true;
+                return firedOne(e.seq);
             }
         }
-        fireOneOverflow();
-        return true;
+        return firedOne(fireOneOverflow());
     }
 
     /**
@@ -396,10 +426,13 @@ class EventQueue
         if (cachedMin > limit || livePending == 0) {
             if (curTick < limit && limit != maxTick)
                 advanceTo(limit);
+            wakeOnReturn();
             return 0;
         }
         advanceTo(cachedMin);
-        return fireCurTick();
+        const std::uint64_t fired = fireCurTick();
+        wakeOnReturn();
+        return fired;
     }
 
     /** Run until the queue drains completely. */
@@ -407,6 +440,45 @@ class EventQueue
 
     /** Total events processed over the queue's lifetime. */
     std::uint64_t processedEvents() const { return nProcessed; }
+
+    /**
+     * @{ Sleeping events.
+     *
+     * Called from inside a dispatch, where @p ev 's owner would now
+     * schedule it at @p first, and every dispatch of it would do
+     * nothing observable but count before rescheduling it @p period
+     * later. Instead of scheduling, the queue records that grid and
+     * @p owner is credited the skipped dispatches lazily: on wake(),
+     * syncSleepers(), and whenever a run call returns (which wakes
+     * every sleeper). Returns false, and the caller schedules @p ev
+     * as usual, when the queue cannot keep the repeats exact: a post-
+     * event hook counts dispatches, or the grid shares a tick with
+     * another sleeper's (their relative order would be lost).
+     */
+    bool sleep(Event *ev, Tick first, Tick period, Sleeper *owner);
+
+    /**
+     * Credit @p ev 's skipped repeats ordered before the current
+     * point (the event being dispatched, or now() between dispatches)
+     * and schedule its next repeat exactly where it would sit. Then
+     * calls the owner's awoke(). @p ev must be asleep.
+     */
+    void wake(Event *ev);
+
+    /** Credit every sleeper up to the current point; all stay asleep. */
+    void syncSleepers();
+
+    /** Wake every sleeper at the current point. */
+    void
+    wakeSleepers()
+    {
+        while (!sleeps.empty())
+            wake(sleeps.back().ev);
+    }
+
+    /** Number of events currently asleep. */
+    std::size_t sleeping() const { return sleeps.size(); }
+    /** @} */
 
     /**
      * Install a callback invoked after every @p everyNEvents processed
@@ -422,6 +494,8 @@ class EventQueue
             hookEvery = 0;
             postEventHook = nullptr;
         } else {
+            // A hook counts dispatches: repeats must stay real.
+            wakeSleepers();
             hookEvery = everyNEvents;
             postEventHook = std::move(hook);
         }
@@ -561,17 +635,26 @@ class EventQueue
         markSlot(l, idx);
     }
 
-    /** Route a new entry to the wheel or the overflow heap. */
+    /**
+     * Route a new entry to the wheel or the overflow heap. Takes the
+     * fields, not an Entry: building the entry in its slot keeps GCC
+     * from spilling the fresh seq and reloading it as one 16-byte
+     * word (a store-forwarding stall that doubled schedule cost).
+     */
     void
-    insert(const Entry &e)
+    insert(Tick when, std::uint64_t seq, std::uintptr_t evTag)
     {
-        if (minValid && e.when < cachedMin)
-            cachedMin = e.when;
+        if (minValid && when < cachedMin)
+            cachedMin = when;
         ++livePending;
-        if (useHeap || ((e.when ^ wheelBase) >> spanBits))
-            push(e);
-        else
-            placeWheel(e);
+        if (useHeap || ((when ^ wheelBase) >> spanBits)) {
+            push(Entry{when, seq, evTag});
+            return;
+        }
+        const unsigned l = levelFor(when);
+        const std::size_t idx = slotIndex(l, when);
+        slots[l][idx].push_back(Entry{when, seq, evTag});
+        markSlot(l, idx);
     }
 
     /**
@@ -606,6 +689,9 @@ class EventQueue
     fireEntry(const Entry &e)
     {
         --livePending;
+        if (sleepActive)
+            noteDispatch(e);
+        dispatchSeq = e.seq;
         if (e.owned()) {
             // The queue created this node, so its dynamic type is
             // exactly OneShotEvent (final): call non-virtually, then
@@ -657,8 +743,11 @@ class EventQueue
 
     /** Batch drain of curTick: wheel slot swap + overflow/heap loop. */
     std::uint64_t fireTickSlow();
-    /** runOne() fallback: fire the heap-top entry (at curTick). */
-    void fireOneOverflow();
+    /**
+     * runOne() fallback: fire the heap-top entry (at curTick).
+     * @return its seq.
+     */
+    std::uint64_t fireOneOverflow();
 
     Tick computeMin();
 
@@ -684,6 +773,131 @@ class EventQueue
 
     OneShotEvent *acquireOneShot();
     void releaseOneShot(OneShotEvent *ev);
+
+    /** Entry seq of the next fresh schedule (always even). */
+    std::uint64_t freshSeq() { return (nextSeq++) << 1; }
+
+    /**
+     * Place an entry whose seq is not fresh (a recovered repeat):
+     * same-tick entries stay in ascending seq order wherever it
+     * lands, the active drain batch included.
+     */
+    void insertAt(const Entry &e);
+
+    // --- Sleeping events ----------------------------------------
+    // A sleeper's next skipped repeat sits at tick `g` with entry seq
+    // 2r - 1: just ahead of the r-th real schedule, which is where a
+    // schedule made when the real counter read r sorts. Each repeat's
+    // successor takes the counter value at the repeat's own position
+    // in the dispatch order, which the dispatch log answers: the
+    // counter before the first dispatch ordered after it.
+
+    /** Between-dispatch bound: after every dispatch of curTick. */
+    static constexpr std::uint64_t betweenDispatches = ~std::uint64_t(0);
+
+    struct SleepRec
+    {
+        Event *ev;
+        Sleeper *owner;
+        Tick g;             ///< tick of the first uncredited repeat
+        Tick period;
+        Tick phase;         ///< g % period (grid identity)
+        std::uint64_t r;    ///< its position: entry seq 2r - 1
+        std::size_t logPos; ///< dispatchLog[0, logPos) precede it
+    };
+
+    /** One logged dispatch while any event sleeps. */
+    struct DispatchRec
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t seqCounter; ///< nextSeq when the dispatch began
+    };
+
+    /** A woken sleeper's recovered repeat, until it fires. */
+    struct Recovered
+    {
+        const Event *ev;
+        Tick when;
+    };
+
+    /** Log cap: past it, sleepers are credited and the log trimmed. */
+    static constexpr std::size_t dispatchLogCap = 4096;
+
+    /** Sleeping-event bookkeeping for one dispatch (slow path). */
+    void noteDispatch(const Entry &e);
+
+    /** Drop @p ev from the recovered-repeat list (if present). */
+    void forgetRecovered(const Event *ev);
+
+    /**
+     * Advance @p z past every repeat ordered before the bound (T, s)
+     * (s an entry seq, exclusive). @return the repeats passed.
+     */
+    std::uint64_t resolveSleep(SleepRec &z, Tick t, std::uint64_t s);
+
+    /** Counter value a dispatch at (g, 2r - 1) would schedule with. */
+    std::uint64_t seqCounterAfter(const SleepRec &z, Tick g,
+                                  std::uint64_t r) const;
+
+    /** Position r of @p z 's repeat number @p i (0 = z.g). */
+    std::uint64_t repeatPos(const SleepRec &z, std::uint64_t i) const;
+
+    /** First log index >= @p from whose tick is >= @p t. */
+    std::size_t logLowerBound(std::size_t from, Tick t) const;
+
+    /** Wake every sleeper with bound (t, s). */
+    void wakeAllAt(Tick t, std::uint64_t s);
+
+    /**
+     * A run call returns: harness code may read or schedule next, so
+     * every sleeper wakes, after all of curTick's dispatches.
+     */
+    void
+    wakeOnReturn()
+    {
+        dispatchSeq = betweenDispatches;
+        if (!sleeps.empty())
+            wakeAllAt(curTick, betweenDispatches);
+    }
+
+    /**
+     * runOne() fired the entry with seq @p seq; other events of its
+     * tick may still be pending, so only repeats ordered up to it
+     * have happened. @return true.
+     */
+    bool
+    firedOne(std::uint64_t seq)
+    {
+        dispatchSeq = betweenDispatches;
+        if (!sleeps.empty())
+            wakeAllAt(curTick, seq + 1);
+        return true;
+    }
+
+    /** wake() with an explicit bound. */
+    void wakeAt(Event *ev, Tick t, std::uint64_t s);
+
+    void
+    updateSleepActive()
+    {
+        sleepActive = !sleeps.empty() || !recovered.empty();
+    }
+
+    std::vector<SleepRec> sleeps;
+    std::vector<Recovered> recovered;
+    std::vector<DispatchRec> dispatchLog;
+    /**
+     * Seq of the entry being (or last) dispatched; reset to
+     * betweenDispatches when a run call returns, the only point
+     * outside a dispatch where model code runs (a post-event hook
+     * excludes sleepers).
+     */
+    std::uint64_t dispatchSeq = betweenDispatches;
+    /** Any sleeper or recovered repeat exists (dispatch slow path). */
+    bool sleepActive = false;
+    /** Test seam: refuse every sleep() (never-parking reference). */
+    bool sleepForbidden = false;
 
     // --- Hierarchical timing wheel (TimingWheel backend) ---------
     // slots[l][i] holds the entries of level l, slot i; level-0 slots
@@ -781,6 +995,17 @@ struct EventQueueTestAccess
     oneShotPoolSize(const EventQueue &eq)
     {
         return eq.oneShotPool.size();
+    }
+
+    /**
+     * Refuse every later sleep(): the queue then dispatches every
+     * repeat, which is the reference the sleeping path is checked
+     * against.
+     */
+    static void
+    forbidSleep(EventQueue &eq)
+    {
+        eq.sleepForbidden = true;
     }
 };
 

@@ -235,4 +235,29 @@ TEST_F(HierarchyTest, DirectoryCapacityBackInvalidatesMlc)
     }
 }
 
+TEST_F(HierarchyTest, RepeatedL1HitEqualsRepeatedReads)
+{
+    // Two lines in one 2-way L1 set; n credited hits of the first must
+    // protect it from the next fill exactly as n real hits do.
+    cache::MemoryHierarchy &real = hier;
+    sim::Simulation other;
+    cache::MemoryHierarchy credited(other, "sys", testutil::tinyConfig());
+    const sim::Addr a = 0x1000;
+    const sim::Addr b = a + 4 * mem::lineSize; // same L1 set
+    const sim::Addr c = b + 4 * mem::lineSize;
+    for (cache::MemoryHierarchy *h : {&real, &credited}) {
+        h->coreRead(0, a);
+        h->coreRead(0, b);
+    }
+    for (int i = 0; i < 3; ++i)
+        real.coreRead(0, a);
+    credited.repeatL1Hit(0, a, 3);
+    EXPECT_EQ(credited.l1(0).hits.get(), real.l1(0).hits.get());
+    for (cache::MemoryHierarchy *h : {&real, &credited}) {
+        h->coreRead(0, c); // evicts b, the least recently used
+        EXPECT_TRUE(h->l1(0).contains(a));
+        EXPECT_FALSE(h->l1(0).contains(b));
+    }
+}
+
 } // anonymous namespace

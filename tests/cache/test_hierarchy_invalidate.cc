@@ -77,6 +77,20 @@ TEST_F(HierarchyTest, InvalidateRangeCountsOnlyPresentLines)
     EXPECT_EQ(dropped, 1u);
 }
 
+TEST_F(HierarchyTest, InvalidateRangeOfZeroBytesTouchesNothing)
+{
+    hier.coreRead(0, 0x10040);
+    hier.coreRead(0, 0);
+    // Unaligned: the old last-line arithmetic dropped the line anyway.
+    EXPECT_EQ(hier.invalidateRange(0, 0x10045, 0), 0u);
+    EXPECT_TRUE(hier.mlcOf(0).contains(0x10040));
+    EXPECT_TRUE(hier.l1(0).contains(0x10040));
+    // At address 0 it walked ~2^58 lines.
+    EXPECT_EQ(hier.invalidateRange(0, 0, 0), 0u);
+    EXPECT_TRUE(hier.mlcOf(0).contains(0));
+    EXPECT_EQ(hier.mlcOf(0).selfInvals.get(), 0u);
+}
+
 TEST(HierarchyInvalidatable, NonInvalidatablePageFaults)
 {
     mem::PhysAllocator alloc;

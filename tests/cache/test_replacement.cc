@@ -111,4 +111,33 @@ TEST(FactoryDeath, UnknownNameIsFatal)
                 ::testing::ExitedWithCode(1), "unknown replacement");
 }
 
+TEST(ReplacementPolicy, TouchRepeatMatchesRepeatedTouches)
+{
+    // touchRepeat(n) must leave exactly the state of n touch() calls:
+    // a sleeping core credits its skipped L1 hits through it.
+    for (const char *name : {"lru", "srrip", "random"}) {
+        auto a = cache::makeReplacementPolicy(name, 3);
+        auto b = cache::makeReplacementPolicy(name, 3);
+        a->init(2, 4);
+        b->init(2, 4);
+        for (std::uint32_t w = 0; w < 4; ++w) {
+            a->fill(1, w);
+            b->fill(1, w);
+        }
+        a->touch(1, 0);
+        b->touch(1, 0);
+        for (int i = 0; i < 5; ++i)
+            a->touch(1, 2);
+        b->touchRepeat(1, 2, 5);
+        b->touchRepeat(1, 3, 0); // zero repeats change nothing
+        a->touch(1, 1);
+        b->touch(1, 1);
+        for (WayMask m : {lowWays(4), WayMask(0b1101), WayMask(0b0110)}) {
+            EXPECT_EQ(a->victim(1, m), b->victim(1, m)) << name;
+            a->fill(1, a->victim(1, lowWays(4)));
+            b->fill(1, b->victim(1, lowWays(4)));
+        }
+    }
+}
+
 } // anonymous namespace

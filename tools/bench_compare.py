@@ -19,7 +19,8 @@ the "good" direction from the metric name:
   higher is better   *PerSec, *speedup*, *_per_wall_sec*
   lower is better    nsPer*, *wallSec*, *WallSec*, events_per_packet,
                      *_p99_us-style simulated latency percentiles
-  informational      ops, configs, jobs, hw_threads, deterministic,
+  informational      ops, configs, jobs, effective_parallelism,
+                     hw_threads, deterministic,
                      packets, events, cores, rx_queues, flows,
                      link_pcie_ns, link_mesh_ns, micro_reps,
                      reallocations — never compared
@@ -36,10 +37,12 @@ events_per_packet is the exception among lower-is-better metrics: it
 is a host-independent work counter (the scheduler processes the same
 events no matter the host, backend or worker count), so an increase
 beyond tolerance is always a hard regression. Conversely, when either
-file was produced on a single-hardware-thread host, the wall-clock
-throughput comparisons are demoted to advisory — a 1-thread runner
-time-slicing shard workers makes "sharded slower than unsharded"
-readings meaningless — and the work counters carry the gate alone.
+file was produced on a host whose measured effective parallelism is
+below 1.5 (perf_smoke's `effective_parallelism`; older files carry
+`hw_threads` instead), the wall-clock throughput comparisons are
+demoted to advisory — a runner time-slicing shard workers onto one
+core makes "sharded slower than unsharded" readings meaningless — and
+the work counters carry the gate alone.
 """
 
 from __future__ import annotations
@@ -50,10 +53,22 @@ import re
 import sys
 from pathlib import Path
 
+# Below this measured parallelism wall-clock rates only advise.
+MIN_PARALLELISM = 1.5
+
+
+def parallelism(doc: dict) -> float:
+    """Measured effective parallelism; older files record hw_threads."""
+    if "effective_parallelism" in doc:
+        return float(doc["effective_parallelism"])
+    return float(doc.get("hw_threads", MIN_PARALLELISM))
+
+
 INFORMATIONAL = {
     "ops",
     "configs",
     "jobs",
+    "effective_parallelism",
     "hw_threads",
     "deterministic",
     "packets",
@@ -164,14 +179,14 @@ def main() -> int:
     base = dict(flatten(base_doc))
     cur = dict(flatten(cur_doc))
 
-    # On a single-hardware-thread host every wall-clock rate is noise
-    # (shard workers time-slice one core), so only the deterministic
-    # work counters gate; the rates print as advisory.
-    single_thread = (base_doc.get("hw_threads") == 1
-                     or cur_doc.get("hw_threads") == 1)
-    if single_thread:
-        print("single-hardware-thread run detected: wall-clock "
-              "metrics are advisory; work counters gate")
+    # On a host that cannot run threads in parallel every wall-clock
+    # rate is noise (shard workers time-slice one core), so only the
+    # deterministic work counters gate; the rates print as advisory.
+    low_parallelism = (parallelism(base_doc) < MIN_PARALLELISM
+                       or parallelism(cur_doc) < MIN_PARALLELISM)
+    if low_parallelism:
+        print(f"effective parallelism below {MIN_PARALLELISM} detected: "
+              "wall-clock metrics are advisory; work counters gate")
 
     regressions = []
     advisories = []
@@ -181,7 +196,7 @@ def main() -> int:
         if sense is None:
             continue
         leaf = path.rsplit(".", 1)[-1]
-        hard = is_hard_lower(leaf) or (sense > 0 and not single_thread)
+        hard = is_hard_lower(leaf) or (sense > 0 and not low_parallelism)
         b, c = base[path], cur[path]
         if b == 0:
             continue
