@@ -12,6 +12,9 @@
 #ifndef IDIO_BENCH_COMMON_HH
 #define IDIO_BENCH_COMMON_HH
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -62,14 +65,15 @@ namespace bench
  *               RSS/RETA steering over a synthetic flow population).
  *   --rx-queues=N use N RX rings on the shared port (0 keeps the
  *               legacy one-port-per-NF layout).
- *   --sharded-jobs=N drive each system through the sharded
- *               conservative-window executor with N worker threads
- *               (results stay bit-identical to the unsharded build).
+ *   --sharded-jobs=N run the split-link domains on N worker threads
+ *               (results stay bit-identical for every N). Needs the
+ *               --link-*-ns options: without split links the machine
+ *               is one timing domain and N > 1 is rejected.
  *   --link-pcie-ns=X / --link-mesh-ns=X model the NIC→LLC (PCIe) and
  *               core/MLC→LLC (mesh) couplings as latency links of X ns
  *               (both must be set together; see LinkLatencyConfig).
- *               The ShardPlan then splits into per-core + NIC + uncore
- *               groups instead of one fused group.
+ *               Every core, the NIC and the uncore then run as
+ *               separate timing domains.
  *   --scaled-only (perf_smoke) run only the scaled split-plan
  *               measurement; used by the CI scaling job.
  *   --micro-reps=N (perf_smoke) repeat each micro N times after one
@@ -79,6 +83,10 @@ namespace bench
  *   --artifacts=PREFIX (perf_smoke) write the scaled split run's
  *               stats JSON and event trace to PREFIX.stats.json /
  *               PREFIX.trace.json for cross-process byte-comparison.
+ *
+ * A numeric option with an empty value, trailing characters, a sign
+ * or an out-of-range value is an error (exit 2), as is an unknown
+ * option.
  */
 struct BenchOptions
 {
@@ -91,7 +99,7 @@ struct BenchOptions
     bool warmStart = false;
     std::uint32_t cores = 0;
     std::uint32_t rxQueues = 0;
-    unsigned shardedJobs = 0;
+    unsigned shardJobs = 0;
     double linkPcieNs = 0.0;
     double linkMeshNs = 0.0;
     bool scaledOnly = false;
@@ -100,9 +108,9 @@ struct BenchOptions
 };
 
 /**
- * Apply the --cores / --rx-queues / --sharded-jobs topology options
- * to one config. --cores implies a multi-queue port (rxQueues =
- * cores) unless --rx-queues overrides it.
+ * Apply the --cores / --rx-queues / --sharded-jobs / --link-*-ns
+ * topology options to one config. --cores implies a multi-queue port
+ * (rxQueues = cores) unless --rx-queues overrides it.
  */
 inline void
 applyTopology(harness::ExperimentConfig &cfg, const BenchOptions &opts)
@@ -115,32 +123,72 @@ applyTopology(harness::ExperimentConfig &cfg, const BenchOptions &opts)
     }
     if (cfg.rxQueues && cfg.totalFlows == 0)
         cfg.totalFlows = 1u << 16;
-    if (opts.shardedJobs) {
-        cfg.sharded = true;
-        cfg.shardJobs = opts.shardedJobs;
-    }
+    if (opts.shardJobs)
+        cfg.shardJobs = opts.shardJobs;
     if (opts.linkPcieNs > 0.0)
         cfg.links.pcieNs = opts.linkPcieNs;
     if (opts.linkMeshNs > 0.0)
         cfg.links.meshNs = opts.linkMeshNs;
 }
 
+/** Report a malformed value of option @p arg and exit 2. */
+[[noreturn]] inline void
+badOptionValue(const char *prog, const std::string &arg,
+               const char *expected)
+{
+    const std::size_t eq = arg.find('=');
+    std::fprintf(stderr, "%s: %s expects %s, got '%s' (try --help)\n",
+                 prog, arg.substr(0, eq).c_str(), expected,
+                 arg.substr(eq + 1).c_str());
+    std::exit(2);
+}
+
+/** The non-negative integer after '=' in @p arg, at most @p max. */
+inline std::uint64_t
+unsignedOption(const char *prog, const std::string &arg,
+               std::uint64_t max = 0xffffffffu)
+{
+    const char *text = arg.c_str() + arg.find('=') + 1;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end ||
+        errno == ERANGE || v > max)
+        badOptionValue(prog, arg, "a non-negative integer");
+    return v;
+}
+
+/** The non-negative latency (ns) after '=' in @p arg. */
+inline double
+latencyOption(const char *prog, const std::string &arg)
+{
+    const char *text = arg.c_str() + arg.find('=') + 1;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    const unsigned char first = static_cast<unsigned char>(*text);
+    if (!(std::isdigit(first) || first == '.') || *end ||
+        !std::isfinite(v))
+        badOptionValue(prog, arg, "a latency in ns >= 0");
+    return v;
+}
+
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
 {
     BenchOptions opts;
+    const char *prog = argv[0];
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            const unsigned n = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
+            const auto n =
+                static_cast<unsigned>(unsignedOption(prog, arg));
             opts.jobs = n ? n : harness::SweepRunner::hardwareJobs();
         } else if (arg.rfind("--json=", 0) == 0) {
             opts.jsonPath = arg.substr(7);
         } else if (arg.rfind("--trace=", 0) == 0) {
             opts.tracePath = arg.substr(8);
         } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            opts.seed = unsignedOption(prog, arg, ~std::uint64_t(0));
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             opts.checkpointPath = arg.substr(13);
         } else if (arg.rfind("--restore=", 0) == 0) {
@@ -148,25 +196,25 @@ parseBenchOptions(int argc, char **argv)
         } else if (arg == "--warm-start") {
             opts.warmStart = true;
         } else if (arg.rfind("--cores=", 0) == 0) {
-            opts.cores = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
+            opts.cores =
+                static_cast<std::uint32_t>(unsignedOption(prog, arg));
         } else if (arg.rfind("--rx-queues=", 0) == 0) {
-            opts.rxQueues = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 12, nullptr, 10));
+            opts.rxQueues =
+                static_cast<std::uint32_t>(unsignedOption(prog, arg));
         } else if (arg.rfind("--sharded-jobs=", 0) == 0) {
-            opts.shardedJobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 15, nullptr, 10));
+            opts.shardJobs =
+                static_cast<unsigned>(unsignedOption(prog, arg));
         } else if (arg.rfind("--link-pcie-ns=", 0) == 0) {
-            opts.linkPcieNs = std::strtod(arg.c_str() + 15, nullptr);
+            opts.linkPcieNs = latencyOption(prog, arg);
         } else if (arg.rfind("--link-mesh-ns=", 0) == 0) {
-            opts.linkMeshNs = std::strtod(arg.c_str() + 15, nullptr);
+            opts.linkMeshNs = latencyOption(prog, arg);
         } else if (arg == "--scaled-only") {
             opts.scaledOnly = true;
         } else if (arg.rfind("--artifacts=", 0) == 0) {
             opts.artifactsPrefix = arg.substr(12);
         } else if (arg.rfind("--micro-reps=", 0) == 0) {
-            const unsigned n = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 13, nullptr, 10));
+            const auto n =
+                static_cast<unsigned>(unsignedOption(prog, arg));
             opts.microReps = n ? n : 1;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
@@ -189,8 +237,8 @@ parseBenchOptions(int argc, char **argv)
                 "(implies --rx-queues=N)\n"
                 "  --rx-queues=N multi-queue RX rings with RSS "
                 "steering (0 = legacy layout)\n"
-                "  --sharded-jobs=N run each system on the sharded "
-                "executor with N threads\n"
+                "  --sharded-jobs=N run the split-link domains on N "
+                "threads (needs --link-*-ns)\n"
                 "  --link-pcie-ns=X model the NIC-to-LLC coupling as "
                 "an X ns latency link\n"
                 "  --link-mesh-ns=X model the core-to-LLC coupling as "

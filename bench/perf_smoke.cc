@@ -12,26 +12,24 @@
  *  - cache-hierarchy streaming-miss and PCIe-write throughput,
  *  - the headline simulated-packets-per-wall-second rate of a default
  *    single-burst run,
- *  - a 32-core / 32-RX-queue scaled run, unsharded vs sharded, with a
- *    byte-identical determinism check (stats JSON + event trace) of
- *    the sharded executor across worker counts,
- *  - the same scaled machine on the SPLIT shard plan (modelled PCIe
- *    and mesh link latencies, so per-core + NIC + uncore run in
- *    separate conflict groups), timed with --sharded-jobs workers and
- *    byte-checked across worker counts,
+ *  - a 32-core / 32-RX-queue scaled run,
+ *  - the same scaled machine with SPLIT links (modelled PCIe and mesh
+ *    link latencies, so every core, the NIC and the uncore run as
+ *    separate timing domains), timed with --sharded-jobs workers and
+ *    byte-checked (stats JSON + event trace) across worker counts,
  *  - a fig10-style config sweep run serially and on a thread pool,
  *    with a bit-identical-results determinism check.
  *
- * --scaled-only restricts the run to the split-plan scaled
+ * --scaled-only restricts the run to the split-link scaled
  * measurement (the CI scaling job invokes it three times with
  * --sharded-jobs=1/2/4 and byte-compares the --artifacts dumps).
  *
  * The JSON output (default BENCH_perf.json) is committed periodically
  * as the repo's performance trajectory and is compared by
  * tools/bench_compare.py in CI. Its "build" object records the build
- * type, the IDIO_CHECK_INVARIANTS and IDIO_TRACE settings, the
- * scheduler backend and the git revision; bench_compare refuses to
- * compare files whose build configurations differ. Wall-clock
+ * type, the IDIO_CHECK_INVARIANTS and IDIO_TRACE settings and the git
+ * revision; bench_compare refuses to compare files whose build
+ * configurations differ. Wall-clock
  * numbers are only comparable across runs on similar hosts;
  * `effective_parallelism` records how parallel the host actually ran:
  * fixed integer work timed on one thread and on every hardware thread
@@ -256,9 +254,9 @@ struct PacketRate
 
     /**
      * Total events processed across every queue of the run — a
-     * host-independent work counter (identical no matter the
-     * scheduler backend, worker count or host), unlike the wall-clock
-     * rate. CI gates on events_per_packet where wall time is noise.
+     * host-independent work counter (identical no matter the worker
+     * count or host), unlike the wall-clock rate. CI gates on
+     * events_per_packet where wall time is noise.
      */
     std::uint64_t events = 0;
 
@@ -338,9 +336,9 @@ scaledConfig()
 }
 
 /**
- * The scaled machine on the split shard plan: modelled PCIe and mesh
- * link latencies break the fused conflict group into per-core + NIC +
- * uncore groups, so --sharded-jobs workers can genuinely overlap.
+ * The scaled machine with split links: modelled PCIe and mesh link
+ * latencies put every core, the NIC and the uncore in separate timing
+ * domains, so --sharded-jobs workers can genuinely overlap.
  */
 harness::ExperimentConfig
 splitScaledConfig(const bench::BenchOptions &opts)
@@ -353,7 +351,7 @@ splitScaledConfig(const bench::BenchOptions &opts)
     return cfg;
 }
 
-/** Everything measured from the split-plan scaled runs. */
+/** Everything measured from the split-link scaled runs. */
 struct SplitScaled
 {
     PacketRate rate;
@@ -366,7 +364,7 @@ struct SplitScaled
 };
 
 /**
- * Time the split-plan scaled run at @p jobs workers, then re-run it
+ * Time the split-link scaled run at @p jobs workers, then re-run it
  * untimed at @p jobs and at a different worker count and byte-compare
  * stats JSON + event trace. The captured artifacts are written via
  * --artifacts for cross-process comparison (they must be identical no
@@ -381,7 +379,6 @@ measureSplitScaled(const bench::BenchOptions &opts, unsigned jobs)
     r.pcieNs = cfg.links.pcieNs;
     r.meshNs = cfg.links.meshNs;
 
-    cfg.sharded = true;
     cfg.shardJobs = jobs;
     r.rate = timedBurst(cfg);
 
@@ -535,10 +532,7 @@ main(int argc, char **argv)
             minOfN([] { return microCachePcieWrite(2'000'000); },
                    microReps),
         };
-        std::printf("micros: scheduler backend %s, min of %u reps "
-                    "(one warm-up pass)\n",
-                    sim::EventQueue::backendName(
-                        sim::EventQueue::defaultBackend()),
+        std::printf("micros: min of %u reps (one warm-up pass)\n",
                     microReps);
         for (const auto &m : micros) {
             std::printf("%-26s %8.1f ns/op  %12.0f ops/s\n", m.name,
@@ -564,37 +558,16 @@ main(int argc, char **argv)
                     single.perSec(), single.eventsPerPacket());
     }
 
-    // Scaled machine: the paper's 32-core shape. Timed unsharded and
-    // sharded (fused plan), plus a byte-identity check of the sharded
-    // executor across worker counts (stats JSON + full event trace).
-    PacketRate scaledPlain, scaledShardedRate;
-    bool shardedDeterministic = true;
+    // Scaled machine: the paper's 32-core shape on one event queue.
+    PacketRate scaledPlain;
     if (full) {
         auto scaled = scaledConfig();
         if (opts.seed)
             scaled.seed = *opts.seed;
         scaledPlain = timedBurst(scaled);
-
-        auto scaledSharded = scaled;
-        scaledSharded.sharded = true;
-        scaledSharded.shardJobs = std::max(2u, std::min(hwThreads, 4u));
-        scaledShardedRate = timedBurst(scaledSharded);
-
-        std::string statsJ1, statsJ2, traceJ1, traceJ2;
-        scaledSharded.shardJobs = 1;
-        timedBurst(scaledSharded, &statsJ1, &traceJ1);
-        scaledSharded.shardJobs = 2;
-        timedBurst(scaledSharded, &statsJ2, &traceJ2);
-        shardedDeterministic = !statsJ1.empty() &&
-                               statsJ1 == statsJ2 && traceJ1 == traceJ2;
-
-        std::printf("scaled 32-core: unsharded %.0f packets/wall-sec, "
-                    "sharded %.0f packets/wall-sec\n",
-                    scaledPlain.perSec(), scaledShardedRate.perSec());
-        std::printf("sharded deterministic: %s\n",
-                    shardedDeterministic
-                        ? "yes (stats+trace byte-identical across jobs)"
-                        : "NO");
+        std::printf("scaled 32-core: %.0f packets/wall-sec, "
+                    "%.1f events/packet\n",
+                    scaledPlain.perSec(), scaledPlain.eventsPerPacket());
     }
 
     // Tenant-mix headline: simulated per-tenant tail latency of the
@@ -614,14 +587,14 @@ main(int argc, char **argv)
                     (unsigned long long)tenantIoca.reallocations);
     }
 
-    // The same machine on the split shard plan: modelled link
-    // latencies give every core, the NIC, and the uncore their own
-    // conflict group, so --sharded-jobs is a real parallelism knob.
+    // The same machine with split links: modelled link latencies give
+    // every core, the NIC, and the uncore their own timing domain, so
+    // --sharded-jobs is a real parallelism knob.
     const unsigned splitJobs =
-        opts.shardedJobs ? opts.shardedJobs
-                         : std::max(2u, std::min(hwThreads, 4u));
+        opts.shardJobs ? opts.shardJobs
+                       : std::max(2u, std::min(hwThreads, 4u));
     const SplitScaled split = measureSplitScaled(opts, splitJobs);
-    std::printf("scaled split plan (pcie %.0f ns, mesh %.0f ns, "
+    std::printf("scaled split links (pcie %.0f ns, mesh %.0f ns, "
                 "jobs=%u): %.0f packets/wall-sec, "
                 "%.1f events/packet\n",
                 split.pcieNs, split.meshNs, split.jobs,
@@ -688,9 +661,6 @@ main(int argc, char **argv)
         w.field("build_type", IDIO_BUILD_TYPE);
         w.field("check_invariants", IDIO_CHECK_INVARIANTS != 0);
         w.field("trace", IDIO_TRACE != 0);
-        w.field("scheduler_backend",
-                sim::EventQueue::backendName(
-                    sim::EventQueue::defaultBackend()));
         w.field("revision", IDIO_GIT_REVISION);
         w.end();
         if (full) {
@@ -717,22 +687,17 @@ main(int argc, char **argv)
         w.field("cores", std::uint64_t(32));
         w.field("rx_queues", std::uint64_t(32));
         w.field("flows", std::uint64_t(1u << 20));
-        // The headline rate follows the requested mode: the split
-        // plan under an explicit --sharded-jobs (what the CI scaling
-        // job sweeps), the legacy fused unsharded run otherwise (the
+        // The headline rate follows the requested mode: split links
+        // under an explicit --sharded-jobs (what the CI scaling job
+        // sweeps), the single-queue run otherwise (the
         // committed-trajectory baseline).
-        const bool headlineSplit = opts.shardedJobs || !full;
+        const bool headlineSplit = opts.shardJobs || !full;
         const PacketRate &headline =
             headlineSplit ? split.rate : scaledPlain;
         w.field("packets", headline.packets);
         w.field("packets_per_wall_sec", headline.perSec());
         w.field("events", headline.events);
         w.field("events_per_packet", headline.eventsPerPacket());
-        if (full) {
-            w.field("sharded_packets_per_wall_sec",
-                    scaledShardedRate.perSec());
-            w.field("sharded_deterministic", shardedDeterministic);
-        }
         w.beginObject("split");
         w.field("link_pcie_ns", split.pcieNs);
         w.field("link_mesh_ns", split.meshNs);
@@ -789,11 +754,8 @@ main(int argc, char **argv)
     }
     std::printf("\nwrote %s\n", opts.jsonPath.c_str());
 
-    // Determinism (sweep, fused sharded, and split plan) is a hard
-    // failure; the parallel speedup is judged only where the host can
-    // actually run threads in parallel.
-    return (deterministic && shardedDeterministic &&
-            split.deterministic)
-               ? 0
-               : 1;
+    // Determinism (sweep and split links) is a hard failure; the
+    // parallel speedup is judged only where the host can actually run
+    // threads in parallel.
+    return (deterministic && split.deterministic) ? 0 : 1;
 }

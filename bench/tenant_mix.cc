@@ -21,8 +21,8 @@
  *
  * The run is a fixed 600 us horizon stepped in 10 us quanta, so every
  * scheme sees the identical packet arrivals and the output JSON is
- *bit-identical across repeated runs, --sharded-jobs worker counts and
- * a mid-burst checkpoint/restore (the CI tenant job relies on this —
+ * bit-identical across repeated runs and a mid-burst
+ * checkpoint/restore (the CI tenant job relies on this —
  * keep host-dependent fields out of the JSON).
  */
 
@@ -100,11 +100,12 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseBenchOptions(argc, argv);
-    if (opts.cores || opts.rxQueues || opts.linkPcieNs > 0.0 ||
-        opts.linkMeshNs > 0.0) {
+    if (opts.cores || opts.rxQueues || opts.shardJobs ||
+        opts.linkPcieNs > 0.0 || opts.linkMeshNs > 0.0) {
         std::fprintf(stderr,
-                     "tenant_mix: --cores/--rx-queues/--link-*-ns are "
-                     "incompatible with the tenant layout\n");
+                     "tenant_mix: --cores/--rx-queues/--sharded-jobs/"
+                     "--link-*-ns are incompatible with the tenant "
+                     "layout\n");
         return 2;
     }
 
@@ -118,10 +119,6 @@ main(int argc, char **argv)
         cfgs.push_back(bench::tenantMixConfig(s));
         if (opts.seed)
             cfgs.back().seed = *opts.seed;
-        if (opts.shardedJobs) {
-            cfgs.back().sharded = true;
-            cfgs.back().shardJobs = opts.shardedJobs;
-        }
     }
 
     std::vector<MixRun> runs;
@@ -161,7 +158,7 @@ main(int argc, char **argv)
 
     // Machine-readable rows. Deliberately free of host-dependent
     // fields (job counts, timings): the CI tenant job byte-compares
-    // this file across runs and --sharded-jobs worker counts.
+    // this file across runs and checkpoint/restore.
     if (!opts.jsonPath.empty()) {
         std::ofstream ofs(opts.jsonPath);
         if (!ofs)

@@ -32,8 +32,7 @@ void
 saveEventq(Serializer &s, sim::EventQueue &eq,
            const std::string &section = "_eventq")
 {
-    s.beginSection(section, /*version=*/2);
-    s.writeU8(static_cast<std::uint8_t>(eq.backend()));
+    s.beginSection(section, /*version=*/3);
     s.writeU32(sim::EventQueueRestoreAccess::wheelLevels());
     s.writeU32(sim::EventQueueRestoreAccess::wheelSlotBits());
     s.writeTick(sim::EventQueueRestoreAccess::wheelBase(eq));
@@ -50,11 +49,10 @@ restoreEventq(Deserializer &d, sim::EventQueue &eq,
               const std::string &section)
 {
     const std::uint32_t version = d.beginSection(section);
-    if (version != 2)
+    if (version != 3)
         sim::fatal("ckpt: '%s' section version %u; this build reads "
-                   "version 2",
+                   "version 3",
                    section.c_str(), version);
-    const std::uint8_t backend = d.readU8();
     const std::uint32_t levels = d.readU32();
     const std::uint32_t slotBits = d.readU32();
     const sim::Tick wheelBase = d.readTick();
@@ -65,16 +63,9 @@ restoreEventq(Deserializer &d, sim::EventQueue &eq,
     const std::uint64_t pendingCount = d.readU64();
     d.endSection();
 
-    // Validate scheduler identity eagerly: the pending set was already
+    // Validate the wheel geometry eagerly: the pending set was already
     // replayed into this queue, so drift between the checkpointed and
     // live wheel would otherwise surface as a silent ordering change.
-    if (backend != static_cast<std::uint8_t>(eq.backend()))
-        sim::fatal("ckpt: '%s' was checkpointed under the %s backend "
-                   "but this run uses %s; set IDIO_EVENTQ to match",
-                   section.c_str(),
-                   sim::EventQueue::backendName(
-                       static_cast<sim::SchedulerBackend>(backend)),
-                   sim::EventQueue::backendName(eq.backend()));
     if (levels != sim::EventQueueRestoreAccess::wheelLevels() ||
         slotBits != sim::EventQueueRestoreAccess::wheelSlotBits())
         sim::fatal("ckpt: '%s' wheel geometry %u levels x 2^%u slots "

@@ -63,8 +63,10 @@ namespace ckpt
  * v3: _eventq sections carry the scheduler backend tag, the timing-
  * wheel base tick and the wheel geometry (levels, slot bits), and
  * link-channel sections store batched delivery records.
+ * v4: _eventq sections (section version 3) drop the backend tag; the
+ * timing wheel is the only scheduler.
  */
-constexpr std::uint32_t formatVersion = 3;
+constexpr std::uint32_t formatVersion = 4;
 
 /** File magic, first 8 bytes of every checkpoint. */
 constexpr std::array<char, 8> magic = {'I', 'D', 'I', 'O',

@@ -80,10 +80,6 @@ ExperimentConfig::summary() const
                       tenantPartitionName(tenantPartition));
         out += buf;
     }
-    if (sharded) {
-        std::snprintf(buf, sizeof(buf), ", sharded(j%u)", shardJobs);
-        out += buf;
-    }
     return out;
 }
 

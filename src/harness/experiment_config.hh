@@ -96,14 +96,14 @@ struct TenantSpec
  * Modelled interconnect-link latencies (paper Sec. III machine model).
  *
  * Zero (the default) keeps the legacy fully-synchronous coupling: every
- * cross-domain interaction is a same-tick call and the ShardPlan fuses
- * the whole machine into one conflict group. Nonzero latencies make the
- * NIC→LLC (PCIe) and core/MLC→LLC (mesh hop) couplings message-passing
- * links: the affected interactions travel over sim::shard::LinkChannel
- * edges with these delays, the plan splits into per-core + NIC + uncore
- * groups, and the ShardedExecutor window derives from the minimum link
- * latency. Both latencies must be set together (a split plan needs
- * every cross-group coupling to carry latency).
+ * cross-domain interaction is a same-tick call and the whole machine
+ * runs on one event queue. Nonzero latencies make the NIC→LLC (PCIe)
+ * and core/MLC→LLC (mesh hop) couplings message-passing links: the
+ * affected interactions travel over sim::shard::LinkChannel edges with
+ * these delays, every core, the NIC and the uncore get their own
+ * domain queue, and the ShardedExecutor window is the minimum link
+ * latency. Both latencies must be set together (split mode needs
+ * every cross-domain coupling to carry latency).
  */
 struct LinkLatencyConfig
 {
@@ -203,19 +203,13 @@ struct ExperimentConfig
     }
     /** @} */
 
-    /** @{ Sharded execution (src/sim/shard). */
-
-    /** Drive the run through a ShardedExecutor over the domain plan. */
-    bool sharded = false;
-
-    /** Host threads for conflict-group execution. */
-    unsigned shardJobs = 1;
+    /** @{ Split-link execution (src/sim/shard). */
 
     /**
-     * Conservative window width, ns, used when the resolved plan has
-     * no cross-group async edge to derive it from.
+     * Host threads for the split-link domains. Values above 1 need
+     * split links; TestSystem rejects them otherwise.
      */
-    double shardWindowNs = 1000.0;
+    unsigned shardJobs = 1;
 
     /** Modelled interconnect latencies (zero = legacy sync coupling). */
     LinkLatencyConfig links;

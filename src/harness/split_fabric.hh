@@ -1,6 +1,6 @@
 /**
  * @file
- * Message fabric for the split (latency-edge) shard plan.
+ * Message fabric for split-link mode (latency-edge timing domains).
  *
  * With modelled interconnect latencies (LinkLatencyConfig), the
  * TestSystem decomposes into real timing domains: one per NF core
@@ -8,8 +8,8 @@
  * DMA engine, classifier, traffic generator), and the uncore (LLC,
  * directory, DRAM, IDIO controller) on the main queue. Every
  * cross-domain interaction travels as a SplitMsg over a
- * sim::shard::LinkChannel — a latency edge of the ShardPlan — instead
- * of a same-tick call:
+ * sim::shard::LinkChannel — a latency edge between two domains —
+ * instead of a same-tick call:
  *
  *   NIC -> uncore  (PCIe)   DmaWrite
  *   core -> uncore (mesh)   FillReq, VictimWb, CoreInval,

@@ -37,6 +37,11 @@ Totals::operator-(const Totals &o) const
 TestSystem::TestSystem(const ExperimentConfig &config)
     : cfg(config), sim_(config.seed)
 {
+    if (cfg.shardJobs > 1 && !cfg.links.split())
+        sim::fatal("shardJobs = %u needs split links "
+                   "(--link-pcie-ns/--link-mesh-ns): without them the "
+                   "machine is one timing domain and runs on one thread",
+                   cfg.shardJobs);
     if (cfg.tenantMode()) {
         validateTenantConfig();
         // NF pipelines occupy cores [0, numNfs); antagonist-tenant
@@ -271,10 +276,9 @@ TestSystem::TestSystem(const ExperimentConfig &config)
 
     recorder = std::make_unique<TimelineRecorder>(sim_);
 
-    // The split plan always runs through the executor (the domain
-    // queues need the windowed barrier protocol), with one worker
-    // unless cfg.sharded asks for more.
-    if (cfg.sharded || fabric)
+    // Split mode runs through the executor: the domain queues need
+    // the windowed barrier protocol.
+    if (fabric)
         buildShardExecutor();
 }
 
@@ -622,100 +626,31 @@ TestSystem::wireSplitMode()
 void
 TestSystem::buildShardExecutor()
 {
-    if (fabric) {
-        // Split plan: every cross-domain coupling is a latency edge,
-        // so resolve() keeps the per-core, NIC and uncore domains in
-        // separate conflict groups and derives the conservative
-        // window from the minimum link latency.
-        const sim::Tick pcie = fabric->nicToUncore->latency();
-        const sim::Tick mesh = fabric->coreToUncore.front()->latency();
+    // Every cross-domain coupling is a latency link, so the uncore,
+    // the NIC and each core run as separate domains, and the
+    // conservative window is the minimum link latency.
+    const sim::Tick pcie = fabric->nicToUncore->latency();
+    const sim::Tick mesh = fabric->coreToUncore.front()->latency();
 
-        sim::shard::ShardPlan plan;
-        const auto uncoreD = plan.addDomain("uncore");
-        const auto nicD = plan.addDomain("nic");
-        plan.asyncEdge(nicD, uncoreD, pcie);
-        std::vector<sim::shard::DomainId> coreDs;
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-            const auto d = plan.addDomain("core" + std::to_string(i));
-            plan.asyncEdge(d, uncoreD, mesh);
-            plan.asyncEdge(d, nicD, pcie);
-            coreDs.push_back(d);
-        }
-        const auto res = plan.resolve();
-        SIM_ASSERT(res.groups == cfg.numNfs + 2,
-                   "split plan unexpectedly fused domains");
-        SIM_ASSERT(res.window == std::min(pcie, mesh),
-                   "split plan window is not the minimum link latency");
-
-        shardExec = std::make_unique<sim::shard::ShardedExecutor>(
-            cfg.sharded ? cfg.shardJobs : 1);
-        shardExec->addExternalDomain("uncore", sim_.eventq(),
-                                     res.groupOf[uncoreD]);
-        shardExec->addExternalDomain("nic", *fabric->nicQ,
-                                     res.groupOf[nicD]);
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-            shardExec->addExternalDomain("core" + std::to_string(i),
-                                         *fabric->coreQ[i],
-                                         res.groupOf[coreDs[i]]);
-        }
-        shardExec->setWindow(res.window);
-
-        // Flush order = construction order (checkpoint shape depends
-        // on it).
-        shardExec->registerChannel(fabric->nicToUncore.get());
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-            shardExec->registerChannel(fabric->coreToUncore[i].get());
-            shardExec->registerChannel(fabric->uncoreToCore[i].get());
-            shardExec->registerChannel(fabric->nicToCore[i].get());
-            shardExec->registerChannel(fabric->coreToNic[i].get());
-        }
-        return;
-    }
-
-    // Legacy fused plan: declare the machine's timing-domain topology
-    // honestly and let the plan fuse what is synchronously coupled.
-    // Every edge below is a sync edge — cores call the shared
-    // hierarchy directly, the NIC DMA engine writes it directly, and
-    // the PMD reads NIC ring state from core step events — so the
-    // plan resolves to ONE conflict group and the executor
-    // degenerates to a deterministic chunked runUntil over the
-    // Simulation queue (bit-identical for any host thread count by
-    // construction). LinkLatencyConfig turns these couplings into
-    // asyncEdge(latency) calls (the `fabric` branch above) and the
-    // same executor runs the groups genuinely in parallel.
-    sim::shard::ShardPlan plan;
-    const auto llcD = plan.addDomain("llc");
-    const auto dramD = plan.addDomain("dram");
-    plan.syncEdge(llcD, dramD); // LLC misses call DRAM directly
-
-    std::vector<sim::shard::DomainId> coreDs;
-    for (const auto &c : cores) {
-        const auto d = plan.addDomain(c->name() + "+mlc");
-        plan.syncEdge(d, llcD); // coreRead/Write hit the shared LLC
-        coreDs.push_back(d);
-    }
-    for (std::size_t i = 0; i < nics.size(); ++i) {
-        const auto nd = plan.addDomain(nics[i]->name());
-        plan.syncEdge(nd, llcD); // DMA writes land in the LLC
-        if (cfg.multiQueue()) {
-            // Every core's PMD polls a ring of the shared port.
-            for (const auto d : coreDs)
-                plan.syncEdge(d, nd);
-        } else if (i < coreDs.size()) {
-            plan.syncEdge(coreDs[i], nd); // core i polls port i
-        }
-    }
-
-    const auto res = plan.resolve();
     shardExec = std::make_unique<sim::shard::ShardedExecutor>(
         cfg.shardJobs);
-    shardExec->addExternalDomain("model", sim_.eventq());
-    const sim::Tick window =
-        res.window != sim::maxTick
-            ? res.window
-            : std::max<sim::Tick>(1,
-                                  sim::nsToTicks(cfg.shardWindowNs));
-    shardExec->setWindow(window);
+    shardExec->addExternalDomain("uncore", sim_.eventq());
+    shardExec->addExternalDomain("nic", *fabric->nicQ);
+    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
+        shardExec->addExternalDomain("core" + std::to_string(i),
+                                     *fabric->coreQ[i]);
+    }
+    shardExec->setWindow(std::min(pcie, mesh));
+
+    // Flush order = construction order (checkpoint shape depends on
+    // it).
+    shardExec->registerChannel(fabric->nicToUncore.get());
+    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
+        shardExec->registerChannel(fabric->coreToUncore[i].get());
+        shardExec->registerChannel(fabric->uncoreToCore[i].get());
+        shardExec->registerChannel(fabric->nicToCore[i].get());
+        shardExec->registerChannel(fabric->coreToNic[i].get());
+    }
 }
 
 TestSystem::~TestSystem() = default;

@@ -8,13 +8,14 @@
  * core, EP-rule steering) and the multi-queue one (cfg.rxQueues != 0:
  * one shared port with a ring per core, RSS/RETA steering over a
  * synthetic flow population — the paper's actual machine shape).
- * With cfg.sharded, runFor() drives the model through a
- * conservative-window ShardedExecutor built from the declared domain
- * topology. cfg.tenants switches the legacy layout into tenant mode:
- * per-tenant NF kinds/traffic on the NF cores, aggressor cores for
- * antagonist tenants, and a tenant::TenantManager (plus optional
- * IocaController) programming the LLC's CAT way partition. Every
- * bench, example and integration test builds on this class.
+ * With split links (cfg.links), the NIC and every core get their own
+ * event queue and runFor() drives them through a conservative-window
+ * ShardedExecutor on cfg.shardJobs threads. cfg.tenants switches the
+ * legacy layout into tenant mode: per-tenant NF kinds/traffic on the
+ * NF cores, aggressor cores for antagonist tenants, and a
+ * tenant::TenantManager (plus optional IocaController) programming
+ * the LLC's CAT way partition. Every bench, example and integration
+ * test builds on this class.
  */
 
 #ifndef IDIO_HARNESS_SYSTEM_HH
@@ -140,9 +141,8 @@ class TestSystem
     }
 
     /**
-     * Non-null when runFor is driven through the executor: always in
-     * split-link mode (the domain queues need the windowed barrier
-     * protocol), and with cfg.sharded on the legacy fused plan.
+     * Non-null in split-link mode, where runFor is driven through the
+     * executor (the domain queues need the windowed barrier protocol).
      */
     sim::shard::ShardedExecutor *shardExecutor()
     {

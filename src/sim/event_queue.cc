@@ -1,14 +1,12 @@
 /**
  * @file
- * EventQueue implementation: the hierarchical-timing-wheel scheduler,
- * its binary-heap reference backend, and the shared dispatch machinery
- * (fused same-tick drain, overflow compaction, one-shot pooling).
+ * EventQueue implementation: the hierarchical-timing-wheel scheduler
+ * and its dispatch machinery (fused same-tick drain, overflow
+ * compaction, one-shot pooling, sleeping events).
  */
 
 #include "event_queue.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
@@ -42,33 +40,6 @@ Event::~Event()
     // here, so we just flag it.
     if (_scheduled)
         panic("event destroyed while scheduled");
-}
-
-SchedulerBackend
-EventQueue::defaultBackend()
-{
-    static const SchedulerBackend cached = [] {
-        const char *env = std::getenv("IDIO_EVENTQ");
-        if (!env || !*env || !std::strcmp(env, "wheel"))
-            return SchedulerBackend::TimingWheel;
-        if (!std::strcmp(env, "heap"))
-            return SchedulerBackend::BinaryHeap;
-        panic("unknown IDIO_EVENTQ value '%s' "
-              "(expected 'wheel' or 'heap')",
-              env);
-    }();
-    return cached;
-}
-
-const char *
-EventQueue::backendName(SchedulerBackend b)
-{
-    return b == SchedulerBackend::BinaryHeap ? "heap" : "wheel";
-}
-
-EventQueue::EventQueue(SchedulerBackend b)
-    : useHeap(b == SchedulerBackend::BinaryHeap)
-{
 }
 
 EventQueue::~EventQueue()
@@ -159,7 +130,7 @@ EventQueue::deschedule(Event *ev)
     if (minValid && when == cachedMin)
         minValid = false;
 
-    const unsigned l = useHeap ? numLevels : levelFor(when);
+    const unsigned l = levelFor(when);
     if (l < numLevels) {
         // Wheel-resident: erase the entry exactly. No tombstones in
         // slots — deschedule churn cannot bloat the wheel.
@@ -189,7 +160,7 @@ EventQueue::deschedule(Event *ev)
         return;
     }
 
-    // Overflow heap (or BinaryHeap backend): null the entry in place.
+    // Overflow heap: null the entry in place.
     // Once descheduled, the owner may destroy the Event immediately, so
     // the queue must not keep the pointer. Nulling does not disturb the
     // heap order (ordering keys are when/seq only).
@@ -233,7 +204,7 @@ EventQueue::advanceSlow(Tick t)
     // (or the overflow pulls into exact slots) and are never
     // re-visited by this advance.
     wheelBase = t;
-    if (!useHeap && (x >> spanBits)) {
+    if (x >> spanBits) {
         // Crossed into a new 2^24-tick block: pull the now-in-horizon
         // overflow events back into the wheel.
         refillFromOverflow(t);
@@ -324,47 +295,42 @@ std::uint64_t
 EventQueue::fireTickSlow()
 {
     std::uint64_t fired = 0;
-    if (!useHeap) {
-        // Every curTick entry lives in the level-0 slot (the overflow
-        // refill runs before the base reaches a block). Swap the slot
-        // out and fire it in one pass; events scheduled into the same
-        // tick mid-drain land in the (now empty) slot and are picked
-        // up by the outer loop — still in seq order, since new seqs
-        // exceed every batched one.
-        const std::size_t idx = slotIndex(0, curTick);
-        auto &slot = slots[0][idx];
-        draining = true;
-        const auto bySeq = [](const Entry &a, const Entry &b) {
-            return a.seq < b.seq;
-        };
-        while (!slot.empty()) {
-            drainBatch.swap(slot);
-            clearSlotMark(0, idx);
-            // A level-0 slot covers a single tick, and same-tick
-            // entries are seq-sorted by construction: direct appends
-            // use fresh ascending seqs, and cascades/refills preserve
-            // the relative order of same-tick entries. (Whole
-            // level-1/2 slots are NOT seq-sorted — the overflow
-            // refill interleaves ticks in (when, seq) order — but
-            // that never reaches this drain unsorted.) Keep a
-            // defensive re-sort behind the cheap check.
-            if (!std::is_sorted(drainBatch.begin(), drainBatch.end(),
-                                bySeq))
-                std::sort(drainBatch.begin(), drainBatch.end(), bySeq);
-            for (drainPos = 0; drainPos < drainBatch.size();
-                 ++drainPos) {
-                const Entry e = drainBatch[drainPos];
-                if (!e.evTag)
-                    continue; // descheduled mid-drain
-                fireEntry(e);
-                ++fired;
-            }
-            drainBatch.clear();
-            drainPos = 0;
+    // Every curTick entry lives in the level-0 slot (the overflow
+    // refill runs before the base reaches a block). Swap the slot out
+    // and fire it in one pass; events scheduled into the same tick
+    // mid-drain land in the (now empty) slot and are picked up by the
+    // outer loop — still in seq order, since new seqs exceed every
+    // batched one.
+    const std::size_t idx = slotIndex(0, curTick);
+    auto &slot = slots[0][idx];
+    draining = true;
+    const auto bySeq = [](const Entry &a, const Entry &b) {
+        return a.seq < b.seq;
+    };
+    while (!slot.empty()) {
+        drainBatch.swap(slot);
+        clearSlotMark(0, idx);
+        // A level-0 slot covers a single tick, and same-tick entries
+        // are seq-sorted by construction: direct appends use fresh
+        // ascending seqs, and cascades/refills preserve the relative
+        // order of same-tick entries. (Whole level-1/2 slots are NOT
+        // seq-sorted — the overflow refill interleaves ticks in
+        // (when, seq) order — but that never reaches this drain
+        // unsorted.) Keep a defensive re-sort behind the cheap check.
+        if (!std::is_sorted(drainBatch.begin(), drainBatch.end(), bySeq))
+            std::sort(drainBatch.begin(), drainBatch.end(), bySeq);
+        for (drainPos = 0; drainPos < drainBatch.size(); ++drainPos) {
+            const Entry e = drainBatch[drainPos];
+            if (!e.evTag)
+                continue; // descheduled mid-drain
+            fireEntry(e);
+            ++fired;
         }
+        drainBatch.clear();
+        drainPos = 0;
     }
-    // BinaryHeap backend — and, defensively, any overflow entry at
-    // exactly curTick (the wheel backend never leaves one there).
+    // Defensively, any overflow entry at exactly curTick (the refill
+    // never leaves one there).
     for (;;) {
         dropSquashedTop();
         if (heap.empty() || heap.front().when != curTick)
@@ -381,26 +347,13 @@ EventQueue::fireTickSlow()
     return fired;
 }
 
-std::uint64_t
-EventQueue::fireOneOverflow()
-{
-    dropSquashedTop();
-    SIM_ASSERT(!heap.empty() && heap.front().when == curTick,
-               "fireOne() with no event at the current tick");
-    const Entry e = popTop();
-    fireEntry(e);
-    if (livePending == 0)
-        minValid = true;
-    return e.seq;
-}
-
 void
 EventQueue::insertAt(const Entry &e)
 {
     if (minValid && e.when < cachedMin)
         cachedMin = e.when;
     ++livePending;
-    if (useHeap || ((e.when ^ wheelBase) >> spanBits)) {
+    if ((e.when ^ wheelBase) >> spanBits) {
         push(e);
         return;
     }
@@ -679,8 +632,7 @@ EventQueue::selfCheckConsistent() const
             ++squashedInHeap;
             continue;
         }
-        if (!useHeap && !draining &&
-            !((e.when ^ wheelBase) >> spanBits))
+        if (!draining && !((e.when ^ wheelBase) >> spanBits))
             return false; // in-horizon event stuck in the overflow
     }
     if (squashedInHeap != squashedCount)

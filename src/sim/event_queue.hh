@@ -8,26 +8,20 @@
  * one-shot callbacks or derive from Event for reschedulable events
  * (e.g.\ periodic control-plane sampling).
  *
- * Two scheduler backends produce the identical (tick, seq) firing
- * order:
+ * The scheduler is a hierarchical timing wheel: three levels of 256
+ * slots each (8 bits of tick per level, 2^24 ticks of horizon).
+ * Level-0 slots cover exactly one tick, so a slot IS the same-tick
+ * dispatch batch: schedule, deschedule and pop are O(1) for the
+ * short-horizon events that dominate the workload (per-cacheline DMA
+ * completions, 250–500 ns link hops, ring polls, 1 us telemetry).
+ * Events beyond the horizon spill to a binary-heap overflow level and
+ * are pulled back into the wheel when the wheel base crosses into
+ * their 2^24 block. The differential tests check the firing order
+ * against a plain binary-heap reference queue in tests/sim/.
  *
- *  - TimingWheel (default): a hierarchical timing wheel — three
- *    levels of 256 slots each (8 bits of tick per level, 2^24 ticks
- *    of horizon). Level-0 slots cover exactly one tick, so a slot IS
- *    the same-tick dispatch batch: schedule, deschedule and pop are
- *    O(1) for the short-horizon events that dominate the workload
- *    (per-cacheline DMA completions, 250–500 ns link hops, ring
- *    polls, 1 us telemetry). Events beyond the horizon spill to a
- *    binary-heap overflow level and are pulled back into the wheel
- *    when the wheel base crosses into their 2^24 block.
- *  - BinaryHeap: the reference std::push_heap/std::pop_heap
- *    implementation, kept for the differential scheduler tests and
- *    the nightly backend comparison (IDIO_EVENTQ=heap).
- *
- * Fused same-tick dispatch: runUntil()/runSameTick() drain all events
- * of the current tick in one pass (in seq order) without re-entering
- * the scheduler between them. runOne() still fires exactly one event
- * for the sharded executor's fine-grained interleave.
+ * Fused same-tick dispatch: runUntil() drains all events of the
+ * current tick in one pass (in seq order) without re-entering the
+ * scheduler between them.
  *
  * One-shot callbacks are stored in pooled OneShotEvent nodes with
  * inline callable storage: scheduling one performs no heap allocation
@@ -74,17 +68,10 @@ namespace sim
 
 class EventQueue;
 
-/**
- * Scheduler backend selector. Both backends fire events in the
- * identical (tick, seq) total order; TimingWheel is the production
- * default, BinaryHeap the reference kept for differential testing.
- * The process-wide default comes from the IDIO_EVENTQ environment
- * variable ("wheel" or "heap"; unset means wheel).
- */
+/** Scheduler backend: the timing wheel is the only one. */
 enum class SchedulerBackend : std::uint8_t
 {
     TimingWheel = 0,
-    BinaryHeap = 1,
 };
 
 /**
@@ -232,27 +219,18 @@ class Sleeper
 class EventQueue
 {
   public:
-    explicit EventQueue(SchedulerBackend b = defaultBackend());
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
 
-    /**
-     * Process-wide default backend: IDIO_EVENTQ=heap selects the
-     * reference binary heap, anything else (or unset) the wheel.
-     * Read once; an unknown value is fatal.
-     */
-    static SchedulerBackend defaultBackend();
-
-    /** Human-readable backend name ("wheel" / "heap"). */
-    static const char *backendName(SchedulerBackend b);
-
-    SchedulerBackend
-    backend() const
+    // Kept as constants: benchmark build stamps record the backend.
+    static SchedulerBackend
+    defaultBackend()
     {
-        return useHeap ? SchedulerBackend::BinaryHeap
-                       : SchedulerBackend::TimingWheel;
+        return SchedulerBackend::TimingWheel;
     }
+    static const char *backendName(SchedulerBackend) { return "wheel"; }
 
     /** Current simulated time. */
     Tick now() const { return curTick; }
@@ -361,78 +339,6 @@ class EventQueue
             advanceTo(limit);
         wakeOnReturn();
         return processed;
-    }
-
-    /**
-     * Fire at most one event scheduled at or before @p limit.
-     *
-     * With no such event, behaves like an empty runUntil(limit):
-     * advances the time base to @p limit (unless limit == maxTick) and
-     * returns false. The sharded executor uses this to interleave
-     * fused domains deterministically by (tick, domain-id).
-     *
-     * @return true iff an event fired.
-     */
-    bool
-    runOne(Tick limit)
-    {
-        if (!minValid) {
-            cachedMin = computeMin();
-            minValid = true;
-        }
-        if (cachedMin > limit || livePending == 0) {
-            if (curTick < limit && limit != maxTick)
-                advanceTo(limit);
-            wakeOnReturn();
-            return false;
-        }
-        advanceTo(cachedMin);
-        cachedMin = maxTick;
-        minValid = false;
-        if (!useHeap) {
-            const std::size_t idx = slotIndex(0, curTick);
-            auto &slot = slots[0][idx];
-            if (!slot.empty()) {
-                // Slots are seq-sorted: the front is the next event.
-                const Entry e = slot.front();
-                slot.erase(slot.begin());
-                if (slot.empty())
-                    clearSlotMark(0, idx);
-                fireEntry(e);
-                if (livePending == 0)
-                    minValid = true;
-                return firedOne(e.seq);
-            }
-        }
-        return firedOne(fireOneOverflow());
-    }
-
-    /**
-     * Batched variant of runOne(): fire EVERY event of the earliest
-     * eligible tick (including chained same-tick schedules) in one
-     * fused pass, equivalent to calling runOne(limit) until the tick
-     * is exhausted. With no eligible event, behaves like the runOne()
-     * no-op (advances the time base to @p limit unless maxTick).
-     *
-     * @return number of events processed (0 when nothing was eligible).
-     */
-    std::uint64_t
-    runSameTick(Tick limit)
-    {
-        if (!minValid) {
-            cachedMin = computeMin();
-            minValid = true;
-        }
-        if (cachedMin > limit || livePending == 0) {
-            if (curTick < limit && limit != maxTick)
-                advanceTo(limit);
-            wakeOnReturn();
-            return 0;
-        }
-        advanceTo(cachedMin);
-        const std::uint64_t fired = fireCurTick();
-        wakeOnReturn();
-        return fired;
     }
 
     /** Run until the queue drains completely. */
@@ -647,7 +553,7 @@ class EventQueue
         if (minValid && when < cachedMin)
             cachedMin = when;
         ++livePending;
-        if (useHeap || ((when ^ wheelBase) >> spanBits)) {
+        if ((when ^ wheelBase) >> spanBits) {
             push(Entry{when, seq, evTag});
             return;
         }
@@ -722,32 +628,25 @@ class EventQueue
     std::uint64_t
     fireCurTick()
     {
-        if (!useHeap) {
-            const std::size_t idx = slotIndex(0, curTick);
-            auto &slot = slots[0][idx];
-            if (slot.size() == 1) {
-                const Entry e = slot.front();
-                slot.clear();
-                clearSlotMark(0, idx);
-                fireEntry(e);
-                if (slot.empty()) { // no chained same-tick schedule
-                    cachedMin = maxTick;
-                    minValid = livePending == 0;
-                    return 1;
-                }
-                return 1 + fireTickSlow();
+        const std::size_t idx = slotIndex(0, curTick);
+        auto &slot = slots[0][idx];
+        if (slot.size() == 1) {
+            const Entry e = slot.front();
+            slot.clear();
+            clearSlotMark(0, idx);
+            fireEntry(e);
+            if (slot.empty()) { // no chained same-tick schedule
+                cachedMin = maxTick;
+                minValid = livePending == 0;
+                return 1;
             }
+            return 1 + fireTickSlow();
         }
         return fireTickSlow();
     }
 
-    /** Batch drain of curTick: wheel slot swap + overflow/heap loop. */
+    /** Batch drain of curTick: wheel slot swap + overflow loop. */
     std::uint64_t fireTickSlow();
-    /**
-     * runOne() fallback: fire the heap-top entry (at curTick).
-     * @return its seq.
-     */
-    std::uint64_t fireOneOverflow();
 
     Tick computeMin();
 
@@ -861,20 +760,6 @@ class EventQueue
             wakeAllAt(curTick, betweenDispatches);
     }
 
-    /**
-     * runOne() fired the entry with seq @p seq; other events of its
-     * tick may still be pending, so only repeats ordered up to it
-     * have happened. @return true.
-     */
-    bool
-    firedOne(std::uint64_t seq)
-    {
-        dispatchSeq = betweenDispatches;
-        if (!sleeps.empty())
-            wakeAllAt(curTick, seq + 1);
-        return true;
-    }
-
     /** wake() with an explicit bound. */
     void wakeAt(Event *ev, Tick t, std::uint64_t s);
 
@@ -899,7 +784,7 @@ class EventQueue
     /** Test seam: refuse every sleep() (never-parking reference). */
     bool sleepForbidden = false;
 
-    // --- Hierarchical timing wheel (TimingWheel backend) ---------
+    // --- Hierarchical timing wheel --------------------------------
     // slots[l][i] holds the entries of level l, slot i; level-0 slots
     // cover exactly one tick. occupied[] mirrors slot non-emptiness
     // so the min recompute scans 4 words per level instead of 256
@@ -925,14 +810,12 @@ class EventQueue
     Tick cachedMin = maxTick;
     bool minValid = true;
 
-    // --- Overflow level / BinaryHeap backend ---------------------
+    // --- Overflow level ------------------------------------------
     // A plain vector managed with the <algorithm> heap primitives
     // (rather than std::priority_queue) so nextEventTick() and the
-    // invariant checker can inspect pending entries in place. The
-    // BinaryHeap backend routes every event here.
+    // invariant checker can inspect pending entries in place.
     std::vector<Entry> heap;
     std::size_t squashedCount = 0;
-    const bool useHeap;
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;

@@ -26,13 +26,11 @@ ShardedExecutor::~ShardedExecutor()
 
 DomainId
 ShardedExecutor::addRecord(const std::string &name,
-                           std::uint32_t group,
                            std::unique_ptr<EventQueue> ownedQueue,
                            EventQueue *external)
 {
     DomainRec rec;
     rec.name = name;
-    rec.group = group;
     rec.owned = std::move(ownedQueue);
     rec.queue = rec.owned ? rec.owned.get() : external;
     doms.push_back(std::move(rec));
@@ -40,26 +38,16 @@ ShardedExecutor::addRecord(const std::string &name,
 }
 
 DomainId
-ShardedExecutor::addDomain(const std::string &name, std::uint32_t group)
+ShardedExecutor::addDomain(const std::string &name)
 {
-    return addRecord(name, group, std::make_unique<EventQueue>(),
-                     nullptr);
+    return addRecord(name, std::make_unique<EventQueue>(), nullptr);
 }
 
 DomainId
 ShardedExecutor::addExternalDomain(const std::string &name,
-                                   EventQueue &queue,
-                                   std::uint32_t group)
+                                   EventQueue &queue)
 {
-    return addRecord(name, group, nullptr, &queue);
-}
-
-void
-ShardedExecutor::setGroup(DomainId d, std::uint32_t group)
-{
-    if (d >= doms.size())
-        fatal("setGroup on unknown shard domain %u", d);
-    doms[d].group = group;
+    return addRecord(name, nullptr, &queue);
 }
 
 void
@@ -68,61 +56,6 @@ ShardedExecutor::setWindow(Tick w)
     if (w == 0)
         fatal("shard window must be at least one tick");
     windowTicks = w;
-}
-
-std::vector<std::vector<DomainId>>
-ShardedExecutor::groupTable() const
-{
-    std::uint32_t maxGroup = 0;
-    for (const DomainRec &d : doms)
-        maxGroup = std::max(maxGroup, d.group);
-    std::vector<std::vector<DomainId>> table(maxGroup + 1);
-    for (DomainId d = 0; d < doms.size(); ++d)
-        table[doms[d].group].push_back(d);
-    table.erase(std::remove_if(table.begin(), table.end(),
-                               [](const std::vector<DomainId> &g) {
-                                   return g.empty();
-                               }),
-                table.end());
-    return table;
-}
-
-std::uint64_t
-ShardedExecutor::runGroup(const std::vector<DomainId> &members,
-                          Tick windowEnd)
-{
-    if (members.size() == 1)
-        return doms[members.front()].queue->runUntil(windowEnd);
-
-    // Fused domains interleave by always firing the globally earliest
-    // event, ties broken by domain id — deterministic regardless of
-    // which host thread runs the group. The winning domain drains its
-    // whole tick in one fused pass (runSameTick) instead of paying a
-    // scheduler round-trip per event: equivalent to the event-by-event
-    // interleave because events fired mid-drain can only schedule into
-    // their OWN queue (cross-domain traffic goes through post(), which
-    // cannot target the current window), so no same-tick work can
-    // appear in a lower-indexed member while the winner drains.
-    std::uint64_t processed = 0;
-    for (;;) {
-        Tick best = maxTick;
-        DomainId bestDom = invalidDomain;
-        for (DomainId d : members) {
-            const Tick t = doms[d].queue->peekNextTick();
-            if (t < best) {
-                best = t;
-                bestDom = d;
-            }
-        }
-        if (bestDom == invalidDomain || best > windowEnd)
-            break;
-        processed += doms[bestDom].queue->runSameTick(windowEnd);
-    }
-    // The drain loop only advances queues to their fired ticks; bring
-    // every member's time base to the window end (no-op runOne).
-    for (DomainId d : members)
-        doms[d].queue->runOne(windowEnd);
-    return processed;
 }
 
 void
@@ -158,14 +91,14 @@ ShardedExecutor::stopWorkers()
 }
 
 void
-ShardedExecutor::claimGroups()
+ShardedExecutor::claimDomains()
 {
     for (;;) {
-        const std::size_t g =
+        const std::size_t d =
             poolNext.fetch_add(1, std::memory_order_relaxed);
-        if (g >= poolGroups->size())
+        if (d >= doms.size())
             return;
-        poolCounts[g] = runGroup((*poolGroups)[g], poolWindowEnd);
+        poolCounts[d] = doms[d].queue->runUntil(poolWindowEnd);
     }
 }
 
@@ -184,7 +117,7 @@ ShardedExecutor::workerLoop()
             }
         }
         seen = poolGen.load(std::memory_order_acquire);
-        claimGroups();
+        claimDomains();
         poolDone.fetch_add(1, std::memory_order_release);
     }
 }
@@ -208,7 +141,7 @@ ShardedExecutor::mergeStagedPosts()
         return;
 
     // (tick, source domain, per-source staging order): a total order
-    // that does not depend on which thread ran which group.
+    // that does not depend on which thread ran which domain.
     std::sort(items.begin(), items.end(),
               [](const Item &a, const Item &b) {
                   if (a.when != b.when)
@@ -258,8 +191,6 @@ ShardedExecutor::runUntil(Tick limit)
     if (doms.empty())
         fatal("ShardedExecutor::runUntil with no domains");
 
-    const std::vector<std::vector<DomainId>> groups = groupTable();
-
     // Deliver posts/messages staged by setup code before the first
     // window.
     flushChannels();
@@ -290,23 +221,22 @@ ShardedExecutor::runUntil(Tick limit)
         curWindowEnd = windowEnd;
         inWindow = true;
 
-        if (groups.size() > 1 && nJobs > 1) {
-            // Hand the window to the persistent pool: each group is
+        if (doms.size() > 1 && nJobs > 1) {
+            // Hand the window to the persistent pool: each domain is
             // claimed off a shared index, and results land in
-            // per-group slots so the sum (and everything else) is
+            // per-domain slots so the sum (and everything else) is
             // independent of thread scheduling. The main thread
-            // claims groups alongside the workers.
+            // claims domains alongside the workers.
             if (workers.empty()) {
                 startWorkers(static_cast<unsigned>(std::min<std::size_t>(
-                    nJobs - 1, groups.size() - 1)));
+                    nJobs - 1, doms.size() - 1)));
             }
-            poolGroups = &groups;
             poolWindowEnd = windowEnd;
-            poolCounts.assign(groups.size(), 0);
+            poolCounts.assign(doms.size(), 0);
             poolNext.store(0, std::memory_order_relaxed);
             poolDone.store(0, std::memory_order_relaxed);
             poolGen.fetch_add(1, std::memory_order_release);
-            claimGroups();
+            claimDomains();
             unsigned spins = 0;
             while (poolDone.load(std::memory_order_acquire) !=
                    workers.size()) {
@@ -318,8 +248,8 @@ ShardedExecutor::runUntil(Tick limit)
             for (std::uint64_t c : poolCounts)
                 processed += c;
         } else {
-            for (const std::vector<DomainId> &g : groups)
-                processed += runGroup(g, windowEnd);
+            for (DomainRec &d : doms)
+                processed += d.queue->runUntil(windowEnd);
         }
 
         inWindow = false;
@@ -332,11 +262,12 @@ ShardedExecutor::runUntil(Tick limit)
         base = windowEnd + 1;
     }
 
-    // Mirror runUntil(limit) semantics on every member: time base ends
-    // at the limit even if a domain went idle early.
+    // Mirror runUntil(limit) semantics on every domain: time base ends
+    // at the limit even if a domain went idle early. Posts merged at
+    // the last barrier sit past the window, so nothing fires here.
     if (limit != maxTick) {
         for (DomainRec &d : doms)
-            d.queue->runOne(limit);
+            d.queue->runUntil(limit);
     }
     return processed;
 }

@@ -3,31 +3,28 @@
  * Conservative-window sharded event-queue executor.
  *
  * The ShardedExecutor advances a set of timing domains — each one an
- * EventQueue — in lockstep windows. Within one window, every conflict
- * group (see ShardPlan) runs independently: groups never share model
- * state inside a window, so they may execute on separate host threads.
- * Cross-domain interactions go through post(), which stages the
- * callback in the *source* domain's outbox; at the window barrier the
- * staged posts are merged into their target queues in a deterministic
- * (tick, source-domain-id, per-source-sequence) order, on one thread.
+ * EventQueue — in lockstep windows. Within one window every domain
+ * runs independently: domains never share model state inside a window,
+ * so they may execute on separate host threads. Cross-domain
+ * interactions go through post() or a registered LinkChannel, which
+ * stage the message on the *source* side; at the window barrier the
+ * staged work is delivered into its target queues in a deterministic
+ * order, on one thread.
  *
  * Determinism argument, in three pieces:
  *
- *  1. Within a group, domains are interleaved by firing the globally
- *     earliest event, ties broken by domain id — a pure function of
- *     queue contents, independent of host threads.
- *  2. Across groups, no shared state is touched inside a window (posts
- *     only append to the source's own outbox), so group execution
- *     order is immaterial; the conservative window guarantees a post
- *     can only target ticks after the barrier, which post() enforces
- *     with a hard panic.
+ *  1. A domain's window is a plain runUntil(windowEnd) over its own
+ *     queue — a pure function of that queue's contents.
+ *  2. Across domains, no shared state is touched inside a window
+ *     (posts only append to the source's own outbox), so domain
+ *     execution order is immaterial; the conservative window
+ *     guarantees a post can only target ticks after the barrier,
+ *     which post() enforces with a hard panic.
  *  3. The barrier merge sorts staged posts by a key that is itself
  *     deterministic, and assigns target-queue sequence numbers in that
  *     sorted order on a single thread.
  *
- * Hence the result is bit-identical for any worker count, including
- * the degenerate one-group case where the executor is just a chunked
- * runUntil over the single queue — byte-for-byte today's behavior.
+ * Hence the result is bit-identical for any worker count.
  */
 
 #ifndef IDIO_SIM_SHARD_EXECUTOR_HH
@@ -43,7 +40,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/shard/plan.hh"
 #include "sim/types.hh"
 
 namespace sim
@@ -53,6 +49,9 @@ namespace shard
 
 class LinkChannelBase;
 
+/** Identifier of one timing domain (dense, in addDomain order). */
+using DomainId = std::uint32_t;
+
 /**
  * Runs per-domain EventQueues under a conservative-window
  * synchronizer; see the file comment.
@@ -61,9 +60,9 @@ class ShardedExecutor
 {
   public:
     /**
-     * @param jobs Host threads available for group execution. Groups
-     *             beyond the first only run concurrently when both
-     *             jobs > 1 and more than one conflict group exists.
+     * @param jobs Host threads available for domain execution.
+     *             Domains only run concurrently when both jobs > 1 and
+     *             more than one domain exists.
      */
     explicit ShardedExecutor(unsigned jobs = 1);
     ShardedExecutor(const ShardedExecutor &) = delete;
@@ -71,8 +70,7 @@ class ShardedExecutor
     ~ShardedExecutor();
 
     /** Add a domain backed by a queue the executor owns. */
-    DomainId addDomain(const std::string &name,
-                       std::uint32_t group = 0);
+    DomainId addDomain(const std::string &name);
 
     /**
      * Add a domain backed by an externally owned queue (e.g.\ the
@@ -80,11 +78,7 @@ class ShardedExecutor
      * base). The queue must outlive the executor.
      */
     DomainId addExternalDomain(const std::string &name,
-                               EventQueue &queue,
-                               std::uint32_t group = 0);
-
-    /** Reassign a domain's conflict group (before running). */
-    void setGroup(DomainId d, std::uint32_t group);
+                               EventQueue &queue);
 
     /** Set the conservative window width in ticks (>= 1). */
     void setWindow(Tick w);
@@ -158,23 +152,15 @@ class ShardedExecutor
     struct DomainRec
     {
         std::string name;
-        std::uint32_t group = 0;
         EventQueue *queue = nullptr; // owned.get() or external
         std::unique_ptr<EventQueue> owned;
         std::vector<StagedPost> outbox;
         std::uint64_t postSeq = 0;
     };
 
-    DomainId addRecord(const std::string &name, std::uint32_t group,
+    DomainId addRecord(const std::string &name,
                        std::unique_ptr<EventQueue> ownedQueue,
                        EventQueue *external);
-
-    /** Group membership table, ordered by group id then domain id. */
-    std::vector<std::vector<DomainId>> groupTable() const;
-
-    /** Run one group's members up to @p windowEnd; returns events. */
-    std::uint64_t runGroup(const std::vector<DomainId> &members,
-                           Tick windowEnd);
 
     /** Barrier step: deliver staged posts in deterministic order. */
     void mergeStagedPosts();
@@ -187,17 +173,16 @@ class ShardedExecutor
      * (spin briefly, then yield) between windows; per-window thread
      * spawn would dominate at sub-microsecond windows. The main thread
      * participates as one worker, so the pool holds nJobs - 1 threads,
-     * started lazily at the first multi-group parallel window.
+     * started lazily at the first parallel window.
      */
     void startWorkers(unsigned count);
     void stopWorkers();
     void workerLoop();
-    void claimGroups();
+    void claimDomains();
 
     std::vector<std::thread> workers;
     std::atomic<std::uint64_t> poolGen{0};
     std::atomic<bool> poolStop{false};
-    const std::vector<std::vector<DomainId>> *poolGroups = nullptr;
     Tick poolWindowEnd = 0;
     std::atomic<std::size_t> poolNext{0};
     std::atomic<std::size_t> poolDone{0};

@@ -2,7 +2,7 @@
  * @file
  * Latency-carrying cross-domain message channels.
  *
- * A LinkChannel is one directed edge of a split ShardPlan: a modelled
+ * A LinkChannel is one directed edge of the split-link machine: a modelled
  * interconnect link (PCIe port, mesh hop) between a source timing
  * domain and a destination domain that live on different event queues.
  * The source domain calls send() during a conservative window, which
@@ -97,8 +97,8 @@ class LinkChannel : public SimObject, public LinkChannelBase
      * @param dstQueue The receiver domain's queue (deliveries land
      *        here).
      * @param latency One-way link latency; must be at least the
-     *        executor's conservative window (the plan derives the
-     *        window as the minimum link latency, so it is).
+     *        executor's conservative window (split mode sets the
+     *        window to the minimum link latency, so it is).
      */
     LinkChannel(Simulation &simulation, const std::string &name,
                 const EventQueue &srcQueue, EventQueue &dstQueue,

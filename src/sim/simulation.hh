@@ -112,14 +112,16 @@ class Simulation
     }
 
     /**
-     * @{ Auxiliary per-domain event queues (sharded execution).
+     * @{ Auxiliary per-domain event queues (split-link execution).
      *
-     * A split ShardPlan places each timing domain on its own queue; the
-     * harness creates them before constructing the domain's components
-     * and the ShardedExecutor advances them under the conservative
-     * window. Creation order is deterministic (model construction is),
-     * which the checkpoint layer relies on. A simulation with no
-     * auxiliary queues behaves exactly as before.
+     * Split-link mode places the NIC and each core on its own queue
+     * (the uncore stays on the main queue); the harness creates them
+     * before constructing the domain's components and the
+     * ShardedExecutor advances every queue as its own domain under
+     * the conservative window. Creation order is deterministic (model
+     * construction is), which the checkpoint layer relies on. A
+     * simulation with no auxiliary queues runs on the main queue
+     * alone.
      */
     EventQueue &addDomainQueue(std::string name);
     std::size_t domainQueueCount() const { return auxQueues.size(); }

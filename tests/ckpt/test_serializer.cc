@@ -108,11 +108,16 @@ TEST(CkptSerializer, BadMagicIsFatal)
 
 TEST(CkptSerializer, FormatVersionDriftIsFatal)
 {
-    auto blob = sampleBlob();
-    const std::uint32_t bogus = ckpt::formatVersion + 1;
-    std::memcpy(blob.data() + 8, &bogus, sizeof(bogus));
-    EXPECT_EXIT(ckpt::Deserializer d(blob),
-                ::testing::ExitedWithCode(1), "version");
+    // A newer file and one from the previous format (v3, which still
+    // carried the scheduler backend tag) are both refused.
+    for (const std::uint32_t bogus :
+         {ckpt::formatVersion + 1, ckpt::formatVersion - 1}) {
+        auto blob = sampleBlob();
+        std::memcpy(blob.data() + 8, &bogus, sizeof(bogus));
+        EXPECT_EXIT(ckpt::Deserializer d(blob),
+                    ::testing::ExitedWithCode(1), "version")
+            << "formatVersion " << bogus;
+    }
 }
 
 TEST(CkptSerializer, TrailingBytesAreFatal)

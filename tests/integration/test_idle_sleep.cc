@@ -12,8 +12,8 @@
  * credited counter. The configurations cover both I/O layouts, every
  * NF kind (L2Fwd's asynchronous TX completions included), every
  * replacement policy, poll grids that share ticks with the DMA pump
- * grid, tenant mode, the fused sharded executor and a checkpoint
- * taken mid-burst while cores sleep.
+ * grid, tenant mode and a checkpoint taken mid-burst while cores
+ * sleep.
  *
  * Sleeping needs the invariant checker's post-event hook off (the
  * hook counts dispatches), so every configuration here disables it.
@@ -242,27 +242,6 @@ TEST(IdleSleep, TenantModeMatches)
     cfg.tenants = {rpc, batch, antag};
     expectSame(run(cfg, true, "tenant_got"), run(cfg, false, "tenant_ref"),
                "tenant mode");
-}
-
-TEST(IdleSleep, FusedShardedExecutorMatches)
-{
-    ExperimentConfig cfg;
-    cfg.invariantCheckPeriod = 0;
-    cfg.applyPolicy(idio::Policy::Idio);
-    cfg.numNfs = 4;
-    cfg.rxQueues = 4;
-    cfg.totalFlows = 256;
-    cfg.nic.ringSize = 64;
-    cfg.sharded = true;
-    cfg.shardJobs = 2;
-    cfg.shardWindowNs = 700.0;
-    alignGrids(cfg);
-    const Artifacts got = run(cfg, true, "shard_got");
-    expectSame(got, run(cfg, false, "shard_ref"), "fused sharded");
-    auto plain = cfg;
-    plain.sharded = false;
-    expectSame(got, run(plain, false, "shard_plain"),
-               "fused sharded vs plain");
 }
 
 TEST(IdleSleep, CheckpointWhileCoresSleep)

@@ -5,18 +5,20 @@
  * With LinkLatencyConfig set, the system decomposes into per-core,
  * NIC and uncore timing domains joined only by latency edges, and the
  * executor runs them under the conservative-window protocol. The
- * gates here are the ISSUE-level acceptance criteria: a split run
- * processes traffic end to end, is byte-identical — Totals,
- * stats-registry JSON and packet-lifecycle trace — across shard-job
- * counts (and to the one-worker non-sharded executor run), and
- * checkpoints mid-burst with messages in flight on the links.
+ * gates here: a split run processes traffic end to end, is
+ * byte-identical — Totals, stats-registry JSON and packet-lifecycle
+ * trace — across shard-job counts, uses the minimum link latency as
+ * its window, and checkpoints mid-burst with messages in flight on
+ * the links.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/system.hh"
@@ -100,27 +102,44 @@ TEST(SplitLinks, BurstIsFullyProcessedAcrossDomains)
 
 TEST(SplitLinks, RunIsByteIdenticalAcrossJobCounts)
 {
-    // The tentpole acceptance gate: the same split plan produces the
-    // same stats JSON and trace bytes whether the executor runs its
-    // conflict groups on 1 worker (non-sharded), 2 or 4.
+    // The acceptance gate: the same split machine produces the same
+    // stats JSON and trace bytes whether the executor runs its domains
+    // on 1 worker, 2 or 4.
     const auto base = splitConfig();
 
-    const auto j0 = runTraced(base, "plain");
+    const auto j1 = runTraced(base, "j1");
 
-    auto sharded = base;
-    sharded.sharded = true;
-    sharded.shardJobs = 2;
-    const auto j2 = runTraced(sharded, "j2");
+    auto jobs = base;
+    jobs.shardJobs = 2;
+    const auto j2 = runTraced(jobs, "j2");
 
-    sharded.shardJobs = 4;
-    const auto j4 = runTraced(sharded, "j4");
+    jobs.shardJobs = 4;
+    const auto j4 = runTraced(jobs, "j4");
 
-    EXPECT_EQ(j2.totals, j0.totals);
-    EXPECT_EQ(j2.stats, j0.stats);
-    EXPECT_EQ(j2.trace, j0.trace);
-    EXPECT_EQ(j4.totals, j0.totals);
-    EXPECT_EQ(j4.stats, j0.stats);
-    EXPECT_EQ(j4.trace, j0.trace);
+    EXPECT_EQ(j2.totals, j1.totals);
+    EXPECT_EQ(j2.stats, j1.stats);
+    EXPECT_EQ(j2.trace, j1.trace);
+    EXPECT_EQ(j4.totals, j1.totals);
+    EXPECT_EQ(j4.stats, j1.stats);
+    EXPECT_EQ(j4.trace, j1.trace);
+}
+
+TEST(SplitLinks, ExecutorWindowIsMinLinkLatency)
+{
+    // Every core, the NIC and the uncore are separate domains, and
+    // the conservative window is the shorter of the two link
+    // latencies, whichever one that is.
+    for (const auto &[pcieNs, meshNs] :
+         {std::pair{500.0, 250.0}, std::pair{300.0, 700.0}}) {
+        auto cfg = splitConfig(4);
+        cfg.links.pcieNs = pcieNs;
+        cfg.links.meshNs = meshNs;
+        harness::TestSystem sys(cfg);
+        ASSERT_NE(sys.shardExecutor(), nullptr);
+        EXPECT_EQ(sys.shardExecutor()->domains(), cfg.numNfs + 2);
+        EXPECT_EQ(sys.shardExecutor()->window(),
+                  sim::nsToTicks(std::min(pcieNs, meshNs)));
+    }
 }
 
 TEST(SplitLinks, LatencyChangesTimingButNotDelivery)

@@ -9,8 +9,7 @@
  * count, wake pollers at random and schedule more actors. The same
  * seeded scenario runs once with sleeping forbidden (the reference)
  * and once with pollers sleeping after every dispatch; the actors'
- * observation logs must be identical under every driver and both
- * scheduler backends.
+ * observation logs must be identical.
  */
 
 #include <gtest/gtest.h>
@@ -67,13 +66,6 @@ class Poller : public sim::Event, private sim::Sleeper
     Tick period;
 };
 
-enum class Driver
-{
-    RunUntil,
-    RunSameTick,
-    RunOne,
-};
-
 struct Observation
 {
     Tick when;
@@ -90,10 +82,9 @@ struct Outcome
 };
 
 Outcome
-runScenario(std::uint64_t seed, bool sleeping, sim::SchedulerBackend backend,
-            Driver driver)
+runScenario(std::uint64_t seed, bool sleeping)
 {
-    EventQueue q(backend);
+    EventQueue q;
     if (!sleeping)
         sim::EventQueueTestAccess::forbidSleep(q);
 
@@ -164,25 +155,11 @@ runScenario(std::uint64_t seed, bool sleeping, sim::SchedulerBackend backend,
     for (int i = 0; i < 12; ++i)
         spawn(rng.below(200));
 
+    // Uneven slices: every return wakes the sleepers.
     const Tick end = 3000;
-    switch (driver) {
-      case Driver::RunUntil:
-        // Uneven slices: every return wakes the sleepers.
-        for (Tick t = 0; t < end; t += 1 + rng.below(97))
-            q.runUntil(t);
-        q.runUntil(end);
-        break;
-      case Driver::RunSameTick:
-        while (q.now() < end && q.runSameTick(end) > 0) {
-        }
-        q.runUntil(end);
-        break;
-      case Driver::RunOne:
-        while (q.now() < end && q.runOne(end)) {
-        }
-        q.runUntil(end);
-        break;
-    }
+    for (Tick t = 0; t < end; t += 1 + rng.below(97))
+        q.runUntil(t);
+    q.runUntil(end);
     Observation last{q.now(), -1, {}};
     for (const auto &p : pollers)
         last.counts.push_back(p->count);
@@ -194,25 +171,17 @@ runScenario(std::uint64_t seed, bool sleeping, sim::SchedulerBackend backend,
 
 TEST(EventSleep, MatchesDispatchingEveryRepeat)
 {
-    for (const auto backend : {sim::SchedulerBackend::TimingWheel,
-                               sim::SchedulerBackend::BinaryHeap}) {
-        for (const auto driver :
-             {Driver::RunUntil, Driver::RunSameTick, Driver::RunOne}) {
-            for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-                const Outcome ref = runScenario(seed, false, backend, driver);
-                const Outcome got = runScenario(seed, true, backend, driver);
-                ASSERT_EQ(got.log.size(), ref.log.size()) << "seed " << seed;
-                for (std::size_t i = 0; i < ref.log.size(); ++i) {
-                    ASSERT_EQ(got.log[i], ref.log[i])
-                        << "seed " << seed << " observation " << i
-                        << " at tick " << ref.log[i].when;
-                }
-                if (driver == Driver::RunUntil) {
-                    EXPECT_LT(got.processed, ref.processed)
-                        << "nothing slept, seed " << seed;
-                }
-            }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const Outcome ref = runScenario(seed, false);
+        const Outcome got = runScenario(seed, true);
+        ASSERT_EQ(got.log.size(), ref.log.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < ref.log.size(); ++i) {
+            ASSERT_EQ(got.log[i], ref.log[i])
+                << "seed " << seed << " observation " << i
+                << " at tick " << ref.log[i].when;
         }
+        EXPECT_LT(got.processed, ref.processed)
+            << "nothing slept, seed " << seed;
     }
 }
 
@@ -279,23 +248,20 @@ TEST(EventSleep, WokenRepeatJoinsTheActiveDrainBatch)
     // (scheduled at 15, after the skipped repeat at 10), so the repeat
     // at 20 sorts between them. E wakes the poller mid-drain: the
     // recovered repeat must fire before F, not after the batch.
-    for (const auto backend : {sim::SchedulerBackend::TimingWheel,
-                               sim::SchedulerBackend::BinaryHeap}) {
-        EventQueue q(backend);
-        Poller p(q, 10);
-        q.schedule(&p, 0);
-        std::uint64_t seenByF = 0;
-        q.schedule(20, [&] {
-            EXPECT_TRUE(p.asleep);
-            p.wake();
-        });
-        q.schedule(15, [&] {
-            q.schedule(20, [&] { seenByF = p.count; });
-        });
-        q.runUntil(25);
-        EXPECT_EQ(seenByF, 3u) << sim::EventQueue::backendName(backend);
-        EXPECT_EQ(p.count, 3u);
-    }
+    EventQueue q;
+    Poller p(q, 10);
+    q.schedule(&p, 0);
+    std::uint64_t seenByF = 0;
+    q.schedule(20, [&] {
+        EXPECT_TRUE(p.asleep);
+        p.wake();
+    });
+    q.schedule(15, [&] {
+        q.schedule(20, [&] { seenByF = p.count; });
+    });
+    q.runUntil(25);
+    EXPECT_EQ(seenByF, 3u);
+    EXPECT_EQ(p.count, 3u);
 }
 
 } // anonymous namespace

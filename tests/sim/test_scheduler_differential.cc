@@ -1,31 +1,33 @@
 /**
  * @file
- * Differential tests of the two scheduler backends.
+ * Differential tests of the timing-wheel scheduler against a plain
+ * binary-heap reference queue (reference_queue.hh).
  *
  * The timing wheel must fire events in exactly the (tick, seq) total
- * order the reference binary heap uses — the repo's whole determinism
- * contract (byte-equal stats, traces and checkpoints) rests on it.
- * These tests drive randomized schedule / deschedule / reschedule /
- * runUntil / runOne workloads through both backends and assert the
- * firing sequences are identical event by event, with tick deltas
- * drawn to span every wheel level (L0 same-tick slots, L1/L2 cascades)
- * and the overflow heap.
+ * order the reference uses — the repo's whole determinism contract
+ * (byte-equal stats, traces and checkpoints) rests on it. These tests
+ * drive randomized schedule / deschedule / reschedule workloads with
+ * random runUntil slices through both queues in lockstep and assert
+ * the firing sequences and assigned sequence numbers are identical
+ * event by event, with tick deltas drawn to span every wheel level
+ * (L0 same-tick slots, L1/L2 cascades) and the overflow heap.
  *
- * The full-system mid-burst checkpoint gate under the wheel (stats +
- * trace byte-equality across save/restore) lives in
- * tests/ckpt/test_roundtrip.cc and tests/integration/, which run under
- * the wheel by default; here a queue-level rebuild test covers the
+ * The full-system mid-burst checkpoint gate (stats + trace
+ * byte-equality across save/restore) lives in tests/ckpt/ and
+ * tests/integration/; here a queue-level rebuild test covers the
  * restore-specific wheel path (replay into a fresh wheel, then force
  * the time base and cascade forward).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <vector>
 
+#include "reference_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace
@@ -33,7 +35,6 @@ namespace
 
 using sim::Event;
 using sim::EventQueue;
-using sim::SchedulerBackend;
 using sim::Tick;
 
 struct Firing
@@ -85,187 +86,218 @@ drawDelta(std::mt19937_64 &rng)
 }
 
 /**
- * One randomized scenario against the given backend. The op stream is
- * a pure function of the seed and the queue's observable state, which
- * both backends must evolve identically — any divergence shows up as
- * differing firing logs.
+ * A wheel and a reference queue driven by one op stream. Every op is
+ * applied to both; their firing logs, sequence numbers and observers
+ * must stay equal. Members are reschedulable events on the wheel side
+ * and tracked seqs on the reference side.
  */
-std::vector<Firing>
-runScenario(SchedulerBackend backend, std::uint64_t seed)
+class Lockstep
 {
-    EventQueue q(backend);
-    std::vector<Firing> log;
-
-    constexpr int nMembers = 24;
-    std::vector<std::unique_ptr<ScriptedEvent>> members;
-    members.reserve(nMembers);
-    for (int i = 0; i < nMembers; ++i) {
-        members.push_back(
-            std::make_unique<ScriptedEvent>(q, log, 1000 + i));
+  public:
+    explicit Lockstep(int nMembers) : refSeq(nMembers, none)
+    {
+        for (int i = 0; i < nMembers; ++i) {
+            members.push_back(std::make_unique<ScriptedEvent>(
+                wheel, wheelLog, memberId(i)));
+        }
     }
 
-    std::mt19937_64 rng(seed);
-    int nextOneShot = 0;
+    ~Lockstep()
+    {
+        for (auto &m : members)
+            if (m->scheduled())
+                wheel.deschedule(m.get());
+    }
 
-    for (int op = 0; op < 4000; ++op) {
-        switch (rng() % 8) {
+    /**
+     * One random op. A quarter of the schedules reuse the tick of a
+     * recent schedule, so same-tick neighbours (seq order within a
+     * slot, deschedule next to a same-tick entry) are common rather
+     * than a rare collision.
+     */
+    void
+    apply(std::mt19937_64 &rng)
+    {
+        const std::uint64_t kind = rng() % 8;
+        const std::size_t m = rng() % members.size();
+        const Tick delta = drawDelta(rng);
+        const bool reuse = rng() % 4 == 0;
+        Tick when = wheel.now() + delta;
+        if (reuse) {
+            const Tick t = recent[rng() % recent.size()];
+            if (t >= wheel.now())
+                when = t;
+        }
+        switch (kind) {
         case 0:
         case 1: { // one-shot, sometimes chaining a second from inside
-            const int id = ++nextOneShot;
-            const Tick when = q.now() + drawDelta(rng);
             const bool chain = rng() % 4 == 0;
-            const Tick chainDelta = drawDelta(rng);
-            q.schedule(when, [&q, &log, id, chain, chainDelta] {
-                log.push_back({q.now(), id});
+            oneShot(++nextOneShot, when, chain, drawDelta(rng));
+            break;
+        }
+        case 2:
+            if (!members[m]->scheduled())
+                scheduleMember(m, when);
+            break;
+        case 3:
+            if (members[m]->scheduled())
+                descheduleMember(m);
+            break;
+        case 4: // reschedule
+            if (members[m]->scheduled())
+                descheduleMember(m);
+            scheduleMember(m, when);
+            break;
+        default:
+            runUntil(wheel.now() + delta);
+            break;
+        }
+    }
+
+    void
+    runUntil(Tick limit)
+    {
+        const std::uint64_t a = wheel.runUntil(limit);
+        const std::uint64_t b = ref.runUntil(limit);
+        EXPECT_EQ(a, b) << "events fired by runUntil(" << limit << ")";
+    }
+
+    /** Drain both queues, chains included (a chain adds <= 2^28). */
+    void
+    drain()
+    {
+        while (!wheel.empty() || !ref.empty())
+            runUntil(wheel.now() + (Tick(1) << 29));
+    }
+
+    /** Every observer agrees between the two queues. */
+    void
+    expectAgree()
+    {
+        EXPECT_EQ(wheel.now(), ref.now());
+        EXPECT_EQ(wheel.pending(), ref.pending());
+        EXPECT_EQ(wheel.empty(), ref.empty());
+        EXPECT_EQ(wheel.peekNextTick(), ref.nextEventTick());
+        EXPECT_EQ(wheel.nextEventTick(), ref.nextEventTick());
+        EXPECT_EQ(wheelLog.size(), refLog.size());
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            const bool refScheduled =
+                refSeq[i] != none && ref.scheduled(refSeq[i]);
+            EXPECT_EQ(members[i]->scheduled(), refScheduled)
+                << "member " << i;
+        }
+    }
+
+    EventQueue wheel;
+    simtest::ReferenceQueue ref;
+    std::vector<Firing> wheelLog;
+    std::vector<Firing> refLog;
+
+  private:
+    static constexpr std::uint64_t none = ~std::uint64_t(0);
+
+    static int memberId(std::size_t i) { return 1000 + int(i); }
+
+    void
+    remember(Tick when)
+    {
+        recent[nextRecent++ % recent.size()] = when;
+    }
+
+    void
+    oneShot(int id, Tick when, bool chain, Tick chainDelta)
+    {
+        remember(when);
+        const std::uint64_t a = wheel.schedule(
+            when, [this, id, chain, chainDelta] {
+                wheelLog.push_back({wheel.now(), id});
                 if (chain) {
-                    q.schedule(q.now() + chainDelta, [&q, &log, id] {
-                        log.push_back({q.now(), -id});
+                    wheel.schedule(wheel.now() + chainDelta, [this, id] {
+                        wheelLog.push_back({wheel.now(), -id});
                     });
                 }
             });
-            break;
-        }
-        case 2: { // member schedule
-            ScriptedEvent &ev = *members[rng() % nMembers];
-            const Tick when = q.now() + drawDelta(rng);
-            if (!ev.scheduled())
-                q.schedule(&ev, when);
-            break;
-        }
-        case 3: { // member deschedule
-            ScriptedEvent &ev = *members[rng() % nMembers];
-            if (ev.scheduled())
-                q.deschedule(&ev);
-            break;
-        }
-        case 4: { // member reschedule
-            ScriptedEvent &ev = *members[rng() % nMembers];
-            const Tick when = q.now() + drawDelta(rng);
-            if (ev.scheduled())
-                q.deschedule(&ev);
-            q.schedule(&ev, when);
-            break;
-        }
-        case 5:
-        case 6:
-            q.runUntil(q.now() + drawDelta(rng));
-            break;
-        default:
-            q.runOne(q.now() + drawDelta(rng));
-            break;
-        }
-        if (op % 512 == 0) {
-            EXPECT_TRUE(q.selfCheckConsistent());
-        }
+        const std::uint64_t b = ref.schedule(
+            when, [this, id, chain, chainDelta] {
+                refLog.push_back({ref.now(), id});
+                if (chain) {
+                    ref.schedule(ref.now() + chainDelta, [this, id] {
+                        refLog.push_back({ref.now(), -id});
+                    });
+                }
+            });
+        EXPECT_EQ(a, b) << "one-shot " << id << " seq";
     }
 
-    // Drain everything, chains included (a chain adds at most 2^28).
-    while (!q.empty())
-        q.runUntil(q.now() + (Tick(1) << 29));
-    EXPECT_TRUE(q.selfCheckConsistent());
-    return log;
-}
+    void
+    scheduleMember(std::size_t m, Tick when)
+    {
+        remember(when);
+        wheel.schedule(members[m].get(), when);
+        refSeq[m] = ref.schedule(when, [this, m] {
+            refLog.push_back({ref.now(), memberId(m)});
+            refSeq[m] = none;
+        });
+        EXPECT_EQ(members[m]->seq(), refSeq[m]) << "member " << m;
+    }
+
+    void
+    descheduleMember(std::size_t m)
+    {
+        wheel.deschedule(members[m].get());
+        ref.deschedule(refSeq[m]);
+        refSeq[m] = none;
+    }
+
+    std::vector<std::unique_ptr<ScriptedEvent>> members;
+    std::vector<std::uint64_t> refSeq;
+    std::array<Tick, 8> recent{};
+    std::size_t nextRecent = 0;
+    int nextOneShot = 0;
+};
 
 TEST(SchedulerDifferential, RandomizedWorkloadsFireIdentically)
 {
     for (const std::uint64_t seed :
          {1ull, 2ull, 42ull, 0xD1FFull, 0xC0FFEEull}) {
-        const auto wheel =
-            runScenario(SchedulerBackend::TimingWheel, seed);
-        const auto heap =
-            runScenario(SchedulerBackend::BinaryHeap, seed);
-        ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
-        ASSERT_FALSE(wheel.empty()) << "seed " << seed;
-        for (std::size_t i = 0; i < wheel.size(); ++i) {
-            ASSERT_EQ(wheel[i].when, heap[i].when)
+        Lockstep ls(24);
+        std::mt19937_64 rng(seed);
+        for (int op = 0; op < 4000; ++op) {
+            ls.apply(rng);
+            if (op % 512 == 0) {
+                EXPECT_TRUE(ls.wheel.selfCheckConsistent());
+            }
+        }
+        ls.drain();
+        EXPECT_TRUE(ls.wheel.selfCheckConsistent());
+        ASSERT_FALSE(ls.wheelLog.empty()) << "seed " << seed;
+        ASSERT_EQ(ls.wheelLog.size(), ls.refLog.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < ls.refLog.size(); ++i) {
+            ASSERT_EQ(ls.wheelLog[i].when, ls.refLog[i].when)
                 << "seed " << seed << " firing " << i;
-            ASSERT_EQ(wheel[i].id, heap[i].id)
+            ASSERT_EQ(ls.wheelLog[i].id, ls.refLog[i].id)
                 << "seed " << seed << " firing " << i;
         }
     }
 }
 
 /**
- * Lockstep variant: the same op stream drives one queue per backend,
- * and every observable (now, pending, peekNextTick, nextEventTick,
- * empty) must agree after every single op, not just at the end.
+ * Every observable (now, pending, peekNextTick, nextEventTick, empty,
+ * member scheduled state) must agree after every single op, not just
+ * at the end.
  */
 TEST(SchedulerDifferential, StateObserversAgreeAfterEveryOp)
 {
-    EventQueue a(SchedulerBackend::TimingWheel);
-    EventQueue b(SchedulerBackend::BinaryHeap);
-    std::vector<Firing> logA, logB;
-
-    constexpr int nMembers = 8;
-    std::vector<std::unique_ptr<ScriptedEvent>> membersA, membersB;
-    for (int i = 0; i < nMembers; ++i) {
-        membersA.push_back(
-            std::make_unique<ScriptedEvent>(a, logA, i));
-        membersB.push_back(
-            std::make_unique<ScriptedEvent>(b, logB, i));
-    }
-
+    Lockstep ls(8);
     std::mt19937_64 rng(7);
-    int nextOneShot = 0;
     for (int op = 0; op < 2000; ++op) {
-        switch (rng() % 6) {
-        case 0: {
-            const int id = ++nextOneShot;
-            const Tick delta = drawDelta(rng);
-            a.schedule(a.now() + delta, [&a, &logA, id] {
-                logA.push_back({a.now(), id});
-            });
-            b.schedule(b.now() + delta, [&b, &logB, id] {
-                logB.push_back({b.now(), id});
-            });
-            break;
-        }
-        case 1: {
-            const std::size_t m = rng() % nMembers;
-            const Tick delta = drawDelta(rng);
-            if (!membersA[m]->scheduled()) {
-                a.schedule(membersA[m].get(), a.now() + delta);
-                b.schedule(membersB[m].get(), b.now() + delta);
-            }
-            break;
-        }
-        case 2: {
-            const std::size_t m = rng() % nMembers;
-            if (membersA[m]->scheduled()) {
-                a.deschedule(membersA[m].get());
-                b.deschedule(membersB[m].get());
-            }
-            break;
-        }
-        case 3:
-        case 4: {
-            const Tick delta = drawDelta(rng);
-            a.runUntil(a.now() + delta);
-            b.runUntil(b.now() + delta);
-            break;
-        }
-        default: {
-            const Tick delta = drawDelta(rng);
-            a.runOne(a.now() + delta);
-            b.runOne(b.now() + delta);
-            break;
-        }
-        }
-        ASSERT_EQ(a.now(), b.now()) << "op " << op;
-        ASSERT_EQ(a.pending(), b.pending()) << "op " << op;
-        ASSERT_EQ(a.empty(), b.empty()) << "op " << op;
-        ASSERT_EQ(a.peekNextTick(), b.peekNextTick()) << "op " << op;
-        ASSERT_EQ(a.nextEventTick(), b.nextEventTick()) << "op " << op;
-        ASSERT_EQ(logA.size(), logB.size()) << "op " << op;
+        ls.apply(rng);
+        ls.expectAgree();
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "op " << op;
     }
-    ASSERT_EQ(logA, logB);
-
-    for (int i = 0; i < nMembers; ++i) {
-        if (membersA[i]->scheduled())
-            a.deschedule(membersA[i].get());
-        if (membersB[i]->scheduled())
-            b.deschedule(membersB[i].get());
-    }
+    ls.drain();
+    ls.expectAgree();
+    ASSERT_EQ(ls.wheelLog, ls.refLog);
 }
 
 /**

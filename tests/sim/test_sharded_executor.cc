@@ -1,13 +1,13 @@
 /**
  * @file
- * ShardPlan and ShardedExecutor tests.
+ * ShardedExecutor tests.
  *
  * The executor's contract is bit-identical results for any host
  * thread count; these tests pin each piece of the determinism
  * argument: single-domain equivalence with a plain runUntil, the
- * (tick, domain-id) interleave inside a fused group, the
  * (tick, source, sequence) cross-post merge, the conservative-window
- * panic, and identical event logs across jobs=1/2/4.
+ * panic, the time base reaching the limit in idle domains, and
+ * identical event logs across jobs=1/2/4.
  */
 
 #include <gtest/gtest.h>
@@ -16,127 +16,13 @@
 #include <vector>
 
 #include "sim/shard/executor.hh"
-#include "sim/shard/plan.hh"
 
 using sim::Tick;
 using sim::shard::DomainId;
 using sim::shard::ShardedExecutor;
-using sim::shard::ShardPlan;
 
 namespace
 {
-
-TEST(ShardPlan, UnconnectedDomainsGetOwnGroups)
-{
-    ShardPlan plan;
-    plan.addDomain("a");
-    plan.addDomain("b");
-    plan.addDomain("c");
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 3u);
-    EXPECT_EQ(r.groupOf, (std::vector<std::uint32_t>{0, 1, 2}));
-    EXPECT_EQ(r.window, sim::maxTick);
-}
-
-TEST(ShardPlan, SyncEdgesFuseTransitively)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    const auto c = plan.addDomain("c");
-    const auto d = plan.addDomain("d");
-    plan.syncEdge(a, b);
-    plan.syncEdge(b, c);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 2u);
-    EXPECT_EQ(r.groupOf[a], r.groupOf[b]);
-    EXPECT_EQ(r.groupOf[b], r.groupOf[c]);
-    EXPECT_NE(r.groupOf[a], r.groupOf[d]);
-}
-
-TEST(ShardPlan, WindowIsMinCrossGroupAsyncLatency)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    const auto c = plan.addDomain("c");
-    plan.asyncEdge(a, b, 500);
-    plan.asyncEdge(b, c, 300);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 3u);
-    EXPECT_EQ(r.window, Tick(300));
-}
-
-TEST(ShardPlan, IntraGroupAsyncEdgeDoesNotConstrainWindow)
-{
-    // A latency edge between two already-fused domains is ordered by
-    // the group lockstep; only cross-group edges bound the window.
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    plan.syncEdge(a, b);
-    plan.asyncEdge(a, b, 5);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-    EXPECT_EQ(r.window, sim::maxTick);
-}
-
-TEST(ShardPlan, ZeroLatencyAsyncEdgeFuses)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    plan.asyncEdge(a, b, 0);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-}
-
-TEST(ShardPlan, SplitTopologyWindowIsMinLinkLatency)
-{
-    // The TestSystem split plan's exact shape: NIC and per-core
-    // domains star-connected to the uncore with mixed PCIe/mesh
-    // latencies. Everything stays in its own group and the window is
-    // the minimum edge — the mesh hop.
-    constexpr Tick pcie = 500;
-    constexpr Tick mesh = 250;
-    ShardPlan plan;
-    const auto uncore = plan.addDomain("uncore");
-    const auto nic = plan.addDomain("nic");
-    plan.asyncEdge(nic, uncore, pcie);
-    std::vector<DomainId> cores;
-    for (int i = 0; i < 4; ++i) {
-        const auto d = plan.addDomain("core" + std::to_string(i));
-        plan.asyncEdge(d, uncore, mesh);
-        plan.asyncEdge(d, nic, pcie);
-        cores.push_back(d);
-    }
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 6u);
-    EXPECT_EQ(r.window, mesh);
-    for (const auto d : cores) {
-        EXPECT_NE(r.groupOf[d], r.groupOf[uncore]);
-        EXPECT_NE(r.groupOf[d], r.groupOf[nic]);
-    }
-}
-
-TEST(ShardPlan, ZeroLatencyLinkCollapsesSplitTopology)
-{
-    // A zero-latency mesh degenerates the same topology back to one
-    // fused group: the fallback legacy configs rely on (the PCIe
-    // latency becomes intra-group and stops constraining the window).
-    ShardPlan plan;
-    const auto uncore = plan.addDomain("uncore");
-    const auto nic = plan.addDomain("nic");
-    plan.asyncEdge(nic, uncore, 500);
-    for (int i = 0; i < 4; ++i) {
-        const auto d = plan.addDomain("core" + std::to_string(i));
-        plan.asyncEdge(d, uncore, 0);
-        plan.asyncEdge(d, nic, 0);
-    }
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-    EXPECT_EQ(r.window, sim::maxTick);
-}
 
 TEST(ShardedExecutor, SingleDomainMatchesPlainRunUntil)
 {
@@ -166,33 +52,12 @@ TEST(ShardedExecutor, SingleDomainMatchesPlainRunUntil)
     EXPECT_LT(exec.windowsRun(), 20u);
 }
 
-TEST(ShardedExecutor, FusedDomainsInterleaveByTickThenDomainId)
-{
-    ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", /*group=*/0);
-    const DomainId b = exec.addDomain("b", /*group=*/0);
-    exec.setWindow(100);
-
-    // Same-tick events across fused domains fire lowest domain id
-    // first; later-scheduled same-domain events keep insertion order.
-    std::vector<int> log;
-    exec.queue(b).schedule(50, [&log] { log.push_back(20); });
-    exec.queue(a).schedule(50, [&log] { log.push_back(10); });
-    exec.queue(a).schedule(50, [&log] { log.push_back(11); });
-    exec.queue(b).schedule(20, [&log] { log.push_back(21); });
-    exec.runUntil(1000);
-
-    EXPECT_EQ(log, (std::vector<int>{21, 10, 11, 20}));
-    EXPECT_EQ(exec.queue(a).now(), Tick(1000));
-    EXPECT_EQ(exec.queue(b).now(), Tick(1000));
-}
-
 TEST(ShardedExecutor, CrossPostsMergeByTickSourceSequence)
 {
     ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
-    const DomainId c = exec.addDomain("c", 2);
+    const DomainId a = exec.addDomain("a");
+    const DomainId b = exec.addDomain("b");
+    const DomainId c = exec.addDomain("c");
     exec.setWindow(10);
 
     // Posts staged outside any window, deliberately out of order:
@@ -208,18 +73,18 @@ TEST(ShardedExecutor, CrossPostsMergeByTickSourceSequence)
     EXPECT_EQ(exec.crossPostsDelivered(), 4u);
 }
 
-/** Ping-pong across two groups; returns the merged event log. */
+/** Ping-pong across two domains; returns the merged event log. */
 std::vector<std::pair<int, Tick>>
 runPingPong(unsigned jobs)
 {
     ShardedExecutor exec(jobs);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
+    const DomainId a = exec.addDomain("a");
+    const DomainId b = exec.addDomain("b");
     const Tick latency = 100;
     exec.setWindow(latency);
 
     // Per-domain logs: each is only ever touched by the thread
-    // running its group, and the window barrier publishes writes.
+    // running its domain, and the window barrier publishes writes.
     std::vector<Tick> logA, logB;
 
     // fn(a@t): log, post to b at t+latency, which posts back, ...
@@ -274,11 +139,11 @@ TEST(ShardedExecutorDeathTest, PostInsideWindowPanics)
     EXPECT_DEATH(
         {
             ShardedExecutor exec(1);
-            const DomainId a = exec.addDomain("a", 0);
-            const DomainId b = exec.addDomain("b", 1);
+            const DomainId a = exec.addDomain("a");
+            const DomainId b = exec.addDomain("b");
             exec.setWindow(100);
             // An event that posts a same-tick (intra-window) event to
-            // the other group: a conservative-window violation.
+            // the other domain: a conservative-window violation.
             exec.queue(a).schedule(10, [&exec, a, b] {
                 exec.post(a, b, exec.queue(a).now(), [] {});
             });
@@ -290,8 +155,8 @@ TEST(ShardedExecutorDeathTest, PostInsideWindowPanics)
 TEST(ShardedExecutor, RunUntilAdvancesIdleDomainsToLimit)
 {
     ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
+    const DomainId a = exec.addDomain("a");
+    const DomainId b = exec.addDomain("b");
     exec.setWindow(10);
     exec.queue(a).schedule(500, [] {});
     exec.runUntil(2000);

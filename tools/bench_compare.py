@@ -6,11 +6,12 @@ Usage:
                          [--across-configs]
 
 Both files are BENCH_perf.json outputs (see bench/perf_smoke.cc). Each
-carries a "build" stamp: build type, invariant checker, tracer and
-scheduler backend, plus the git revision. Files whose stamps differ in
-anything but the revision measure different programs, so the script
-refuses to compare them and exits 2; --across-configs compares them
-anyway, for a deliberate contrast such as the wheel vs heap backends.
+carries a "build" stamp: build type, invariant checker and tracer,
+plus the git revision. Files whose stamps differ in anything but the
+revision measure different programs, so the script refuses to compare
+them and exits 2; --across-configs compares them anyway, for a
+deliberate contrast such as a release build vs one with the invariant
+checker compiled in.
 The revision is recorded for the reader and never compared.
 
 The comparison walks every numeric leaf shared by both files and infers
@@ -35,13 +36,13 @@ trajectory is refreshed deliberately on a quiet host.
 
 events_per_packet is the exception among lower-is-better metrics: it
 is a host-independent work counter (the scheduler processes the same
-events no matter the host, backend or worker count), so an increase
+events no matter the host or worker count), so an increase
 beyond tolerance is always a hard regression. Conversely, when either
 file was produced on a host whose measured effective parallelism is
 below 1.5 (perf_smoke's `effective_parallelism`; older files carry
 `hw_threads` instead), the wall-clock throughput comparisons are
 demoted to advisory — a runner time-slicing shard workers onto one
-core makes "sharded slower than unsharded" readings meaningless — and
+core makes "more workers slower than one" readings meaningless — and
 the work counters carry the gate alone.
 """
 

@@ -19,8 +19,7 @@ import struct
 import sys
 
 MAGIC = b"IDIOCKPT"
-FORMAT_VERSION = 3
-BACKEND_NAMES = {0: "wheel", 1: "heap"}
+FORMAT_VERSION = 4
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -120,7 +119,7 @@ def inspect(path: str) -> int:
 
 
     for name, ver, _, _, _, payload in rows:
-        if name.startswith("_eventq") and ver == 2:
+        if name.startswith("_eventq") and ver == 3:
             line = decode_eventq(payload)
             if line:
                 print(f"  {name}: {line}")
@@ -133,14 +132,13 @@ def inspect(path: str) -> int:
 
 
 def decode_eventq(payload: bytes) -> str:
-    """Pretty-print a v2 _eventq section (see ckpt saveEventq)."""
-    if len(payload) != 1 + 4 + 4 + 8 * 6:
+    """Pretty-print a v3 _eventq section (see ckpt saveEventq)."""
+    if len(payload) != 4 + 4 + 8 * 6:
         return "unexpected payload length"
-    backend, levels, slot_bits = struct.unpack_from("<BII", payload, 0)
+    levels, slot_bits = struct.unpack_from("<II", payload, 0)
     wheel_base, tick, next_seq, processed, since_hook, pending = \
-        struct.unpack_from("<6Q", payload, 9)
-    return (f"backend={BACKEND_NAMES.get(backend, backend)} "
-            f"wheel={levels}x2^{slot_bits} base={wheel_base} "
+        struct.unpack_from("<6Q", payload, 8)
+    return (f"wheel={levels}x2^{slot_bits} base={wheel_base} "
             f"tick={tick} nextSeq={next_seq} processed={processed} "
             f"sinceHook={since_hook} pending={pending}")
 
