@@ -14,7 +14,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,24 +64,10 @@ namespace bench
  *               RSS/RETA steering over a synthetic flow population).
  *   --rx-queues=N use N RX rings on the shared port (0 keeps the
  *               legacy one-port-per-NF layout).
- *   --sharded-jobs=N run the split-link domains on N worker threads
- *               (results stay bit-identical for every N). Needs the
- *               --link-*-ns options: without split links the machine
- *               is one timing domain and N > 1 is rejected.
- *   --link-pcie-ns=X / --link-mesh-ns=X model the NIC→LLC (PCIe) and
- *               core/MLC→LLC (mesh) couplings as latency links of X ns
- *               (both must be set together; see LinkLatencyConfig).
- *               Every core, the NIC and the uncore then run as
- *               separate timing domains.
- *   --scaled-only (perf_smoke) run only the scaled split-plan
- *               measurement; used by the CI scaling job.
  *   --micro-reps=N (perf_smoke) repeat each micro N times after one
  *               discarded warm-up pass and report the minimum
  *               (default 3) — min-of-N filters host scheduling noise
  *               out of the committed trajectory.
- *   --artifacts=PREFIX (perf_smoke) write the scaled split run's
- *               stats JSON and event trace to PREFIX.stats.json /
- *               PREFIX.trace.json for cross-process byte-comparison.
  *
  * A numeric option with an empty value, trailing characters, a sign
  * or an out-of-range value is an error (exit 2), as is an unknown
@@ -99,18 +84,13 @@ struct BenchOptions
     bool warmStart = false;
     std::uint32_t cores = 0;
     std::uint32_t rxQueues = 0;
-    unsigned shardJobs = 0;
-    double linkPcieNs = 0.0;
-    double linkMeshNs = 0.0;
-    bool scaledOnly = false;
-    std::string artifactsPrefix;
     unsigned microReps = 3;
 };
 
 /**
- * Apply the --cores / --rx-queues / --sharded-jobs / --link-*-ns
- * topology options to one config. --cores implies a multi-queue port
- * (rxQueues = cores) unless --rx-queues overrides it.
+ * Apply the --cores / --rx-queues topology options to one config.
+ * --cores implies a multi-queue port (rxQueues = cores) unless
+ * --rx-queues overrides it.
  */
 inline void
 applyTopology(harness::ExperimentConfig &cfg, const BenchOptions &opts)
@@ -123,12 +103,6 @@ applyTopology(harness::ExperimentConfig &cfg, const BenchOptions &opts)
     }
     if (cfg.rxQueues && cfg.totalFlows == 0)
         cfg.totalFlows = 1u << 16;
-    if (opts.shardJobs)
-        cfg.shardJobs = opts.shardJobs;
-    if (opts.linkPcieNs > 0.0)
-        cfg.links.pcieNs = opts.linkPcieNs;
-    if (opts.linkMeshNs > 0.0)
-        cfg.links.meshNs = opts.linkMeshNs;
 }
 
 /** Report a malformed value of option @p arg and exit 2. */
@@ -155,20 +129,6 @@ unsignedOption(const char *prog, const std::string &arg,
     if (!std::isdigit(static_cast<unsigned char>(*text)) || *end ||
         errno == ERANGE || v > max)
         badOptionValue(prog, arg, "a non-negative integer");
-    return v;
-}
-
-/** The non-negative latency (ns) after '=' in @p arg. */
-inline double
-latencyOption(const char *prog, const std::string &arg)
-{
-    const char *text = arg.c_str() + arg.find('=') + 1;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    const unsigned char first = static_cast<unsigned char>(*text);
-    if (!(std::isdigit(first) || first == '.') || *end ||
-        !std::isfinite(v))
-        badOptionValue(prog, arg, "a latency in ns >= 0");
     return v;
 }
 
@@ -201,17 +161,6 @@ parseBenchOptions(int argc, char **argv)
         } else if (arg.rfind("--rx-queues=", 0) == 0) {
             opts.rxQueues =
                 static_cast<std::uint32_t>(unsignedOption(prog, arg));
-        } else if (arg.rfind("--sharded-jobs=", 0) == 0) {
-            opts.shardJobs =
-                static_cast<unsigned>(unsignedOption(prog, arg));
-        } else if (arg.rfind("--link-pcie-ns=", 0) == 0) {
-            opts.linkPcieNs = latencyOption(prog, arg);
-        } else if (arg.rfind("--link-mesh-ns=", 0) == 0) {
-            opts.linkMeshNs = latencyOption(prog, arg);
-        } else if (arg == "--scaled-only") {
-            opts.scaledOnly = true;
-        } else if (arg.rfind("--artifacts=", 0) == 0) {
-            opts.artifactsPrefix = arg.substr(12);
         } else if (arg.rfind("--micro-reps=", 0) == 0) {
             const auto n =
                 static_cast<unsigned>(unsignedOption(prog, arg));
@@ -237,16 +186,6 @@ parseBenchOptions(int argc, char **argv)
                 "(implies --rx-queues=N)\n"
                 "  --rx-queues=N multi-queue RX rings with RSS "
                 "steering (0 = legacy layout)\n"
-                "  --sharded-jobs=N run the split-link domains on N "
-                "threads (needs --link-*-ns)\n"
-                "  --link-pcie-ns=X model the NIC-to-LLC coupling as "
-                "an X ns latency link\n"
-                "  --link-mesh-ns=X model the core-to-LLC coupling as "
-                "an X ns latency link\n"
-                "  --scaled-only (perf_smoke) run only the scaled "
-                "split-plan measurement\n"
-                "  --artifacts=PREFIX (perf_smoke) dump the scaled "
-                "run's stats+trace for byte-compare\n"
                 "  --micro-reps=N (perf_smoke) min-of-N micro timing "
                 "with a warm-up pass (default 3)\n",
                 argv[0], harness::SweepRunner::hardwareJobs());
@@ -557,7 +496,7 @@ applySeed(std::vector<SweepCase> &cases, const BenchOptions &opts)
 
 /**
  * Apply every per-case option override (--seed and the
- * --cores/--rx-queues/--sharded-jobs topology) to a sweep's cases.
+ * --cores/--rx-queues topology) to a sweep's cases.
  */
 inline void
 applyCaseOptions(std::vector<SweepCase> &cases,

@@ -13,16 +13,8 @@
  *  - the headline simulated-packets-per-wall-second rate of a default
  *    single-burst run,
  *  - a 32-core / 32-RX-queue scaled run,
- *  - the same scaled machine with SPLIT links (modelled PCIe and mesh
- *    link latencies, so every core, the NIC and the uncore run as
- *    separate timing domains), timed with --sharded-jobs workers and
- *    byte-checked (stats JSON + event trace) across worker counts,
  *  - a fig10-style config sweep run serially and on a thread pool,
  *    with a bit-identical-results determinism check.
- *
- * --scaled-only restricts the run to the split-link scaled
- * measurement (the CI scaling job invokes it three times with
- * --sharded-jobs=1/2/4 and byte-compares the --artifacts dumps).
  *
  * The JSON output (default BENCH_perf.json) is committed periodically
  * as the repo's performance trajectory and is compared by
@@ -42,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -50,7 +41,6 @@
 #include "net/flow.hh"
 #include "sim/event_queue.hh"
 #include "tenant_scenario.hh"
-#include "trace/chrome_export.hh"
 
 namespace
 {
@@ -253,9 +243,8 @@ struct PacketRate
     double wallSec = 0;
 
     /**
-     * Total events processed across every queue of the run — a
-     * host-independent work counter (identical no matter the worker
-     * count or host), unlike the wall-clock rate. CI gates on
+     * Total events processed by the run — a host-independent work
+     * counter, unlike the wall-clock rate. CI gates on
      * events_per_packet where wall time is noise.
      */
     std::uint64_t events = 0;
@@ -273,24 +262,15 @@ struct PacketRate
     }
 };
 
-/**
- * Run one single-burst experiment wall-clocked; optionally capture
- * the run's stats JSON and event trace for byte-compare (capture
- * uses small per-source trace rings so a 32-core system stays cheap,
- * and is kept out of the timed runs).
- */
+/** Run one single-burst experiment wall-clocked. */
 PacketRate
-timedBurst(const harness::ExperimentConfig &config,
-           std::string *statsOut = nullptr,
-           std::string *traceOut = nullptr)
+timedBurst(const harness::ExperimentConfig &config)
 {
     harness::ExperimentConfig cfg = config;
     cfg.traffic = harness::TrafficKind::Bursty;
     cfg.burstPeriod = 10 * sim::oneSec; // one burst
 
     harness::TestSystem sys(cfg);
-    if (traceOut != nullptr)
-        harness::enableTracing(sys, 1u << 14);
     sys.start();
 
     const std::uint64_t expected = cfg.expectedBurstTotal();
@@ -303,20 +283,9 @@ timedBurst(const harness::ExperimentConfig &config,
             break;
         }
     }
-    PacketRate r{sys.totals().processedPackets, secondsSince(start),
-                 sys.simulation().totalProcessedEvents()};
-
-    if (statsOut != nullptr) {
-        std::ostringstream os;
-        stats::writeJson(os, sys.simulation().statsRegistry());
-        *statsOut = os.str();
-    }
-    if (traceOut != nullptr) {
-        std::ostringstream os;
-        trace::writeChromeTrace(os, sys.simulation().tracer());
-        *traceOut = os.str();
-    }
-    return r;
+    return PacketRate{sys.totals().processedPackets,
+                      secondsSince(start),
+                      sys.simulation().totalProcessedEvents()};
 }
 
 /** The paper-shape scaled machine: 32 cores, 32 RX queues, 1M flows. */
@@ -333,72 +302,6 @@ scaledConfig()
     cfg.nic.ringSize = 256;
     cfg.applyPolicy(idio::Policy::Idio);
     return cfg;
-}
-
-/**
- * The scaled machine with split links: modelled PCIe and mesh link
- * latencies put every core, the NIC and the uncore in separate timing
- * domains, so --sharded-jobs workers can genuinely overlap.
- */
-harness::ExperimentConfig
-splitScaledConfig(const bench::BenchOptions &opts)
-{
-    auto cfg = scaledConfig();
-    cfg.links.pcieNs = opts.linkPcieNs > 0.0 ? opts.linkPcieNs : 500.0;
-    cfg.links.meshNs = opts.linkMeshNs > 0.0 ? opts.linkMeshNs : 250.0;
-    if (opts.seed)
-        cfg.seed = *opts.seed;
-    return cfg;
-}
-
-/** Everything measured from the split-link scaled runs. */
-struct SplitScaled
-{
-    PacketRate rate;
-    unsigned jobs = 1;
-    double pcieNs = 0.0;
-    double meshNs = 0.0;
-    bool deterministic = false;
-    std::string stats;
-    std::string trace;
-};
-
-/**
- * Time the split-link scaled run at @p jobs workers, then re-run it
- * untimed at @p jobs and at a different worker count and byte-compare
- * stats JSON + event trace. The captured artifacts are written via
- * --artifacts for cross-process comparison (they must be identical no
- * matter which --sharded-jobs produced them).
- */
-SplitScaled
-measureSplitScaled(const bench::BenchOptions &opts, unsigned jobs)
-{
-    SplitScaled r;
-    auto cfg = splitScaledConfig(opts);
-    r.jobs = jobs;
-    r.pcieNs = cfg.links.pcieNs;
-    r.meshNs = cfg.links.meshNs;
-
-    cfg.shardJobs = jobs;
-    r.rate = timedBurst(cfg);
-
-    timedBurst(cfg, &r.stats, &r.trace);
-    auto other = cfg;
-    other.shardJobs = jobs == 1 ? 2 : 1;
-    std::string statsOther, traceOther;
-    timedBurst(other, &statsOther, &traceOther);
-    r.deterministic = !r.stats.empty() && r.stats == statsOther &&
-                      r.trace == traceOther;
-    return r;
-}
-
-void
-writeArtifact(const std::string &path, const std::string &content)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        sim::fatal("cannot open artifact file '%s'", path.c_str());
-    ofs << content;
 }
 
 /**
@@ -504,149 +407,99 @@ main(int argc, char **argv)
         std::max(1u, std::min(opts.jobs > 1 ? opts.jobs : 8u,
                               hwThreads));
 
-    const bool full = !opts.scaledOnly;
-
     std::printf("=== perf_smoke: simulator host-side performance ===\n");
     std::printf("build: %s, invariant checker %s, tracer %s, "
                 "revision %s\n",
                 IDIO_BUILD_TYPE, IDIO_CHECK_INVARIANTS ? "on" : "off",
                 IDIO_TRACE ? "on" : "off", IDIO_GIT_REVISION);
     const double parallelism = effectiveParallelism(hwThreads);
-    std::printf("host threads: %u (effective %.2f), sweep jobs: %u%s\n\n",
-                hwThreads, parallelism, sweepJobs,
-                full ? "" : " (--scaled-only)");
+    std::printf("host threads: %u (effective %.2f), sweep jobs: %u\n\n",
+                hwThreads, parallelism, sweepJobs);
 
     const unsigned microReps = std::max(1u, opts.microReps);
-    std::vector<MicroResult> micros;
-    if (full) {
-        micros = {
-            minOfN([] { return microEventQueueOneShot(2'000'000); },
-                   microReps),
-            minOfN([] {
-                return microEventQueueSquashCompact(2'000'000);
-            }, microReps),
-            minOfN([] { return microToeplitzHash(2'000'000); },
-                   microReps),
-            minOfN([] { return microCacheStreamingMiss(2'000'000); },
-                   microReps),
-            minOfN([] { return microCachePcieWrite(2'000'000); },
-                   microReps),
-        };
-        std::printf("micros: min of %u reps (one warm-up pass)\n",
-                    microReps);
-        for (const auto &m : micros) {
-            std::printf("%-26s %8.1f ns/op  %12.0f ops/s\n", m.name,
-                        m.nsPerOp(), m.opsPerSec());
-        }
+    const std::vector<MicroResult> micros = {
+        minOfN([] { return microEventQueueOneShot(2'000'000); },
+               microReps),
+        minOfN([] { return microEventQueueSquashCompact(2'000'000); },
+               microReps),
+        minOfN([] { return microToeplitzHash(2'000'000); }, microReps),
+        minOfN([] { return microCacheStreamingMiss(2'000'000); },
+               microReps),
+        minOfN([] { return microCachePcieWrite(2'000'000); },
+               microReps),
+    };
+    std::printf("micros: min of %u reps (one warm-up pass)\n",
+                microReps);
+    for (const auto &m : micros) {
+        std::printf("%-26s %8.1f ns/op  %12.0f ops/s\n", m.name,
+                    m.nsPerOp(), m.opsPerSec());
     }
 
     // Headline metric: simulated packets retired per wall second on
     // the default 2-core single-burst config.
-    PacketRate single;
-    if (full) {
-        harness::ExperimentConfig defaultCfg;
-        defaultCfg.numNfs = 2;
-        defaultCfg.nfKind = harness::NfKind::TouchDrop;
-        defaultCfg.rateGbps = 100.0;
-        defaultCfg.applyPolicy(idio::Policy::Idio);
-        if (opts.seed)
-            defaultCfg.seed = *opts.seed;
-        single = timedBurst(defaultCfg);
-        std::printf("\nsingle run: %llu packets in %.3f s  "
-                    "(%.0f packets/wall-sec, %.1f events/packet)\n",
-                    (unsigned long long)single.packets, single.wallSec,
-                    single.perSec(), single.eventsPerPacket());
-    }
+    harness::ExperimentConfig defaultCfg;
+    defaultCfg.numNfs = 2;
+    defaultCfg.nfKind = harness::NfKind::TouchDrop;
+    defaultCfg.rateGbps = 100.0;
+    defaultCfg.applyPolicy(idio::Policy::Idio);
+    if (opts.seed)
+        defaultCfg.seed = *opts.seed;
+    const PacketRate single = timedBurst(defaultCfg);
+    std::printf("\nsingle run: %llu packets in %.3f s  "
+                "(%.0f packets/wall-sec, %.1f events/packet)\n",
+                (unsigned long long)single.packets, single.wallSec,
+                single.perSec(), single.eventsPerPacket());
 
     // Scaled machine: the paper's 32-core shape on one event queue.
-    PacketRate scaledPlain;
-    if (full) {
-        auto scaled = scaledConfig();
-        if (opts.seed)
-            scaled.seed = *opts.seed;
-        scaledPlain = timedBurst(scaled);
-        std::printf("scaled 32-core: %.0f packets/wall-sec, "
-                    "%.1f events/packet\n",
-                    scaledPlain.perSec(), scaledPlain.eventsPerPacket());
-    }
+    auto scaledCfg = scaledConfig();
+    if (opts.seed)
+        scaledCfg.seed = *opts.seed;
+    const PacketRate scaled = timedBurst(scaledCfg);
+    std::printf("scaled 32-core: %.0f packets/wall-sec, "
+                "%.1f events/packet\n",
+                scaled.perSec(), scaled.eventsPerPacket());
 
     // Tenant-mix headline: simulated per-tenant tail latency of the
     // canonical noisy-neighbor scenario under plain DDIO sharing vs
     // the IOCA-style CAT controller, plus the controller's
     // reallocation count. Deterministic simulated numbers: any move
     // is a behaviour change, and bench_compare gates them hard.
-    TenantHeadline tenantDdio, tenantIoca;
-    if (full) {
-        tenantDdio = measureTenantScheme(bench::tenantSchemes[0],
-                                         opts);
-        tenantIoca = measureTenantScheme(bench::tenantSchemes[2],
-                                         opts);
-        std::printf("tenant mix: rpc p99 %.2f us (ddio) vs %.2f us "
-                    "(ioca, %llu way reallocations)\n",
-                    tenantDdio.rpcP99Us, tenantIoca.rpcP99Us,
-                    (unsigned long long)tenantIoca.reallocations);
-    }
-
-    // The same machine with split links: modelled link latencies give
-    // every core, the NIC, and the uncore their own timing domain, so
-    // --sharded-jobs is a real parallelism knob.
-    const unsigned splitJobs =
-        opts.shardJobs ? opts.shardJobs
-                       : std::max(2u, std::min(hwThreads, 4u));
-    const SplitScaled split = measureSplitScaled(opts, splitJobs);
-    std::printf("scaled split links (pcie %.0f ns, mesh %.0f ns, "
-                "jobs=%u): %.0f packets/wall-sec, "
-                "%.1f events/packet\n",
-                split.pcieNs, split.meshNs, split.jobs,
-                split.rate.perSec(), split.rate.eventsPerPacket());
-    std::printf("split deterministic: %s\n",
-                split.deterministic
-                    ? "yes (stats+trace byte-identical across jobs)"
-                    : "NO");
-    if (!opts.artifactsPrefix.empty()) {
-        writeArtifact(opts.artifactsPrefix + ".stats.json",
-                      split.stats);
-        writeArtifact(opts.artifactsPrefix + ".trace.json",
-                      split.trace);
-        std::printf("artifacts: %s.{stats,trace}.json\n",
-                    opts.artifactsPrefix.c_str());
-    }
+    const TenantHeadline tenantDdio =
+        measureTenantScheme(bench::tenantSchemes[0], opts);
+    const TenantHeadline tenantIoca =
+        measureTenantScheme(bench::tenantSchemes[2], opts);
+    std::printf("tenant mix: rpc p99 %.2f us (ddio) vs %.2f us "
+                "(ioca, %llu way reallocations)\n",
+                tenantDdio.rpcP99Us, tenantIoca.rpcP99Us,
+                (unsigned long long)tenantIoca.reallocations);
 
     // Fig10-style sweep, serial vs thread pool.
-    std::vector<bench::SweepCase> cases;
-    bool deterministic = true;
-    double serialSec = 0, parallelSec = 0, speedup = 0;
-    std::uint64_t packets = 0;
-    if (full) {
-        cases = sweepCases();
-        bench::applySeed(cases, opts);
-        std::printf("\nsweep: %zu fig10-style configs\n", cases.size());
+    auto cases = sweepCases();
+    bench::applySeed(cases, opts);
+    std::printf("\nsweep: %zu fig10-style configs\n", cases.size());
 
-        const auto serialStart = Clock::now();
-        const auto serial = bench::runSweepSingleBurst(cases, 1);
-        serialSec = secondsSince(serialStart);
+    const auto serialStart = Clock::now();
+    const auto serial = bench::runSweepSingleBurst(cases, 1);
+    const double serialSec = secondsSince(serialStart);
 
-        const auto parallelStart = Clock::now();
-        const auto parallel =
-            bench::runSweepSingleBurst(cases, sweepJobs);
-        parallelSec = secondsSince(parallelStart);
+    const auto parallelStart = Clock::now();
+    const auto parallel = bench::runSweepSingleBurst(cases, sweepJobs);
+    const double parallelSec = secondsSince(parallelStart);
 
-        deterministic = sameResults(serial, parallel);
-        speedup = parallelSec > 0 ? serialSec / parallelSec : 0;
-        packets = sweepPackets(serial);
+    const bool deterministic = sameResults(serial, parallel);
+    const double speedup =
+        parallelSec > 0 ? serialSec / parallelSec : 0;
+    const std::uint64_t packets = sweepPackets(serial);
 
-        std::printf("jobs=1:  %.3f s\njobs=%u: %.3f s  "
-                    "(speedup %.2fx)\n",
-                    serialSec, sweepJobs, parallelSec, speedup);
-        std::printf("deterministic: %s\n",
-                    deterministic ? "yes (bit-identical totals)"
-                                  : "NO");
-        if (parallelism < minParallelismForSpeedup) {
-            std::printf("NOTICE: effective parallelism %.2f < %.1f — "
-                        "parallel speedup is unmeasurable on this host "
-                        "(speedup fields omitted from the JSON)\n",
-                        parallelism, minParallelismForSpeedup);
-        }
+    std::printf("jobs=1:  %.3f s\njobs=%u: %.3f s  (speedup %.2fx)\n",
+                serialSec, sweepJobs, parallelSec, speedup);
+    std::printf("deterministic: %s\n",
+                deterministic ? "yes (bit-identical totals)" : "NO");
+    if (parallelism < minParallelismForSpeedup) {
+        std::printf("NOTICE: effective parallelism %.2f < %.1f — "
+                    "parallel speedup is unmeasurable on this host "
+                    "(speedup fields omitted from the JSON)\n",
+                    parallelism, minParallelismForSpeedup);
     }
 
     {
@@ -663,99 +516,73 @@ main(int argc, char **argv)
         w.field("trace", IDIO_TRACE != 0);
         w.field("revision", IDIO_GIT_REVISION);
         w.end();
-        if (full) {
-            w.field("micro_reps", std::uint64_t(microReps));
-            w.beginObject("micros");
-            for (const auto &m : micros) {
-                w.beginObject(m.name);
-                w.field("ops", m.ops);
-                w.field("wallSec", m.wallSec);
-                w.field("nsPerOp", m.nsPerOp());
-                w.field("opsPerSec", m.opsPerSec());
-                w.end();
-            }
-            w.end();
-            w.beginObject("single_run");
-            w.field("packets", single.packets);
-            w.field("wallSec", single.wallSec);
-            w.field("packets_per_wall_sec", single.perSec());
-            w.field("events", single.events);
-            w.field("events_per_packet", single.eventsPerPacket());
+        w.field("micro_reps", std::uint64_t(microReps));
+        w.beginObject("micros");
+        for (const auto &m : micros) {
+            w.beginObject(m.name);
+            w.field("ops", m.ops);
+            w.field("wallSec", m.wallSec);
+            w.field("nsPerOp", m.nsPerOp());
+            w.field("opsPerSec", m.opsPerSec());
             w.end();
         }
+        w.end();
+        w.beginObject("single_run");
+        w.field("packets", single.packets);
+        w.field("wallSec", single.wallSec);
+        w.field("packets_per_wall_sec", single.perSec());
+        w.field("events", single.events);
+        w.field("events_per_packet", single.eventsPerPacket());
+        w.end();
         w.beginObject("scaled");
         w.field("cores", std::uint64_t(32));
         w.field("rx_queues", std::uint64_t(32));
         w.field("flows", std::uint64_t(1u << 20));
-        // The headline rate follows the requested mode: split links
-        // under an explicit --sharded-jobs (what the CI scaling job
-        // sweeps), the single-queue run otherwise (the
-        // committed-trajectory baseline).
-        const bool headlineSplit = opts.shardJobs || !full;
-        const PacketRate &headline =
-            headlineSplit ? split.rate : scaledPlain;
-        w.field("packets", headline.packets);
-        w.field("packets_per_wall_sec", headline.perSec());
-        w.field("events", headline.events);
-        w.field("events_per_packet", headline.eventsPerPacket());
-        w.beginObject("split");
-        w.field("link_pcie_ns", split.pcieNs);
-        w.field("link_mesh_ns", split.meshNs);
-        w.field("jobs", split.jobs);
-        w.field("packets", split.rate.packets);
-        w.field("packets_per_wall_sec", split.rate.perSec());
-        w.field("events", split.rate.events);
-        w.field("events_per_packet", split.rate.eventsPerPacket());
-        w.field("deterministic", split.deterministic);
+        w.field("packets", scaled.packets);
+        w.field("packets_per_wall_sec", scaled.perSec());
+        w.field("events", scaled.events);
+        w.field("events_per_packet", scaled.eventsPerPacket());
+        w.end();
+        w.beginObject("tenant");
+        w.beginObject("ddio");
+        w.field("rpc_p99_us", tenantDdio.rpcP99Us);
+        w.field("rpc_p999_us", tenantDdio.rpcP999Us);
+        w.field("batch_p99_us", tenantDdio.batchP99Us);
+        w.end();
+        w.beginObject("ioca");
+        w.field("rpc_p99_us", tenantIoca.rpcP99Us);
+        w.field("rpc_p999_us", tenantIoca.rpcP999Us);
+        w.field("batch_p99_us", tenantIoca.batchP99Us);
+        w.field("reallocations", tenantIoca.reallocations);
         w.end();
         w.end();
-        if (full) {
-            w.beginObject("tenant");
-            w.beginObject("ddio");
-            w.field("rpc_p99_us", tenantDdio.rpcP99Us);
-            w.field("rpc_p999_us", tenantDdio.rpcP999Us);
-            w.field("batch_p99_us", tenantDdio.batchP99Us);
-            w.end();
-            w.beginObject("ioca");
-            w.field("rpc_p99_us", tenantIoca.rpcP99Us);
-            w.field("rpc_p999_us", tenantIoca.rpcP999Us);
-            w.field("batch_p99_us", tenantIoca.batchP99Us);
-            w.field("reallocations", tenantIoca.reallocations);
-            w.end();
-            w.end();
+        w.beginObject("sweep");
+        w.field("configs", std::uint64_t(cases.size()));
+        w.field("jobs", sweepJobs);
+        w.field("packets", packets);
+        w.field("serialWallSec", serialSec);
+        w.field("packets_per_wall_sec_serial",
+                serialSec > 0 ? double(packets) / serialSec : 0);
+        // On a host that cannot run threads in parallel the parallel
+        // leg only measures oversubscription; publishing a "speedup"
+        // there would poison the committed trajectory, so the fields
+        // are omitted (the determinism check above still ran).
+        if (parallelism >= minParallelismForSpeedup) {
+            w.field("parallelWallSec", parallelSec);
+            w.field("packets_per_wall_sec_parallel",
+                    parallelSec > 0 ? double(packets) / parallelSec : 0);
+            w.field("speedup", speedup);
+        } else {
+            w.field("speedup_skipped_low_parallelism", true);
         }
-        if (full) {
-            w.beginObject("sweep");
-            w.field("configs", std::uint64_t(cases.size()));
-            w.field("jobs", sweepJobs);
-            w.field("packets", packets);
-            w.field("serialWallSec", serialSec);
-            w.field("packets_per_wall_sec_serial",
-                    serialSec > 0 ? double(packets) / serialSec : 0);
-            // On a host that cannot run threads in parallel the
-            // parallel leg only measures oversubscription; publishing
-            // a "speedup" there would poison the committed trajectory,
-            // so the fields are omitted (the determinism check above
-            // still ran).
-            if (parallelism >= minParallelismForSpeedup) {
-                w.field("parallelWallSec", parallelSec);
-                w.field("packets_per_wall_sec_parallel",
-                        parallelSec > 0 ? double(packets) / parallelSec
-                                        : 0);
-                w.field("speedup", speedup);
-            } else {
-                w.field("speedup_skipped_low_parallelism", true);
-            }
-            w.field("deterministic", deterministic);
-            w.end();
-        }
+        w.field("deterministic", deterministic);
+        w.end();
         w.end();
         ofs << "\n";
     }
     std::printf("\nwrote %s\n", opts.jsonPath.c_str());
 
-    // Determinism (sweep and split links) is a hard failure; the
-    // parallel speedup is judged only where the host can actually run
-    // threads in parallel.
-    return (deterministic && split.deterministic) ? 0 : 1;
+    // Sweep determinism is a hard failure; the parallel speedup is
+    // judged only where the host can actually run threads in parallel.
+    return deterministic ? 0 : 1;
 }

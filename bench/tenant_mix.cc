@@ -100,12 +100,9 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseBenchOptions(argc, argv);
-    if (opts.cores || opts.rxQueues || opts.shardJobs ||
-        opts.linkPcieNs > 0.0 || opts.linkMeshNs > 0.0) {
-        std::fprintf(stderr,
-                     "tenant_mix: --cores/--rx-queues/--sharded-jobs/"
-                     "--link-*-ns are incompatible with the tenant "
-                     "layout\n");
+    if (opts.cores || opts.rxQueues) {
+        std::fprintf(stderr, "tenant_mix: --cores/--rx-queues are "
+                             "incompatible with the tenant layout\n");
         return 2;
     }
 

@@ -87,9 +87,6 @@ mem::AccessResult
 MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
                             mem::AccessType type)
 {
-    if (splitOn)
-        return splitCoreAccess(core, addr, type);
-
     addr = mem::lineAlign(addr);
     PrivateCache &l1c = *l1s[core];
     PrivateCache &mlcc = *mlcs[core];
@@ -308,23 +305,6 @@ MemoryHierarchy::invalidateMlcCopies(sim::Addr addr)
     const std::uint64_t sharers = dir->sharersOf(addr);
     if (!sharers)
         return;
-    if (splitOn) {
-        // The sharers' MLCs live in other timing domains: send
-        // fire-and-forget invalidation messages (the whole line is
-        // being overwritten, so no data needs to come back) and drop
-        // the directory entries eagerly. The trace records the inval
-        // at send time, per the directory's view.
-        for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-            if (!(sharers & (std::uint64_t(1) << c)))
-                continue;
-            IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
-                               now(), 0, c, addr);
-            if (splitHooks.mlcInval)
-                splitHooks.mlcInval(c, addr);
-        }
-        dir->removeAll(addr);
-        return;
-    }
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         if (!(sharers & (std::uint64_t(1) << c)))
             continue;
@@ -408,31 +388,8 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
 {
     addr = mem::lineAlign(addr);
     if (cfg.pageAttributes && !cfg.pageAttributes->isInvalidatable(addr)) {
-        if (splitOn) {
-            // The fault counter is uncore state; a faulting
-            // self-invalidate from a core domain has no owner to
-            // charge it to. Split-mode workloads only invalidate
-            // their own DMA buffers, so treat it as a model bug.
-            sim::fatal("self-invalidate fault on non-Invalidatable "
-                       "page %#llx in split-link mode",
-                       (unsigned long long)addr);
-        }
         ++selfInvalFaults;
         return false;
-    }
-
-    if (splitOn) {
-        dropFromL1(core, addr);
-        if (LineRef ref = mlcs[core]->probe(addr)) {
-            splitNotePrefetchGone(core, *ref.line);
-            mlcs[core]->tags().invalidate(ref);
-            ++mlcs[core]->selfInvals;
-        }
-        // Directory (and optional LLC) upkeep happens uncore-side;
-        // send unconditionally, mirroring the legacy dir->remove.
-        if (splitHooks.coreInval)
-            splitHooks.coreInval(core, addr);
-        return true;
     }
 
     dropFromL1(core, addr);
@@ -523,14 +480,6 @@ MemoryHierarchy::pcieWriteDirectDram(sim::Addr addr)
 sim::Tick
 MemoryHierarchy::pcieRead(sim::Addr addr)
 {
-    if (splitOn) {
-        // Egress would need synchronous dirty-copy pullback from
-        // core-owned MLCs; no split workload reads device-bound data
-        // yet, so refuse instead of racing.
-        sim::fatal("outbound DMA reads are not supported in "
-                   "split-link mode");
-    }
-
     addr = mem::lineAlign(addr);
     ++pcieReads;
 
@@ -578,36 +527,6 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
 {
     addr = mem::lineAlign(addr);
 
-    if (splitOn) {
-        // The core-owned MLC cannot be probed from the uncore; the
-        // directory (which tracks MLC residency eagerly) stands in
-        // for both the contains() check and the other-owner guard. A
-        // hint that still races with a demand fill retires itself on
-        // the core side.
-        if (dir->sharersOf(addr))
-            return false;
-        bool dirty = false;
-        bool io = false;
-        if (LineRef ref = sharedLlc->probe(addr)) {
-            dirty = ref.line->dirty;
-            io = ref.line->io;
-            ++sharedLlc->demandMoves;
-            sharedLlc->tags().invalidate(ref);
-        } else if (cfg.prefetchFromDram) {
-            dramModel->access(mem::AccessType::Read);
-        } else {
-            return false;
-        }
-        DirectoryVictim dv = dir->add(core, addr);
-        if (dv.valid)
-            splitDirectoryVictim(dv);
-        IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcPrefetchFill,
-                           now(), 0, core, addr);
-        if (splitHooks.prefetchInstall)
-            splitHooks.prefetchInstall(core, addr, dirty, io);
-        return true;
-    }
-
     if (mlcs[core]->contains(addr))
         return false;
 
@@ -635,243 +554,6 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
 
     installMlc(core, addr, dirty, io, true);
     return true;
-}
-
-void
-MemoryHierarchy::enableSplitMode(SplitHooks hooks)
-{
-    splitOn = true;
-    splitHooks = std::move(hooks);
-    splitPending.assign(cfg.numCores, {});
-}
-
-std::vector<MemoryHierarchy::SplitPendingFill>
-MemoryHierarchy::takePendingFills(sim::CoreId core)
-{
-    std::vector<SplitPendingFill> out;
-    out.swap(splitPending[core]);
-    return out;
-}
-
-mem::AccessResult
-MemoryHierarchy::splitCoreAccess(sim::CoreId core, sim::Addr addr,
-                                 mem::AccessType type)
-{
-    addr = mem::lineAlign(addr);
-    PrivateCache &l1c = *l1s[core];
-    PrivateCache &mlcc = *mlcs[core];
-    const bool isWrite = (type == mem::AccessType::Write);
-
-    sim::Tick lat = l1Lat;
-
-    if (LineRef ref = l1c.probe(addr)) {
-        ++l1c.hits;
-        l1c.tags().touch(ref);
-        if (isWrite)
-            ref.line->dirty = true;
-        return {lat, mem::HitLevel::L1, false};
-    }
-    ++l1c.misses;
-
-    lat += mlcLat;
-
-    if (LineRef ref = mlcc.probe(addr)) {
-        ++mlcc.hits;
-        mlcc.tags().touch(ref);
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
-            if (splitHooks.prefetchRetire)
-                splitHooks.prefetchRetire(core);
-        }
-        l1Fill(core, addr, isWrite);
-        return {lat, mem::HitLevel::MLC, false};
-    }
-    ++mlcc.misses;
-
-    // Private-cache miss: pend a fill request for the mesh link. The
-    // returned latency covers only the local probes; the reply adds
-    // the LLC/DRAM share. A second access to the same line within one
-    // step rides the first request (write intent merges), so the core
-    // never has two fills outstanding for one address.
-    for (SplitPendingFill &p : splitPending[core]) {
-        if (p.addr == addr) {
-            p.write = p.write || isWrite;
-            return {lat, mem::HitLevel::LLC, true};
-        }
-    }
-    splitPending[core].push_back(SplitPendingFill{addr, isWrite});
-    return {lat, mem::HitLevel::LLC, true};
-}
-
-void
-MemoryHierarchy::splitEvictMlcVictim(sim::CoreId core, CacheLine victim)
-{
-    splitNotePrefetchGone(core, victim);
-
-    bool l1Dirty = false;
-    dropFromL1(core, victim.addr, &l1Dirty);
-    victim.dirty = victim.dirty || l1Dirty;
-
-    PrivateCache &mlcc = *mlcs[core];
-    if (victim.dirty)
-        ++mlcc.writebacks;
-    else
-        ++mlcc.cleanEvictions;
-
-    // Every victim leaves over the link, clean ones included: the
-    // uncore owns the directory and must drop this core's sharer bit.
-    if (splitHooks.victimWb)
-        splitHooks.victimWb(core, victim.addr, victim.dirty, victim.io);
-}
-
-void
-MemoryHierarchy::splitInstallFill(sim::CoreId core, sim::Addr addr,
-                                  bool dirty, bool io, bool write)
-{
-    PrivateCache &mlcc = *mlcs[core];
-    if (LineRef ref = mlcc.probe(addr)) {
-        // A prefetch install raced ahead of this demand fill: merge
-        // into the existing line and retire the prefetch credit.
-        mlcc.tags().touch(ref);
-        ref.line->dirty = ref.line->dirty || dirty;
-        ref.line->io = ref.line->io || io;
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
-            if (splitHooks.prefetchRetire)
-                splitHooks.prefetchRetire(core);
-        }
-        l1Fill(core, addr, write);
-        return;
-    }
-    LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        splitEvictMlcVictim(core, *slot.line);
-    mlcc.tags().fill(slot, addr, dirty, io);
-    ++mlcc.fills;
-    l1Fill(core, addr, write);
-}
-
-void
-MemoryHierarchy::splitInstallPrefetch(sim::CoreId core, sim::Addr addr,
-                                      bool dirty, bool io)
-{
-    PrivateCache &mlcc = *mlcs[core];
-    if (mlcc.contains(addr)) {
-        // The hint raced with a demand fill; retire it immediately so
-        // the prefetcher's outstanding-credit window stays balanced.
-        if (splitHooks.prefetchRetire)
-            splitHooks.prefetchRetire(core);
-        return;
-    }
-    LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        splitEvictMlcVictim(core, *slot.line);
-    CacheLine &line = mlcc.tags().fill(slot, addr, dirty, io);
-    line.prefetched = true;
-    ++mlcc.prefetchFills;
-}
-
-void
-MemoryHierarchy::splitHandleMlcInval(sim::CoreId core, sim::Addr addr)
-{
-    // Overwrite semantics: the DMA write replaced the line, so even a
-    // dirty copy drops without a writeback (as in the legacy path).
-    dropFromL1(core, addr);
-    if (LineRef ref = mlcs[core]->probe(addr)) {
-        splitNotePrefetchGone(core, *ref.line);
-        mlcs[core]->tags().invalidate(ref);
-        ++mlcs[core]->pcieInvals;
-    }
-}
-
-void
-MemoryHierarchy::splitHandleBackInval(sim::CoreId core, sim::Addr addr)
-{
-    bool l1Dirty = false;
-    dropFromL1(core, addr, &l1Dirty);
-    if (LineRef ref = mlcs[core]->probe(addr)) {
-        const bool dirty = ref.line->dirty || l1Dirty;
-        const bool io = ref.line->io;
-        splitNotePrefetchGone(core, *ref.line);
-        mlcs[core]->tags().invalidate(ref);
-        ++mlcs[core]->backInvals;
-        if (dirty)
-            ++mlcs[core]->writebacks;
-        else
-            ++mlcs[core]->cleanEvictions;
-        if ((dirty || cfg.insertCleanVictims) && splitHooks.victimWb)
-            splitHooks.victimWb(core, addr, dirty, io);
-    }
-}
-
-MemoryHierarchy::SplitFillReply
-MemoryHierarchy::splitHandleFillReq(sim::CoreId core, sim::Addr addr)
-{
-    // The uncore share of a demand miss. No migratory coherence in
-    // split mode (a documented relaxation: split workloads keep
-    // per-core disjoint working sets), so a private-cache miss goes
-    // straight to the LLC, then DRAM.
-    SplitFillReply reply;
-    reply.extraLat = llcLat;
-    if (LineRef ref = sharedLlc->probe(addr)) {
-        ++sharedLlc->hits;
-        ++sharedLlc->demandMoves;
-        reply.dirty = ref.line->dirty;
-        reply.io = ref.line->io;
-        sharedLlc->tags().invalidate(ref);
-        reply.level = mem::HitLevel::LLC;
-    } else {
-        ++sharedLlc->misses;
-        reply.extraLat += dramModel->access(mem::AccessType::Read);
-        reply.level = mem::HitLevel::DRAM;
-    }
-    DirectoryVictim dv = dir->add(core, addr);
-    if (dv.valid)
-        splitDirectoryVictim(dv);
-    return reply;
-}
-
-void
-MemoryHierarchy::splitHandleVictimWb(sim::CoreId core, sim::Addr addr,
-                                     bool dirty, bool io)
-{
-    // remove() is a no-op when a back-invalidation already dropped the
-    // entry, so one handler covers both normal and forced evictions.
-    dir->remove(core, addr);
-    IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict, now(), 0,
-                       dirty ? 1 : 0, addr);
-    if (dirty || cfg.insertCleanVictims) {
-        llcInsertVictim(addr, dirty, io, allocMasks[core]);
-        if (mlcWbObserver)
-            mlcWbObserver(core);
-    }
-}
-
-void
-MemoryHierarchy::splitHandleCoreInval(sim::CoreId core, sim::Addr addr)
-{
-    dir->remove(core, addr);
-    IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheSelfInval, now(), 0,
-                       core, addr);
-    if (cfg.invalidateReachesLlc) {
-        if (LineRef ref = sharedLlc->probe(addr)) {
-            sharedLlc->tags().invalidate(ref);
-            ++sharedLlc->selfInvals;
-        }
-    }
-}
-
-void
-MemoryHierarchy::splitDirectoryVictim(const DirectoryVictim &victim)
-{
-    // Fire-and-forget: the directory entry is gone already; dirty data
-    // comes back later through the sharers' victim-writeback messages.
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(victim.sharers & (std::uint64_t(1) << c)))
-            continue;
-        if (splitHooks.backInval)
-            splitHooks.backInval(c, victim.addr);
-    }
 }
 
 std::uint64_t

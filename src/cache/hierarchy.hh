@@ -26,7 +26,6 @@
 #ifndef IDIO_CACHE_HIERARCHY_HH
 #define IDIO_CACHE_HIERARCHY_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -157,121 +156,6 @@ class MemoryHierarchy : public sim::SimObject
     }
 
     /**
-     * @{ Split-link (message-passing) mode.
-     *
-     * With modelled interconnect latencies (LinkLatencyConfig), the
-     * hierarchy splits into per-core halves (L1 + MLC, owned by the
-     * core's timing domain) and an uncore half (LLC + directory +
-     * DRAM, owned by the main queue). Cross-half interactions no
-     * longer happen as same-tick calls: the core-side paths record
-     * pending misses / fire the outbound hooks below, the harness
-     * carries them over LinkChannels, and the splitHandle* entry
-     * points apply them on the receiving side. Strict state ownership
-     * holds throughout — core-side code touches only l1s[c]/mlcs[c]
-     * (and per-cache counters), uncore-side code only LLC, directory,
-     * DRAM and hierarchy-level counters — so conflict groups can run
-     * on separate host threads.
-     *
-     * Relaxations versus the synchronous model (all deterministic):
-     * no migratory coherence between private caches, back-
-     * invalidations are fire-and-forget (the directory is updated
-     * eagerly; dirty data still returns via victim-writeback
-     * messages), and the hierarchy's own trace source stays silent on
-     * core-side paths (one ring cannot take concurrent writers).
-     */
-
-    /** Outbound notifications; the harness binds these to channels. */
-    struct SplitHooks
-    {
-        /** Core-side MLC victim leaving (always: directory upkeep). */
-        std::function<void(sim::CoreId, sim::Addr, bool dirty, bool io)>
-            victimWb;
-
-        /** Core-side retirement of a prefetched MLC line. */
-        std::function<void(sim::CoreId)> prefetchRetire;
-
-        /** Core-side self-invalidate (directory/LLC upkeep). */
-        std::function<void(sim::CoreId, sim::Addr)> coreInval;
-
-        /** Uncore-side DMA-write invalidation of a sharer's copy. */
-        std::function<void(sim::CoreId, sim::Addr)> mlcInval;
-
-        /** Uncore-side directory-victim back-invalidation. */
-        std::function<void(sim::CoreId, sim::Addr)> backInval;
-
-        /** Uncore-side prefetch fill headed for a core's MLC. */
-        std::function<void(sim::CoreId, sim::Addr, bool dirty,
-                           bool io)>
-            prefetchInstall;
-    };
-
-    /** One demand miss awaiting a cross-link fill. */
-    struct SplitPendingFill
-    {
-        sim::Addr addr = 0;
-        bool write = false;
-    };
-
-    /** Uncore's answer to a fill request. */
-    struct SplitFillReply
-    {
-        sim::Tick extraLat = 0; ///< latency beyond the L1+MLC probes
-        bool dirty = false;
-        bool io = false;
-        mem::HitLevel level = mem::HitLevel::LLC;
-    };
-
-    /** Switch the hierarchy into split-link mode (build time). */
-    void enableSplitMode(SplitHooks hooks);
-    bool splitMode() const { return splitOn; }
-
-    /** @{ Core-side entry points (run in the core's domain). */
-
-    /** Misses recorded by this core's accesses since the last take. */
-    bool hasPendingFills(sim::CoreId core) const
-    {
-        return !splitPending[core].empty();
-    }
-    std::vector<SplitPendingFill> takePendingFills(sim::CoreId core);
-
-    /** Install a demand fill delivered by a FillRsp message. */
-    void splitInstallFill(sim::CoreId core, sim::Addr addr, bool dirty,
-                          bool io, bool write);
-
-    /** Install a prefetch fill delivered by the uncore. */
-    void splitInstallPrefetch(sim::CoreId core, sim::Addr addr,
-                              bool dirty, bool io);
-
-    /** Drop a copy overwritten by inbound DMA (fire-and-forget). */
-    void splitHandleMlcInval(sim::CoreId core, sim::Addr addr);
-
-    /** Drop a copy back-invalidated by a directory victim. */
-    void splitHandleBackInval(sim::CoreId core, sim::Addr addr);
-    /** @} */
-
-    /** @{ Uncore-side entry points (run on the main queue). */
-
-    /** Serve a core's fill request from LLC/DRAM; updates directory. */
-    SplitFillReply splitHandleFillReq(sim::CoreId core, sim::Addr addr);
-
-    /** Apply a core's MLC victim writeback (directory + LLC). */
-    void splitHandleVictimWb(sim::CoreId core, sim::Addr addr,
-                             bool dirty, bool io);
-
-    /** Apply a core's self-invalidate (directory + optional LLC). */
-    void splitHandleCoreInval(sim::CoreId core, sim::Addr addr);
-
-    /** Deliver a relayed prefetch-retire to the registered observer. */
-    void
-    firePrefetchRetire(sim::CoreId core)
-    {
-        if (prefetchRetireObserver)
-            prefetchRetireObserver(core);
-    }
-    /** @} */
-    /** @} */
-
-    /**
      * @{ Runtime CAT-style per-core LLC allocation masks.
      *
      * Initialised from HierarchyConfig::llcAllocMask and consulted on
@@ -364,37 +248,12 @@ class MemoryHierarchy : public sim::SimObject
     mem::AccessResult coreAccess(sim::CoreId core, sim::Addr addr,
                                  mem::AccessType type);
 
-    /** @{ Split-mode internals. */
-
-    /** Core-side access: local probes only; misses pend a FillReq. */
-    mem::AccessResult splitCoreAccess(sim::CoreId core, sim::Addr addr,
-                                      mem::AccessType type);
-
-    /** Core-side MLC victim: merge L1, count, send a VictimWb. */
-    void splitEvictMlcVictim(sim::CoreId core, CacheLine victim);
-
-    /** Uncore-side directory victim: send BackInvals to sharers. */
-    void splitDirectoryVictim(const DirectoryVictim &victim);
-    /** @} */
-
     /** Fire the retire hook when a departing line was prefetched. */
     void
     notePrefetchGone(sim::CoreId core, const CacheLine &line)
     {
         if (line.prefetched && prefetchRetireObserver)
             prefetchRetireObserver(core);
-    }
-
-    /**
-     * Split counterpart: the prefetcher lives in the uncore domain, so
-     * a core-side departure sends a retire message instead of invoking
-     * the observer directly.
-     */
-    void
-    splitNotePrefetchGone(sim::CoreId core, const CacheLine &line)
-    {
-        if (line.prefetched && splitHooks.prefetchRetire)
-            splitHooks.prefetchRetire(core);
     }
 
     HierarchyConfig cfg;
@@ -423,15 +282,6 @@ class MemoryHierarchy : public sim::SimObject
         sim::Delegate<void()> onDrop;
     };
     std::vector<L1Watch> l1Watches;
-
-    /** @{ Split-link mode state. */
-    bool splitOn = false;
-    SplitHooks splitHooks;
-
-    /** Per-core fills pended by splitCoreAccess (always drained and
-     * dispatched within the same core event, so never checkpointed). */
-    std::vector<std::vector<SplitPendingFill>> splitPending;
-    /** @} */
 };
 
 } // namespace cache

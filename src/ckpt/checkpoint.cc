@@ -28,11 +28,12 @@ constexpr std::uint8_t tagCounter = 0;
 constexpr std::uint8_t tagGauge = 1;
 constexpr std::uint8_t tagLatencyRecorder = 2;
 
+constexpr const char *eventqSection = "_eventq";
+
 void
-saveEventq(Serializer &s, sim::EventQueue &eq,
-           const std::string &section = "_eventq")
+saveEventq(Serializer &s, sim::EventQueue &eq)
 {
-    s.beginSection(section, /*version=*/3);
+    s.beginSection(eventqSection, /*version=*/3);
     s.writeU32(sim::EventQueueRestoreAccess::wheelLevels());
     s.writeU32(sim::EventQueueRestoreAccess::wheelSlotBits());
     s.writeTick(sim::EventQueueRestoreAccess::wheelBase(eq));
@@ -45,14 +46,13 @@ saveEventq(Serializer &s, sim::EventQueue &eq,
 }
 
 void
-restoreEventq(Deserializer &d, sim::EventQueue &eq,
-              const std::string &section)
+restoreEventq(Deserializer &d, sim::EventQueue &eq)
 {
-    const std::uint32_t version = d.beginSection(section);
+    const std::uint32_t version = d.beginSection(eventqSection);
     if (version != 3)
         sim::fatal("ckpt: '%s' section version %u; this build reads "
                    "version 3",
-                   section.c_str(), version);
+                   eventqSection, version);
     const std::uint32_t levels = d.readU32();
     const std::uint32_t slotBits = d.readU32();
     const sim::Tick wheelBase = d.readTick();
@@ -70,20 +70,20 @@ restoreEventq(Deserializer &d, sim::EventQueue &eq,
         slotBits != sim::EventQueueRestoreAccess::wheelSlotBits())
         sim::fatal("ckpt: '%s' wheel geometry %u levels x 2^%u slots "
                    "does not match this build (%u x 2^%u)",
-                   section.c_str(), levels, slotBits,
+                   eventqSection, levels, slotBits,
                    sim::EventQueueRestoreAccess::wheelLevels(),
                    sim::EventQueueRestoreAccess::wheelSlotBits());
     if (wheelBase > tick)
         sim::fatal("ckpt: '%s' wheel base %llu is ahead of the "
                    "checkpointed tick %llu (corrupt section)",
-                   section.c_str(), (unsigned long long)wheelBase,
+                   eventqSection, (unsigned long long)wheelBase,
                    (unsigned long long)tick);
 
     if (eq.pending() != pendingCount)
         sim::fatal("ckpt: restored %zu pending events in '%s' but the "
                    "checkpoint recorded %llu — some owner failed to "
                    "re-register its callbacks",
-                   eq.pending(), section.c_str(),
+                   eq.pending(), eventqSection,
                    (unsigned long long)pendingCount);
 
     sim::EventQueueRestoreAccess::setCurTick(eq, tick);
@@ -267,16 +267,8 @@ save(sim::Simulation &simulation)
     // Sleeping cores' skipped steps become counters and their next
     // step a pending event: the state an uncut run would hold.
     eq.wakeSleepers();
-    for (std::size_t i = 0; i < simulation.domainQueueCount(); ++i)
-        simulation.domainQueue(i).wakeSleepers();
     Serializer s;
     saveEventq(s, eq);
-    // Per-domain queues of a sharded model. Single-queue simulations
-    // have none, keeping their checkpoint bytes unchanged.
-    for (std::size_t i = 0; i < simulation.domainQueueCount(); ++i) {
-        saveEventq(s, simulation.domainQueue(i),
-                   "_eventq:" + simulation.domainQueueName(i));
-    }
     saveRootRng(s, simulation);
     saveStats(s, simulation.statsRegistry());
     saveTracer(s, simulation.tracer());
@@ -318,10 +310,6 @@ restore(sim::Simulation &simulation,
     // Drop everything construction/start() scheduled; the checkpointed
     // pending set replaces it wholesale.
     sim::EventQueueRestoreAccess::clearPending(eq);
-    for (std::size_t i = 0; i < simulation.domainQueueCount(); ++i) {
-        sim::EventQueueRestoreAccess::clearPending(
-            simulation.domainQueue(i));
-    }
 
     // _rootRng
     d.beginSection("_rootRng");
@@ -344,11 +332,7 @@ restore(sim::Simulation &simulation,
     // bases and counters last (schedule() checks against curTick).
     d.applyDeferred(eq);
 
-    restoreEventq(d, eq, "_eventq");
-    for (std::size_t i = 0; i < simulation.domainQueueCount(); ++i) {
-        restoreEventq(d, simulation.domainQueue(i),
-                      "_eventq:" + simulation.domainQueueName(i));
-    }
+    restoreEventq(d, eq);
 }
 
 void

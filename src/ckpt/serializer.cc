@@ -288,18 +288,16 @@ Deserializer::readBoolVec()
 
 void
 Deserializer::deferOneShot(std::uint64_t origSeq, sim::Tick when,
-                           std::function<void()> fn,
-                           sim::EventQueue *target)
+                           std::function<void()> fn)
 {
-    deferred.push_back(
-        Deferred{origSeq, when, std::move(fn), nullptr, target});
+    deferred.push_back(Deferred{origSeq, when, std::move(fn), nullptr});
 }
 
 void
 Deserializer::deferEvent(std::uint64_t origSeq, sim::Tick when,
-                         sim::Event *ev, sim::EventQueue *target)
+                         sim::Event *ev)
 {
-    deferred.push_back(Deferred{origSeq, when, nullptr, ev, target});
+    deferred.push_back(Deferred{origSeq, when, nullptr, ev});
 }
 
 void
@@ -313,34 +311,30 @@ serializeEvent(Serializer &s, const sim::Event &ev)
 }
 
 void
-unserializeEvent(Deserializer &d, sim::Event *ev,
-                 sim::EventQueue *target)
+unserializeEvent(Deserializer &d, sim::Event *ev)
 {
     if (!d.readBool())
         return;
     const sim::Tick when = d.readU64();
     const std::uint64_t seq = d.readU64();
-    d.deferEvent(seq, when, ev, target);
+    d.deferEvent(seq, when, ev);
 }
 
 void
 Deserializer::applyDeferred(sim::EventQueue &eq)
 {
-    // Replay in original-sequence order: each queue hands out fresh
+    // Replay in original-sequence order: the queue hands out fresh
     // ascending sequence numbers, so same-tick events keep exactly the
-    // relative order they had in the checkpointed run. Sequence
-    // numbers are per-queue; one global sort still preserves every
-    // queue's relative order.
+    // relative order they had in the checkpointed run.
     std::sort(deferred.begin(), deferred.end(),
               [](const Deferred &a, const Deferred &b) {
                   return a.origSeq < b.origSeq;
               });
     for (Deferred &d : deferred) {
-        sim::EventQueue &q = d.target ? *d.target : eq;
         if (d.fn)
-            q.schedule(d.when, std::move(d.fn));
+            eq.schedule(d.when, std::move(d.fn));
         else
-            q.schedule(d.ev, d.when);
+            eq.schedule(d.ev, d.when);
     }
     deferred.clear();
 }

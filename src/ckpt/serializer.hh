@@ -256,18 +256,11 @@ class Deserializer
      * must match the checkpointed sequence numbers, which requires a
      * globally sorted replay. Owners register their pending events
      * here; ckpt::restore() replays them in @p origSeq order.
-     *
-     * @p target selects the event queue the schedule replays into;
-     * nullptr (the default, and the only case in single-queue models)
-     * means the queue passed to applyDeferred(). Sharded models pass
-     * their domain queue; sequence numbers are per-queue, so the sort
-     * preserves each queue's relative order independently.
      */
     void deferOneShot(std::uint64_t origSeq, sim::Tick when,
-                      std::function<void()> fn,
-                      sim::EventQueue *target = nullptr);
+                      std::function<void()> fn);
     void deferEvent(std::uint64_t origSeq, sim::Tick when,
-                    sim::Event *ev, sim::EventQueue *target = nullptr);
+                    sim::Event *ev);
 
     /** Replay all deferred schedules in original-sequence order. */
     void applyDeferred(sim::EventQueue &eq);
@@ -287,7 +280,6 @@ class Deserializer
         sim::Tick when;
         std::function<void()> fn; // empty => reschedulable `ev`
         sim::Event *ev;
-        sim::EventQueue *target; // nullptr => applyDeferred()'s queue
     };
 
     const Section *findSection(const std::string &name) const;
@@ -305,11 +297,9 @@ class Deserializer
  * and step events, and the like. serializeEvent() records
  * {scheduled, when, seq}; unserializeEvent() defers a reschedule of
  * the same Event object when it was pending at checkpoint time.
- * @p target selects the domain queue (nullptr = restore's main queue).
  */
 void serializeEvent(Serializer &s, const sim::Event &ev);
-void unserializeEvent(Deserializer &d, sim::Event *ev,
-                      sim::EventQueue *target = nullptr);
+void unserializeEvent(Deserializer &d, sim::Event *ev);
 /** @} */
 
 } // namespace ckpt

@@ -5,8 +5,6 @@
 
 #include "core.hh"
 
-#include <algorithm>
-
 #include "ckpt/serializer.hh"
 #include "sim/simulation.hh"
 
@@ -50,11 +48,8 @@ Core::read(sim::Addr addr, std::uint64_t bytes)
         lat += r.latency;
         ++reads;
         lastRead = a;
-        lastReadHitL1 = !r.pending && r.level == mem::HitLevel::L1;
-        // Pending accesses count their level when the fill reply
-        // arrives (fillArrived), not at probe time.
-        if (!r.pending)
-            countLevel(r.level);
+        lastReadHitL1 = r.level == mem::HitLevel::L1;
+        countLevel(r.level);
     }
     return lat;
 }
@@ -70,8 +65,7 @@ Core::write(sim::Addr addr, std::uint64_t bytes)
         const mem::AccessResult r = hier.coreWrite(coreId, a);
         lat += r.latency;
         ++writes;
-        if (!r.pending)
-            countLevel(r.level);
+        countLevel(r.level);
     }
     return lat;
 }
@@ -100,8 +94,6 @@ Core::halt()
 {
     wake();
     workload = nullptr;
-    fillsOutstanding = 0;
-    fillLatAccum = 0;
     if (stepEvent.scheduled())
         eventq().deschedule(&stepEvent);
 }
@@ -116,11 +108,6 @@ Core::doStep()
     SIM_ASSERT(delay > 0, "workload step returned zero delay");
     ++steps;
     busyTicks += delay;
-    // Split mode: when the step left fill requests pending, the
-    // dispatch hook sends them over the link and the schedule stalls
-    // until fillArrived() drains the replies.
-    if (splitDispatch && splitDispatch(now() + delay))
-        return;
     if (idleOffered && trySleep(delay))
         return;
     eventq().scheduleIn(&stepEvent, delay);
@@ -129,10 +116,7 @@ Core::doStep()
 bool
 Core::trySleep(sim::Tick delay)
 {
-    // Split mode keeps polling: its core domain has no exact view of
-    // the descriptor line's L1 copy.
-    if (splitDispatch ||
-        !eventq().sleep(&stepEvent, now() + delay, delay, this))
+    if (!eventq().sleep(&stepEvent, now() + delay, delay, this))
         return false;
     asleep = true;
     sleepPeriod = delay;
@@ -164,51 +148,12 @@ Core::awoke()
 }
 
 void
-Core::beginFillWait(std::uint32_t count, sim::Tick resumeBase)
-{
-    SIM_ASSERT(count > 0, "fill wait needs at least one fill");
-    SIM_ASSERT(fillsOutstanding == 0,
-               "fill wait started with fills already outstanding");
-    fillsOutstanding = count;
-    fillLatAccum = 0;
-    stepResumeBase = resumeBase;
-}
-
-void
-Core::fillArrived(sim::Tick extraLat, mem::HitLevel level)
-{
-    SIM_ASSERT(fillsOutstanding > 0,
-               "fill reply arrived with no wait in progress");
-    countLevel(level);
-    fillLatAccum += extraLat;
-    if (--fillsOutstanding)
-        return;
-    if (!workload)
-        return;
-    // The uncore share of the stalled step's latency lands here; the
-    // round-trip link time may already exceed it, in which case the
-    // step resumes as soon as the last reply lands.
-    busyTicks += fillLatAccum;
-    const sim::Tick at =
-        std::max(stepResumeBase + fillLatAccum, now());
-    if (!stepEvent.scheduled())
-        eventq().schedule(&stepEvent, at);
-}
-
-void
 Core::serialize(ckpt::Serializer &s) const
 {
     // The workload binding itself is re-created by the harness before
-    // restore; only the step schedule is dynamic. The split fill-wait
-    // fields only exist (and only serialize) when the dispatch hook is
-    // bound, keeping legacy checkpoint bytes unchanged.
+    // restore; only the step schedule is dynamic.
     SIM_ASSERT(!asleep, "checkpoint of a sleeping core");
     ckpt::serializeEvent(s, stepEvent);
-    if (splitDispatch) {
-        s.writeU32(fillsOutstanding);
-        s.writeTick(fillLatAccum);
-        s.writeTick(stepResumeBase);
-    }
 }
 
 void
@@ -217,12 +162,7 @@ Core::unserialize(ckpt::Deserializer &d)
     // Restore cleared the queue's sleepers along with its events.
     if (asleep)
         awoke();
-    ckpt::unserializeEvent(d, &stepEvent, &eventq());
-    if (splitDispatch) {
-        fillsOutstanding = d.readU32();
-        fillLatAccum = d.readTick();
-        stepResumeBase = d.readTick();
-    }
+    ckpt::unserializeEvent(d, &stepEvent);
 }
 
 void

@@ -27,7 +27,6 @@
 #ifndef IDIO_CPU_CORE_HH
 #define IDIO_CPU_CORE_HH
 
-#include <functional>
 #include <string>
 
 #include "cache/hierarchy.hh"
@@ -98,35 +97,6 @@ class Core : public sim::SimObject, private sim::Sleeper
      * multi-cacheline invalidate instruction. @return latency.
      */
     sim::Tick invalidate(sim::Addr addr, std::uint64_t bytes);
-    /** @} */
-
-    /**
-     * @{ Split-link mode. With modelled mesh latencies, a
-     * private-cache miss returns a *pending* AccessResult: the step
-     * completes charging only the local probe latencies, and the
-     * dispatch hook below sends fill requests over the link. The step
-     * schedule then stalls until every fill reply arrives through
-     * fillArrived(); the uncore share of the latency is paid at resume
-     * time, so a step's total cost matches the sum of its parts.
-     */
-
-    /**
-     * Harness hook invoked after each step. @p resumeAt is the tick
-     * the step schedule would resume at; the hook returns true when it
-     * dispatched pending fills (the core then waits for fillArrived()
-     * instead of self-scheduling).
-     */
-    void
-    setSplitFillDispatch(std::function<bool(sim::Tick resumeAt)> f)
-    {
-        splitDispatch = std::move(f);
-    }
-
-    /** Stall the step schedule until @p count fill replies arrive. */
-    void beginFillWait(std::uint32_t count, sim::Tick resumeBase);
-
-    /** One fill reply: uncore latency share + the level that served. */
-    void fillArrived(sim::Tick extraLat, mem::HitLevel level);
     /** @} */
 
     /** Attach a workload and begin stepping it at now() + delay. */
@@ -205,13 +175,6 @@ class Core : public sim::SimObject, private sim::Sleeper
     bool asleep = false;
     sim::Tick sleepPeriod = 0;
     sim::Addr sleepLine = 0;
-    /** @} */
-
-    /** @{ Split-link fill-wait state (serialized in split mode). */
-    std::function<bool(sim::Tick)> splitDispatch;
-    std::uint32_t fillsOutstanding = 0;
-    sim::Tick fillLatAccum = 0;
-    sim::Tick stepResumeBase = 0;
     /** @} */
 };
 

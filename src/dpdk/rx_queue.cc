@@ -35,12 +35,9 @@ RxQueue::initialArm()
         ring.swArm(i, pool.at(idx).dataAddr, idx);
     }
     armNext = 0;
-    // A descriptor completing ends the core's idle sleep. Split mode
-    // polls a mirror fed over the link and never sleeps.
-    if (!splitOn)
-        nicPort.setRingWatcher(
-            qIdx, sim::Delegate<void()>::fromMember<&cpu::Core::wake>(
-                      &core));
+    // A descriptor completing ends the core's idle sleep.
+    nicPort.setRingWatcher(
+        qIdx, sim::Delegate<void()>::fromMember<&cpu::Core::wake>(&core));
 }
 
 PollResult
@@ -48,34 +45,6 @@ RxQueue::pollBurst()
 {
     nic::RxRing &ring = nicPort.rxRing(qIdx);
     PollResult res;
-
-    if (splitOn) {
-        // The ring's cursors belong to the NIC domain; poll against
-        // the local mirror instead. descAddr() is constant geometry,
-        // so the descriptor-line charges stay safe (and identical to
-        // the legacy path).
-        if (mirror.empty()) {
-            res.latency = core.read(ring.descAddr(mirrorHead), 1);
-            return res;
-        }
-        IDIO_TRACE_COUNTER(trc, trace::EventKind::DpdkRingBacklog,
-                           core.now(), mirror.size(), 0);
-        while (res.mbufs.size() < cfg.burst && !mirror.empty()) {
-            const MirrorSlot slot = mirror.front();
-            mirror.pop_front();
-            res.latency += core.read(ring.descAddr(slot.descIdx),
-                                     nic::rxDescBytes);
-            Mbuf &m = pool.at(slot.mbufIdx);
-            m.pktBytes = slot.pkt.frameBytes;
-            m.pkt = slot.pkt;
-            res.latency += core.write(m.metaAddr, mbufMetaBytes);
-            res.mbufs.push_back(slot.mbufIdx);
-            mirrorHead = (slot.descIdx + 1) % ring.size();
-            sendConsume(slot.descIdx);
-            ++toRefill;
-        }
-        return res;
-    }
 
     if (!ring.swReady()) {
         // Empty poll: the PMD still reads the head descriptor's first
@@ -121,13 +90,7 @@ RxQueue::refill()
         lat += core.read(pool.freeListSlotAddr(), 1);
         IDIO_TRACE_INSTANT(trc, trace::EventKind::DpdkAlloc,
                            core.now(), 0, 0, idx);
-        if (splitOn) {
-            // The arm carries its ring index explicitly, so the NIC
-            // side applies it without a cursor of its own.
-            sendArm(armNext, pool.at(idx).dataAddr, idx);
-        } else {
-            ring.swArm(armNext, pool.at(idx).dataAddr, idx);
-        }
+        ring.swArm(armNext, pool.at(idx).dataAddr, idx);
         lat += core.write(ring.descAddr(armNext), nic::rxDescBytes);
         armNext = (armNext + 1) % ring.size();
         --toRefill;
@@ -144,17 +107,6 @@ RxQueue::serialize(ckpt::Serializer &s) const
 {
     s.writeU32(armNext);
     s.writeU32(toRefill);
-    // Split mirror state only exists in split mode, keeping legacy
-    // checkpoint bytes unchanged.
-    if (splitOn) {
-        s.writeU32(mirrorHead);
-        s.writeU64(mirror.size());
-        for (const MirrorSlot &m : mirror) {
-            s.writeU32(m.descIdx);
-            s.writeU32(m.mbufIdx);
-            net::serializePacket(s, m.pkt);
-        }
-    }
 }
 
 void
@@ -162,18 +114,6 @@ RxQueue::unserialize(ckpt::Deserializer &d)
 {
     armNext = d.readU32();
     toRefill = d.readU32();
-    if (splitOn) {
-        mirrorHead = d.readU32();
-        mirror.clear();
-        const std::uint64_t n = d.readU64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            MirrorSlot m;
-            m.descIdx = d.readU32();
-            m.mbufIdx = d.readU32();
-            m.pkt = net::unserializePacket(d);
-            mirror.push_back(m);
-        }
-    }
 }
 
 } // namespace dpdk

@@ -15,8 +15,6 @@
 #define IDIO_DPDK_RX_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -93,37 +91,6 @@ class RxQueue
     std::uint32_t pendingRefill() const { return toRefill; }
 
     /**
-     * @{ Split-link mode. The ring lives in the NIC's timing domain,
-     * so the PMD cannot touch its software cursors directly. Instead
-     * it keeps a local mirror of completed descriptors, fed by
-     * DescReady messages from the NIC (onDescReady), and sends its
-     * consume/re-arm cursor updates back over the PCIe link through
-     * the two hooks. Descriptor and mbuf cacheline charges stay
-     * identical to the legacy path; only the cursor bookkeeping moves
-     * onto the link.
-     */
-    void
-    enableSplitMode(
-        std::function<void(std::uint32_t descIdx)> consume,
-        std::function<void(std::uint32_t descIdx, sim::Addr bufAddr,
-                           std::uint32_t mbufIdx)>
-            arm)
-    {
-        splitOn = true;
-        sendConsume = std::move(consume);
-        sendArm = std::move(arm);
-    }
-
-    /** A DescReady message landed: mirror one completed descriptor. */
-    void
-    onDescReady(std::uint32_t descIdx, std::uint32_t mbufIdx,
-                const net::Packet &pkt)
-    {
-        mirror.push_back(MirrorSlot{descIdx, mbufIdx, pkt});
-    }
-    /** @} */
-
-    /**
      * @{ Checkpoint the driver cursors (embedded in the owning NF's
      * section; the queue is not a SimObject).
      */
@@ -132,14 +99,6 @@ class RxQueue
     /** @} */
 
   private:
-    /** Completed descriptor mirrored from a DescReady message. */
-    struct MirrorSlot
-    {
-        std::uint32_t descIdx = 0;
-        std::uint32_t mbufIdx = 0;
-        net::Packet pkt;
-    };
-
     cpu::Core &core;
     nic::Nic &nicPort;
     Mempool &pool;
@@ -149,15 +108,6 @@ class RxQueue
     std::uint32_t armNext = 0; ///< next ring index to re-arm
     std::uint32_t toRefill = 0;
     sim::Tick tailUpdateCost;
-
-    /** @{ Split-link state (serialized only when splitOn). */
-    bool splitOn = false;
-    std::function<void(std::uint32_t)> sendConsume;
-    std::function<void(std::uint32_t, sim::Addr, std::uint32_t)>
-        sendArm;
-    std::deque<MirrorSlot> mirror;
-    std::uint32_t mirrorHead = 0; ///< next descriptor due to complete
-    /** @} */
 };
 
 } // namespace dpdk

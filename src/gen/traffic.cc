@@ -79,13 +79,10 @@ TrafficSource::unserialize(ckpt::Deserializer &d)
     if (pendingTick.active) {
         pendingTick.when = d.readTick();
         pendingTick.seq = d.readU64();
-        d.deferOneShot(
-            pendingTick.seq, pendingTick.when,
-            [this] {
-                pendingTick.active = false;
-                fire();
-            },
-            &eventq());
+        d.deferOneShot(pendingTick.seq, pendingTick.when, [this] {
+            pendingTick.active = false;
+            fire();
+        });
     }
 }
 

@@ -93,31 +93,6 @@ struct TenantSpec
 };
 
 /**
- * Modelled interconnect-link latencies (paper Sec. III machine model).
- *
- * Zero (the default) keeps the legacy fully-synchronous coupling: every
- * cross-domain interaction is a same-tick call and the whole machine
- * runs on one event queue. Nonzero latencies make the NIC→LLC (PCIe)
- * and core/MLC→LLC (mesh hop) couplings message-passing links: the
- * affected interactions travel over sim::shard::LinkChannel edges with
- * these delays, every core, the NIC and the uncore get their own
- * domain queue, and the ShardedExecutor window is the minimum link
- * latency. Both latencies must be set together (split mode needs
- * every cross-domain coupling to carry latency).
- */
-struct LinkLatencyConfig
-{
-    /** NIC→root-complex (PCIe) one-way latency, ns. */
-    double pcieNs = 0.0;
-
-    /** Core/MLC→LLC (mesh hop) one-way latency, ns. */
-    double meshNs = 0.0;
-
-    /** True when the model runs in split (message-passing) mode. */
-    bool split() const { return pcieNs > 0.0 || meshNs > 0.0; }
-};
-
-/**
  * Everything needed to build one TestSystem.
  */
 struct ExperimentConfig
@@ -170,7 +145,7 @@ struct ExperimentConfig
      * numNfs is derived from the specs (NF cores first in spec order,
      * then antagonist cores), and nfKind/traffic/rateGbps come from
      * each tenant's spec instead of the run-wide knobs. Incompatible
-     * with multiQueue(), withAntagonist and split links.
+     * with multiQueue() and withAntagonist.
      */
     std::vector<TenantSpec> tenants;
 
@@ -203,21 +178,8 @@ struct ExperimentConfig
     }
     /** @} */
 
-    /** @{ Split-link execution (src/sim/shard). */
-
-    /**
-     * Host threads for the split-link domains. Values above 1 need
-     * split links; TestSystem rejects them otherwise.
-     */
-    unsigned shardJobs = 1;
-
-    /** Modelled interconnect latencies (zero = legacy sync coupling). */
-    LinkLatencyConfig links;
-    /** @} */
-
     /** MLC size of the antagonist core (paper: 256 KB). */
     std::uint64_t antagonistMlcBytes = 256 * 1024;
-    /** @} */
 
     /** @{ Traffic. */
     TrafficKind traffic = TrafficKind::Bursty;

@@ -37,11 +37,6 @@ Totals::operator-(const Totals &o) const
 TestSystem::TestSystem(const ExperimentConfig &config)
     : cfg(config), sim_(config.seed)
 {
-    if (cfg.shardJobs > 1 && !cfg.links.split())
-        sim::fatal("shardJobs = %u needs split links "
-                   "(--link-pcie-ns/--link-mesh-ns): without them the "
-                   "machine is one timing domain and runs on one thread",
-                   cfg.shardJobs);
     if (cfg.tenantMode()) {
         validateTenantConfig();
         // NF pipelines occupy cores [0, numNfs); antagonist-tenant
@@ -72,14 +67,6 @@ TestSystem::TestSystem(const ExperimentConfig &config)
 
     ctrl = std::make_unique<idio::IdioController>(sim_, "system.idio",
                                                   *hier, cfg.idio);
-
-    // Split-link mode: domain queues and channels must exist before
-    // the components that live on them (the NIC takes the PCIe
-    // adapter as its DMA target).
-    if (cfg.links.split()) {
-        validateSplitConfig();
-        buildSplitFabric();
-    }
 
     nf::NfConfig nfCfg = cfg.nf;
     nfCfg.selfInvalidate = cfg.idio.selfInvalidate;
@@ -162,26 +149,11 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         nic::NicConfig nicCfg = cfg.nic;
         nicCfg.numQueues = cfg.rxQueues;
         nicCfg.rssTableEntries = cfg.rssTableEntries;
-        // In split mode the port lives on its own queue and DMA-writes
-        // go over the PCIe link instead of straight into the
-        // controller.
-        nic::DmaTarget &dmaTarget =
-            fabric ? static_cast<nic::DmaTarget &>(*pcieTarget)
-                   : static_cast<nic::DmaTarget &>(*ctrl);
-        if (fabric)
-            sim_.bindConstructionQueue(fabric->nicQ);
         nics.push_back(std::make_unique<nic::Nic>(
-            sim_, "system.port0.nic", nicCfg, dmaTarget, alloc,
+            sim_, "system.port0.nic", nicCfg, *ctrl, alloc,
             numCores));
-        if (fabric)
-            sim_.bindConstructionQueue(nullptr);
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-            if (fabric)
-                sim_.bindConstructionQueue(fabric->coreQ[i]);
+        for (std::uint32_t i = 0; i < cfg.numNfs; ++i)
             buildNfPipeline(i, *nics.back(), i, cfg.nfKind);
-            if (fabric)
-                sim_.bindConstructionQueue(nullptr);
-        }
 
         gen::TrafficConfig tc;
         tc.frameBytes = cfg.frameBytes;
@@ -190,12 +162,8 @@ TestSystem::TestSystem(const ExperimentConfig &config)
                             : std::uint64_t(cfg.flowsPerNf) *
                                   cfg.numNfs;
         tc.synthDscp = dscp;
-        if (fabric)
-            sim_.bindConstructionQueue(fabric->nicQ);
         buildGen("system.port0.gen", *nics.back(), tc, cfg.traffic,
                  cfg.rateGbps);
-        if (fabric)
-            sim_.bindConstructionQueue(nullptr);
     } else {
         // Legacy layout: one single-queue NIC port + generator per NF
         // core, flows pinned to the core with EP perfect-match rules.
@@ -257,29 +225,17 @@ TestSystem::TestSystem(const ExperimentConfig &config)
     if (cfg.tenantMode())
         buildTenants();
 
-    if (fabric) {
-        wireSplitMode();
-    } else {
-        // Runtime invariant checker: sweeps the whole model between
-        // events so a silent model bug panics instead of skewing
-        // figures. The sweeps read every domain's state from main-
-        // queue events, which would race under a split plan — split
-        // runs rely on the byte-equality gates instead.
-        checker = std::make_unique<sim::InvariantChecker>(
-            sim_, "system.checker", cfg.invariantCheckPeriod);
-        sim::registerEventQueueInvariants(*checker, sim_.eventq());
-        cache::registerCacheInvariants(*checker, *hier);
-        for (auto &n : nics)
-            nic::registerNicInvariants(*checker, *n);
-        checker->attach();
-    }
+    // Runtime invariant checker: sweeps the whole model between
+    // events so a silent model bug panics instead of skewing figures.
+    checker = std::make_unique<sim::InvariantChecker>(
+        sim_, "system.checker", cfg.invariantCheckPeriod);
+    sim::registerEventQueueInvariants(*checker, sim_.eventq());
+    cache::registerCacheInvariants(*checker, *hier);
+    for (auto &n : nics)
+        nic::registerNicInvariants(*checker, *n);
+    checker->attach();
 
     recorder = std::make_unique<TimelineRecorder>(sim_);
-
-    // Split mode runs through the executor: the domain queues need
-    // the windowed barrier protocol.
-    if (fabric)
-        buildShardExecutor();
 }
 
 void
@@ -292,9 +248,6 @@ TestSystem::validateTenantConfig() const
     if (cfg.withAntagonist)
         sim::fatal("tenant mode models aggressors as antagonist "
                    "tenants; drop withAntagonist");
-    if (cfg.links.split())
-        sim::fatal("tenant mode does not support split links (the "
-                   "legacy per-NF-port shape has no NIC domain)");
     if (cfg.tenantNfCores() == 0)
         sim::fatal("tenant mode needs at least one NF tenant core");
     for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
@@ -352,306 +305,7 @@ TestSystem::buildTenants()
             sim_, "system.ioca", *hier, *tenantMgr, cfg.ioca);
 }
 
-void
-TestSystem::validateSplitConfig() const
-{
-    if (!cfg.multiQueue())
-        sim::fatal("split-link mode needs the multi-queue layout "
-                   "(rxQueues != 0): the legacy per-NF-port shape has "
-                   "no single NIC domain to put behind the PCIe link");
-    if (cfg.withAntagonist)
-        sim::fatal("split-link mode does not support the LLC "
-                   "antagonist: its core has no NF pipeline domain");
-    if (cfg.nfKind == NfKind::L2Fwd ||
-        cfg.nfKind == NfKind::L2FwdDropPayload)
-        sim::fatal("split-link mode does not support transmitting NFs "
-                   "(the TX path needs synchronous outbound DMA "
-                   "reads)");
-    if (cfg.links.pcieNs <= 0.0 || cfg.links.meshNs <= 0.0)
-        sim::fatal("split-link mode needs both link latencies > 0 "
-                   "(pcie %.1f ns, mesh %.1f ns): every cross-domain "
-                   "coupling must carry a modelled delay",
-                   cfg.links.pcieNs, cfg.links.meshNs);
-}
 
-void
-TestSystem::buildSplitFabric()
-{
-    fabric = std::make_unique<SplitFabric>();
-    fabric->nicQ = &sim_.addDomainQueue("nic");
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        fabric->coreQ.push_back(
-            &sim_.addDomainQueue("core" + std::to_string(i)));
-    }
-
-    const sim::Tick pcie =
-        std::max<sim::Tick>(1, sim::nsToTicks(cfg.links.pcieNs));
-    const sim::Tick mesh =
-        std::max<sim::Tick>(1, sim::nsToTicks(cfg.links.meshNs));
-
-    // Construction order is also the executor's flush order; keep it
-    // stable or checkpoints change shape.
-    fabric->nicToUncore = std::make_unique<SplitChannel>(
-        sim_, "system.link.pcie.rx", *fabric->nicQ, sim_.eventq(),
-        pcie);
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        const std::string c = "core" + std::to_string(i);
-        fabric->coreToUncore.push_back(std::make_unique<SplitChannel>(
-            sim_, "system.link.mesh." + c + ".up", *fabric->coreQ[i],
-            sim_.eventq(), mesh));
-        fabric->uncoreToCore.push_back(std::make_unique<SplitChannel>(
-            sim_, "system.link.mesh." + c + ".down", sim_.eventq(),
-            *fabric->coreQ[i], mesh));
-        fabric->nicToCore.push_back(std::make_unique<SplitChannel>(
-            sim_, "system.link.pcie." + c + ".desc", *fabric->nicQ,
-            *fabric->coreQ[i], pcie));
-        fabric->coreToNic.push_back(std::make_unique<SplitChannel>(
-            sim_, "system.link.pcie." + c + ".doorbell",
-            *fabric->coreQ[i], *fabric->nicQ, pcie));
-    }
-
-    pcieTarget = std::make_unique<PcieDmaTarget>(*fabric->nicToUncore);
-}
-
-void
-TestSystem::wireSplitMode()
-{
-    // ---- Uncore-side consumers (main queue) ----------------------
-
-    fabric->nicToUncore->setHandler([this](const SplitMsg &m) {
-        SIM_ASSERT(m.kind == SplitMsg::Kind::DmaWrite,
-                   "unexpected message on the PCIe RX link");
-        ctrl->dmaWrite(m.addr, m.meta);
-    });
-
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        fabric->coreToUncore[i]->setHandler([this](const SplitMsg &m) {
-            switch (m.kind) {
-              case SplitMsg::Kind::FillReq: {
-                const auto r = hier->splitHandleFillReq(m.core, m.addr);
-                SplitMsg rsp;
-                rsp.kind = SplitMsg::Kind::FillRsp;
-                rsp.core = m.core;
-                rsp.addr = m.addr;
-                rsp.a = r.extraLat;
-                rsp.b = (r.dirty ? SplitMsg::flagDirty : 0) |
-                        (r.io ? SplitMsg::flagIo : 0) |
-                        (m.a ? SplitMsg::flagWrite : 0) |
-                        (static_cast<std::uint64_t>(r.level)
-                         << SplitMsg::levelShift);
-                fabric->uncoreToCore[m.core]->send(std::move(rsp));
-                break;
-              }
-              case SplitMsg::Kind::VictimWb:
-                hier->splitHandleVictimWb(m.core, m.addr, m.a != 0,
-                                          m.b != 0);
-                break;
-              case SplitMsg::Kind::CoreInval:
-                hier->splitHandleCoreInval(m.core, m.addr);
-                break;
-              case SplitMsg::Kind::PrefetchRetire:
-                hier->firePrefetchRetire(m.core);
-                break;
-              default:
-                sim::fatal("unexpected message on a mesh up-link");
-            }
-        });
-    }
-
-    // ---- Core-side consumers -------------------------------------
-
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        fabric->uncoreToCore[i]->setHandler([this](const SplitMsg &m) {
-            switch (m.kind) {
-              case SplitMsg::Kind::FillRsp:
-                hier->splitInstallFill(
-                    m.core, m.addr, (m.b & SplitMsg::flagDirty) != 0,
-                    (m.b & SplitMsg::flagIo) != 0,
-                    (m.b & SplitMsg::flagWrite) != 0);
-                cores[m.core]->fillArrived(
-                    m.a, static_cast<mem::HitLevel>(
-                             m.b >> SplitMsg::levelShift));
-                break;
-              case SplitMsg::Kind::MlcInval:
-                hier->splitHandleMlcInval(m.core, m.addr);
-                break;
-              case SplitMsg::Kind::BackInval:
-                hier->splitHandleBackInval(m.core, m.addr);
-                break;
-              case SplitMsg::Kind::PrefetchInstall:
-                hier->splitInstallPrefetch(m.core, m.addr, m.a != 0,
-                                           m.b != 0);
-                break;
-              default:
-                sim::fatal("unexpected message on a mesh down-link");
-            }
-        });
-    }
-
-    // ---- NIC-side consumers --------------------------------------
-
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        fabric->coreToNic[i]->setHandler([this, i](const SplitMsg &m) {
-            nic::RxRing &ring = nics[0]->rxRing(i);
-            switch (m.kind) {
-              case SplitMsg::Kind::RingConsume: {
-                const std::uint32_t idx = ring.swConsume();
-                SIM_ASSERT(idx == m.a, "ring consume out of order");
-                break;
-              }
-              case SplitMsg::Kind::RingArm:
-                ring.swArm(static_cast<std::uint32_t>(m.a), m.addr,
-                           static_cast<std::uint32_t>(m.b));
-                break;
-              default:
-                sim::fatal("unexpected message on a doorbell link");
-            }
-        });
-    }
-
-    // ---- Producers -----------------------------------------------
-
-    cache::MemoryHierarchy::SplitHooks hooks;
-    hooks.victimWb = [this](sim::CoreId c, sim::Addr addr, bool dirty,
-                            bool io) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::VictimWb;
-        m.core = c;
-        m.addr = addr;
-        m.a = dirty;
-        m.b = io;
-        fabric->coreToUncore[c]->send(std::move(m));
-    };
-    hooks.prefetchRetire = [this](sim::CoreId c) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::PrefetchRetire;
-        m.core = c;
-        fabric->coreToUncore[c]->send(std::move(m));
-    };
-    hooks.coreInval = [this](sim::CoreId c, sim::Addr addr) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::CoreInval;
-        m.core = c;
-        m.addr = addr;
-        fabric->coreToUncore[c]->send(std::move(m));
-    };
-    hooks.mlcInval = [this](sim::CoreId c, sim::Addr addr) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::MlcInval;
-        m.core = c;
-        m.addr = addr;
-        fabric->uncoreToCore[c]->send(std::move(m));
-    };
-    hooks.backInval = [this](sim::CoreId c, sim::Addr addr) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::BackInval;
-        m.core = c;
-        m.addr = addr;
-        fabric->uncoreToCore[c]->send(std::move(m));
-    };
-    hooks.prefetchInstall = [this](sim::CoreId c, sim::Addr addr,
-                                   bool dirty, bool io) {
-        SplitMsg m;
-        m.kind = SplitMsg::Kind::PrefetchInstall;
-        m.core = c;
-        m.addr = addr;
-        m.a = dirty;
-        m.b = io;
-        fabric->uncoreToCore[c]->send(std::move(m));
-    };
-    hier->enableSplitMode(std::move(hooks));
-
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        cores[i]->setSplitFillDispatch([this, i](sim::Tick resumeAt) {
-            if (!hier->hasPendingFills(i))
-                return false;
-            const auto fills = hier->takePendingFills(i);
-            cores[i]->beginFillWait(
-                static_cast<std::uint32_t>(fills.size()), resumeAt);
-            for (const auto &f : fills) {
-                SplitMsg m;
-                m.kind = SplitMsg::Kind::FillReq;
-                m.core = i;
-                m.addr = f.addr;
-                m.a = f.write;
-                fabric->coreToUncore[i]->send(std::move(m));
-            }
-            return true;
-        });
-
-        rxqs[i]->enableSplitMode(
-            [this, i](std::uint32_t descIdx) {
-                SplitMsg m;
-                m.kind = SplitMsg::Kind::RingConsume;
-                m.core = i;
-                m.a = descIdx;
-                fabric->coreToNic[i]->send(std::move(m));
-            },
-            [this, i](std::uint32_t descIdx, sim::Addr bufAddr,
-                      std::uint32_t mbufIdx) {
-                SplitMsg m;
-                m.kind = SplitMsg::Kind::RingArm;
-                m.core = i;
-                m.a = descIdx;
-                m.addr = bufAddr;
-                m.b = mbufIdx;
-                fabric->coreToNic[i]->send(std::move(m));
-            });
-    }
-
-    nics[0]->setDescReadyHook(
-        [this](std::uint32_t queue, std::uint32_t descIdx) {
-            const nic::RxSlot &slot =
-                nics[0]->rxRing(queue).slot(descIdx);
-            SplitMsg m;
-            m.kind = SplitMsg::Kind::DescReady;
-            m.core = queue;
-            m.a = descIdx;
-            m.b = slot.mbufIdx;
-            m.pkt = slot.pkt;
-            fabric->nicToCore[queue]->send(std::move(m));
-        });
-
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        fabric->nicToCore[i]->setHandler([this, i](const SplitMsg &m) {
-            SIM_ASSERT(m.kind == SplitMsg::Kind::DescReady,
-                       "unexpected message on a descriptor link");
-            rxqs[i]->onDescReady(static_cast<std::uint32_t>(m.a),
-                                 static_cast<std::uint32_t>(m.b),
-                                 m.pkt);
-        });
-    }
-}
-
-void
-TestSystem::buildShardExecutor()
-{
-    // Every cross-domain coupling is a latency link, so the uncore,
-    // the NIC and each core run as separate domains, and the
-    // conservative window is the minimum link latency.
-    const sim::Tick pcie = fabric->nicToUncore->latency();
-    const sim::Tick mesh = fabric->coreToUncore.front()->latency();
-
-    shardExec = std::make_unique<sim::shard::ShardedExecutor>(
-        cfg.shardJobs);
-    shardExec->addExternalDomain("uncore", sim_.eventq());
-    shardExec->addExternalDomain("nic", *fabric->nicQ);
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        shardExec->addExternalDomain("core" + std::to_string(i),
-                                     *fabric->coreQ[i]);
-    }
-    shardExec->setWindow(std::min(pcie, mesh));
-
-    // Flush order = construction order (checkpoint shape depends on
-    // it).
-    shardExec->registerChannel(fabric->nicToUncore.get());
-    for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-        shardExec->registerChannel(fabric->coreToUncore[i].get());
-        shardExec->registerChannel(fabric->uncoreToCore[i].get());
-        shardExec->registerChannel(fabric->nicToCore[i].get());
-        shardExec->registerChannel(fabric->coreToNic[i].get());
-    }
-}
 
 TestSystem::~TestSystem() = default;
 
@@ -683,10 +337,7 @@ TestSystem::start()
 void
 TestSystem::runFor(sim::Tick duration)
 {
-    if (shardExec)
-        shardExec->runUntil(sim_.now() + duration);
-    else
-        sim_.runFor(duration);
+    sim_.runFor(duration);
 }
 
 std::vector<std::uint8_t>
@@ -771,12 +422,6 @@ TestSystem::tenantTotals() const
 void
 TestSystem::trackDefaultSeries()
 {
-    // The default series sample core-owned MLC counters from a main-
-    // queue periodic, which would race under a split plan; scaling
-    // runs compare totals() between runs instead.
-    if (fabric)
-        return;
-
     recorder->trackRate("mlcWB", [this] {
         return hier->totalMlcWritebacks();
     });

@@ -8,14 +8,12 @@
  * core, EP-rule steering) and the multi-queue one (cfg.rxQueues != 0:
  * one shared port with a ring per core, RSS/RETA steering over a
  * synthetic flow population — the paper's actual machine shape).
- * With split links (cfg.links), the NIC and every core get their own
- * event queue and runFor() drives them through a conservative-window
- * ShardedExecutor on cfg.shardJobs threads. cfg.tenants switches the
- * legacy layout into tenant mode: per-tenant NF kinds/traffic on the
- * NF cores, aggressor cores for antagonist tenants, and a
- * tenant::TenantManager (plus optional IocaController) programming
- * the LLC's CAT way partition. Every bench, example and integration
- * test builds on this class.
+ * The whole machine is one timing domain on one event queue.
+ * cfg.tenants switches the legacy layout into tenant mode: per-tenant
+ * NF kinds/traffic on the NF cores, aggressor cores for antagonist
+ * tenants, and a tenant::TenantManager (plus optional
+ * IocaController) programming the LLC's CAT way partition. Every
+ * bench, example and integration test builds on this class.
  */
 
 #ifndef IDIO_HARNESS_SYSTEM_HH
@@ -30,7 +28,6 @@
 #include "dpdk/rx_queue.hh"
 #include "gen/traffic.hh"
 #include "harness/experiment_config.hh"
-#include "harness/split_fabric.hh"
 #include "harness/timeline.hh"
 #include "idio/controller.hh"
 #include "mem/phys_alloc.hh"
@@ -39,7 +36,6 @@
 #include "nf/touch_drop.hh"
 #include "nic/nic.hh"
 #include "sim/checker/invariant_checker.hh"
-#include "sim/shard/executor.hh"
 #include "sim/simulation.hh"
 #include "tenant/ioca.hh"
 #include "tenant/manager.hh"
@@ -139,18 +135,6 @@ class TestSystem
     {
         return static_cast<std::uint32_t>(nfs.size());
     }
-
-    /**
-     * Non-null in split-link mode, where runFor is driven through the
-     * executor (the domain queues need the windowed barrier protocol).
-     */
-    sim::shard::ShardedExecutor *shardExecutor()
-    {
-        return shardExec.get();
-    }
-
-    /** Non-null in split-link mode (cfg.links.split()). */
-    SplitFabric *splitFabric() { return fabric.get(); }
     /** @} */
 
     /** Current transaction totals. */
@@ -181,18 +165,6 @@ class TestSystem
     std::unique_ptr<tenant::IocaController> ioca;
     std::unique_ptr<sim::InvariantChecker> checker;
     std::unique_ptr<TimelineRecorder> recorder;
-    std::unique_ptr<sim::shard::ShardedExecutor> shardExec;
-
-    /** @{ Split-link mode (cfg.links.split()). */
-    std::unique_ptr<SplitFabric> fabric;
-    std::unique_ptr<PcieDmaTarget> pcieTarget;
-
-    void validateSplitConfig() const;
-    void buildSplitFabric();
-    void wireSplitMode();
-    /** @} */
-
-    void buildShardExecutor();
 
     void validateTenantConfig() const;
     void buildTenants();

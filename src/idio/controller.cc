@@ -197,7 +197,7 @@ IdioController::unserialize(ckpt::Deserializer &d)
                    name().c_str());
     }
     intervalsSinceAvg = d.readU32();
-    ckpt::unserializeEvent(d, &controlEvent, &eventq());
+    ckpt::unserializeEvent(d, &controlEvent);
 }
 
 } // namespace idio

@@ -110,7 +110,7 @@ MlcPrefetcher::unserialize(ckpt::Deserializer &d)
     const std::uint64_t n = d.readU64();
     for (std::uint64_t i = 0; i < n; ++i)
         queue.push_back(d.readU64());
-    ckpt::unserializeEvent(d, &issueEvent, &eventq());
+    ckpt::unserializeEvent(d, &issueEvent);
 }
 
 } // namespace idio

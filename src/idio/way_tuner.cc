@@ -85,7 +85,7 @@ DdioWayTuner::unserialize(ckpt::Deserializer &d)
 {
     lastLeak = d.readU64();
     lastMisses = d.readU64();
-    ckpt::unserializeEvent(d, &tick, &eventq());
+    ckpt::unserializeEvent(d, &tick);
 }
 
 } // namespace idio

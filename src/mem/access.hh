@@ -40,14 +40,6 @@ struct AccessResult
 
     /** Level the line was found in. */
     HitLevel level = HitLevel::L1;
-
-    /**
-     * Split-link mode only: the private caches missed and a fill
-     * request is pending on the mesh link. The latency covers only the
-     * local probes, and level is meaningless until the fill reply
-     * arrives (the core counts the level then).
-     */
-    bool pending = false;
 };
 
 } // namespace mem

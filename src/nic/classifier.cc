@@ -43,9 +43,6 @@ IdioClassifier::IdioClassifier(sim::Simulation &simulation,
                                 config.counterInterval)),
       counters(numCores, 0), crossedThis(numCores, false),
       crossedPrev(numCores, false),
-      // eventq(), not simulation.eventq(): under a split plan the
-      // classifier lives on the NIC domain's queue and the counter
-      // reset must fire there, not on the uncore queue.
       resetEvent(eventq(), config.counterInterval,
                  [this] { resetCounters(); }, name + ".counterReset")
 {
@@ -112,7 +109,7 @@ IdioClassifier::unserialize(ckpt::Deserializer &d)
         sim::fatal("ckpt: '%s' per-core vector size mismatch",
                    name().c_str());
     }
-    ckpt::unserializeEvent(d, &resetEvent, &eventq());
+    ckpt::unserializeEvent(d, &resetEvent);
 }
 
 } // namespace nic

@@ -170,7 +170,7 @@ DmaEngine::serialize(ckpt::Serializer &s) const
 void
 DmaEngine::unserialize(ckpt::Deserializer &d)
 {
-    ckpt::unserializeEvent(d, &pumpEvent, &eventq());
+    ckpt::unserializeEvent(d, &pumpEvent);
     ops.clear();
     const std::uint64_t count = d.readU64();
     for (std::uint64_t i = 0; i < count; ++i) {

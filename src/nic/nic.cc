@@ -221,8 +221,6 @@ Nic::onDescComplete(std::uint32_t descIdx, std::uint32_t queue)
     ring.hwComplete(descIdx);
     IDIO_TRACE_INSTANT(trc, trace::EventKind::NicDescWb, now(),
                        ring.slot(descIdx).pkt.id, queue, descIdx);
-    if (descReady)
-        descReady(queue, descIdx);
 }
 
 void
@@ -328,8 +326,7 @@ Nic::unserialize(ckpt::Deserializer &d)
         wb.queue = d.readU32();
         wb.meta = unserializeTlpMeta(d);
         pendingWbs.push_back(wb);
-        d.deferOneShot(wb.seq, wb.when, [this] { descWbFire(); },
-                       &eventq());
+        d.deferOneShot(wb.seq, wb.when, [this] { descWbFire(); });
     }
 }
 

@@ -96,16 +96,6 @@ class Nic : public sim::SimObject
     void setRxTap(RxTap tap) { rxTap = std::move(tap); }
 
     /**
-     * Split-link mode: invoked when a descriptor writeback completes
-     * (the DD bit just set). The harness reads the slot (still in the
-     * NIC's domain) and ships a DescReady message to the owning core's
-     * PMD over the PCIe link.
-     */
-    using DescReadyHook =
-        std::function<void(std::uint32_t queue, std::uint32_t descIdx)>;
-    void setDescReadyHook(DescReadyHook h) { descReady = std::move(h); }
-
-    /**
      * Invoked when a descriptor of ring @p queue completes, before
      * software can see it: the polling core's wake-up (see
      * cpu::Core::wake). One watcher per ring.
@@ -194,7 +184,6 @@ class Nic : public sim::SimObject
 
     NicConfig cfg;
     RxTap rxTap;
-    DescReadyHook descReady;
     std::vector<sim::Delegate<void()>> ringWatchers;
     trace::Source trc;
     FlowDirector fdir;

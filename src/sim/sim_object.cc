@@ -11,7 +11,7 @@ namespace sim
 {
 
 SimObject::SimObject(Simulation &simulation, std::string name)
-    : sim(simulation), eq(&simulation.constructionQueue()),
+    : sim(simulation), eq(&simulation.eventq()),
       _name(std::move(name))
 {
     sim.registerObject(this);

@@ -55,17 +55,13 @@ class SimObject
     /** Owning simulation. */
     Simulation &simulation() const { return sim; }
 
-    /**
-     * Event queue shorthand: the timing-domain queue this object was
-     * constructed under (the simulation's main queue unless the
-     * harness bound an auxiliary domain queue around construction).
-     */
+    /** Event queue shorthand (the simulation's queue). */
     EventQueue &eventq() const { return *eq; }
 
     /** Event tracer shorthand. */
     trace::Tracer &tracer() const;
 
-    /** Current simulated time shorthand (this object's domain queue). */
+    /** Current simulated time shorthand. */
     Tick now() const;
 
     /**

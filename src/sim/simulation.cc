@@ -35,14 +35,6 @@ Simulation::registerObject(SimObject *obj)
     objs.push_back(obj);
 }
 
-EventQueue &
-Simulation::addDomainQueue(std::string name)
-{
-    auxQueues.push_back(std::make_unique<EventQueue>());
-    auxNames.push_back(std::move(name));
-    return *auxQueues.back();
-}
-
 void
 Simulation::unregisterObject(SimObject *obj)
 {

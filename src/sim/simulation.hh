@@ -97,55 +97,14 @@ class Simulation
     }
 
     /**
-     * Total events processed across the main queue and every domain
-     * queue. Host-independent (scheduling backend and thread count do
-     * not change it), which makes it the work counter the perf bench
-     * reports and CI gates on.
+     * Total events processed. Host-independent, which makes it the
+     * work counter the perf bench reports and CI gates on.
      */
     std::uint64_t
     totalProcessedEvents() const
     {
-        std::uint64_t total = queue.processedEvents();
-        for (const auto &q : auxQueues)
-            total += q->processedEvents();
-        return total;
+        return queue.processedEvents();
     }
-
-    /**
-     * @{ Auxiliary per-domain event queues (split-link execution).
-     *
-     * Split-link mode places the NIC and each core on its own queue
-     * (the uncore stays on the main queue); the harness creates them
-     * before constructing the domain's components and the
-     * ShardedExecutor advances every queue as its own domain under
-     * the conservative window. Creation order is deterministic (model
-     * construction is), which the checkpoint layer relies on. A
-     * simulation with no auxiliary queues runs on the main queue
-     * alone.
-     */
-    EventQueue &addDomainQueue(std::string name);
-    std::size_t domainQueueCount() const { return auxQueues.size(); }
-    EventQueue &domainQueue(std::size_t i) { return *auxQueues[i]; }
-    const std::string &domainQueueName(std::size_t i) const
-    {
-        return auxNames[i];
-    }
-    /** @} */
-
-    /**
-     * @{ Construction-time queue binding. SimObjects capture the
-     * current construction queue in their constructor; the harness
-     * brackets each domain's component construction with
-     * bindConstructionQueue(&domainQueue)/bindConstructionQueue(nullptr).
-     * The default (nullptr) binds to the main queue, so existing
-     * single-queue models are untouched.
-     */
-    void bindConstructionQueue(EventQueue *q) { buildQueue = q; }
-    EventQueue &constructionQueue()
-    {
-        return buildQueue ? *buildQueue : queue;
-    }
-    /** @} */
 
   private:
     EventQueue queue;
@@ -154,9 +113,6 @@ class Simulation
     std::unique_ptr<stats::Registry> statsReg;
     std::unique_ptr<trace::Tracer> tracerPtr;
     std::vector<SimObject *> objs;
-    std::vector<std::unique_ptr<EventQueue>> auxQueues;
-    std::vector<std::string> auxNames;
-    EventQueue *buildQueue = nullptr;
 };
 
 } // namespace sim

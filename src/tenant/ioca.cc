@@ -122,7 +122,7 @@ IocaController::unserialize(ckpt::Deserializer &d)
 {
     for (auto &v : lastDemand)
         v = d.readU64();
-    ckpt::unserializeEvent(d, &tick, &eventq());
+    ckpt::unserializeEvent(d, &tick);
 }
 
 } // namespace tenant

@@ -111,17 +111,4 @@ TEST(SystemDeath, DoubleStartPanics)
     EXPECT_DEATH(sys.start(), "started twice");
 }
 
-TEST(SystemDeath, ShardJobsWithoutSplitLinksIsFatal)
-{
-    // More than one shard job only means something for split links;
-    // the error names the options that enable them.
-    harness::ExperimentConfig cfg;
-    cfg.numNfs = 4;
-    cfg.rxQueues = 4;
-    cfg.shardJobs = 2;
-    EXPECT_EXIT(harness::TestSystem sys(cfg),
-                ::testing::ExitedWithCode(1),
-                "--link-pcie-ns/--link-mesh-ns");
-}
-
 } // anonymous namespace

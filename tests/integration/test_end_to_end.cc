@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "harness/system.hh"
+#include "tenant_scenario.hh"
 
 namespace
 {
@@ -29,20 +33,68 @@ TEST(EndToEnd, BurstyTouchDropProcessesFullBursts)
     EXPECT_EQ(t.processedPackets, t.rxPackets);
 }
 
-TEST(EndToEnd, InvariantCheckerSweepsTheWholeRun)
+/** One machine layout the invariant checker has to cover. */
+struct Layout
 {
-    // Acceptance gate for the correctness tooling: a full end-to-end
-    // run must evaluate every registered invariant at least once, with
-    // zero violations (a violation would have panicked the run).
+    const char *name;
+    harness::ExperimentConfig (*config)();
+    sim::Tick runTime;
+};
+
+void
+PrintTo(const Layout &layout, std::ostream *os)
+{
+    *os << layout.name;
+}
+
+/** Two NFs on per-NF single-queue ports (the figure benches' shape). */
+harness::ExperimentConfig
+legacyConfig()
+{
     harness::ExperimentConfig cfg;
     cfg.numNfs = 2;
     cfg.traffic = harness::TrafficKind::Bursty;
     cfg.rateGbps = 25.0;
     cfg.applyPolicy(idio::Policy::Idio);
+    return cfg;
+}
 
-    harness::TestSystem sys(cfg);
+/** Eight cores sharing one port with eight RSS-steered RX queues. */
+harness::ExperimentConfig
+multiQueueConfig()
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 8;
+    cfg.rxQueues = 8;
+    cfg.totalFlows = 1024;
+    cfg.traffic = harness::TrafficKind::Bursty;
+    cfg.rateGbps = 100.0;
+    cfg.burstPeriod = 10 * sim::oneSec; // one burst
+    cfg.nic.ringSize = 256;
+    cfg.applyPolicy(idio::Policy::Idio);
+    return cfg;
+}
+
+/** The canonical 3-tenant mix under IOCA, antagonist tenant included. */
+harness::ExperimentConfig
+tenantMixConfig()
+{
+    return bench::tenantMixConfig(bench::tenantSchemes[2]);
+}
+
+class EndToEndLayout : public ::testing::TestWithParam<Layout>
+{
+};
+
+TEST_P(EndToEndLayout, InvariantCheckerSweepsTheWholeRun)
+{
+    // Acceptance gate for the correctness tooling: a full end-to-end
+    // run must evaluate every registered invariant on every sweep,
+    // with zero violations (a violation would have panicked the run),
+    // whatever the machine layout.
+    harness::TestSystem sys(GetParam().config());
     sys.start();
-    sys.runFor(25 * sim::oneMs);
+    sys.runFor(GetParam().runTime);
 
     auto &chk = sys.invariantChecker();
     EXPECT_GT(chk.numInvariants(), 0u);
@@ -55,6 +107,16 @@ TEST(EndToEnd, InvariantCheckerSweepsTheWholeRun)
         EXPECT_EQ(chk.violations.get(), 0u);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, EndToEndLayout,
+    ::testing::Values(
+        Layout{"legacy_2nf", legacyConfig, 25 * sim::oneMs},
+        Layout{"multi_queue_8", multiQueueConfig, 2 * sim::oneMs},
+        Layout{"tenant_mix", tenantMixConfig, bench::tenantHorizon}),
+    [](const ::testing::TestParamInfo<Layout> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(EndToEnd, SteadyOverloadDropsPackets)
 {

@@ -23,8 +23,7 @@ the "good" direction from the metric name:
   informational      ops, configs, jobs, effective_parallelism,
                      hw_threads, deterministic,
                      packets, events, cores, rx_queues, flows,
-                     link_pcie_ns, link_mesh_ns, micro_reps,
-                     reallocations — never compared
+                     micro_reps, reallocations — never compared
 
 A higher-is-better metric that dropped by more than --tolerance
 (default 15%) is a hard regression: the script exits 1. Lower-is-better
@@ -41,9 +40,14 @@ beyond tolerance is always a hard regression. Conversely, when either
 file was produced on a host whose measured effective parallelism is
 below 1.5 (perf_smoke's `effective_parallelism`; older files carry
 `hw_threads` instead), the wall-clock throughput comparisons are
-demoted to advisory — a runner time-slicing shard workers onto one
+demoted to advisory — a runner time-slicing sweep workers onto one
 core makes "more workers slower than one" readings meaningless — and
 the work counters carry the gate alone.
+
+A direction-bearing baseline metric that the current file lacks is
+listed as DROPPED. Dropping a hard-gated one (events_per_packet or a
+simulated latency percentile) exits 1: a gate that silently vanishes
+would otherwise pass every future regression.
 """
 
 from __future__ import annotations
@@ -77,8 +81,6 @@ INFORMATIONAL = {
     "cores",
     "rx_queues",
     "flows",
-    "link_pcie_ns",
-    "link_mesh_ns",
     "micro_reps",
     "reallocations",
 }
@@ -181,7 +183,7 @@ def main() -> int:
     cur = dict(flatten(cur_doc))
 
     # On a host that cannot run threads in parallel every wall-clock
-    # rate is noise (shard workers time-slice one core), so only the
+    # rate is noise (sweep workers time-slice one core), so only the
     # deterministic work counters gate; the rates print as advisory.
     low_parallelism = (parallelism(base_doc) < MIN_PARALLELISM
                        or parallelism(cur_doc) < MIN_PARALLELISM)
@@ -215,7 +217,19 @@ def main() -> int:
         print(f"{flag:>10}  {path:<42} {b:>14.4g} -> {c:>14.4g} "
               f"({change:+.1%})")
 
-    if compared == 0:
+    # Metrics the baseline tracks but the current file no longer
+    # carries: a vanished hard gate fails, a vanished rate only warns.
+    dropped_hard = []
+    for path in sorted(base.keys() - cur.keys()):
+        if direction(path) is None:
+            continue
+        hard = is_hard_lower(path.rsplit(".", 1)[-1])
+        if hard:
+            dropped_hard.append(path)
+        print(f"{'DROPPED':>10}  {path:<42} {base[path]:>14.4g} -> "
+              f"{'missing':>14}{' (hard-gated)' if hard else ''}")
+
+    if compared == 0 and not dropped_hard:
         print("error: no comparable metrics shared by the two files",
               file=sys.stderr)
         return 2
@@ -225,6 +239,10 @@ def main() -> int:
     if regressions:
         print(f"\n{len(regressions)} throughput regression(s) beyond "
               f"{args.tolerance:.0%}: {', '.join(regressions)}")
+    if dropped_hard:
+        print(f"\n{len(dropped_hard)} hard-gated metric(s) missing from "
+              f"the current file: {', '.join(dropped_hard)}")
+    if regressions or dropped_hard:
         return 1
     print(f"\nall {compared} compared metrics within "
           f"{args.tolerance:.0%} (or advisory)")
