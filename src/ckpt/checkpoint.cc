@@ -33,14 +33,13 @@ constexpr const char *eventqSection = "_eventq";
 void
 saveEventq(Serializer &s, sim::EventQueue &eq)
 {
-    s.beginSection(eventqSection, /*version=*/3);
+    s.beginSection(eventqSection, /*version=*/4);
     s.writeU32(sim::EventQueueRestoreAccess::wheelLevels());
     s.writeU32(sim::EventQueueRestoreAccess::wheelSlotBits());
     s.writeTick(sim::EventQueueRestoreAccess::wheelBase(eq));
     s.writeTick(eq.now());
     s.writeU64(sim::EventQueueRestoreAccess::nextSeq(eq));
     s.writeU64(eq.processedEvents());
-    s.writeU64(sim::EventQueueRestoreAccess::sinceHook(eq));
     s.writeU64(eq.pending());
     s.endSection();
 }
@@ -49,9 +48,9 @@ void
 restoreEventq(Deserializer &d, sim::EventQueue &eq)
 {
     const std::uint32_t version = d.beginSection(eventqSection);
-    if (version != 3)
+    if (version != 4)
         sim::fatal("ckpt: '%s' section version %u; this build reads "
-                   "version 3",
+                   "version 4",
                    eventqSection, version);
     const std::uint32_t levels = d.readU32();
     const std::uint32_t slotBits = d.readU32();
@@ -59,7 +58,6 @@ restoreEventq(Deserializer &d, sim::EventQueue &eq)
     const sim::Tick tick = d.readTick();
     const std::uint64_t nextSeq = d.readU64();
     const std::uint64_t nProcessed = d.readU64();
-    const std::uint64_t sinceHook = d.readU64();
     const std::uint64_t pendingCount = d.readU64();
     d.endSection();
 
@@ -89,7 +87,6 @@ restoreEventq(Deserializer &d, sim::EventQueue &eq)
     sim::EventQueueRestoreAccess::setCurTick(eq, tick);
     sim::EventQueueRestoreAccess::setNextSeq(eq, nextSeq);
     sim::EventQueueRestoreAccess::setProcessed(eq, nProcessed);
-    sim::EventQueueRestoreAccess::setSinceHook(eq, sinceHook);
 }
 
 void

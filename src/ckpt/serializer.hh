@@ -64,7 +64,9 @@ namespace ckpt
  * wheel base tick and the wheel geometry (levels, slot bits), and
  * link-channel sections store batched delivery records.
  * v4: _eventq sections (section version 3) drop the backend tag; the
- * timing wheel is the only scheduler.
+ * timing wheel is the only scheduler. Section version 4 also drops
+ * the events-since-last-hook counter (the section is versioned on
+ * its own, so the file format stays v4).
  */
 constexpr std::uint32_t formatVersion = 4;
 

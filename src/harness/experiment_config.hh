@@ -216,15 +216,6 @@ struct ExperimentConfig
     /** RNG seed for the whole run. */
     std::uint64_t seed = 1;
 
-    /**
-     * Runtime invariant-checker sweep period in processed events
-     * (0 = checker off). Sweeps verify the cache hierarchy, the NIC
-     * rings and the event queue between events; see
-     * src/sim/checker/invariant_checker.hh. Effective only in builds
-     * with IDIO_CHECK_INVARIANTS compiled in.
-     */
-    std::uint64_t invariantCheckPeriod = 8192;
-
     /** Apply a named IDIO policy preset (also syncs nf/dscp knobs). */
     void
     applyPolicy(idio::Policy p)

@@ -225,15 +225,14 @@ TestSystem::TestSystem(const ExperimentConfig &config)
     if (cfg.tenantMode())
         buildTenants();
 
-    // Runtime invariant checker: sweeps the whole model between
-    // events so a silent model bug panics instead of skewing figures.
-    checker = std::make_unique<sim::InvariantChecker>(
-        sim_, "system.checker", cfg.invariantCheckPeriod);
+    // Runtime invariant checker: runFor() sweeps the whole model so a
+    // silent model bug panics instead of skewing figures.
+    checker = std::make_unique<sim::InvariantChecker>(sim_,
+                                                      "system.checker");
     sim::registerEventQueueInvariants(*checker, sim_.eventq());
     cache::registerCacheInvariants(*checker, *hier);
     for (auto &n : nics)
         nic::registerNicInvariants(*checker, *n);
-    checker->attach();
 
     recorder = std::make_unique<TimelineRecorder>(sim_);
 }
@@ -337,7 +336,11 @@ TestSystem::start()
 void
 TestSystem::runFor(sim::Tick duration)
 {
+    const sim::Tick from = sim_.now();
     sim_.runFor(duration);
+    // Every sleeper has been woken and credited by now.
+    if (sim_.now() / checkGrid != from / checkGrid)
+        checker->check();
 }
 
 std::vector<std::uint8_t>

@@ -97,7 +97,18 @@ class TestSystem
     /** Start all components (NFs, traffic, control planes). */
     void start();
 
-    /** Run for @p duration more simulated time. */
+    /**
+     * Simulated-time grid of the invariant sweeps: runFor() sweeps
+     * once after a call that crossed a multiple of it. The rule is
+     * stateless, so cold, forked, restored and sleeping runs sweep at
+     * the same points.
+     */
+    static constexpr sim::Tick checkGrid = 100 * sim::oneUs;
+
+    /**
+     * Run for @p duration more simulated time, then sweep the
+     * invariant checker if the call crossed a checkGrid point.
+     */
     void runFor(sim::Tick duration);
 
     /**

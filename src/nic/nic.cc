@@ -32,11 +32,7 @@ unpackClassification(std::uint64_t v)
     return cls;
 }
 
-/**
- * Pack (descriptor index, queue) into one DmaArgs slot. Queue 0 packs
- * to the bare index, so single-queue DMA argument streams are
- * bit-identical to the historical ones.
- */
+/** Pack (descriptor index, queue) into one DmaArgs slot. */
 std::uint64_t
 packDescRef(std::uint32_t idx, std::uint32_t queue)
 {

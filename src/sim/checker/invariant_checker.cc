@@ -15,22 +15,15 @@ namespace sim
 {
 
 InvariantChecker::InvariantChecker(Simulation &simulation,
-                                   const std::string &name,
-                                   std::uint64_t periodEvents)
+                                   const std::string &name)
     : SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       sweeps(statGroup, "sweeps", "completed invariant sweeps"),
       evaluations(statGroup, "evaluations",
                   "individual invariant evaluations"),
       violations(statGroup, "violations",
-                 "invariant violations detected"),
-      period(periodEvents)
+                 "invariant violations detected")
 {
-}
-
-InvariantChecker::~InvariantChecker()
-{
-    detach();
 }
 
 void
@@ -39,25 +32,6 @@ InvariantChecker::registerInvariant(std::string invName, Invariant fn)
     if (!fn)
         panic("registering null invariant '%s'", invName.c_str());
     invariants.push_back({std::move(invName), std::move(fn)});
-}
-
-void
-InvariantChecker::attach()
-{
-    if (!compiledIn || period == 0)
-        return;
-    EventQueue &eq = eventq();
-    eq.setPostEventHook(period, [this] { check(); });
-    attachedTo = &eq;
-}
-
-void
-InvariantChecker::detach()
-{
-    if (attachedTo) {
-        attachedTo->setPostEventHook(0, nullptr);
-        attachedTo = nullptr;
-    }
 }
 
 void

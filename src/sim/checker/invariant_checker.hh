@@ -7,15 +7,16 @@
  * event-time monotonicity) that a silent pointer bug can violate
  * without crashing — producing plausible-but-wrong numbers. The
  * InvariantChecker turns those invariants into machine-checked
- * assertions: subsystems register named callbacks, and the checker
- * sweeps all of them every N processed events via the EventQueue's
- * post-event hook, so every sweep observes quiescent inter-event state.
- * Any recorded failure panics with the full list of violations.
+ * assertions: subsystems register named callbacks, and check() sweeps
+ * all of them. The checker owns no cadence: its caller sweeps between
+ * run calls (harness::TestSystem::runFor does, on a simulated-time
+ * grid), so every sweep observes quiescent inter-event state. Any
+ * recorded failure panics with the full list of violations.
  *
  * Cost control: the whole subsystem is compiled down to no-ops when
  * the build sets -DIDIO_CHECK_INVARIANTS=0 (CMake option
  * IDIO_CHECK_INVARIANTS=OFF), and can be disabled at runtime with
- * setEnabled(false) or a zero sweep period.
+ * setEnabled(false).
  *
  * Adding a new invariant (see DESIGN.md "Correctness tooling"):
  * write a `void(sim::InvariantReport &)` callback that calls
@@ -26,7 +27,6 @@
 #ifndef IDIO_SIM_CHECKER_INVARIANT_CHECKER_HH
 #define IDIO_SIM_CHECKER_INVARIANT_CHECKER_HH
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -71,8 +71,8 @@ class InvariantReport
 };
 
 /**
- * SimObject that owns the registered invariants and runs them
- * periodically (every N processed events) or on demand via check().
+ * SimObject that owns the registered invariants and runs them on
+ * demand via check().
  */
 class InvariantChecker : public SimObject
 {
@@ -85,30 +85,13 @@ class InvariantChecker : public SimObject
     /** False when the build compiled the checker out. */
     static constexpr bool compiledIn = (IDIO_CHECK_INVARIANTS != 0);
 
-    /**
-     * @param periodEvents Run a sweep every this many processed events
-     *        once attach()ed; 0 disables periodic sweeps (check() still
-     *        works).
-     */
-    InvariantChecker(Simulation &simulation, const std::string &name,
-                     std::uint64_t periodEvents = 4096);
-
-    ~InvariantChecker() override;
+    InvariantChecker(Simulation &simulation, const std::string &name);
 
     /** Register @p fn under @p invName (used in violation reports). */
     void registerInvariant(std::string invName, Invariant fn);
 
     /** Number of registered invariants. */
     std::size_t numInvariants() const { return invariants.size(); }
-
-    /**
-     * Install the periodic sweep on the simulation's event queue.
-     * No-op when compiled out or the period is 0.
-     */
-    void attach();
-
-    /** Remove the periodic sweep hook. */
-    void detach();
 
     /**
      * Run one full sweep immediately. panic()s listing every violation
@@ -121,9 +104,6 @@ class InvariantChecker : public SimObject
 
     /** True when sweeps actually evaluate invariants. */
     bool enabled() const { return compiledIn && isEnabled; }
-
-    /** Sweep period in processed events (0 = periodic sweeps off). */
-    std::uint64_t periodEvents() const { return period; }
 
     /** @{ Counters (acceptance: every invariant evaluated >= once
      *  iff sweeps.get() >= 1 and evaluations == sweeps*numInvariants). */
@@ -140,9 +120,7 @@ class InvariantChecker : public SimObject
     };
 
     std::vector<NamedInvariant> invariants;
-    std::uint64_t period;
     bool isEnabled = true;
-    EventQueue *attachedTo = nullptr;
 };
 
 /**

@@ -385,7 +385,7 @@ bool
 EventQueue::sleep(Event *ev, Tick first, Tick period, Sleeper *owner)
 {
     SIM_ASSERT(!ev->_scheduled, "sleeping a scheduled event");
-    if (sleepForbidden || hookEvery || period == 0)
+    if (sleepForbidden || period == 0)
         return false;
     // Two sleepers sharing a tick would tie at equal positions with
     // nothing left to order them; a recovered repeat on the grid
@@ -619,7 +619,7 @@ EventQueue::selfCheckConsistent() const
             }
         }
     }
-    // When called from the post-event hook mid-drain, drainPos still
+    // When called from inside a dispatch mid-drain, drainPos still
     // points at the entry being fired (its livePending share is
     // already gone); only entries after it are still live.
     const std::size_t firstLive = drainPos + (draining ? 1 : 0);

@@ -31,10 +31,6 @@
  * heap entries are compacted lazily so deschedule churn cannot bloat
  * the heap.
  *
- * The queue also carries the hook the runtime invariant checker hangs
- * off: a callback invoked every N processed events, between events, so
- * whole-model sweeps observe only quiescent (post-transaction) state.
- *
  * Sleeping events: an event that would reschedule itself every
  * `period` ticks with no effect but counters (an idle PMD poll) can
  * sleep() instead. The queue dispatches none of the repeats; it
@@ -52,7 +48,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -357,9 +352,9 @@ class EventQueue
      * @p owner is credited the skipped dispatches lazily: on wake(),
      * syncSleepers(), and whenever a run call returns (which wakes
      * every sleeper). Returns false, and the caller schedules @p ev
-     * as usual, when the queue cannot keep the repeats exact: a post-
-     * event hook counts dispatches, or the grid shares a tick with
-     * another sleeper's (their relative order would be lost).
+     * as usual, when the queue cannot keep the repeats exact: the
+     * grid shares a tick with another sleeper's (their relative order
+     * would be lost).
      */
     bool sleep(Event *ev, Tick first, Tick period, Sleeper *owner);
 
@@ -385,28 +380,6 @@ class EventQueue
     /** Number of events currently asleep. */
     std::size_t sleeping() const { return sleeps.size(); }
     /** @} */
-
-    /**
-     * Install a callback invoked after every @p everyNEvents processed
-     * events (the invariant-checker hang point). The hook runs between
-     * events: all model state is quiescent when it fires. Passing an
-     * empty function or @p everyNEvents == 0 uninstalls the hook.
-     */
-    void
-    setPostEventHook(std::uint64_t everyNEvents,
-                     std::function<void()> hook)
-    {
-        if (everyNEvents == 0 || !hook) {
-            hookEvery = 0;
-            postEventHook = nullptr;
-        } else {
-            // A hook counts dispatches: repeats must stay real.
-            wakeSleepers();
-            hookEvery = everyNEvents;
-            postEventHook = std::move(hook);
-        }
-        sinceHook = 0;
-    }
 
     /**
      * Exhaustive self-check of the scheduler's internal bookkeeping:
@@ -588,8 +561,8 @@ class EventQueue
     /**
      * Dispatch one entry: unmark, invoke, recycle (for pooled
      * one-shots the invoke is a single devirtualized indirect call
-     * that consumes the callable), bump counters, maybe fire the
-     * post-event hook. The entry is already out of its container.
+     * that consumes the callable), bump counters. The entry is
+     * already out of its container.
      */
     void
     fireEntry(const Entry &e)
@@ -613,10 +586,6 @@ class EventQueue
             ev->process();
         }
         ++nProcessed;
-        if (hookEvery && ++sinceHook >= hookEvery) {
-            sinceHook = 0;
-            postEventHook();
-        }
     }
 
     /**
@@ -775,8 +744,7 @@ class EventQueue
     /**
      * Seq of the entry being (or last) dispatched; reset to
      * betweenDispatches when a run call returns, the only point
-     * outside a dispatch where model code runs (a post-event hook
-     * excludes sleepers).
+     * outside a dispatch where model code runs.
      */
     std::uint64_t dispatchSeq = betweenDispatches;
     /** Any sleeper or recovered repeat exists (dispatch slow path). */
@@ -825,10 +793,6 @@ class EventQueue
     // `freeOneShots` chains the currently idle ones.
     std::vector<std::unique_ptr<OneShotEvent>> oneShotPool;
     OneShotEvent *freeOneShots = nullptr;
-
-    std::uint64_t hookEvery = 0;
-    std::uint64_t sinceHook = 0;
-    std::function<void()> postEventHook;
 };
 
 /**
@@ -915,11 +879,6 @@ struct EventQueueRestoreAccess
         return eq.nextSeq;
     }
 
-    static std::uint64_t sinceHook(const EventQueue &eq)
-    {
-        return eq.sinceHook;
-    }
-
     /**
      * Wheel base tick (== now() except transiently after restore).
      * Recorded in checkpoints for eager validation.
@@ -949,11 +908,6 @@ struct EventQueueRestoreAccess
     static void setProcessed(EventQueue &eq, std::uint64_t n)
     {
         eq.nProcessed = n;
-    }
-
-    static void setSinceHook(EventQueue &eq, std::uint64_t n)
-    {
-        eq.sinceHook = n;
     }
     /** @} */
 };

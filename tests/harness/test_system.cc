@@ -103,6 +103,59 @@ TEST(System, TotalsSnapshotDelta)
     EXPECT_LE(d.rxPackets, b.rxPackets);
 }
 
+/**
+ * runFor() sweeps the invariant checker once after a call that
+ * crossed a multiple of TestSystem::checkGrid (landing on one counts).
+ */
+class InvariantSweepGrid : public ::testing::Test
+{
+  protected:
+    InvariantSweepGrid() : sys(config()) { sys.start(); }
+
+    static harness::ExperimentConfig
+    config()
+    {
+        harness::ExperimentConfig cfg;
+        cfg.traffic = harness::TrafficKind::Steady;
+        cfg.rateGbps = 5.0;
+        return cfg;
+    }
+
+    /** Sweeps so far (none when the checker is compiled out). */
+    std::uint64_t sweeps() { return sys.invariantChecker().sweeps.get(); }
+
+    static std::uint64_t
+    expected(std::uint64_t n)
+    {
+        return sim::InvariantChecker::compiledIn ? n : 0;
+    }
+
+    static constexpr sim::Tick grid = harness::TestSystem::checkGrid;
+    harness::TestSystem sys;
+};
+
+TEST_F(InvariantSweepGrid, CallCrossingNoGridPointDoesNotSweep)
+{
+    sys.runFor(grid / 2);
+    sys.runFor(grid / 2 - sim::oneNs);
+    EXPECT_EQ(sweeps(), 0u);
+}
+
+TEST_F(InvariantSweepGrid, CallCrossingSeveralGridPointsSweepsOnce)
+{
+    sys.runFor(grid / 2);
+    sys.runFor(3 * grid); // crosses 100, 200 and 300 us
+    EXPECT_EQ(sweeps(), expected(1));
+}
+
+TEST_F(InvariantSweepGrid, TenMicrosecondStepsSweepOncePerGridPoint)
+{
+    for (int i = 0; i < 100; ++i)
+        sys.runFor(10 * sim::oneUs);
+    ASSERT_EQ(sys.simulation().now(), 10 * grid);
+    EXPECT_EQ(sweeps(), expected(10));
+}
+
 TEST(SystemDeath, DoubleStartPanics)
 {
     harness::ExperimentConfig cfg;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -82,6 +83,16 @@ tenantMixConfig()
     return bench::tenantMixConfig(bench::tenantSchemes[2]);
 }
 
+const Layout legacyLayout{"legacy_2nf", legacyConfig, 25 * sim::oneMs};
+const Layout multiQueueLayout{"multi_queue_8", multiQueueConfig,
+                              2 * sim::oneMs};
+
+std::string
+layoutName(const ::testing::TestParamInfo<Layout> &info)
+{
+    return info.param.name;
+}
+
 class EndToEndLayout : public ::testing::TestWithParam<Layout>
 {
 };
@@ -91,16 +102,20 @@ TEST_P(EndToEndLayout, InvariantCheckerSweepsTheWholeRun)
     // Acceptance gate for the correctness tooling: a full end-to-end
     // run must evaluate every registered invariant on every sweep,
     // with zero violations (a violation would have panicked the run),
-    // whatever the machine layout.
+    // whatever the machine layout. Stepping in 10 us quanta (as the
+    // benches do) sweeps once per checker grid point crossed.
     harness::TestSystem sys(GetParam().config());
     sys.start();
-    sys.runFor(GetParam().runTime);
+    constexpr sim::Tick quantum = 10 * sim::oneUs;
+    for (sim::Tick t = 0; t < GetParam().runTime; t += quantum)
+        sys.runFor(quantum);
 
     auto &chk = sys.invariantChecker();
     EXPECT_GT(chk.numInvariants(), 0u);
     if (sim::InvariantChecker::compiledIn) {
-        EXPECT_GE(chk.sweeps.get(), 1u)
-            << "the periodic hook never fired";
+        EXPECT_EQ(chk.sweeps.get(),
+                  GetParam().runTime / harness::TestSystem::checkGrid)
+            << "one sweep per grid point crossed";
         EXPECT_EQ(chk.evaluations.get(),
                   chk.sweeps.get() * chk.numInvariants())
             << "some registered invariant was skipped";
@@ -111,12 +126,66 @@ TEST_P(EndToEndLayout, InvariantCheckerSweepsTheWholeRun)
 INSTANTIATE_TEST_SUITE_P(
     Layouts, EndToEndLayout,
     ::testing::Values(
-        Layout{"legacy_2nf", legacyConfig, 25 * sim::oneMs},
-        Layout{"multi_queue_8", multiQueueConfig, 2 * sim::oneMs},
+        legacyLayout, multiQueueLayout,
         Layout{"tenant_mix", tenantMixConfig, bench::tenantHorizon}),
-    [](const ::testing::TestParamInfo<Layout> &info) {
-        return std::string(info.param.name);
-    });
+    layoutName);
+
+/**
+ * Corrupt a machine stopped mid-burst: the next runFor() that crosses
+ * the checker's sweep grid must panic naming the broken rule.
+ */
+class SystemCorruptionDeathTest : public ::testing::TestWithParam<Layout>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!sim::InvariantChecker::compiledIn)
+            GTEST_SKIP() << "checker compiled out";
+        const harness::ExperimentConfig cfg = GetParam().config();
+        sys = std::make_unique<harness::TestSystem>(cfg);
+        sys->start();
+        sys->runFor(50 * sim::oneUs);
+        const auto done = sys->totals().processedPackets;
+        ASSERT_GT(done, 0u);
+        ASSERT_LT(done, cfg.expectedBurstTotal()) << "not mid-burst";
+    }
+
+    std::unique_ptr<harness::TestSystem> sys;
+};
+
+TEST_P(SystemCorruptionDeathTest, StaleDirectorySharer)
+{
+    // The directory claims core 1 holds a line nothing ever touches.
+    const sim::Addr line = sys->allocator().allocate(mem::lineSize);
+    ASSERT_FALSE(sys->hierarchy().directory().add(1, line).valid);
+    EXPECT_DEATH(sys->runFor(100 * sim::oneUs), "its MLC lacks the line");
+}
+
+TEST_P(SystemCorruptionDeathTest, SpuriousDoneDescriptor)
+{
+    // A done bit on the re-armed descriptor software consumed most
+    // recently, the one the NIC claims last: a completion nobody
+    // wrote. Marking an in-flight descriptor done would not persist
+    // until a sweep: its DMA completion makes the state legal again,
+    // or software consumes it first and the ring's re-arm assertion
+    // fires.
+    nic::RxRing &ring = sys->nicPort(0).rxRing(0);
+    std::uint32_t idx = ring.swHead();
+    do {
+        idx = (idx + ring.size() - 1) % ring.size();
+    } while (!ring.slot(idx).armed && idx != ring.swHead());
+    nic::RxSlot &slot = ring.slot(idx);
+    ASSERT_TRUE(slot.armed && !slot.inFlight && !slot.dd)
+        << "no re-armed idle descriptor";
+    slot.dd = true;
+    EXPECT_DEATH(sys->runFor(100 * sim::oneUs),
+                 "outside the hw/sw window but busy");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, SystemCorruptionDeathTest,
+    ::testing::Values(legacyLayout, multiQueueLayout), layoutName);
 
 TEST(EndToEnd, SteadyOverloadDropsPackets)
 {

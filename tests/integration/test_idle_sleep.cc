@@ -13,10 +13,8 @@
  * NF kind (L2Fwd's asynchronous TX completions included), every
  * replacement policy, poll grids that share ticks with the DMA pump
  * grid, tenant mode and a checkpoint taken mid-burst while cores
- * sleep.
- *
- * Sleeping needs the invariant checker's post-event hook off (the
- * hook counts dispatches), so every configuration here disables it.
+ * sleep. The invariant checker stays on: it sweeps at run-call
+ * returns, where every sleeper has been woken and credited.
  */
 
 #include <gtest/gtest.h>
@@ -48,6 +46,7 @@ struct Artifacts
     std::string trace;
     std::vector<double> timeline;
     std::uint64_t events = 0;
+    std::uint64_t sweeps = 0;
 };
 
 std::string
@@ -96,10 +95,14 @@ collect(TestSystem &sys, const std::string &tag)
         for (const auto &p : sys.timeline().series(name).points())
             a.timeline.push_back(p.value);
     a.events = sys.simulation().totalProcessedEvents();
+    a.sweeps = sys.invariantChecker().sweeps.get();
     return a;
 }
 
-/** Run @p cfg in uneven slices (every slice end wakes the cores). */
+/**
+ * Run @p cfg in uneven slices (every slice end wakes the cores), the
+ * last one ending on the checker's sweep grid.
+ */
 Artifacts
 run(const ExperimentConfig &cfg, bool sleeping, const std::string &tag)
 {
@@ -110,6 +113,8 @@ run(const ExperimentConfig &cfg, bool sleeping, const std::string &tag)
     sim::Rng slices(cfg.seed * 7919);
     for (int i = 0; i < 6; ++i)
         sys.runFor((5 + slices.below(40)) * sim::oneUs);
+    const sim::Tick grid = TestSystem::checkGrid;
+    sys.runFor(grid - sys.simulation().now() % grid);
     return collect(sys, tag);
 }
 
@@ -124,6 +129,9 @@ expectSame(const Artifacts &got, const Artifacts &ref,
     EXPECT_EQ(got.timeline, ref.timeline) << what;
     EXPECT_GT(ref.totals.processedPackets, 0u) << what;
     EXPECT_LT(got.events, ref.events) << what << ": no core slept";
+    if (sim::InvariantChecker::compiledIn) {
+        EXPECT_GT(got.sweeps, 0u) << what << ": the checker never swept";
+    }
 }
 
 /**
@@ -151,7 +159,6 @@ randomConfig(std::uint64_t seed)
     sim::Rng rng(seed);
     ExperimentConfig cfg;
     cfg.seed = seed;
-    cfg.invariantCheckPeriod = 0;
     const idio::Policy policies[] = {
         idio::Policy::Ddio, idio::Policy::InvalidateOnly,
         idio::Policy::PrefetchOnly, idio::Policy::Static,
@@ -204,8 +211,7 @@ TEST(IdleSleep, L2FwdTxCompletionsOnSharedGrids)
         for (const auto kind : {harness::NfKind::L2Fwd,
                                 harness::NfKind::L2FwdDropPayload}) {
             ExperimentConfig cfg;
-            cfg.invariantCheckPeriod = 0;
-            cfg.applyPolicy(policy);
+                    cfg.applyPolicy(policy);
             cfg.nfKind = kind;
             cfg.traffic = harness::TrafficKind::Steady;
             cfg.rateGbps = 10.0;
@@ -220,7 +226,6 @@ TEST(IdleSleep, L2FwdTxCompletionsOnSharedGrids)
 TEST(IdleSleep, TenantModeMatches)
 {
     ExperimentConfig cfg;
-    cfg.invariantCheckPeriod = 0;
     cfg.applyPolicy(idio::Policy::Idio);
     cfg.tenantPartition = harness::TenantPartition::Ioca;
     cfg.burstPeriod = 30 * sim::oneUs;
@@ -250,7 +255,6 @@ TEST(IdleSleep, CheckpointWhileCoresSleep)
     // cores, which must leave exactly the state the reference holds,
     // and a restore must then continue identically.
     ExperimentConfig cfg;
-    cfg.invariantCheckPeriod = 0;
     cfg.applyPolicy(idio::Policy::Idio);
     cfg.numNfs = 4;
     cfg.rxQueues = 4;

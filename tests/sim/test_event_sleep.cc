@@ -207,19 +207,6 @@ TEST(EventSleep, SharedGridIsRefused)
     EXPECT_EQ(c.count, 7u);
 }
 
-TEST(EventSleep, PostEventHookKeepsRepeatsReal)
-{
-    EventQueue q;
-    Poller a(q, 10);
-    q.schedule(&a, 0);
-    std::uint64_t hooks = 0;
-    q.setPostEventHook(1, [&] { ++hooks; });
-    q.runUntil(95);
-    EXPECT_FALSE(a.asleep);
-    EXPECT_EQ(a.count, 10u);
-    EXPECT_EQ(hooks, 10u);
-}
-
 TEST(EventSleep, WakeRestoresTheExactRepeat)
 {
     // A sleeper woken mid-run reappears on its grid: the next dispatch

@@ -1,9 +1,9 @@
 /**
  * @file
- * InvariantChecker unit tests: registration/stat accounting, periodic
- * sweeps through the event-queue hook, runtime disable, and — the
- * point of the subsystem — panics on deliberately corrupted cache,
- * RX-ring and event-queue state.
+ * InvariantChecker unit tests: registration/stat accounting, runtime
+ * disable, and — the point of the subsystem — panics on deliberately
+ * corrupted cache, RX-ring and event-queue state. The sweep cadence
+ * lives in harness::TestSystem::runFor (tests/harness/test_system.cc).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@ using sim::InvariantReport;
 TEST(InvariantChecker, SweepEvaluatesEveryRegisteredInvariant)
 {
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", /*periodEvents=*/0);
+    InvariantChecker chk(s, "chk");
 
     int aRuns = 0;
     int bRuns = 0;
@@ -48,7 +48,7 @@ TEST(InvariantChecker, SweepEvaluatesEveryRegisteredInvariant)
 TEST(InvariantCheckerDeathTest, PanicsListingTheViolation)
 {
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", 0);
+    InvariantChecker chk(s, "chk");
     chk.registerInvariant("always-broken", [](InvariantReport &r) {
         r.fail("synthetic violation");
     });
@@ -58,7 +58,7 @@ TEST(InvariantCheckerDeathTest, PanicsListingTheViolation)
 TEST(InvariantChecker, DisabledCheckerIsANoOp)
 {
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", 0);
+    InvariantChecker chk(s, "chk");
     int runs = 0;
     chk.registerInvariant("broken", [&](InvariantReport &r) {
         ++runs;
@@ -73,40 +73,6 @@ TEST(InvariantChecker, DisabledCheckerIsANoOp)
     EXPECT_EQ(chk.evaluations.get(), 0u);
 }
 
-TEST(InvariantChecker, PeriodicSweepsRideTheEventQueueHook)
-{
-    sim::Simulation s;
-    InvariantChecker chk(s, "chk", /*periodEvents=*/4);
-    int runs = 0;
-    chk.registerInvariant("count", [&](InvariantReport &) { ++runs; });
-    chk.attach();
-
-    for (int i = 0; i < 10; ++i)
-        s.eventq().schedule(sim::Tick(i) * sim::oneNs, [] {});
-    s.runUntil(sim::maxTick);
-
-    if (InvariantChecker::compiledIn) {
-        EXPECT_EQ(runs, 2) << "10 events / period 4 = 2 sweeps";
-        EXPECT_EQ(chk.sweeps.get(), 2u);
-    } else {
-        EXPECT_EQ(runs, 0);
-    }
-}
-
-TEST(InvariantChecker, ZeroPeriodNeverSweepsPeriodically)
-{
-    sim::Simulation s;
-    InvariantChecker chk(s, "chk", /*periodEvents=*/0);
-    int runs = 0;
-    chk.registerInvariant("count", [&](InvariantReport &) { ++runs; });
-    chk.attach(); // no-op: nothing to hang off the queue
-
-    for (int i = 0; i < 32; ++i)
-        s.eventq().schedule(sim::Tick(i) * sim::oneNs, [] {});
-    s.runUntil(sim::maxTick);
-    EXPECT_EQ(runs, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Deliberate corruption: cache hierarchy.
 // ---------------------------------------------------------------------------
@@ -114,7 +80,7 @@ TEST(InvariantChecker, ZeroPeriodNeverSweepsPeriodically)
 class CacheCorruptionDeathTest : public testutil::HierarchyTest
 {
   protected:
-    CacheCorruptionDeathTest() : chk(sim_, "chk", 0)
+    CacheCorruptionDeathTest() : chk(sim_, "chk")
     {
         cache::registerCacheInvariants(chk, hier);
     }
@@ -301,7 +267,7 @@ TEST(RxRingCheckerDeathTest, RegisteredRingInvariantPanics)
         GTEST_SKIP() << "checker compiled out";
 
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", 0);
+    InvariantChecker chk(s, "chk");
     nic::RxRing ring(0x100000, 8);
     chk.registerInvariant("ring", [&ring](InvariantReport &r) {
         nic::checkRxRing(ring, "ring", r);
@@ -321,7 +287,7 @@ TEST(EventQueueCheckerDeathTest, PendingEventInThePastPanics)
         GTEST_SKIP() << "checker compiled out";
 
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", 0);
+    InvariantChecker chk(s, "chk");
     sim::registerEventQueueInvariants(chk, s.eventq());
 
     s.eventq().schedule(10 * sim::oneNs, [] {});
@@ -338,7 +304,7 @@ TEST(EventQueueCheckerDeathTest, TimeMovingBackwardsPanics)
         GTEST_SKIP() << "checker compiled out";
 
     sim::Simulation s;
-    InvariantChecker chk(s, "chk", 0);
+    InvariantChecker chk(s, "chk");
     sim::registerEventQueueInvariants(chk, s.eventq());
 
     s.eventq().schedule(10 * sim::oneNs, [] {});

@@ -378,15 +378,25 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
  */
 TEST(SchedulerDifferential, FarFutureCompactionPreservesOrder)
 {
-    class NopEvent : public Event
+    // Each event records the tick it fires at.
+    class TickEvent : public Event
     {
       public:
-        void process() override {}
+        TickEvent(EventQueue &q, std::vector<Tick> &fired)
+            : q(q), fired(fired)
+        {
+        }
+        void process() override { fired.push_back(q.now()); }
+
+      private:
+        EventQueue &q;
+        std::vector<Tick> &fired;
     };
 
     EventQueue q;
     const Tick far = Tick(1) << 26; // beyond the 2^24 wheel horizon
-    std::vector<NopEvent> evs(64);
+    std::vector<Tick> fired;
+    std::vector<TickEvent> evs(64, TickEvent(q, fired));
     for (std::size_t i = 0; i < evs.size(); ++i)
         q.schedule(&evs[i], far + Tick(i));
     ASSERT_EQ(sim::EventQueueTestAccess::heapSlots(q), 64u);
@@ -403,8 +413,6 @@ TEST(SchedulerDifferential, FarFutureCompactionPreservesOrder)
 
     // Survivors still fire in schedule order as they cascade into the
     // wheel and drain.
-    std::vector<Tick> fired;
-    q.setPostEventHook(1, [&q, &fired] { fired.push_back(q.now()); });
     q.runUntil(far + 64);
     ASSERT_EQ(fired.size(), 16u);
     for (std::size_t i = 0; i < fired.size(); ++i)

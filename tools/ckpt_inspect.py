@@ -5,7 +5,8 @@ Parses the sectioned binary format written by ckpt::save() (see
 src/ckpt/serializer.hh for the layout), prints the header and one row
 per section (name, schema version, payload size, checksum), and
 validates the whole file: magic, format version, section bounds,
-FNV-1a checksums, duplicate names and trailing bytes.
+FNV-1a checksums, duplicate names and trailing bytes. The `_eventq`
+section is decoded too; this tool reads its version 4 only.
 
 Exit status: 0 when the checkpoint is well-formed, 1 on any
 corruption, 2 on usage errors.
@@ -20,6 +21,7 @@ import sys
 
 MAGIC = b"IDIOCKPT"
 FORMAT_VERSION = 4
+EVENTQ_VERSION = 4
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -117,12 +119,16 @@ def inspect(path: str) -> int:
         print(f"  {name:<{width}}  {ver:>3}  {size:>10}  "
               f"{csum:016x}  {status}")
 
-
     for name, ver, _, _, _, payload in rows:
-        if name.startswith("_eventq") and ver == 3:
-            line = decode_eventq(payload)
-            if line:
-                print(f"  {name}: {line}")
+        if name != "_eventq":
+            continue
+        if ver != EVENTQ_VERSION:
+            print(f"FAIL '{name}' section version {ver}; this tool "
+                  f"reads version {EVENTQ_VERSION} only (version 3 "
+                  "carried the removed post-event hook counter)")
+            failures += 1
+        else:
+            print(f"  {name}: {decode_eventq(payload)}")
 
     if failures:
         print(f"\n{failures} problem(s) found")
@@ -132,15 +138,16 @@ def inspect(path: str) -> int:
 
 
 def decode_eventq(payload: bytes) -> str:
-    """Pretty-print a v3 _eventq section (see ckpt saveEventq)."""
-    if len(payload) != 4 + 4 + 8 * 6:
-        return "unexpected payload length"
+    """Pretty-print a v4 _eventq section (see ckpt saveEventq)."""
+    if len(payload) != 4 + 4 + 8 * 5:
+        raise Corrupt(f"'_eventq' payload is {len(payload)} bytes; "
+                      "version 4 has 48")
     levels, slot_bits = struct.unpack_from("<II", payload, 0)
-    wheel_base, tick, next_seq, processed, since_hook, pending = \
-        struct.unpack_from("<6Q", payload, 8)
+    wheel_base, tick, next_seq, processed, pending = \
+        struct.unpack_from("<5Q", payload, 8)
     return (f"wheel={levels}x2^{slot_bits} base={wheel_base} "
             f"tick={tick} nextSeq={next_seq} processed={processed} "
-            f"sinceHook={since_hook} pending={pending}")
+            f"pending={pending}")
 
 
 def main() -> int:
