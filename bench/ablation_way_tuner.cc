@@ -62,7 +62,7 @@ run(idio::Policy policy, bool withTuner)
 
     Row r;
     r.totals = sys.totals();
-    r.antagTpa = sys.antagonist()->ticksPerAccess();
+    r.antagTpa = sys.antagonists().front()->ticksPerAccess();
     r.finalWays = sys.hierarchy().llc().ddioWays();
     return r;
 }

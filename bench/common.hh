@@ -383,8 +383,8 @@ runSingleBurst(const harness::ExperimentConfig &config,
     m.totals = sys.totals();
     m.p50 = sys.nf(0).latency.p50();
     m.p99 = sys.nf(0).latency.p99();
-    if (sys.antagonist())
-        m.antagonistTpa = sys.antagonist()->ticksPerAccess();
+    if (!sys.antagonists().empty())
+        m.antagonistTpa = sys.antagonists().front()->ticksPerAccess();
     if (!opts.tracePath.empty())
         harness::writeTraceArtifacts(opts.tracePath, sys);
     return m;
@@ -468,8 +468,8 @@ runFor(const harness::ExperimentConfig &cfg, sim::Tick duration)
     m.drainedAt = duration;
     m.p50 = sys.nf(0).latency.p50();
     m.p99 = sys.nf(0).latency.p99();
-    if (sys.antagonist())
-        m.antagonistTpa = sys.antagonist()->ticksPerAccess();
+    if (!sys.antagonists().empty())
+        m.antagonistTpa = sys.antagonists().front()->ticksPerAccess();
     return m;
 }
 

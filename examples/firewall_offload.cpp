@@ -55,7 +55,7 @@ run(idio::Policy policy)
     Result r;
     r.fwP99Us = sim::ticksToUs(sys.nf(0).latency.p99());
     r.analyticsTpaNs =
-        sys.antagonist()->ticksPerAccess() / double(sim::oneNs);
+        sys.antagonists().front()->ticksPerAccess() / double(sim::oneNs);
     r.llcWritebacks = sys.totals().llcWritebacks;
     r.dramWrites = sys.totals().dramWrites;
     r.headerPrefetches = sys.controller().headerHints.get();

@@ -17,8 +17,13 @@ namespace
 {
 
 sim::Tick
-interPacketGap(std::uint32_t frameBytes, double rateGbps)
+interPacketGap(const std::string &name, std::uint32_t frameBytes,
+               double rateGbps)
 {
+    if (!(rateGbps > 0.0))
+        sim::fatal("traffic source '%s' needs a positive rate, got %g "
+                   "Gbps",
+                   name.c_str(), rateGbps);
     // Time to serialise one frame at the given line rate.
     const double ns =
         static_cast<double>(frameBytes) * 8.0 / rateGbps;
@@ -114,7 +119,7 @@ SteadyTrafficGen::SteadyTrafficGen(sim::Simulation &simulation,
                                    const TrafficConfig &config,
                                    double rateGbps)
     : TrafficSource(simulation, name, nicPort, config),
-      interPacket(interPacketGap(config.frameBytes, rateGbps))
+      interPacket(interPacketGap(name, config.frameBytes, rateGbps))
 {
 }
 
@@ -140,7 +145,7 @@ BurstyTrafficGen::BurstyTrafficGen(sim::Simulation &simulation,
                                    const BurstParams &params)
     : TrafficSource(simulation, name, nicPort, config), burst(params),
       interPacket(
-          interPacketGap(config.frameBytes, params.burstRateGbps))
+          interPacketGap(name, config.frameBytes, params.burstRateGbps))
 {
 }
 
@@ -200,7 +205,7 @@ PoissonTrafficGen::PoissonTrafficGen(sim::Simulation &simulation,
                                      double rateGbps)
     : TrafficSource(simulation, name, nicPort, config),
       meanGapTicks(static_cast<double>(
-          interPacketGap(config.frameBytes, rateGbps))),
+          interPacketGap(name, config.frameBytes, rateGbps))),
       rng(simulation.deriveRng(name).next())
 {
 }

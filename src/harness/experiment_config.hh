@@ -4,8 +4,10 @@
  *
  * ExperimentConfig aggregates every knob of one simulated run: the
  * cache hierarchy, the IDIO policy, the NIC/ring geometry, the
- * workload layout (which NFs on which cores, optional LLCAntagonist),
- * and the traffic pattern. The defaults reproduce the paper's
+ * workload (its tenant set), and the traffic pattern. The run-wide
+ * workload fields (numNfs, nfKind, traffic, rateGbps, rxQueues,
+ * withAntagonist) describe the default tenant set; a non-empty
+ * `tenants` replaces them. The defaults reproduce the paper's
  * methodology: two TouchDrop instances, 1024-entry rings, 1514-byte
  * packets, 10 ms burst period, burst length equal to ring-size
  * packets.
@@ -63,11 +65,12 @@ enum class TenantPartition
 const char *tenantPartitionName(TenantPartition p);
 
 /**
- * One tenant of a multi-tenant run (cfg.tenants). Tenant mode uses
- * the legacy I/O layout — one single-queue NIC port + generator per
- * NF core, EP-rule flow steering — because each tenant needs its own
- * NF kind, traffic shape and rate; antagonist tenants get aggressor
- * cores (shrunken MLC, no NF pipeline) instead.
+ * One tenant of a multi-tenant run (cfg.tenants), standing in for the
+ * run-wide workload fields. Each NF core of an NF tenant gets its own
+ * single-queue port with EP-rule steering, generator and the tenant's
+ * NF kind, traffic, rate, stop tick and DSCP class; an antagonist
+ * tenant gets aggressor cores (shrunken MLC, no NF pipeline) instead.
+ * Tenancy on a multi-queue port is rejected.
  */
 struct TenantSpec
 {
@@ -84,7 +87,7 @@ struct TenantSpec
     NfKind nfKind = NfKind::TouchDrop;
     TrafficKind traffic = TrafficKind::Bursty;
 
-    /** Per-port rate, Gbps (0 = the run-wide cfg.rateGbps). */
+    /** Per-port rate, Gbps (0 = the run-wide cfg.rateGbps; < 0 is fatal). */
     double rateGbps = 0.0;
 
     /** Stop this tenant's traffic at this tick (departure churn). */
@@ -109,10 +112,14 @@ struct ExperimentConfig
     /** NF execution-loop settings (selfInvalidate synced from idio). */
     nf::NfConfig nf;
 
-    /** Antagonist settings, used when withAntagonist. */
+    /** Antagonist settings of every aggressor core. */
     nf::AntagonistConfig antagonist;
 
-    /** @{ Workload layout. */
+    /**
+     * @{ Workload layout of the default tenant set (ignored when
+     * `tenants` is set): numNfs NF cores of nfKind, plus one
+     * aggressor core when withAntagonist.
+     */
     std::uint32_t numNfs = 2;
     NfKind nfKind = NfKind::TouchDrop;
     bool withAntagonist = false;
@@ -121,14 +128,11 @@ struct ExperimentConfig
      * RX queues on one shared NIC port (0 = legacy layout: one
      * single-queue port per NF). When set, it must equal numNfs: the
      * system builds one multi-queue port whose flow director steers
-     * packets across per-core rings via the RSS indirection table,
-     * and NF i polls queue i. This is the paper's actual many-core
-     * machine shape (one 100G port, per-core rings).
+     * packets across per-core rings via a 128-entry RSS
+     * indirection table, and NF i polls queue i. This is the paper's
+     * actual many-core machine shape (one 100G port, per-core rings).
      */
     std::uint32_t rxQueues = 0;
-
-    /** RETA entries for the multi-queue port (power of two). */
-    std::uint32_t rssTableEntries = 128;
 
     /**
      * Total flow population for the multi-queue layout (0 = legacy
@@ -141,11 +145,11 @@ struct ExperimentConfig
     /** @{ Multi-tenant layout (src/tenant). */
 
     /**
-     * Tenant set. Non-empty switches the system into tenant mode:
-     * numNfs is derived from the specs (NF cores first in spec order,
-     * then antagonist cores), and nfKind/traffic/rateGbps come from
-     * each tenant's spec instead of the run-wide knobs. Incompatible
-     * with multiQueue() and withAntagonist.
+     * Tenant set. Non-empty replaces the default tenant set: the NF
+     * cores come from the specs (NF cores first in spec order, then
+     * antagonist cores), and numNfs/nfKind/traffic/rateGbps are
+     * ignored in favour of each tenant's spec. Incompatible with
+     * multiQueue() and withAntagonist.
      */
     std::vector<TenantSpec> tenants;
 
@@ -156,30 +160,7 @@ struct ExperimentConfig
     tenant::IocaConfig ioca;
 
     bool tenantMode() const { return !tenants.empty(); }
-
-    /** NF pipelines across all tenants. */
-    std::uint32_t
-    tenantNfCores() const
-    {
-        std::uint32_t n = 0;
-        for (const auto &t : tenants)
-            n += t.antagonist ? 0 : t.cores;
-        return n;
-    }
-
-    /** All tenant cores (NF pipelines + aggressors). */
-    std::uint32_t
-    tenantCores() const
-    {
-        std::uint32_t n = 0;
-        for (const auto &t : tenants)
-            n += t.cores;
-        return n;
-    }
     /** @} */
-
-    /** MLC size of the antagonist core (paper: 256 KB). */
-    std::uint64_t antagonistMlcBytes = 256 * 1024;
 
     /** @{ Traffic. */
     TrafficKind traffic = TrafficKind::Bursty;

@@ -34,32 +34,160 @@ Totals::operator-(const Totals &o) const
     return d;
 }
 
+namespace
+{
+
+/** RETA entries of an RSS-steered port (power of two). */
+constexpr std::uint32_t retaEntries = 128;
+
+/** MLC size of an aggressor core (paper: 256 KB). */
+constexpr std::uint64_t aggressorMlcBytes = 256 * 1024;
+
+/** One NIC port of the machine plan. */
+struct PortPlan
+{
+    std::string name;      ///< prefix of its NIC and generator
+    sim::CoreId firstCore; ///< ring q is polled by NF core firstCore + q
+    std::uint32_t numQueues;
+    bool rss; ///< RSS over synthetic flows, else EP rules to firstCore
+    NfKind nfKind;
+    TrafficKind traffic;
+    double rateGbps;
+    sim::Tick stopAt;
+    std::uint8_t dscp;
+};
+
+/** One aggressor core: an nf::LlcAntagonist on a shrunken MLC. */
+struct AggressorPlan
+{
+    std::string name;
+    sim::CoreId core;
+};
+
+/** The machine: NF cores first, in port order, then aggressors. */
+struct MachinePlan
+{
+    std::uint32_t numCores = 0;
+    std::vector<PortPlan> ports;
+    std::vector<AggressorPlan> aggressors;
+    std::vector<tenant::Tenant> tenants; ///< empty without cfg.tenants
+};
+
+void
+validateTenants(const ExperimentConfig &cfg)
+{
+    if (cfg.multiQueue())
+        sim::fatal("tenant mode needs the legacy layout (rxQueues == "
+                   "0): per-tenant NF kinds, rates and flow ranges "
+                   "ride the per-core ports");
+    if (cfg.withAntagonist)
+        sim::fatal("tenant mode models aggressors as antagonist "
+                   "tenants; drop withAntagonist");
+    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
+        const TenantSpec &spec = cfg.tenants[i];
+        if (spec.name.empty())
+            sim::fatal("tenant %zu has no name", i);
+        if (spec.cores == 0)
+            sim::fatal("tenant '%s' has no cores", spec.name.c_str());
+        if (!(spec.rateGbps >= 0.0))
+            sim::fatal("tenant '%s' has rateGbps %g (use > 0, or 0 "
+                       "for the run-wide rate)",
+                       spec.name.c_str(), spec.rateGbps);
+        for (std::size_t j = 0; j < i; ++j)
+            if (cfg.tenants[j].name == spec.name)
+                sim::fatal("duplicate tenant name '%s'",
+                           spec.name.c_str());
+    }
+}
+
+/**
+ * Derive the machine from cfg.tenants or, when that is empty, from
+ * the run-wide fields describing the default tenant set: numNfs cores
+ * of nfKind (a port each, or one port with rxQueues rings) plus the
+ * withAntagonist aggressor.
+ */
+MachinePlan
+planMachine(const ExperimentConfig &cfg)
+{
+    MachinePlan plan;
+    auto addPort = [&](std::string name, std::uint32_t numQueues,
+                       NfKind kind, TrafficKind traffic, double rateGbps,
+                       sim::Tick stopAt) {
+        // Class-1 marking follows the NF kind on the port's cores.
+        const std::uint8_t dscp =
+            kind == NfKind::L2FwdDropPayload && cfg.dscp < 32 ? 40
+                                                              : cfg.dscp;
+        plan.ports.push_back({std::move(name), plan.numCores, numQueues,
+                              cfg.multiQueue(), kind, traffic, rateGbps,
+                              stopAt, dscp});
+        plan.numCores += numQueues;
+    };
+
+    if (!cfg.tenantMode()) {
+        if (cfg.multiQueue()) {
+            if (cfg.rxQueues != cfg.numNfs)
+                sim::fatal("multi-queue layout needs rxQueues == numNfs "
+                           "(%u != %u): each ring is polled by exactly "
+                           "one core",
+                           cfg.rxQueues, cfg.numNfs);
+            addPort("system.port0", cfg.numNfs, cfg.nfKind,
+                    cfg.traffic, cfg.rateGbps, sim::maxTick);
+        } else {
+            for (sim::CoreId c = 0; c < cfg.numNfs; ++c)
+                addPort("system.nf" + std::to_string(c), 1, cfg.nfKind,
+                        cfg.traffic, cfg.rateGbps, sim::maxTick);
+        }
+        if (cfg.withAntagonist)
+            plan.aggressors.push_back({"system.antag", plan.numCores++});
+        return plan;
+    }
+
+    validateTenants(cfg);
+    std::uint32_t nfCores = 0;
+    for (const TenantSpec &spec : cfg.tenants)
+        nfCores += spec.antagonist ? 0 : spec.cores;
+    if (nfCores == 0)
+        sim::fatal("tenant mode needs at least one NF tenant core");
+    sim::CoreId aggressorCore = nfCores;
+    for (const TenantSpec &spec : cfg.tenants) {
+        tenant::Tenant t;
+        t.name = spec.name;
+        t.slo = spec.slo;
+        t.antagonist = spec.antagonist;
+        for (std::uint32_t k = 0; k < spec.cores; ++k) {
+            if (spec.antagonist) {
+                t.cores.push_back(aggressorCore);
+                plan.aggressors.push_back(
+                    {"system." + spec.name + ".antag" + std::to_string(k),
+                     aggressorCore++});
+                continue;
+            }
+            const sim::CoreId c = plan.numCores;
+            t.cores.push_back(c);
+            addPort("system.nf" + std::to_string(c), 1, spec.nfKind,
+                    spec.traffic,
+                    spec.rateGbps > 0.0 ? spec.rateGbps : cfg.rateGbps,
+                    spec.stopAt);
+        }
+        plan.tenants.push_back(std::move(t));
+    }
+    plan.numCores = aggressorCore;
+    return plan;
+}
+
+} // anonymous namespace
+
 TestSystem::TestSystem(const ExperimentConfig &config)
     : cfg(config), sim_(config.seed)
 {
-    if (cfg.tenantMode()) {
-        validateTenantConfig();
-        // NF pipelines occupy cores [0, numNfs); antagonist-tenant
-        // aggressor cores follow.
-        cfg.numNfs = cfg.tenantNfCores();
-    }
-    const std::uint32_t numCores =
-        cfg.tenantMode()
-            ? cfg.tenantCores()
-            : cfg.numNfs + (cfg.withAntagonist ? 1 : 0);
+    MachinePlan plan = planMachine(cfg);
 
-    // Hierarchy: antagonist MLC override, Invalidatable-page oracle.
+    // Hierarchy: aggressor MLC override, Invalidatable-page oracle.
     cache::HierarchyConfig hierCfg = cfg.hier;
-    hierCfg.numCores = numCores;
-    if (cfg.withAntagonist) {
-        hierCfg.mlcSizeOverride.resize(numCores, 0);
-        hierCfg.mlcSizeOverride[numCores - 1] = cfg.antagonistMlcBytes;
-    }
-    if (cfg.tenantMode() && numCores > cfg.numNfs) {
-        // Aggressor cores run with the paper's shrunken MLC.
-        hierCfg.mlcSizeOverride.resize(numCores, 0);
-        for (std::uint32_t c = cfg.numNfs; c < numCores; ++c)
-            hierCfg.mlcSizeOverride[c] = cfg.antagonistMlcBytes;
+    hierCfg.numCores = plan.numCores;
+    for (const AggressorPlan &a : plan.aggressors) {
+        hierCfg.mlcSizeOverride.resize(plan.numCores, 0);
+        hierCfg.mlcSizeOverride[a.core] = aggressorMlcBytes;
     }
     hierCfg.pageAttributes = &alloc;
     hier = std::make_unique<cache::MemoryHierarchy>(sim_, "system",
@@ -73,7 +201,7 @@ TestSystem::TestSystem(const ExperimentConfig &config)
 
     // One NF core's worth of compute + driver machinery, bound to
     // ring `queue` of `port`.
-    auto buildNfPipeline = [&](std::uint32_t i, nic::Nic &port,
+    auto buildNfPipeline = [&](sim::CoreId i, nic::Nic &port,
                                std::uint32_t queue, NfKind kind) {
         const std::string base = "system.nf" + std::to_string(i);
         cores.push_back(std::make_unique<cpu::Core>(
@@ -107,10 +235,6 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         }
     };
 
-    std::uint8_t dscp = cfg.dscp;
-    if (cfg.nfKind == NfKind::L2FwdDropPayload && dscp < 32)
-        dscp = 40; // class-1 workload unless overridden
-
     auto buildGen = [&](const std::string &genName, nic::Nic &port,
                         const gen::TrafficConfig &tc, TrafficKind kind,
                         double rateGbps) {
@@ -137,93 +261,53 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         }
     };
 
-    if (cfg.multiQueue()) {
-        // One shared port, a ring per NF core, RSS/RETA steering over
-        // a synthetic flow population (no EP rules): the paper's
-        // many-core machine shape.
-        if (cfg.rxQueues != cfg.numNfs)
-            sim::fatal("multi-queue layout needs rxQueues == numNfs "
-                       "(%u != %u): each ring is polled by exactly "
-                       "one core",
-                       cfg.rxQueues, cfg.numNfs);
+    // Each port, then the pipelines on its rings, then its generator.
+    for (const PortPlan &p : plan.ports) {
         nic::NicConfig nicCfg = cfg.nic;
-        nicCfg.numQueues = cfg.rxQueues;
-        nicCfg.rssTableEntries = cfg.rssTableEntries;
+        nicCfg.numQueues = p.numQueues;
+        if (p.rss)
+            nicCfg.rssTableEntries = retaEntries;
         nics.push_back(std::make_unique<nic::Nic>(
-            sim_, "system.port0.nic", nicCfg, *ctrl, alloc,
-            numCores));
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i)
-            buildNfPipeline(i, *nics.back(), i, cfg.nfKind);
+            sim_, p.name + ".nic", nicCfg, *ctrl, alloc, plan.numCores));
+        nic::Nic &port = *nics.back();
+        for (std::uint32_t q = 0; q < p.numQueues; ++q)
+            buildNfPipeline(p.firstCore + q, port, q, p.nfKind);
 
         gen::TrafficConfig tc;
         tc.frameBytes = cfg.frameBytes;
-        tc.synthFlows = cfg.totalFlows
-                            ? cfg.totalFlows
-                            : std::uint64_t(cfg.flowsPerNf) *
-                                  cfg.numNfs;
-        tc.synthDscp = dscp;
-        buildGen("system.port0.gen", *nics.back(), tc, cfg.traffic,
-                 cfg.rateGbps);
-    } else {
-        // Legacy layout: one single-queue NIC port + generator per NF
-        // core, flows pinned to the core with EP perfect-match rules.
-        // In tenant mode the per-core NF kind, traffic shape, rate
-        // and departure tick come from the owning TenantSpec.
-        struct NfPlan
-        {
-            NfKind kind;
-            TrafficKind traffic;
-            double rateGbps;
-            sim::Tick stopAt;
-        };
-        std::vector<NfPlan> plan(
-            cfg.numNfs,
-            {cfg.nfKind, cfg.traffic, cfg.rateGbps, sim::maxTick});
-        if (cfg.tenantMode()) {
-            std::uint32_t c = 0;
-            for (const auto &spec : cfg.tenants) {
-                if (spec.antagonist)
-                    continue;
-                for (std::uint32_t k = 0; k < spec.cores; ++k, ++c) {
-                    plan[c] = {spec.nfKind, spec.traffic,
-                               spec.rateGbps > 0.0 ? spec.rateGbps
-                                                   : cfg.rateGbps,
-                               spec.stopAt};
-                }
-            }
-        }
-
-        for (std::uint32_t i = 0; i < cfg.numNfs; ++i) {
-            const std::string base = "system.nf" + std::to_string(i);
-            nics.push_back(std::make_unique<nic::Nic>(
-                sim_, base + ".nic", cfg.nic, *ctrl, alloc,
-                numCores));
-            buildNfPipeline(i, *nics.back(), 0, plan[i].kind);
-
-            gen::TrafficConfig tc;
-            tc.frameBytes = cfg.frameBytes;
-            tc.stopAt = plan[i].stopAt;
+        tc.stopAt = p.stopAt;
+        if (p.rss) {
+            tc.synthFlows = cfg.totalFlows
+                                ? cfg.totalFlows
+                                : std::uint64_t(cfg.flowsPerNf) *
+                                      p.numQueues;
+            tc.synthDscp = p.dscp;
+        } else {
             tc.flows = gen::makeFlows(
                 cfg.flowsPerNf,
-                static_cast<std::uint16_t>(5000 + 100 * i), dscp);
+                static_cast<std::uint16_t>(5000 + 100 * p.firstCore),
+                p.dscp);
             for (auto &f : tc.flows)
-                nics.back()->flowDirector().addRule(f.tuple, i);
-            buildGen(base + ".gen", *nics.back(), tc, plan[i].traffic,
-                     plan[i].rateGbps);
+                port.flowDirector().addRule(f.tuple, p.firstCore);
         }
+        buildGen(p.name + ".gen", port, tc, p.traffic, p.rateGbps);
     }
 
-    if (cfg.withAntagonist) {
-        const sim::CoreId antagCore = numCores - 1;
+    for (const AggressorPlan &a : plan.aggressors) {
         cores.push_back(std::make_unique<cpu::Core>(
-            sim_, "system.antag.core", antagCore, *hier));
-        antag = std::make_unique<nf::LlcAntagonist>(
-            sim_, "system.antag", *cores.back(), alloc,
-            cfg.antagonist);
+            sim_, a.name + ".core", a.core, *hier));
+        antags.push_back(std::make_unique<nf::LlcAntagonist>(
+            sim_, a.name, *cores.back(), alloc, cfg.antagonist));
     }
 
-    if (cfg.tenantMode())
-        buildTenants();
+    if (cfg.tenantMode()) {
+        tenantMgr = std::make_unique<tenant::TenantManager>(
+            sim_, "system.tenants", *hier, std::move(plan.tenants),
+            cfg.tenantPartition != TenantPartition::None);
+        if (cfg.tenantPartition == TenantPartition::Ioca)
+            ioca = std::make_unique<tenant::IocaController>(
+                sim_, "system.ioca", *hier, *tenantMgr, cfg.ioca);
+    }
 
     // Runtime invariant checker: runFor() sweeps the whole model so a
     // silent model bug panics instead of skewing figures.
@@ -236,75 +320,6 @@ TestSystem::TestSystem(const ExperimentConfig &config)
 
     recorder = std::make_unique<TimelineRecorder>(sim_);
 }
-
-void
-TestSystem::validateTenantConfig() const
-{
-    if (cfg.multiQueue())
-        sim::fatal("tenant mode needs the legacy layout (rxQueues == "
-                   "0): per-tenant NF kinds, rates and flow ranges "
-                   "ride the per-core ports");
-    if (cfg.withAntagonist)
-        sim::fatal("tenant mode models aggressors as antagonist "
-                   "tenants; drop withAntagonist");
-    if (cfg.tenantNfCores() == 0)
-        sim::fatal("tenant mode needs at least one NF tenant core");
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        const TenantSpec &spec = cfg.tenants[i];
-        if (spec.name.empty())
-            sim::fatal("tenant %zu has no name", i);
-        if (spec.cores == 0)
-            sim::fatal("tenant '%s' has no cores", spec.name.c_str());
-        for (std::size_t j = 0; j < i; ++j)
-            if (cfg.tenants[j].name == spec.name)
-                sim::fatal("duplicate tenant name '%s'",
-                           spec.name.c_str());
-    }
-}
-
-void
-TestSystem::buildTenants()
-{
-    std::vector<tenant::Tenant> descs;
-    std::uint32_t nfCursor = 0;
-    sim::CoreId antagCursor = cfg.numNfs;
-    for (const TenantSpec &spec : cfg.tenants) {
-        tenant::Tenant t;
-        t.name = spec.name;
-        t.slo = spec.slo;
-        t.antagonist = spec.antagonist;
-        t.flowsPerCore = spec.antagonist ? 0 : cfg.flowsPerNf;
-        for (std::uint32_t k = 0; k < spec.cores; ++k) {
-            if (spec.antagonist) {
-                const sim::CoreId c = antagCursor++;
-                t.cores.push_back(c);
-                const std::string base = "system." + spec.name +
-                                         ".antag" + std::to_string(k);
-                cores.push_back(std::make_unique<cpu::Core>(
-                    sim_, base + ".core", c, *hier));
-                tenantAntags.push_back(
-                    std::make_unique<nf::LlcAntagonist>(
-                        sim_, base, *cores.back(), alloc,
-                        cfg.antagonist));
-            } else {
-                const sim::CoreId c = nfCursor++;
-                t.cores.push_back(c);
-                t.flowPortBases.push_back(
-                    static_cast<std::uint16_t>(5000 + 100 * c));
-            }
-        }
-        descs.push_back(std::move(t));
-    }
-
-    tenantMgr = std::make_unique<tenant::TenantManager>(
-        sim_, "system.tenants", *hier, std::move(descs),
-        cfg.tenantPartition != TenantPartition::None);
-    if (cfg.tenantPartition == TenantPartition::Ioca)
-        ioca = std::make_unique<tenant::IocaController>(
-            sim_, "system.ioca", *hier, *tenantMgr, cfg.ioca);
-}
-
-
 
 TestSystem::~TestSystem() = default;
 
@@ -319,11 +334,7 @@ TestSystem::start()
         n->start();
     for (auto &f : nfs)
         f->launch();
-    if (antag) {
-        antag->warmUp();
-        antag->launch();
-    }
-    for (auto &a : tenantAntags) {
+    for (auto &a : antags) {
         a->warmUp();
         a->launch();
     }
@@ -362,7 +373,7 @@ TestSystem::totals() const
 {
     Totals t;
     t.mlcWritebacks = hier->totalMlcWritebacks();
-    for (std::uint32_t c = 0; c < cfg.numNfs; ++c) {
+    for (std::uint32_t c = 0; c < numNfs(); ++c) {
         t.nfMlcWritebacks += hier->mlcOf(c).writebacks.get() +
                              hier->mlcOf(c).cleanEvictions.get();
     }

@@ -2,18 +2,16 @@
  * @file
  * Full-system builder.
  *
- * TestSystem instantiates and wires one complete simulated server from
- * an ExperimentConfig. Two I/O layouts exist: the legacy one (one
- * single-queue NIC port + mempool + PMD + network function per NF
- * core, EP-rule steering) and the multi-queue one (cfg.rxQueues != 0:
- * one shared port with a ring per core, RSS/RETA steering over a
- * synthetic flow population — the paper's actual machine shape).
- * The whole machine is one timing domain on one event queue.
- * cfg.tenants switches the legacy layout into tenant mode: per-tenant
- * NF kinds/traffic on the NF cores, aggressor cores for antagonist
- * tenants, and a tenant::TenantManager (plus optional
- * IocaController) programming the LLC's CAT way partition. Every
- * bench, example and integration test builds on this class.
+ * TestSystem wires one simulated server, on one event queue, from a
+ * machine plan derived from cfg.tenants or, when that is empty, from
+ * the run-wide fields describing the default tenant set. The plan is
+ * a list of NIC ports — each holding its NF cores' rings, steered by
+ * EP rules (one core) or RSS over synthetic flows (multi-queue), with
+ * its own NF kind, traffic, rate, stop tick and DSCP — plus a list of
+ * aggressor cores (nf::LlcAntagonist on a shrunken MLC). With tenants,
+ * a tenant::TenantManager (plus optional IocaController) programs the
+ * LLC's CAT way partition. Every bench, example and integration test
+ * builds on this class.
  */
 
 #ifndef IDIO_HARNESS_SYSTEM_HH
@@ -88,6 +86,8 @@ struct TenantTotals
 class TestSystem
 {
   public:
+    using Antagonists = std::vector<std::unique_ptr<nf::LlcAntagonist>>;
+
     explicit TestSystem(const ExperimentConfig &config);
     ~TestSystem();
 
@@ -135,7 +135,8 @@ class TestSystem
     nf::NetworkFunction &nf(std::uint32_t i) { return *nfs[i]; }
     dpdk::Mempool &mempool(std::uint32_t i) { return *pools[i]; }
     gen::TrafficSource &trafficGen(std::uint32_t i) { return *gens[i]; }
-    nf::LlcAntagonist *antagonist() { return antag.get(); }
+    /** Aggressor cores' antagonists, in core order. */
+    const Antagonists &antagonists() const { return antags; }
     tenant::TenantManager *tenantManager() { return tenantMgr.get(); }
     tenant::IocaController *iocaController() { return ioca.get(); }
     sim::InvariantChecker &invariantChecker() { return *checker; }
@@ -145,6 +146,10 @@ class TestSystem
     std::uint32_t numNfs() const
     {
         return static_cast<std::uint32_t>(nfs.size());
+    }
+    std::uint32_t numPorts() const
+    {
+        return static_cast<std::uint32_t>(nics.size());
     }
     /** @} */
 
@@ -170,15 +175,11 @@ class TestSystem
     std::vector<std::unique_ptr<dpdk::RxQueue>> rxqs;
     std::vector<std::unique_ptr<nf::NetworkFunction>> nfs;
     std::vector<std::unique_ptr<gen::TrafficSource>> gens;
-    std::unique_ptr<nf::LlcAntagonist> antag;
-    std::vector<std::unique_ptr<nf::LlcAntagonist>> tenantAntags;
+    Antagonists antags;
     std::unique_ptr<tenant::TenantManager> tenantMgr;
     std::unique_ptr<tenant::IocaController> ioca;
     std::unique_ptr<sim::InvariantChecker> checker;
     std::unique_ptr<TimelineRecorder> recorder;
-
-    void validateTenantConfig() const;
-    void buildTenants();
 
     bool started = false;
 };

@@ -71,6 +71,9 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
     if (cfg.numQueues == 0)
         sim::fatal("NIC '%s' needs at least one RX queue",
                    name.c_str());
+    if (cfg.ringSize < 8)
+        sim::fatal("NIC '%s' ring size %u is below the minimum of 8",
+                   name.c_str(), cfg.ringSize);
     rings.reserve(cfg.numQueues);
     for (std::uint32_t q = 0; q < cfg.numQueues; ++q) {
         rings.emplace_back(

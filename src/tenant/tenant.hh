@@ -3,13 +3,13 @@
  * Tenant descriptors for multi-tenant LLC management.
  *
  * A Tenant is one co-located workload sharing the simulated server: a
- * set of cores, the flow ranges steered to those cores, and a service
- * class describing how the platform should weigh it when cache
- * capacity is contended (IOCA's setting: latency-critical NFs next to
- * throughput batch jobs and best-effort aggressors). Tenants own a
- * CAT-style LLC way mask; the TenantManager installs it into the
- * MemoryHierarchy's per-core allocation masks, keeping the low DDIO
- * ways as the shared I/O partition.
+ * set of cores and a service class describing how the platform should
+ * weigh it when cache capacity is contended (IOCA's setting:
+ * latency-critical NFs next to throughput batch jobs and best-effort
+ * aggressors). Tenants own a CAT-style LLC way mask; the
+ * TenantManager installs it into the MemoryHierarchy's per-core
+ * allocation masks, keeping the low DDIO ways as the shared I/O
+ * partition.
  */
 
 #ifndef IDIO_TENANT_TENANT_HH
@@ -58,16 +58,6 @@ struct Tenant
 
     /** Member cores (one NF pipeline or one aggressor each). */
     std::vector<sim::CoreId> cores;
-
-    /**
-     * Flow binding: the UDP destination-port base steered to each
-     * member NF core by the NIC's exact-match rules (legacy layout),
-     * one entry per core in `cores` order. Empty for antagonists.
-     */
-    std::vector<std::uint16_t> flowPortBases;
-
-    /** Flows per member core. */
-    std::uint32_t flowsPerCore = 0;
 
     /** Current LLC allocation mask of the tenant's cores. */
     cache::WayMask mask = ~cache::WayMask(0);

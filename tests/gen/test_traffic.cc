@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/traffic.hh"
 #include "mem/phys_alloc.hh"
 #include "sim/simulation.hh"
@@ -165,6 +167,28 @@ TEST(TrafficDeath, EmptyFlowListIsFatal)
     gen::TrafficConfig tc; // no flows
     EXPECT_EXIT(gen::SteadyTrafficGen(s, "gen", port, tc, 10.0),
                 ::testing::ExitedWithCode(1), "no flows");
+}
+
+TEST(TrafficDeath, NonPositiveOrNanRateIsFatal)
+{
+    sim::Simulation s;
+    NullTarget target;
+    mem::PhysAllocator alloc;
+    nic::Nic port(s, "nic", {}, target, alloc, 2);
+    gen::TrafficConfig tc;
+    tc.flows = gen::makeFlows(1);
+    EXPECT_EXIT(gen::SteadyTrafficGen(s, "steady", port, tc, 0.0),
+                ::testing::ExitedWithCode(1),
+                "'steady' needs a positive rate, got 0 Gbps");
+    gen::BurstyTrafficGen::BurstParams bp;
+    bp.burstRateGbps = -5.0;
+    EXPECT_EXIT(gen::BurstyTrafficGen(s, "bursty", port, tc, bp),
+                ::testing::ExitedWithCode(1),
+                "'bursty' needs a positive rate, got -5 Gbps");
+    EXPECT_EXIT(gen::PoissonTrafficGen(s, "poisson", port, tc,
+                                       std::nan("")),
+                ::testing::ExitedWithCode(1),
+                "'poisson' needs a positive rate, got -?nan Gbps");
 }
 
 } // anonymous namespace

@@ -5,10 +5,132 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "harness/system.hh"
+#include "tenant_scenario.hh"
 
 namespace
 {
+
+/** One machine layout and the topology TestSystem must build. */
+struct Topology
+{
+    const char *name;
+    harness::ExperimentConfig (*config)();
+    std::uint32_t cores;
+    std::uint32_t ports;
+    std::uint32_t queuesPerPort;
+    std::uint32_t epRulesPerPort; ///< 0: RSS steering
+    std::vector<std::string> aggressors;
+    bool tenants;
+};
+
+void
+PrintTo(const Topology &t, std::ostream *os)
+{
+    *os << t.name;
+}
+
+harness::ExperimentConfig
+legacy3()
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 3;
+    return cfg;
+}
+
+harness::ExperimentConfig
+legacy2Antag()
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 2;
+    cfg.withAntagonist = true;
+    return cfg;
+}
+
+harness::ExperimentConfig
+multiQueue4Antag()
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 4;
+    cfg.rxQueues = 4;
+    cfg.withAntagonist = true;
+    return cfg;
+}
+
+harness::ExperimentConfig
+tenantMix()
+{
+    return bench::tenantMixConfig(bench::tenantSchemes[0]);
+}
+
+harness::ExperimentConfig
+singleTenant()
+{
+    harness::ExperimentConfig cfg;
+    harness::TenantSpec solo;
+    solo.name = "solo";
+    cfg.tenants = {solo};
+    return cfg;
+}
+
+class SystemTopology : public ::testing::TestWithParam<Topology>
+{
+};
+
+TEST_P(SystemTopology, BuildsPlannedMachine)
+{
+    const Topology &want = GetParam();
+    const harness::ExperimentConfig cfg = want.config();
+    harness::TestSystem sys(cfg);
+    cache::MemoryHierarchy &hier = sys.hierarchy();
+
+    const auto numAggressors =
+        static_cast<std::uint32_t>(want.aggressors.size());
+    EXPECT_EQ(hier.numCores(), want.cores);
+    EXPECT_EQ(sys.numNfs(), want.cores - numAggressors);
+    // Total LLC scales with core count (per-core slices).
+    EXPECT_EQ(hier.llc().tags().capacityBytes(),
+              std::uint64_t(want.cores) * cfg.hier.llcPerCore.sizeBytes);
+
+    ASSERT_EQ(sys.numPorts(), want.ports);
+    for (std::uint32_t p = 0; p < want.ports; ++p) {
+        EXPECT_EQ(sys.nicPort(p).numQueues(), want.queuesPerPort);
+        EXPECT_EQ(sys.nicPort(p).flowDirector().ruleCount(),
+                  want.epRulesPerPort);
+    }
+
+    // Aggressors follow the NF cores and run on the shrunken MLC.
+    ASSERT_EQ(sys.antagonists().size(), want.aggressors.size());
+    for (std::uint32_t i = 0; i < numAggressors; ++i)
+        EXPECT_EQ(sys.antagonists()[i]->name(), want.aggressors[i]);
+    for (std::uint32_t c = 0; c < want.cores; ++c) {
+        const bool aggressor = c >= want.cores - numAggressors;
+        EXPECT_EQ(hier.mlcOf(c).tags().capacityBytes(),
+                  aggressor ? 256u * 1024 : 1024u * 1024)
+            << "core " << c;
+    }
+
+    EXPECT_EQ(sys.tenantManager() != nullptr, want.tenants);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, SystemTopology,
+    ::testing::Values(
+        Topology{"legacy_3nf", legacy3, 3, 3, 1, 4, {}, false},
+        Topology{"legacy_2nf_antag", legacy2Antag, 3, 2, 1, 4,
+                 {"system.antag"}, false},
+        Topology{"multi_queue_4_antag", multiQueue4Antag, 5, 1, 4, 0,
+                 {"system.antag"}, false},
+        Topology{"tenant_mix", tenantMix, 4, 3, 1, 4,
+                 {"system.antag.antag0"}, true},
+        Topology{"single_tenant", singleTenant, 1, 1, 1, 4, {}, true}),
+    [](const ::testing::TestParamInfo<Topology> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(System, BuildsRequestedTopology)
 {
@@ -19,7 +141,7 @@ TEST(System, BuildsRequestedTopology)
 
     EXPECT_EQ(sys.numNfs(), 3u);
     EXPECT_EQ(sys.hierarchy().numCores(), 4u);
-    EXPECT_NE(sys.antagonist(), nullptr);
+    EXPECT_EQ(sys.antagonists().size(), 1u);
     // Total LLC scales with core count (per-core slices).
     EXPECT_EQ(sys.hierarchy().llc().tags().capacityBytes(),
               4ull * cfg.hier.llcPerCore.sizeBytes);
@@ -42,7 +164,7 @@ TEST(System, NoAntagonistByDefault)
 {
     harness::ExperimentConfig cfg;
     harness::TestSystem sys(cfg);
-    EXPECT_EQ(sys.antagonist(), nullptr);
+    EXPECT_TRUE(sys.antagonists().empty());
     EXPECT_EQ(sys.hierarchy().numCores(), 2u);
 }
 

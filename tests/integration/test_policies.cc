@@ -148,7 +148,7 @@ TEST(Policies, CoRunIsolationImprovesAntagonist)
         harness::TestSystem sys(cfg);
         sys.start();
         sys.runFor(30 * sim::oneMs);
-        return sys.antagonist()->ticksPerAccess();
+        return sys.antagonists().front()->ticksPerAccess();
     };
 
     EXPECT_LT(antagCpi(idio::Policy::Idio),

@@ -78,6 +78,18 @@ class NicTest : public ::testing::Test
     std::vector<sim::Addr> bufs;
 };
 
+TEST(NicDeath, RingBelowMinimumIsFatal)
+{
+    sim::Simulation s;
+    CountingTarget target;
+    mem::PhysAllocator alloc;
+    nic::NicConfig cfg;
+    cfg.ringSize = 4;
+    EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 2),
+                ::testing::ExitedWithCode(1),
+                "NIC 'port' ring size 4 is below the minimum of 8");
+}
+
 TEST_F(NicTest, DeliversPayloadLinesPlusDescriptor)
 {
     port->deliver(packet(1514)); // 24 payload lines + 2 desc lines

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,17 @@
 #include "tenant/ioca.hh"
 #include "tenant/manager.hh"
 #include "trace/chrome_export.hh"
+
+namespace harness
+{
+
+void
+PrintTo(NfKind kind, std::ostream *os)
+{
+    *os << nfKindName(kind);
+}
+
+} // namespace harness
 
 namespace
 {
@@ -298,6 +310,74 @@ TEST(TenantSystem, IocaShiftsWaysTowardWeightedPressure)
         sum += mgr.tenant(id).ways;
     }
     EXPECT_LE(sum, mgr.partitionWays());
+}
+
+/**
+ * A one-tenant config runs exactly like its run-wide twin, whatever
+ * the NF kind: the tenant's kind picks its port's DSCP class (class 1
+ * for the payload-dropping firewall), so IDIO steers the same
+ * payloads to DRAM.
+ */
+class TenantNfKind : public ::testing::TestWithParam<harness::NfKind>
+{
+  protected:
+    static harness::ExperimentConfig
+    twin()
+    {
+        harness::ExperimentConfig cfg;
+        cfg.applyPolicy(idio::Policy::Idio);
+        cfg.numNfs = 1;
+        cfg.nfKind = GetParam();
+        cfg.traffic = harness::TrafficKind::Poisson;
+        cfg.rateGbps = 8.0;
+        return cfg;
+    }
+
+    static harness::ExperimentConfig
+    oneTenant()
+    {
+        harness::ExperimentConfig cfg;
+        cfg.applyPolicy(idio::Policy::Idio);
+        cfg.rateGbps = 8.0;
+        harness::TenantSpec solo;
+        solo.name = "solo";
+        solo.nfKind = GetParam();
+        solo.traffic = harness::TrafficKind::Poisson;
+        cfg.tenants = {solo};
+        return cfg;
+    }
+};
+
+TEST_P(TenantNfKind, OneTenantMatchesRunWideTwin)
+{
+    harness::TestSystem ref(twin());
+    harness::TestSystem got(oneTenant());
+    for (harness::TestSystem *sys : {&ref, &got}) {
+        sys->start();
+        sys->runFor(2 * sim::oneMs);
+    }
+    EXPECT_GT(got.totals().processedPackets, 0u);
+    EXPECT_EQ(got.totals(), ref.totals());
+    EXPECT_EQ(got.controller().directDramSteers.get(),
+              ref.controller().directDramSteers.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NfKinds, TenantNfKind,
+    ::testing::Values(harness::NfKind::TouchDrop,
+                      harness::NfKind::CopyTouchDrop,
+                      harness::NfKind::L2Fwd,
+                      harness::NfKind::L2FwdDropPayload),
+    [](const ::testing::TestParamInfo<harness::NfKind> &info) {
+        return std::string(harness::nfKindName(info.param));
+    });
+
+TEST(TenantSystemDeath, NegativeTenantRateIsFatal)
+{
+    auto cfg = mixConfig(harness::TenantPartition::None);
+    cfg.tenants[1].rateGbps = -1.0;
+    EXPECT_EXIT(harness::TestSystem{cfg}, ::testing::ExitedWithCode(1),
+                "tenant 'batch' has rateGbps -1");
 }
 
 TEST(TenantCkpt, MidBurstRoundTripIsBitIdentical)
