@@ -64,14 +64,10 @@ namespace bench
  *               RSS/RETA steering over a synthetic flow population).
  *   --rx-queues=N use N RX rings on the shared port (0 keeps the
  *               legacy one-port-per-NF layout).
- *   --micro-reps=N (perf_smoke) repeat each micro N times after one
- *               discarded warm-up pass and report the minimum
- *               (default 3) — min-of-N filters host scheduling noise
- *               out of the committed trajectory.
  *
  * A numeric option with an empty value, trailing characters, a sign
- * or an out-of-range value is an error (exit 2), as is an unknown
- * option.
+ * or an out-of-range value is an error (exit 2), as is a file option
+ * with an empty path and an unknown option.
  */
 struct BenchOptions
 {
@@ -84,7 +80,6 @@ struct BenchOptions
     bool warmStart = false;
     std::uint32_t cores = 0;
     std::uint32_t rxQueues = 0;
-    unsigned microReps = 3;
 };
 
 /**
@@ -117,17 +112,37 @@ badOptionValue(const char *prog, const std::string &arg,
     std::exit(2);
 }
 
+/** The file path after '=' in @p arg; an empty one is an error. */
+inline std::string
+pathOption(const char *prog, const std::string &arg)
+{
+    std::string path = arg.substr(arg.find('=') + 1);
+    if (path.empty())
+        badOptionValue(prog, arg, "a file path");
+    return path;
+}
+
+/**
+ * Parse all of @p text as a decimal integer into @p out. False on an
+ * empty value, a sign, trailing characters or overflow.
+ */
+inline bool
+parseUnsigned(const char *text, std::uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text, &end, 10);
+    return std::isdigit(static_cast<unsigned char>(*text)) && !*end &&
+           errno != ERANGE;
+}
+
 /** The non-negative integer after '=' in @p arg, at most @p max. */
 inline std::uint64_t
 unsignedOption(const char *prog, const std::string &arg,
                std::uint64_t max = 0xffffffffu)
 {
-    const char *text = arg.c_str() + arg.find('=') + 1;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end ||
-        errno == ERANGE || v > max)
+    std::uint64_t v = 0;
+    if (!parseUnsigned(arg.c_str() + arg.find('=') + 1, v) || v > max)
         badOptionValue(prog, arg, "a non-negative integer");
     return v;
 }
@@ -144,15 +159,15 @@ parseBenchOptions(int argc, char **argv)
                 static_cast<unsigned>(unsignedOption(prog, arg));
             opts.jobs = n ? n : harness::SweepRunner::hardwareJobs();
         } else if (arg.rfind("--json=", 0) == 0) {
-            opts.jsonPath = arg.substr(7);
+            opts.jsonPath = pathOption(prog, arg);
         } else if (arg.rfind("--trace=", 0) == 0) {
-            opts.tracePath = arg.substr(8);
+            opts.tracePath = pathOption(prog, arg);
         } else if (arg.rfind("--seed=", 0) == 0) {
             opts.seed = unsignedOption(prog, arg, ~std::uint64_t(0));
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            opts.checkpointPath = arg.substr(13);
+            opts.checkpointPath = pathOption(prog, arg);
         } else if (arg.rfind("--restore=", 0) == 0) {
-            opts.restorePath = arg.substr(10);
+            opts.restorePath = pathOption(prog, arg);
         } else if (arg == "--warm-start") {
             opts.warmStart = true;
         } else if (arg.rfind("--cores=", 0) == 0) {
@@ -161,10 +176,6 @@ parseBenchOptions(int argc, char **argv)
         } else if (arg.rfind("--rx-queues=", 0) == 0) {
             opts.rxQueues =
                 static_cast<std::uint32_t>(unsignedOption(prog, arg));
-        } else if (arg.rfind("--micro-reps=", 0) == 0) {
-            const auto n =
-                static_cast<unsigned>(unsignedOption(prog, arg));
-            opts.microReps = n ? n : 1;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--jobs=N] [--json=FILE] [--trace=FILE]\n"
@@ -185,9 +196,7 @@ parseBenchOptions(int argc, char **argv)
                 "  --cores=N   scale cases to an N-core socket "
                 "(implies --rx-queues=N)\n"
                 "  --rx-queues=N multi-queue RX rings with RSS "
-                "steering (0 = legacy layout)\n"
-                "  --micro-reps=N (perf_smoke) min-of-N micro timing "
-                "with a warm-up pass (default 3)\n",
+                "steering (0 = legacy layout)\n",
                 argv[0], harness::SweepRunner::hardwareJobs());
             std::exit(0);
         } else {
@@ -264,9 +273,12 @@ saveWarmState(const std::string &path, const WarmState &w)
 }
 
 /**
- * Read a checkpoint (and its .meta sidecar when present) back. A
- * missing sidecar leaves the loop state at defaults: the run still
- * resumes correctly but re-measures firstArrival from resume time.
+ * Read a checkpoint and its .meta sidecar back. The sidecar is
+ * required: without its loop state a resumed run would re-measure
+ * firstArrival from resume time and report a different execTime. A
+ * missing sidecar, an unknown key, a missing key, a non-numeric
+ * firstArrival or a sawFirst other than 0/1 is fatal, naming the file
+ * and the line.
  */
 inline WarmState
 loadWarmState(const std::string &path)
@@ -278,15 +290,39 @@ loadWarmState(const std::string &path)
     w.blob.assign(std::istreambuf_iterator<char>(ifs),
                   std::istreambuf_iterator<char>());
 
-    std::ifstream meta(path + ".meta");
+    const std::string metaPath = path + ".meta";
+    std::ifstream meta(metaPath);
+    if (!meta)
+        sim::fatal("cannot read checkpoint meta '%s'", metaPath.c_str());
+    bool haveFirstArrival = false;
+    bool haveSawFirst = false;
     std::string line;
-    while (meta && std::getline(meta, line)) {
-        if (line.rfind("firstArrival=", 0) == 0)
-            w.firstArrival =
-                std::strtoull(line.c_str() + 13, nullptr, 10);
-        else if (line.rfind("sawFirst=", 0) == 0)
-            w.sawFirst = line.size() > 9 && line[9] == '1';
+    for (int lineNo = 1; std::getline(meta, line); ++lineNo) {
+        const std::size_t eq = line.find('=');
+        const std::string key = line.substr(0, eq);
+        const std::string value =
+            eq == std::string::npos ? "" : line.substr(eq + 1);
+        if (key == "firstArrival") {
+            if (!parseUnsigned(value.c_str(), w.firstArrival)) {
+                sim::fatal("%s:%d: firstArrival '%s' is not a tick "
+                           "count", metaPath.c_str(), lineNo,
+                           value.c_str());
+            }
+            haveFirstArrival = true;
+        } else if (key == "sawFirst") {
+            if (value != "0" && value != "1")
+                sim::fatal("%s:%d: sawFirst '%s' is not 0 or 1",
+                           metaPath.c_str(), lineNo, value.c_str());
+            w.sawFirst = value == "1";
+            haveSawFirst = true;
+        } else {
+            sim::fatal("%s:%d: unknown checkpoint meta line '%s'",
+                       metaPath.c_str(), lineNo, line.c_str());
+        }
     }
+    if (!haveFirstArrival || !haveSawFirst)
+        sim::fatal("%s: missing %s", metaPath.c_str(),
+                   haveFirstArrival ? "sawFirst" : "firstArrival");
     return w;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * The canonical multi-tenant noisy-neighbor scenario, shared by
- * bench/tenant_mix.cc (the full per-tenant report) and perf_smoke
- * (the committed-trajectory tenant headline numbers).
+ * bench/tenant_mix.cc (the full per-tenant report), perfbench's
+ * tenant_mix workload and the PinnedWork tests (the exact tenant
+ * headline numbers).
  *
  * Three tenants covering every SLO class on one socket:
  *

@@ -31,7 +31,8 @@ std::string jsonEscape(const std::string &s);
  * Produces compact, valid JSON with automatic comma management; the
  * caller is responsible for nesting begin/end calls correctly (an
  * unbalanced document is a programming error and asserts). Used by the
- * figure benches (`--json=FILE`) and the perf_smoke trajectory file.
+ * benches' `--json=FILE` reports, the Chrome trace exporter and the
+ * trace totals sidecar.
  */
 class JsonWriter
 {

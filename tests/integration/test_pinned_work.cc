@@ -1,0 +1,129 @@
+/**
+ * @file
+ * Pinned work counters: exact, host-independent numbers of three
+ * canonical runs.
+ *
+ * Each case repeats a fixed measurement loop (runFor(burstQuantum)
+ * until the burst drains or the horizon passes, no settle time) and
+ * asserts the exact events dispatched and, for the tenant mix, the
+ * exact per-tenant tail latencies in ticks. The constants are the
+ * values the simulator produced when these gates moved here from the
+ * perf smoke's committed trajectory file, in release and checker-on
+ * builds alike: the invariant checker and the tracer must not change
+ * the run, so every build tree (default, release, asan, tsan) must
+ * reproduce them bit for bit.
+ *
+ * A change that moves one of them on purpose updates the constant
+ * and names the change, with old and new value, in CHANGES.md. An
+ * unexplained move is a behaviour change.
+ */
+
+#include <gtest/gtest.h>
+
+#include "common.hh"
+#include "tenant_scenario.hh"
+
+namespace
+{
+
+/** What one drained single-burst run did. */
+struct BurstWork
+{
+    std::uint64_t packets = 0;
+    std::uint64_t events = 0;
+};
+
+/** Run one burst of @p config in burstQuantum steps until drained. */
+BurstWork
+drainOneBurst(harness::ExperimentConfig cfg)
+{
+    cfg.traffic = harness::TrafficKind::Bursty;
+    cfg.burstPeriod = 10 * sim::oneSec; // one burst
+
+    harness::TestSystem sys(cfg);
+    sys.start();
+    const std::uint64_t expected = cfg.expectedBurstTotal();
+    while (sys.simulation().now() < 50 * sim::oneMs) {
+        sys.runFor(bench::burstQuantum);
+        const auto t = sys.totals();
+        if (t.processedPackets + t.rxDrops >= expected &&
+            t.rxPackets >= expected) {
+            break;
+        }
+    }
+    return {sys.totals().processedPackets,
+            sys.simulation().totalProcessedEvents()};
+}
+
+TEST(PinnedWork, SingleBurst)
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 2;
+    cfg.nfKind = harness::NfKind::TouchDrop;
+    cfg.rateGbps = 100.0;
+    cfg.seed = 1;
+    cfg.applyPolicy(idio::Policy::Idio);
+
+    const BurstWork w = drainOneBurst(cfg);
+    EXPECT_EQ(w.packets, 2048u);
+    EXPECT_EQ(w.events, 107250u);
+}
+
+TEST(PinnedWork, Scaled32)
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 32;
+    cfg.rxQueues = 32;
+    cfg.totalFlows = 1u << 20;
+    cfg.burstPackets = 8192;
+    cfg.nfKind = harness::NfKind::TouchDrop;
+    cfg.rateGbps = 100.0;
+    cfg.nic.ringSize = 256;
+    cfg.applyPolicy(idio::Policy::Idio);
+
+    const BurstWork w = drainOneBurst(cfg);
+    EXPECT_EQ(w.packets, 8192u);
+    EXPECT_EQ(w.events, 493517u);
+}
+
+/**
+ * Run the canonical tenant mix under @p scheme for 300 us and check
+ * its rpc p99/p99.9 and batch p99 (ticks) and the IOCA controller's
+ * way reallocations.
+ */
+void
+expectTenantHeadlines(const bench::TenantScheme &scheme,
+                      sim::Tick rpcP99, sim::Tick rpcP999,
+                      sim::Tick batchP99, std::uint64_t reallocations)
+{
+    auto cfg = bench::tenantMixConfig(scheme);
+    cfg.nic.ringSize = 256;
+    harness::TestSystem sys(cfg);
+    sys.start();
+    while (sys.simulation().now() < 300 * sim::oneUs)
+        sys.runFor(bench::burstQuantum);
+
+    const auto tt = sys.tenantTotals();
+    ASSERT_GE(tt.size(), 2u);
+    EXPECT_EQ(tt[0].p99, rpcP99);
+    EXPECT_EQ(tt[0].p999, rpcP999);
+    EXPECT_EQ(tt[1].p99, batchP99);
+    const auto *ioca = sys.iocaController();
+    EXPECT_EQ(ioca ? ioca->reallocations.get() : 0, reallocations);
+}
+
+TEST(PinnedWork, TenantHeadlinesDdio)
+{
+    const auto &ddio = bench::tenantSchemes[0];
+    ASSERT_STREQ(ddio.label, "ddio");
+    expectTenantHeadlines(ddio, 2'422'552, 2'517'918, 271'771'260, 0);
+}
+
+TEST(PinnedWork, TenantHeadlinesIoca)
+{
+    const auto &ioca = bench::tenantSchemes[2];
+    ASSERT_STREQ(ioca.label, "ioca");
+    expectTenantHeadlines(ioca, 2'419'912, 2'529'193, 271'781'604, 6);
+}
+
+} // anonymous namespace

@@ -26,6 +26,9 @@ carries the consuming core; NIC events come from the per-core
 ``system.nf<i>.nic`` sources). Every attributable per-tenant count is
 cross-checked exactly against the sidecar's per-tenant totals; any
 mismatch exits non-zero.
+
+An input that is missing, is not JSON, or is JSON without a
+``traceEvents`` array is a usage error: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
@@ -46,9 +49,23 @@ def percentile(sorted_vals: list[float], p: float) -> float:
     return sorted_vals[rank]
 
 
+class NotATrace(Exception):
+    """The input file is missing, not JSON, or not a Chrome trace."""
+
+
 def load_trace(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            trace = json.load(fh)
+    except OSError as e:
+        raise NotATrace(f"cannot read '{path}': {e.strerror}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise NotATrace(f"'{path}' is not JSON: {e}") from e
+    if not isinstance(trace, dict) or \
+            not isinstance(trace.get("traceEvents"), list):
+        raise NotATrace(f"'{path}' is not a Chrome trace "
+                        "(no traceEvents array)")
+    return trace
 
 
 def event_counts(trace: dict) -> Counter:
@@ -332,7 +349,11 @@ def main() -> int:
                     "from --check-totals or TRACE.totals.json)")
     args = ap.parse_args()
 
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except NotATrace as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     counts = event_counts(trace)
 
     sources = trace.get("idio", {}).get("sources", [])
