@@ -33,29 +33,28 @@ DmaEngine::~DmaEngine()
 }
 
 void
-DmaEngine::enqueueWrite(sim::Addr addr, const TlpMeta &meta)
+DmaEngine::push(const Transfer &t)
 {
-    ops.push_back(DmaOp{DmaOp::Kind::WriteLine, mem::lineAlign(addr),
-                        meta, {}});
-    schedulePump();
+    xfers.push_back(t);
+    if (!pumpEvent.scheduled())
+        eventq().scheduleIn(&pumpEvent, 0);
 }
 
 void
-DmaEngine::enqueueRead(sim::Addr addr)
+DmaEngine::enqueueWrite(sim::Addr addr, const TlpMeta &meta,
+                        std::uint32_t lines)
 {
-    ops.push_back(
-        DmaOp{DmaOp::Kind::ReadLine, mem::lineAlign(addr), {}, {}});
-    schedulePump();
+    if (lines != 0)
+        push(Transfer{mem::lineAlign(addr), meta, lines,
+                      Transfer::Kind::WriteLine});
 }
 
 void
-DmaEngine::enqueueCallback(std::function<void()> cb)
+DmaEngine::enqueueRead(sim::Addr addr, std::uint32_t lines)
 {
-    DmaOp op;
-    op.kind = DmaOp::Kind::Callback;
-    op.cb = std::move(cb);
-    ops.push_back(std::move(op));
-    schedulePump();
+    if (lines != 0)
+        push(Transfer{mem::lineAlign(addr), {}, lines,
+                      Transfer::Kind::ReadLine});
 }
 
 std::uint32_t
@@ -77,59 +76,44 @@ DmaEngine::enqueueCallback(std::uint32_t handlerId,
 {
     SIM_ASSERT(handlerId < handlers.size(),
                "enqueueCallback with an unregistered handler id");
-    DmaOp op;
-    op.kind = DmaOp::Kind::Callback;
-    op.handlerId = handlerId;
-    op.args = args;
-    ops.push_back(std::move(op));
-    schedulePump();
-}
-
-void
-DmaEngine::schedulePump()
-{
-    if (!pumpEvent.scheduled() && !ops.empty())
-        eventq().scheduleIn(&pumpEvent, 0);
-}
-
-void
-DmaEngine::fireCallback(DmaOp &op)
-{
-    if (op.handlerId != DmaOp::noHandler)
-        handlers[op.handlerId].fn(op.args);
-    else
-        op.cb();
+    pendingCbs.push_back(PendingCallback{handlerId, args});
+    push(Transfer{0, {}, 1, Transfer::Kind::Callback});
 }
 
 void
 DmaEngine::pump()
 {
     // Run consecutive callbacks for free; transfers occupy the link
-    // for lineTime each.
-    while (!ops.empty() &&
-           ops.front().kind == DmaOp::Kind::Callback) {
-        DmaOp op = std::move(ops.front());
-        ops.pop_front();
+    // for lineTime per line.
+    while (!xfers.empty() &&
+           xfers.front().kind == Transfer::Kind::Callback) {
+        xfers.pop_front();
+        const PendingCallback cb = pendingCbs.front();
+        pendingCbs.pop_front();
         ++callbacks;
-        fireCallback(op);
+        handlers[cb.handlerId].fn(cb.args);
     }
 
-    if (ops.empty())
+    if (xfers.empty())
         return;
 
-    DmaOp op = std::move(ops.front());
-    ops.pop_front();
-    switch (op.kind) {
-      case DmaOp::Kind::WriteLine:
-        target.dmaWrite(op.addr, op.meta);
+    // Take the front run's next line before calling out, as if that
+    // line had been its own queue entry.
+    Transfer &run = xfers.front();
+    const Transfer::Kind kind = run.kind;
+    const sim::Addr addr = run.addr;
+    const TlpMeta meta = run.meta;
+    if (--run.lines == 0)
+        xfers.pop_front();
+    else
+        run.addr += mem::lineSize;
+
+    if (kind == Transfer::Kind::WriteLine) {
+        target.dmaWrite(addr, meta);
         ++linesWritten;
-        break;
-      case DmaOp::Kind::ReadLine:
-        target.dmaRead(op.addr);
+    } else {
+        target.dmaRead(addr);
         ++linesRead;
-        break;
-      case DmaOp::Kind::Callback:
-        break; // unreachable
     }
 
     // Re-arm after the link occupancy interval; the pending event also
@@ -140,29 +124,32 @@ DmaEngine::pump()
 void
 DmaEngine::serialize(ckpt::Serializer &s) const
 {
+    // One record per line, as if every line were its own entry, so
+    // the layout does not depend on how transfers were queued.
     ckpt::serializeEvent(s, pumpEvent);
-    s.writeU64(ops.size());
-    for (const DmaOp &op : ops) {
-        s.writeU8(static_cast<std::uint8_t>(op.kind));
-        switch (op.kind) {
-          case DmaOp::Kind::WriteLine:
-            s.writeU64(op.addr);
-            serializeTlpMeta(s, op.meta);
-            break;
-          case DmaOp::Kind::ReadLine:
-            s.writeU64(op.addr);
-            break;
-          case DmaOp::Kind::Callback:
-            if (op.handlerId == DmaOp::noHandler) {
-                sim::fatal("ckpt: DMA engine '%s' has an anonymous "
-                           "callback pending; only named handlers "
-                           "(registerHandler) are checkpointable",
-                           name().c_str());
+    std::uint64_t records = 0;
+    for (const Transfer &t : xfers)
+        records += t.lines;
+    s.writeU64(records);
+    auto cb = pendingCbs.begin();
+    for (const Transfer &t : xfers) {
+        for (std::uint32_t i = 0; i < t.lines; ++i) {
+            s.writeU8(static_cast<std::uint8_t>(t.kind));
+            switch (t.kind) {
+              case Transfer::Kind::WriteLine:
+                s.writeU64(t.addr + std::uint64_t(i) * mem::lineSize);
+                serializeTlpMeta(s, t.meta);
+                break;
+              case Transfer::Kind::ReadLine:
+                s.writeU64(t.addr + std::uint64_t(i) * mem::lineSize);
+                break;
+              case Transfer::Kind::Callback:
+                s.writeString(handlers[cb->handlerId].hname);
+                for (const std::uint64_t a : cb->args)
+                    s.writeU64(a);
+                ++cb;
+                break;
             }
-            s.writeString(handlers[op.handlerId].hname);
-            for (const std::uint64_t a : op.args)
-                s.writeU64(a);
-            break;
         }
     }
 }
@@ -171,43 +158,44 @@ void
 DmaEngine::unserialize(ckpt::Deserializer &d)
 {
     ckpt::unserializeEvent(d, &pumpEvent);
-    ops.clear();
+    xfers.clear();
+    pendingCbs.clear();
     const std::uint64_t count = d.readU64();
     for (std::uint64_t i = 0; i < count; ++i) {
-        DmaOp op;
-        op.kind = static_cast<DmaOp::Kind>(d.readU8());
-        switch (op.kind) {
-          case DmaOp::Kind::WriteLine:
-            op.addr = d.readU64();
-            op.meta = unserializeTlpMeta(d);
+        Transfer t{0, {}, 1, static_cast<Transfer::Kind>(d.readU8())};
+        switch (t.kind) {
+          case Transfer::Kind::WriteLine:
+            t.addr = d.readU64();
+            t.meta = unserializeTlpMeta(d);
             break;
-          case DmaOp::Kind::ReadLine:
-            op.addr = d.readU64();
+          case Transfer::Kind::ReadLine:
+            t.addr = d.readU64();
             break;
-          case DmaOp::Kind::Callback: {
+          case Transfer::Kind::Callback: {
             const std::string hname = d.readString();
-            op.handlerId = DmaOp::noHandler;
-            for (std::uint32_t h = 0; h < handlers.size(); ++h) {
-                if (handlers[h].hname == hname) {
-                    op.handlerId = h;
-                    break;
-                }
-            }
-            if (op.handlerId == DmaOp::noHandler)
+            PendingCallback cb{};
+            const auto h = std::find_if(
+                handlers.begin(), handlers.end(),
+                [&](const Handler &x) { return x.hname == hname; });
+            if (h == handlers.end())
                 sim::fatal("ckpt: checkpointed DMA handler '%s' is "
                            "not registered on '%s'",
                            hname.c_str(), name().c_str());
-            for (std::uint64_t &a : op.args)
+            cb.handlerId =
+                static_cast<std::uint32_t>(h - handlers.begin());
+            for (std::uint64_t &a : cb.args)
                 a = d.readU64();
+            pendingCbs.push_back(cb);
             break;
           }
           default:
             sim::fatal("ckpt: bad DMA op kind in section '%s'",
                        name().c_str());
         }
-        // Push directly: restore must not re-arm the pump here, the
-        // checkpointed pumpEvent schedule is replayed instead.
-        ops.push_back(std::move(op));
+        // One line per entry, uncoalesced. Push directly: restore must
+        // not re-arm the pump here, the checkpointed pumpEvent
+        // schedule is replayed instead.
+        xfers.push_back(t);
     }
 }
 

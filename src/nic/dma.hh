@@ -2,12 +2,13 @@
  * @file
  * NIC DMA engine.
  *
- * Serialises cacheline-granular DMA operations over a PCIe link of
- * configurable bandwidth. Write operations invoke the DmaTarget (the
- * root-complex-side IDIO controller / DDIO logic); read operations
- * model the TX egress path. Callback entries fire in order with the
- * surrounding transfers, letting the NIC observe transfer completion
- * (descriptor writeback, TX done).
+ * Serialises DMA transfers over a PCIe link of configurable
+ * bandwidth, one cacheline per line time. A transfer is a run of
+ * consecutive lines queued as one entry; each line still reaches the
+ * DmaTarget (the root-complex-side IDIO controller / DDIO logic) as
+ * its own write, or is read for the TX egress path. Callback entries
+ * fire in order with the surrounding transfers, letting the NIC
+ * observe transfer completion (descriptor writeback, TX done).
  */
 
 #ifndef IDIO_NIC_DMA_HH
@@ -71,19 +72,16 @@ class DmaEngine : public sim::SimObject
 
     ~DmaEngine() override;
 
-    /** Queue an inbound cacheline write. */
-    void enqueueWrite(sim::Addr addr, const TlpMeta &meta);
-
-    /** Queue an outbound cacheline read. */
-    void enqueueRead(sim::Addr addr);
-
     /**
-     * Queue an in-order *anonymous* completion callback. Fine for
-     * tests and throwaway harnesses, but a checkpoint taken while one
-     * is pending fails loudly — production callers register a named
-     * handler instead so pending completions can be serialized.
+     * Queue an inbound write of @p lines consecutive cachelines from
+     * the line holding @p addr, every line carrying @p meta. Zero
+     * lines queue nothing.
      */
-    void enqueueCallback(std::function<void()> cb);
+    void enqueueWrite(sim::Addr addr, const TlpMeta &meta,
+                      std::uint32_t lines = 1);
+
+    /** Queue an outbound read of @p lines cachelines from @p addr. */
+    void enqueueRead(sim::Addr addr, std::uint32_t lines = 1);
 
     /**
      * Register a named completion handler. Handlers must be
@@ -97,9 +95,6 @@ class DmaEngine : public sim::SimObject
     /** Queue an in-order completion callback by handler id. */
     void enqueueCallback(std::uint32_t handlerId, const DmaArgs &args);
 
-    /** Operations not yet issued. */
-    std::size_t queueDepth() const { return ops.size(); }
-
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;
 
@@ -110,24 +105,33 @@ class DmaEngine : public sim::SimObject
     /** @} */
 
   private:
-    struct DmaOp
+    /**
+     * One queued transfer: @p lines consecutive cachelines from
+     * @p addr, or (Callback) the position of the next pending
+     * callback record. The pump advances the front run a line at a
+     * time. Kind values are the checkpoint's record tags.
+     */
+    struct Transfer
     {
-        enum class Kind
+        enum class Kind : std::uint8_t
         {
             WriteLine,
             ReadLine,
             Callback,
         };
 
-        /** handlerId value for the anonymous std::function path. */
-        static constexpr std::uint32_t noHandler = ~std::uint32_t(0);
-
-        Kind kind;
-        sim::Addr addr = 0;
+        sim::Addr addr;
         TlpMeta meta;
-        std::function<void()> cb;
-        std::uint32_t handlerId = noHandler;
-        DmaArgs args{};
+        std::uint32_t lines;
+        Kind kind;
+    };
+    static_assert(sizeof(Transfer) == 24);
+
+    /** A completion callback waiting for its Callback transfer. */
+    struct PendingCallback
+    {
+        std::uint32_t handlerId;
+        DmaArgs args;
     };
 
     struct Handler
@@ -150,13 +154,13 @@ class DmaEngine : public sim::SimObject
         DmaEngine &owner;
     };
 
-    void schedulePump();
+    void push(const Transfer &t);
     void pump();
-    void fireCallback(DmaOp &op);
 
     DmaTarget &target;
     sim::Tick lineTime;
-    std::deque<DmaOp> ops;
+    std::deque<Transfer> xfers;
+    std::deque<PendingCallback> pendingCbs;
     std::vector<Handler> handlers;
     PumpEvent pumpEvent;
 };

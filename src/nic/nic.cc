@@ -5,6 +5,9 @@
 
 #include "nic.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "sim/simulation.hh"
 
 namespace nic
@@ -49,6 +52,31 @@ std::uint32_t descRefQueue(std::uint64_t v)
     return static_cast<std::uint32_t>(v >> 32);
 }
 
+/**
+ * @p config, after the checks that must pass before any part of the
+ * port is built from it (the DMA engine's line time, the rings).
+ */
+const NicConfig &
+validated(const std::string &name, const NicConfig &config)
+{
+    if (config.numQueues == 0)
+        sim::fatal("NIC '%s' needs at least one RX queue",
+                   name.c_str());
+    if (config.ringSize < 8)
+        sim::fatal("NIC '%s' ring size %u is below the minimum of 8",
+                   name.c_str(), config.ringSize);
+    if (!std::isfinite(config.pcieGBps) || config.pcieGBps <= 0.0)
+        sim::fatal("NIC '%s' PCIe bandwidth %g GB/s must be positive "
+                   "and finite",
+                   name.c_str(), config.pcieGBps);
+    if (!std::isfinite(config.descWbDelayNs) ||
+        config.descWbDelayNs < 0.0)
+        sim::fatal("NIC '%s' descriptor writeback delay %g ns must be "
+                   "non-negative and finite",
+                   name.c_str(), config.descWbDelayNs);
+    return config;
+}
+
 } // anonymous namespace
 
 Nic::Nic(sim::Simulation &simulation, const std::string &name,
@@ -62,18 +90,13 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
               "packets dropped because the RX ring was full"),
       txPackets(statGroup, "txPackets", "packets transmitted"),
       txBytes(statGroup, "txBytes", "bytes transmitted"),
-      cfg(config), trc(simulation.tracer().registerSource(name)),
-      fdir(numCores, 8192, config.rssTableEntries, config.numQueues),
-      dma(simulation, name + ".dma", target, config.pcieGBps),
-      cls(simulation, name + ".classifier", config.classifier, numCores),
-      descWbDelay(sim::nsToTicks(config.descWbDelayNs))
+      cfg(validated(name, config)),
+      trc(simulation.tracer().registerSource(name)),
+      fdir(numCores, 8192, cfg.rssTableEntries, cfg.numQueues),
+      dma(simulation, name + ".dma", target, cfg.pcieGBps),
+      cls(simulation, name + ".classifier", cfg.classifier, numCores),
+      descWbDelay(sim::nsToTicks(cfg.descWbDelayNs))
 {
-    if (cfg.numQueues == 0)
-        sim::fatal("NIC '%s' needs at least one RX queue",
-                   name.c_str());
-    if (cfg.ringSize < 8)
-        sim::fatal("NIC '%s' ring size %u is below the minimum of 8",
-                   name.c_str(), cfg.ringSize);
     rings.reserve(cfg.numQueues);
     for (std::uint32_t q = 0; q < cfg.numQueues; ++q) {
         rings.emplace_back(
@@ -139,11 +162,13 @@ Nic::deliver(net::Packet pkt)
     ++queueRx[q];
     const RxSlot &slot = ring.slot(idx);
 
+    // The header line and the payload body are two runs, each with
+    // one TLP meta.
     const std::uint32_t lines = pkt.lines();
-    for (std::uint32_t i = 0; i < lines; ++i) {
-        dma.enqueueWrite(slot.bufAddr + std::uint64_t(i) * mem::lineSize,
-                         cls.tlpFor(pktCls, i == 0));
-    }
+    const std::uint32_t headLines = std::min<std::uint32_t>(lines, 1);
+    dma.enqueueWrite(slot.bufAddr, cls.tlpFor(pktCls, true), headLines);
+    dma.enqueueWrite(slot.bufAddr + mem::lineSize,
+                     cls.tlpFor(pktCls, false), lines - headLines);
     const sim::Tick dmaStart = now();
     dma.enqueueCallback(payloadDoneHandler,
                         DmaArgs{packDescRef(idx, q),
@@ -202,10 +227,9 @@ Nic::descWbFire()
     pendingWbs.pop_front();
 
     const sim::Addr base = rings[wb.queue].descAddr(wb.descIdx);
-    const std::uint64_t descLines = mem::linesSpanned(base, rxDescBytes);
-    for (std::uint64_t i = 0; i < descLines; ++i) {
-        dma.enqueueWrite(base + i * mem::lineSize, wb.meta);
-    }
+    dma.enqueueWrite(base, wb.meta,
+                     static_cast<std::uint32_t>(
+                         mem::linesSpanned(base, rxDescBytes)));
     dma.enqueueCallback(descCompleteHandler,
                         DmaArgs{packDescRef(wb.descIdx, wb.queue),
                                 0, 0, 0, 0, 0});
@@ -224,24 +248,10 @@ Nic::onDescComplete(std::uint32_t descIdx, std::uint32_t queue)
 
 void
 Nic::transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
-              std::function<void()> txDone)
-{
-    const std::uint64_t lines = mem::linesSpanned(bufAddr, frameBytes);
-    for (std::uint64_t i = 0; i < lines; ++i)
-        dma.enqueueRead(bufAddr + i * mem::lineSize);
-    ++txPackets;
-    txBytes += frameBytes;
-    if (txDone)
-        dma.enqueueCallback(std::move(txDone));
-}
-
-void
-Nic::transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
               std::uint32_t txDoneHandler, const DmaArgs &args)
 {
-    const std::uint64_t lines = mem::linesSpanned(bufAddr, frameBytes);
-    for (std::uint64_t i = 0; i < lines; ++i)
-        dma.enqueueRead(bufAddr + i * mem::lineSize);
+    dma.enqueueRead(bufAddr, static_cast<std::uint32_t>(
+                                 mem::linesSpanned(bufAddr, frameBytes)));
     ++txPackets;
     txBytes += frameBytes;
     dma.enqueueCallback(txDoneHandler, args);

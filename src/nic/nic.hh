@@ -107,15 +107,10 @@ class Nic : public sim::SimObject
     }
 
     /**
-     * Egress: DMA-read a frame for transmission.
-     * @param txDone invoked when the last line has been read.
-     * Anonymous-callback variant (not checkpointable while pending);
-     * NFs that transmit register a named handler and use the overload.
+     * Egress: DMA-read a frame for transmission; the named handler
+     * @p txDoneHandler of the port's DMA engine runs with @p args once
+     * the last line has been read.
      */
-    void transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
-                  std::function<void()> txDone);
-
-    /** Egress with a named completion handler (checkpointable). */
     void transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
                   std::uint32_t txDoneHandler, const DmaArgs &args);
 

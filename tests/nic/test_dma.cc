@@ -1,12 +1,14 @@
 /**
  * @file
- * DMA engine tests: pacing, ordering, callbacks.
+ * DMA engine tests: pacing, ordering, callbacks, runs, checkpoints.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "nic/dma.hh"
 #include "sim/simulation.hh"
 
@@ -84,9 +86,11 @@ TEST_F(DmaTest, BandwidthPacing)
 TEST_F(DmaTest, CallbackFiresAfterPrecedingTransfers)
 {
     sim::Tick cbTime = 0;
+    const std::uint32_t h = dma.registerHandler(
+        "cb", [&](const nic::DmaArgs &) { cbTime = s.now(); });
     dma.enqueueWrite(0x100, {});
     dma.enqueueWrite(0x140, {});
-    dma.enqueueCallback([&] { cbTime = s.now(); });
+    dma.enqueueCallback(h, {});
     s.runFor(sim::oneUs);
 
     ASSERT_EQ(target.recs.size(), 2u);
@@ -97,10 +101,14 @@ TEST_F(DmaTest, CallbackFiresAfterPrecedingTransfers)
 TEST_F(DmaTest, CallbackOrderingInterleaved)
 {
     std::vector<int> order;
+    const std::uint32_t h = dma.registerHandler(
+        "cb", [&](const nic::DmaArgs &args) {
+            order.push_back(static_cast<int>(args[0]));
+        });
     dma.enqueueWrite(0x100, {});
-    dma.enqueueCallback([&] { order.push_back(1); });
+    dma.enqueueCallback(h, {1});
     dma.enqueueWrite(0x140, {});
-    dma.enqueueCallback([&] { order.push_back(2); });
+    dma.enqueueCallback(h, {2});
     s.runFor(sim::oneUs);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -147,6 +155,128 @@ TEST_F(DmaTest, LateEnqueueResumesPump)
     dma.enqueueWrite(0x140, {});
     s.runFor(sim::oneUs);
     EXPECT_EQ(target.recs.size(), 2u);
+}
+
+nic::TlpMeta
+runMeta()
+{
+    nic::TlpMeta m;
+    m.appClass = 1;
+    m.isBurst = true;
+    m.destCore = 3;
+    return m;
+}
+
+TEST_F(DmaTest, RunArrivesOneLinePerLineTime)
+{
+    const nic::TlpMeta m = runMeta();
+    dma.enqueueWrite(0x1000, m, 5);
+    s.runFor(sim::oneUs);
+
+    ASSERT_EQ(target.recs.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(target.recs[i].kind, 'W');
+        EXPECT_EQ(target.recs[i].addr, 0x1000u + i * 64);
+        EXPECT_EQ(target.recs[i].when, i * sim::nsToTicks(2.0));
+        EXPECT_EQ(target.recs[i].meta, m);
+    }
+    EXPECT_EQ(dma.linesWritten.get(), 5u);
+}
+
+TEST_F(DmaTest, CallbackAfterRunFiresAfterItsLastLine)
+{
+    sim::Tick cbTime = 0;
+    const std::uint32_t h = dma.registerHandler(
+        "cb", [&](const nic::DmaArgs &) { cbTime = s.now(); });
+    dma.enqueueRead(0x2000, 4);
+    dma.enqueueCallback(h, {});
+    s.runFor(sim::oneUs);
+
+    ASSERT_EQ(target.recs.size(), 4u);
+    EXPECT_EQ(dma.linesRead.get(), 4u);
+    EXPECT_EQ(cbTime, target.recs[3].when + sim::nsToTicks(2.0));
+    EXPECT_EQ(dma.callbacks.get(), 1u);
+}
+
+TEST_F(DmaTest, ZeroLineEnqueueSchedulesNothing)
+{
+    dma.enqueueWrite(0x1000, runMeta(), 0);
+    dma.enqueueRead(0x1000, 0);
+    EXPECT_TRUE(s.eventq().empty());
+    s.runFor(sim::oneUs);
+    EXPECT_TRUE(target.recs.empty());
+}
+
+/** One engine in its own simulation, with a handler named "done". */
+struct Rig
+{
+    Rig()
+        : target(s), dma(s, "dma", target, 32.0),
+          done(dma.registerHandler(
+              "done",
+              [this](const nic::DmaArgs &args) {
+                  doneAt.push_back(s.now());
+                  doneArgs.push_back(args);
+              }))
+    {
+    }
+
+    sim::Simulation s;
+    RecordingTarget target;
+    nic::DmaEngine dma;
+    std::uint32_t done;
+    std::vector<sim::Tick> doneAt;
+    std::vector<nic::DmaArgs> doneArgs;
+};
+
+const nic::DmaArgs cbArgs{7, 6, 5, 4, 3, 2};
+
+/** Far enough for 2 of 5 lines (at 0 and 2 ns), not the third. */
+const sim::Tick twoLines = sim::nsToTicks(3.0);
+
+TEST(DmaCheckpoint, RunSavesAsOneRecordPerLine)
+{
+    Rig run;
+    run.dma.enqueueWrite(0x1000, runMeta(), 5);
+    run.dma.enqueueCallback(run.done, cbArgs);
+    run.s.runFor(twoLines);
+    ASSERT_EQ(run.target.recs.size(), 2u);
+
+    Rig lines;
+    for (std::uint32_t i = 0; i < 5; ++i)
+        lines.dma.enqueueWrite(0x1000 + i * 64, runMeta());
+    lines.dma.enqueueCallback(lines.done, cbArgs);
+    lines.s.runFor(twoLines);
+    ASSERT_EQ(lines.target.recs.size(), 2u);
+
+    EXPECT_EQ(ckpt::save(run.s), ckpt::save(lines.s));
+}
+
+TEST(DmaCheckpoint, RestoredRunFinishesAtTheSameTicks)
+{
+    Rig cold;
+    cold.dma.enqueueWrite(0x1000, runMeta(), 5);
+    cold.dma.enqueueCallback(cold.done, cbArgs);
+    cold.s.runFor(twoLines);
+    const auto blob = ckpt::save(cold.s);
+    cold.s.runFor(sim::oneUs);
+    ASSERT_EQ(cold.target.recs.size(), 5u);
+    ASSERT_EQ(cold.doneAt.size(), 1u);
+
+    Rig warm;
+    ckpt::restore(warm.s, blob);
+    warm.s.runFor(sim::oneUs - twoLines);
+
+    ASSERT_EQ(warm.target.recs.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const RecordingTarget::Rec &want = cold.target.recs[i + 2];
+        EXPECT_EQ(warm.target.recs[i].addr, want.addr);
+        EXPECT_EQ(warm.target.recs[i].when, want.when);
+        EXPECT_EQ(warm.target.recs[i].meta, want.meta);
+    }
+    EXPECT_EQ(warm.doneAt, cold.doneAt);
+    EXPECT_EQ(warm.doneArgs, cold.doneArgs);
+    EXPECT_EQ(warm.dma.linesWritten.get(), 5u);
 }
 
 } // anonymous namespace

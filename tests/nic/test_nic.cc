@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "mem/phys_alloc.hh"
@@ -88,6 +90,40 @@ TEST(NicDeath, RingBelowMinimumIsFatal)
     EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 2),
                 ::testing::ExitedWithCode(1),
                 "NIC 'port' ring size 4 is below the minimum of 8");
+}
+
+constexpr double inf = std::numeric_limits<double>::infinity();
+
+TEST(NicDeath, BadPcieBandwidthIsFatal)
+{
+    for (const double gbps : {0.0, -4.0, std::nan(""), inf}) {
+        sim::Simulation s;
+        CountingTarget target;
+        mem::PhysAllocator alloc;
+        nic::NicConfig cfg;
+        cfg.pcieGBps = gbps;
+        EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 2),
+                    ::testing::ExitedWithCode(1),
+                    "NIC 'port' PCIe bandwidth .* GB/s must be positive "
+                    "and finite")
+            << gbps;
+    }
+}
+
+TEST(NicDeath, BadDescriptorWritebackDelayIsFatal)
+{
+    for (const double ns : {-10.0, std::nan(""), inf}) {
+        sim::Simulation s;
+        CountingTarget target;
+        mem::PhysAllocator alloc;
+        nic::NicConfig cfg;
+        cfg.descWbDelayNs = ns;
+        EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 2),
+                    ::testing::ExitedWithCode(1),
+                    "NIC 'port' descriptor writeback delay .* ns must "
+                    "be non-negative and finite")
+            << ns;
+    }
 }
 
 TEST_F(NicTest, DeliversPayloadLinesPlusDescriptor)
@@ -184,7 +220,9 @@ TEST_F(NicTest, SmallPacketSingleLine)
 TEST_F(NicTest, TransmitReadsEveryLine)
 {
     bool done = false;
-    port->transmit(bufs[5], 1514, [&] { done = true; });
+    const std::uint32_t txDone = port->dmaEngine().registerHandler(
+        "txDone", [&](const nic::DmaArgs &) { done = true; });
+    port->transmit(bufs[5], 1514, txDone, {});
     s.runFor(10 * sim::oneUs);
 
     EXPECT_EQ(target.reads.size(), 24u);
