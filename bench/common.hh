@@ -28,6 +28,7 @@
 #include "harness/trace_artifacts.hh"
 #include "stats/json.hh"
 #include "stats/table.hh"
+#include "trace/tracer.hh"
 
 namespace bench
 {
@@ -67,7 +68,8 @@ namespace bench
  *
  * A numeric option with an empty value, trailing characters, a sign
  * or an out-of-range value is an error (exit 2), as is a file option
- * with an empty path and an unknown option.
+ * with an empty path, --trace in a build without the tracer, and an
+ * unknown option.
  */
 struct BenchOptions
 {
@@ -123,6 +125,20 @@ pathOption(const char *prog, const std::string &arg)
 }
 
 /**
+ * Report a --trace request to a build without the tracer and exit 2:
+ * the run would record no events, and the trace would contradict its
+ * totals sidecar.
+ */
+[[noreturn]] inline void
+tracerCompiledOut(const char *prog)
+{
+    std::fprintf(stderr, "%s: --trace needs the packet tracer, which "
+                 "this build compiled out (configure with "
+                 "-DIDIO_TRACE=ON)\n", prog);
+    std::exit(2);
+}
+
+/**
  * Parse all of @p text as a decimal integer into @p out. False on an
  * empty value, a sign, trailing characters or overflow.
  */
@@ -162,6 +178,8 @@ parseBenchOptions(int argc, char **argv)
             opts.jsonPath = pathOption(prog, arg);
         } else if (arg.rfind("--trace=", 0) == 0) {
             opts.tracePath = pathOption(prog, arg);
+            if (!trace::compiledIn)
+                tracerCompiledOut(prog);
         } else if (arg.rfind("--seed=", 0) == 0) {
             opts.seed = unsignedOption(prog, arg, ~std::uint64_t(0));
         } else if (arg.rfind("--checkpoint=", 0) == 0) {

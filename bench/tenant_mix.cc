@@ -22,7 +22,7 @@
  * The run is a fixed 600 us horizon stepped in 10 us quanta, so every
  * scheme sees the identical packet arrivals and the output JSON is
  * bit-identical across repeated runs and a mid-burst
- * checkpoint/restore (the CI tenant job relies on this —
+ * checkpoint/restore (the golden tenant_mix cases rely on this —
  * keep host-dependent fields out of the JSON).
  */
 
@@ -154,8 +154,8 @@ main(int argc, char **argv)
     }
 
     // Machine-readable rows. Deliberately free of host-dependent
-    // fields (job counts, timings): the CI tenant job byte-compares
-    // this file across runs and checkpoint/restore.
+    // fields (job counts, timings): the golden tenant_mix cases check
+    // this file against one digest across checkpoint/restore.
     if (!opts.jsonPath.empty()) {
         std::ofstream ofs(opts.jsonPath);
         if (!ofs)

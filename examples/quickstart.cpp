@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -18,6 +19,7 @@
 #include "harness/system.hh"
 #include "harness/trace_artifacts.hh"
 #include "stats/table.hh"
+#include "trace/tracer.hh"
 
 namespace
 {
@@ -108,15 +110,33 @@ main(int argc, char **argv)
     std::string tracePath;
     std::string checkpointPath;
     std::string restorePath;
+    // An empty path is a usage error, as is --trace in a build that
+    // compiled the tracer out: either would silently skip the output.
+    auto pathArg = [&](const std::string &arg, const char *flag,
+                       std::string &path) {
+        const std::string prefix = std::string(flag) + "=";
+        if (arg.rfind(prefix, 0) != 0)
+            return false;
+        path = arg.substr(prefix.size());
+        if (path.empty()) {
+            std::fprintf(stderr, "%s: %s expects a file path, got ''\n",
+                         argv[0], flag);
+            std::exit(2);
+        }
+        return true;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--trace=", 0) == 0) {
-            tracePath = arg.substr(8);
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            checkpointPath = arg.substr(13);
-        } else if (arg.rfind("--restore=", 0) == 0) {
-            restorePath = arg.substr(10);
-        } else {
+        if (pathArg(arg, "--trace", tracePath)) {
+            if (!trace::compiledIn) {
+                std::fprintf(stderr,
+                             "%s: --trace needs the packet tracer, "
+                             "which this build compiled out (configure "
+                             "with -DIDIO_TRACE=ON)\n", argv[0]);
+                return 2;
+            }
+        } else if (!pathArg(arg, "--checkpoint", checkpointPath) &&
+                   !pathArg(arg, "--restore", restorePath)) {
             std::fprintf(stderr,
                          "usage: %s [--trace=FILE] "
                          "[--checkpoint=FILE] [--restore=FILE]\n",

@@ -9,8 +9,11 @@
  *   policy:   ddio | invalidate | prefetch | static | idio  (default idio)
  *   traffic:  bursty | steady | poisson                     (default bursty)
  *   --json:   emit the registry as JSON instead of text
+ *
+ * A malformed or extra positional argument exits 2, naming it.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +21,31 @@
 
 #include "harness/system.hh"
 #include "stats/json.hh"
+
+namespace
+{
+
+/** Report positional argument @p index (1-based) and exit 2. */
+[[noreturn]] void
+badArgument(int index, const char *expected, const char *value)
+{
+    std::fprintf(stderr, "stats_dump: argument %d must be %s, got '%s'\n",
+                 index, expected, value);
+    std::exit(2);
+}
+
+/** All of @p text as a finite number greater than 0, or exit 2. */
+double
+positiveNumber(int index, const char *text, const char *expected)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end || !std::isfinite(v) || v <= 0)
+        badArgument(index, expected, text);
+    return v;
+}
+
+} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -40,23 +68,43 @@ main(int argc, char **argv)
     cfg.rateGbps = 25.0;
     double durationMs = 30.0;
 
-    if (argc > 1)
-        cfg.applyPolicy(idio::parsePolicy(argv[1]));
-    else
+    if (argc > 1) {
+        const auto policy = idio::tryParsePolicy(argv[1]);
+        if (!policy)
+            badArgument(1, "ddio|invalidate|prefetch|static|idio",
+                        argv[1]);
+        cfg.applyPolicy(*policy);
+    } else {
         cfg.applyPolicy(idio::Policy::Idio);
+    }
     if (argc > 2)
-        cfg.rateGbps = std::atof(argv[2]);
-    if (argc > 3)
-        cfg.nic.ringSize = static_cast<std::uint32_t>(std::atoi(argv[3]));
-    if (argc > 4)
-        durationMs = std::atof(argv[4]);
+        cfg.rateGbps = positiveNumber(2, argv[2], "a rate in Gbps > 0");
+    if (argc > 3) {
+        const char *expected = "a ring size (an integer > 0)";
+        const double ring = positiveNumber(3, argv[3], expected);
+        if (ring != std::floor(ring) || ring > 0xffffffffu)
+            badArgument(3, expected, argv[3]);
+        cfg.nic.ringSize = static_cast<std::uint32_t>(ring);
+    }
+    if (argc > 4) {
+        const char *expected = "a duration in ms > 0";
+        durationMs = positiveNumber(4, argv[4], expected);
+        if (durationMs * double(sim::oneMs) >= double(sim::maxTick))
+            badArgument(4, "a duration the 64-bit tick clock can hold",
+                        argv[4]);
+    }
     if (argc > 5) {
         const std::string t = argv[5];
-        cfg.traffic = t == "steady" ? harness::TrafficKind::Steady
-                      : t == "poisson"
-                          ? harness::TrafficKind::Poisson
-                          : harness::TrafficKind::Bursty;
+        if (t == "steady")
+            cfg.traffic = harness::TrafficKind::Steady;
+        else if (t == "poisson")
+            cfg.traffic = harness::TrafficKind::Poisson;
+        else if (t != "bursty")
+            badArgument(5, "bursty|steady|poisson", argv[5]);
     }
+    if (argc > 6)
+        badArgument(6, "absent (at most 5 positional arguments)",
+                    argv[6]);
 
     if (!json)
         std::printf("# %s\n", cfg.summary().c_str());

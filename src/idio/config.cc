@@ -28,8 +28,8 @@ policyName(Policy p)
     return "?";
 }
 
-Policy
-parsePolicy(const std::string &name)
+std::optional<Policy>
+tryParsePolicy(const std::string &name)
 {
     if (name == "ddio" || name == "DDIO")
         return Policy::Ddio;
@@ -41,6 +41,14 @@ parsePolicy(const std::string &name)
         return Policy::Static;
     if (name == "idio" || name == "IDIO")
         return Policy::Idio;
+    return std::nullopt;
+}
+
+Policy
+parsePolicy(const std::string &name)
+{
+    if (const auto p = tryParsePolicy(name))
+        return *p;
     sim::fatal("unknown IDIO policy '%s'", name.c_str());
 }
 

@@ -16,6 +16,7 @@
 #define IDIO_IDIO_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sim/types.hh"
@@ -46,7 +47,10 @@ enum class PrefetcherKind
     CpuPaced,    ///< stalls while too many prefetched lines are unread
 };
 
-/** Parse a policy name ("ddio", "invalidate", ...). */
+/** Parse a policy name ("ddio", "invalidate", ...); nullopt if unknown. */
+std::optional<Policy> tryParsePolicy(const std::string &name);
+
+/** As tryParsePolicy(), but an unknown name is fatal. */
 Policy parsePolicy(const std::string &name);
 
 /**

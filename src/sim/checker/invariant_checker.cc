@@ -16,13 +16,7 @@ namespace sim
 
 InvariantChecker::InvariantChecker(Simulation &simulation,
                                    const std::string &name)
-    : SimObject(simulation, name),
-      statGroup(simulation.statsRegistry(), name),
-      sweeps(statGroup, "sweeps", "completed invariant sweeps"),
-      evaluations(statGroup, "evaluations",
-                  "individual invariant evaluations"),
-      violations(statGroup, "violations",
-                 "invariant violations detected")
+    : SimObject(simulation, name)
 {
 }
 
@@ -44,17 +38,17 @@ InvariantChecker::check()
     for (const NamedInvariant &inv : invariants) {
         const std::size_t before = report.failures().size();
         inv.fn(report);
-        ++evaluations;
+        ++numEvaluations;
         // Prefix new messages with the invariant's name so a combined
         // panic message attributes every violation.
         for (std::size_t i = before; i < report.failures().size(); ++i) {
-            violations += 1;
+            ++numViolations;
             warn("invariant '%s' violated at tick %llu: %s",
                  inv.name.c_str(), (unsigned long long)now(),
                  report.failures()[i].c_str());
         }
     }
-    ++sweeps;
+    ++numSweeps;
 
     if (!report.clean()) {
         panic("%zu invariant violation(s) at tick %llu in '%s'; "

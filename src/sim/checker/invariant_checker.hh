@@ -27,6 +27,7 @@
 #ifndef IDIO_SIM_CHECKER_INVARIANT_CHECKER_HH
 #define IDIO_SIM_CHECKER_INVARIANT_CHECKER_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -34,7 +35,6 @@
 
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
-#include "stats/registry.hh"
 
 #ifndef IDIO_CHECK_INVARIANTS
 #define IDIO_CHECK_INVARIANTS 1
@@ -76,8 +76,6 @@ class InvariantReport
  */
 class InvariantChecker : public SimObject
 {
-    stats::StatGroup statGroup;
-
   public:
     /** An invariant callback: inspect model state, report failures. */
     using Invariant = std::function<void(InvariantReport &)>;
@@ -105,11 +103,14 @@ class InvariantChecker : public SimObject
     /** True when sweeps actually evaluate invariants. */
     bool enabled() const { return compiledIn && isEnabled; }
 
-    /** @{ Counters (acceptance: every invariant evaluated >= once
-     *  iff sweeps.get() >= 1 and evaluations == sweeps*numInvariants). */
-    stats::Counter sweeps;      ///< completed full sweeps
-    stats::Counter evaluations; ///< individual invariant evaluations
-    stats::Counter violations;  ///< failures recorded (then panicking)
+    /** @{ Counters (every invariant is evaluated at least once iff
+     *  sweeps() >= 1, and evaluations() == sweeps() * numInvariants()).
+     *  They are plain members, not registry stats, so stats output
+     *  and checkpoints are the same whether the checker is compiled
+     *  in or not. */
+    std::uint64_t sweeps() const { return numSweeps; }
+    std::uint64_t evaluations() const { return numEvaluations; }
+    std::uint64_t violations() const { return numViolations; }
     /** @} */
 
   private:
@@ -121,6 +122,9 @@ class InvariantChecker : public SimObject
 
     std::vector<NamedInvariant> invariants;
     bool isEnabled = true;
+    std::uint64_t numSweeps = 0;      ///< completed full sweeps
+    std::uint64_t numEvaluations = 0; ///< individual evaluations
+    std::uint64_t numViolations = 0;  ///< failures recorded
 };
 
 /**

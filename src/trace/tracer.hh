@@ -44,6 +44,9 @@
 namespace trace
 {
 
+/** False when the build compiled the tracer out (IDIO_TRACE=OFF). */
+constexpr bool compiledIn = IDIO_TRACE != 0;
+
 /** One recorded event (fixed-size POD; 40 bytes). */
 struct Event
 {

@@ -244,7 +244,7 @@ class InvariantSweepGrid : public ::testing::Test
     }
 
     /** Sweeps so far (none when the checker is compiled out). */
-    std::uint64_t sweeps() { return sys.invariantChecker().sweeps.get(); }
+    std::uint64_t sweeps() { return sys.invariantChecker().sweeps(); }
 
     static std::uint64_t
     expected(std::uint64_t n)

@@ -113,13 +113,13 @@ TEST_P(EndToEndLayout, InvariantCheckerSweepsTheWholeRun)
     auto &chk = sys.invariantChecker();
     EXPECT_GT(chk.numInvariants(), 0u);
     if (sim::InvariantChecker::compiledIn) {
-        EXPECT_EQ(chk.sweeps.get(),
+        EXPECT_EQ(chk.sweeps(),
                   GetParam().runTime / harness::TestSystem::checkGrid)
             << "one sweep per grid point crossed";
-        EXPECT_EQ(chk.evaluations.get(),
-                  chk.sweeps.get() * chk.numInvariants())
+        EXPECT_EQ(chk.evaluations(),
+                  chk.sweeps() * chk.numInvariants())
             << "some registered invariant was skipped";
-        EXPECT_EQ(chk.violations.get(), 0u);
+        EXPECT_EQ(chk.violations(), 0u);
     }
 }
 

@@ -95,7 +95,7 @@ collect(TestSystem &sys, const std::string &tag)
         for (const auto &p : sys.timeline().series(name).points())
             a.timeline.push_back(p.value);
     a.events = sys.simulation().totalProcessedEvents();
-    a.sweeps = sys.invariantChecker().sweeps.get();
+    a.sweeps = sys.invariantChecker().sweeps();
     return a;
 }
 

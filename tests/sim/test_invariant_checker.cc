@@ -40,9 +40,9 @@ TEST(InvariantChecker, SweepEvaluatesEveryRegisteredInvariant)
 
     EXPECT_EQ(aRuns, 2);
     EXPECT_EQ(bRuns, 2);
-    EXPECT_EQ(chk.sweeps.get(), 2u);
-    EXPECT_EQ(chk.evaluations.get(), 4u);
-    EXPECT_EQ(chk.violations.get(), 0u);
+    EXPECT_EQ(chk.sweeps(), 2u);
+    EXPECT_EQ(chk.evaluations(), 4u);
+    EXPECT_EQ(chk.violations(), 0u);
 }
 
 TEST(InvariantCheckerDeathTest, PanicsListingTheViolation)
@@ -69,8 +69,8 @@ TEST(InvariantChecker, DisabledCheckerIsANoOp)
     EXPECT_FALSE(chk.enabled());
     chk.check(); // must neither evaluate nor panic
     EXPECT_EQ(runs, 0);
-    EXPECT_EQ(chk.sweeps.get(), 0u);
-    EXPECT_EQ(chk.evaluations.get(), 0u);
+    EXPECT_EQ(chk.sweeps(), 0u);
+    EXPECT_EQ(chk.evaluations(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ TEST_F(CacheCorruptionDeathTest, CleanHierarchyPasses)
     hier.coreRead(0, 0x1000);
     hier.pcieWrite(0x8000);
     chk.check();
-    EXPECT_EQ(chk.violations.get(), 0u);
+    EXPECT_EQ(chk.violations(), 0u);
 }
 
 TEST_F(CacheCorruptionDeathTest, MlcLlcDoubleResidencyPanics)
@@ -171,7 +171,7 @@ TEST_F(CacheCorruptionDeathTest, ShrinkingThePartitionGrandfathersLines)
         hier.pcieWrite(a);
     hier.llc().setDdioWays(1);
     chk.check();
-    EXPECT_EQ(chk.violations.get(), 0u);
+    EXPECT_EQ(chk.violations(), 0u);
 }
 
 // ---------------------------------------------------------------------------
