@@ -124,7 +124,7 @@ BM_TagSetIndexPow2(benchmark::State &state)
 {
     // 1024 sets: the bitmask fast path (every Table I geometry).
     auto arr = cache::TagArray::withSets(
-        1024, 8, cache::makeReplacementPolicy("lru"));
+        1024, 8, cache::ReplKind::Lru);
     sim::Addr a = 0;
     std::uint64_t sink = 0;
     for (auto _ : state) {
@@ -140,7 +140,7 @@ BM_TagSetIndexGeneric(benchmark::State &state)
 {
     // 1000 sets: the generic modulo path (coverage-scaled directory).
     auto arr = cache::TagArray::withSets(
-        1000, 8, cache::makeReplacementPolicy("lru"));
+        1000, 8, cache::ReplKind::Lru);
     sim::Addr a = 0;
     std::uint64_t sink = 0;
     for (auto _ : state) {

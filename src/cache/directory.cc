@@ -16,9 +16,14 @@ namespace
 std::uint32_t
 directorySets(std::uint64_t numEntries, std::uint32_t assoc)
 {
+    if (assoc == 0 || assoc > 64)
+        sim::fatal("directoryAssoc %u out of range [1, 64]", assoc);
     std::uint64_t sets = numEntries / assoc;
     if (sets == 0)
         sets = 1;
+    if (sets > 0xffffffffull)
+        sim::fatal("directory of %llu entries has too many sets",
+                   (unsigned long long)numEntries);
     return static_cast<std::uint32_t>(sets);
 }
 
@@ -35,38 +40,32 @@ MlcDirectory::MlcDirectory(sim::Simulation &simulation,
       capacityEvictions(statGroup, "capacityEvictions",
                         "entries displaced by capacity pressure"),
       array(TagArray::withSets(directorySets(numEntries, assoc), assoc,
-                               makeReplacementPolicy(replacement)))
+                               parseReplacement(replacement),
+                               /*withSharers=*/true))
 {
-}
-
-std::uint64_t
-MlcDirectory::sharersOf(sim::Addr addr) const
-{
-    const CacheLine *l = array.peek(addr);
-    return l ? l->sharers : 0;
 }
 
 DirectoryVictim
 MlcDirectory::add(sim::CoreId core, sim::Addr addr)
 {
     ++lookups;
-    LineRef ref = array.lookup(addr);
-    if (ref) {
-        ref.line->sharers |= std::uint64_t(1) << core;
+    const std::uint64_t bit = std::uint64_t(1) << core;
+    if (const LineRef ref = array.lookup(addr)) {
+        array.sharers(ref) |= bit;
         array.touch(ref);
         return {};
     }
 
     DirectoryVictim victim;
-    LineRef slot = array.findFillSlot(addr);
-    if (slot.line->valid) {
+    const LineRef slot = array.findFillSlot(addr);
+    if (slot.valid()) {
         victim.valid = true;
-        victim.addr = slot.line->addr;
-        victim.sharers = slot.line->sharers;
+        victim.addr = slot.addr();
+        victim.sharers = array.sharers(slot);
         ++capacityEvictions;
     }
-    CacheLine &l = array.fill(slot, addr, false, false);
-    l.sharers = std::uint64_t(1) << core;
+    array.fill(slot, addr, false, false);
+    array.sharers(slot) = bit;
     ++insertions;
     return victim;
 }
@@ -74,19 +73,19 @@ MlcDirectory::add(sim::CoreId core, sim::Addr addr)
 void
 MlcDirectory::remove(sim::CoreId core, sim::Addr addr)
 {
-    LineRef ref = array.lookup(addr);
+    const LineRef ref = array.lookup(addr);
     if (!ref)
         return;
-    ref.line->sharers &= ~(std::uint64_t(1) << core);
-    if (ref.line->sharers == 0)
+    std::uint64_t &sharers = array.sharers(ref);
+    sharers &= ~(std::uint64_t(1) << core);
+    if (sharers == 0)
         array.invalidate(ref);
 }
 
 void
 MlcDirectory::removeAll(sim::Addr addr)
 {
-    LineRef ref = array.lookup(addr);
-    if (ref)
+    if (const LineRef ref = array.lookup(addr))
         array.invalidate(ref);
 }
 

@@ -48,7 +48,11 @@ class MlcDirectory : public sim::SimObject
                  const std::string &replacement);
 
     /** Sharer bit-vector for @p addr (0 when untracked). */
-    std::uint64_t sharersOf(sim::Addr addr) const;
+    std::uint64_t
+    sharersOf(sim::Addr addr) const
+    {
+        return array.sharersOf(addr);
+    }
 
     /** True when any MLC holds @p addr. */
     bool

@@ -58,8 +58,13 @@ MemoryHierarchy::MemoryHierarchy(sim::Simulation &simulation,
         simulation, name + ".llc", cfg.llcSizeBytes(),
         cfg.llcPerCore.assoc, cfg.ddioWays, cfg.replacement);
 
-    const auto dirEntries = static_cast<std::uint64_t>(
-        static_cast<double>(totalMlcLines) * cfg.directoryCoverage);
+    // !(x > 0) also catches NaN; the cap keeps the cast defined.
+    const double entries =
+        static_cast<double>(totalMlcLines) * cfg.directoryCoverage;
+    if (!(cfg.directoryCoverage > 0) || !(entries < 0x1p40))
+        sim::fatal("directoryCoverage %g must be finite and > 0",
+                   cfg.directoryCoverage);
+    const auto dirEntries = static_cast<std::uint64_t>(entries);
     dir = std::make_unique<MlcDirectory>(simulation, name + ".dir",
                                          dirEntries, cfg.directoryAssoc,
                                          cfg.replacement);
@@ -99,7 +104,7 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
         ++l1c.hits;
         l1c.tags().touch(ref);
         if (isWrite)
-            ref.line->dirty = true;
+            ref.setDirty();
         return {lat, mem::HitLevel::L1};
     }
     ++l1c.misses;
@@ -111,8 +116,8 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
     if (LineRef ref = mlcc.probe(addr)) {
         ++mlcc.hits;
         mlcc.tags().touch(ref);
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
+        if (ref.prefetched()) {
+            ref.setPrefetched(false);
             if (prefetchRetireObserver)
                 prefetchRetireObserver(core);
         }
@@ -144,8 +149,8 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
     if (LineRef ref = sharedLlc->probe(addr)) {
         ++sharedLlc->hits;
         ++sharedLlc->demandMoves;
-        dirty = ref.line->dirty;
-        io = ref.line->io;
+        dirty = ref.dirty();
+        io = ref.io();
         sharedLlc->tags().invalidate(ref);
         level = mem::HitLevel::LLC;
     } else {
@@ -164,11 +169,10 @@ MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
                             bool io, bool isPrefetch)
 {
     PrivateCache &mlcc = *mlcs[core];
-    LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        evictMlcVictim(core, *slot.line);
-    CacheLine &line = mlcc.tags().fill(slot, addr, dirty, io);
-    line.prefetched = isPrefetch;
+    const LineRef slot = mlcc.tags().findFillSlot(addr);
+    if (slot.valid())
+        evictMlcVictim(core, slot.line());
+    mlcc.tags().fill(slot, addr, dirty, io).setPrefetched(isPrefetch);
     if (isPrefetch) {
         ++mlcc.prefetchFills;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcPrefetchFill,
@@ -187,7 +191,7 @@ MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
 void
 MemoryHierarchy::evictMlcVictim(sim::CoreId core, CacheLine victim)
 {
-    notePrefetchGone(core, victim);
+    notePrefetchGone(core, victim.prefetched);
 
     // Merge a dirtier L1 copy into the outgoing victim and drop it
     // (the L1-subset-of-MLC invariant).
@@ -220,25 +224,25 @@ MemoryHierarchy::llcInsertVictim(sim::Addr addr, bool dirty, bool io,
     ++sharedLlc->victimInserts;
     if (LineRef ref = sharedLlc->probe(addr)) {
         // Rare non-exclusive leftover: update in place.
-        ref.line->dirty = ref.line->dirty || dirty;
-        ref.line->io = ref.line->io || io;
+        ref.setDirty(ref.dirty() || dirty);
+        ref.setIo(ref.io() || io);
         sharedLlc->tags().touch(ref);
         return;
     }
-    LineRef slot = sharedLlc->tags().findFillSlot(addr, allocMask);
-    if (slot.line->valid)
-        evictLlcLine(*slot.line);
+    const LineRef slot = sharedLlc->tags().findFillSlot(addr, allocMask);
+    if (slot.valid())
+        evictLlcLine(slot);
     sharedLlc->tags().fill(slot, addr, dirty, io);
 }
 
 void
-MemoryHierarchy::evictLlcLine(const CacheLine &line)
+MemoryHierarchy::evictLlcLine(const LineRef &line)
 {
-    if (line.dirty) {
+    if (line.dirty()) {
         dramModel->access(mem::AccessType::Write);
         ++sharedLlc->writebacks;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheLlcWb, now(),
-                           0, 0, line.addr);
+                           0, 0, line.addr());
     } else {
         ++sharedLlc->cleanDrops;
     }
@@ -251,18 +255,18 @@ MemoryHierarchy::l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty)
     if (LineRef ref = l1c.probe(addr)) {
         l1c.tags().touch(ref);
         if (makeDirty)
-            ref.line->dirty = true;
+            ref.setDirty();
         return;
     }
-    LineRef slot = l1c.tags().findFillSlot(addr);
-    if (slot.line->valid) {
+    const LineRef slot = l1c.tags().findFillSlot(addr);
+    if (slot.valid()) {
         // Write a dirty L1 victim through to its MLC line.
-        if (slot.line->dirty) {
-            LineRef mlcRef = mlcs[core]->probe(slot.line->addr);
+        if (slot.dirty()) {
+            LineRef mlcRef = mlcs[core]->probe(slot.addr());
             SIM_ASSERT(mlcRef,
                        "L1 victim not present in MLC (inclusion "
                        "violated)");
-            mlcRef.line->dirty = true;
+            mlcRef.setDirty();
         }
         l1c.tags().invalidate(slot);
     }
@@ -292,7 +296,7 @@ MemoryHierarchy::dropFromL1(sim::CoreId core, sim::Addr addr,
     PrivateCache &l1c = *l1s[core];
     if (LineRef ref = l1c.probe(addr)) {
         if (dirtyOut)
-            *dirtyOut = ref.line->dirty;
+            *dirtyOut = ref.dirty();
         l1c.tags().invalidate(ref);
     } else if (dirtyOut) {
         *dirtyOut = false;
@@ -310,7 +314,7 @@ MemoryHierarchy::invalidateMlcCopies(sim::Addr addr)
             continue;
         dropFromL1(c, addr);
         if (LineRef ref = mlcs[c]->probe(addr)) {
-            notePrefetchGone(c, *ref.line);
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             ++mlcs[c]->pcieInvals;
             IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
@@ -336,9 +340,9 @@ MemoryHierarchy::migrateFromPeers(sim::CoreId requester, sim::Addr addr,
         bool l1Dirty = false;
         dropFromL1(c, addr, &l1Dirty);
         if (LineRef ref = mlcs[c]->probe(addr)) {
-            *dirtyOut = *dirtyOut || ref.line->dirty || l1Dirty;
-            *ioOut = *ioOut || ref.line->io;
-            notePrefetchGone(c, *ref.line);
+            *dirtyOut = *dirtyOut || ref.dirty() || l1Dirty;
+            *ioOut = *ioOut || ref.io();
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             dir->remove(c, addr);
             found = true;
@@ -362,9 +366,9 @@ MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
         bool l1Dirty = false;
         dropFromL1(c, victim.addr, &l1Dirty);
         if (LineRef ref = mlcs[c]->probe(victim.addr)) {
-            const bool dirty = ref.line->dirty || l1Dirty;
-            const bool io = ref.line->io;
-            notePrefetchGone(c, *ref.line);
+            const bool dirty = ref.dirty() || l1Dirty;
+            const bool io = ref.io();
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             ++mlcs[c]->backInvals;
             if (dirty)
@@ -394,7 +398,7 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
 
     dropFromL1(core, addr);
     if (LineRef ref = mlcs[core]->probe(addr)) {
-        notePrefetchGone(core, *ref.line);
+        notePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->selfInvals;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheSelfInval,
@@ -437,8 +441,8 @@ MemoryHierarchy::pcieWrite(sim::Addr addr)
 
     // P2/P3/P4: in-place update wherever the line already lives.
     if (LineRef ref = sharedLlc->probe(addr)) {
-        ref.line->dirty = true;
-        ref.line->io = true;
+        ref.setDirty();
+        ref.setIo();
         sharedLlc->tags().touch(ref);
         ++sharedLlc->ddioUpdates;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheDdioUpdate,
@@ -447,14 +451,14 @@ MemoryHierarchy::pcieWrite(sim::Addr addr)
     }
 
     // P1/P5: write-allocate into the DDIO ways.
-    LineRef slot =
+    const LineRef slot =
         sharedLlc->tags().findFillSlot(addr, sharedLlc->ddioMask());
-    const bool displaced = slot.line->valid;
+    const bool displaced = slot.valid();
     if (displaced) {
-        evictLlcLine(*slot.line);
+        evictLlcLine(slot);
         ++sharedLlc->ddioWayEvictions;
     }
-    sharedLlc->tags().fill(slot, addr, true, true).ddioAlloc = true;
+    sharedLlc->tags().fill(slot, addr, true, true).setDdioAlloc();
     ++sharedLlc->ddioAllocs;
     IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheDdioAlloc, now(),
                        0, displaced ? 1 : 0, addr);
@@ -493,9 +497,9 @@ MemoryHierarchy::pcieRead(sim::Addr addr)
             bool l1Dirty = false;
             dropFromL1(c, addr, &l1Dirty);
             if (LineRef ref = mlcs[c]->probe(addr)) {
-                const bool dirty = ref.line->dirty || l1Dirty;
-                const bool io = ref.line->io;
-                notePrefetchGone(c, *ref.line);
+                const bool dirty = ref.dirty() || l1Dirty;
+                const bool io = ref.io();
+                notePrefetchGone(c, ref.prefetched());
                 mlcs[c]->tags().invalidate(ref);
                 ++mlcs[c]->pcieInvals;
                 IDIO_TRACE_INSTANT(
@@ -542,8 +546,8 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
     bool dirty = false;
     bool io = false;
     if (LineRef ref = sharedLlc->probe(addr)) {
-        dirty = ref.line->dirty;
-        io = ref.line->io;
+        dirty = ref.dirty();
+        io = ref.io();
         ++sharedLlc->demandMoves;
         sharedLlc->tags().invalidate(ref);
     } else if (cfg.prefetchFromDram) {
@@ -554,6 +558,16 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
 
     installMlc(core, addr, dirty, io, true);
     return true;
+}
+
+std::uint64_t
+MemoryHierarchy::stateBytes() const
+{
+    std::uint64_t n = sharedLlc->tags().stateBytes() +
+                      dir->tags().stateBytes();
+    for (std::uint32_t c = 0; c < cfg.numCores; ++c)
+        n += l1s[c]->tags().stateBytes() + mlcs[c]->tags().stateBytes();
+    return n;
 }
 
 std::uint64_t

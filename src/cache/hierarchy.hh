@@ -185,6 +185,12 @@ class MemoryHierarchy : public sim::SimObject
     std::uint32_t numCores() const { return cfg.numCores; }
     /** @} */
 
+    /**
+     * Host bytes of the cache state: every tag array's set blocks and
+     * free-way masks. A host-independent size of the cache layer.
+     */
+    std::uint64_t stateBytes() const;
+
     /** @{ Aggregates used by the figure samplers. */
 
     /** MLC->LLC eviction transactions (dirty + clean), all cores. */
@@ -221,7 +227,7 @@ class MemoryHierarchy : public sim::SimObject
                          WayMask allocMask);
 
     /** Evict a valid LLC line (DRAM write when dirty). */
-    void evictLlcLine(const CacheLine &line);
+    void evictLlcLine(const LineRef &line);
 
     /** Fill @p core 's L1 with @p addr (must already be in MLC). */
     void l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty);
@@ -250,9 +256,9 @@ class MemoryHierarchy : public sim::SimObject
 
     /** Fire the retire hook when a departing line was prefetched. */
     void
-    notePrefetchGone(sim::CoreId core, const CacheLine &line)
+    notePrefetchGone(sim::CoreId core, bool prefetched)
     {
-        if (line.prefetched && prefetchRetireObserver)
+        if (prefetched && prefetchRetireObserver)
             prefetchRetireObserver(core);
     }
 

@@ -33,7 +33,7 @@ forEachValid(const TagArray &array, Fn &&fn)
 {
     for (std::uint32_t s = 0; s < array.numSets(); ++s) {
         for (std::uint32_t w = 0; w < array.assoc(); ++w) {
-            const CacheLine &l = array.lineAt(s, w);
+            const CacheLine l = array.lineAt(s, w);
             if (l.valid)
                 fn(l, s, w);
         }

@@ -37,7 +37,7 @@ NonInclusiveLlc::NonInclusiveLlc(sim::Simulation &simulation,
       selfInvals(statGroup, "selfInvals",
                  "lines dropped by the self-invalidate instruction"),
       nDdioWays(ddioWays),
-      array(sizeBytes, assoc, makeReplacementPolicy(replacement))
+      array(sizeBytes, assoc, parseReplacement(replacement))
 {
     if (ddioWays > assoc)
         sim::fatal("ddioWays %u exceeds LLC associativity %u", ddioWays,
@@ -57,7 +57,7 @@ NonInclusiveLlc::setDdioWays(std::uint32_t ways)
     if (ways < nDdioWays) {
         for (std::uint32_t s = 0; s < array.numSets(); ++s) {
             for (std::uint32_t w = ways; w < nDdioWays; ++w)
-                array.lineAt(s, w).ddioAlloc = false;
+                array.at(s, w).setDdioAlloc(false);
         }
     }
     nDdioWays = ways;
@@ -86,15 +86,15 @@ NonInclusiveLlc::serialize(ckpt::Serializer &s) const
 {
     // The partition width is runtime-tunable (DdioWayTuner), so it is
     // dynamic state even though it starts from the config.
-    s.writeU32(nDdioWays);
     array.serialize(s);
+    s.writeU32(nDdioWays);
 }
 
 void
 NonInclusiveLlc::unserialize(ckpt::Deserializer &d)
 {
-    nDdioWays = d.readU32();
     array.unserialize(d);
+    nDdioWays = d.readU32();
 }
 
 } // namespace cache

@@ -57,10 +57,7 @@ class NonInclusiveLlc : public sim::SimObject
 
     LineRef probe(sim::Addr addr) { return array.lookup(addr); }
 
-    bool contains(sim::Addr addr) const
-    {
-        return array.peek(addr) != nullptr;
-    }
+    bool contains(sim::Addr addr) const { return array.contains(addr); }
 
     /** Valid lines currently in DDIO ways. */
     std::uint64_t ddioOccupancy() const;

@@ -31,7 +31,7 @@ PrivateCache::PrivateCache(sim::Simulation &simulation,
                  "lines dropped by the self-invalidate instruction"),
       backInvals(statGroup, "backInvals",
                  "invalidations from directory capacity evictions"),
-      array(sizeBytes, assoc, makeReplacementPolicy(replacement))
+      array(sizeBytes, assoc, parseReplacement(replacement))
 {
 }
 

@@ -10,7 +10,6 @@
 #ifndef IDIO_CACHE_PRIVATE_CACHE_HH
 #define IDIO_CACHE_PRIVATE_CACHE_HH
 
-#include <memory>
 #include <string>
 
 #include "cache/tag_array.hh"
@@ -42,10 +41,7 @@ class PrivateCache : public sim::SimObject
     LineRef probe(sim::Addr addr) { return array.lookup(addr); }
 
     /** True when the (aligned) address is cached. */
-    bool contains(sim::Addr addr) const
-    {
-        return array.peek(addr) != nullptr;
-    }
+    bool contains(sim::Addr addr) const { return array.contains(addr); }
 
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;

@@ -1,147 +1,24 @@
 /**
  * @file
- * Replacement policy implementations.
+ * Replacement policy names.
  */
 
 #include "replacement.hh"
 
-#include "ckpt/serializer.hh"
 #include "sim/logging.hh"
 
 namespace cache
 {
 
-void
-LruPolicy::init(std::uint32_t numSets, std::uint32_t a)
-{
-    assoc = a;
-    stamps.assign(std::size_t(numSets) * assoc, 0);
-}
-
-void
-RandomPolicy::init(std::uint32_t, std::uint32_t a)
-{
-    assoc = a;
-}
-
-std::uint32_t
-RandomPolicy::victim(std::uint32_t, WayMask candidates)
-{
-    SIM_ASSERT(candidates != 0, "empty candidate mask");
-    const int n = __builtin_popcountll(candidates);
-    std::uint64_t pick = rng.below(static_cast<std::uint64_t>(n));
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-        if (candidates & (WayMask(1) << w)) {
-            if (pick == 0)
-                return w;
-            --pick;
-        }
-    }
-    sim::panic("random victim selection fell through");
-}
-
-void
-SrripPolicy::init(std::uint32_t numSets, std::uint32_t a)
-{
-    assoc = a;
-    rrpv.assign(std::size_t(numSets) * assoc,
-                static_cast<std::uint8_t>(maxRrpv));
-}
-
-void
-SrripPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    rrpv[std::size_t(set) * assoc + way] = 0; // hit promotion
-}
-
-void
-SrripPolicy::fill(std::uint32_t set, std::uint32_t way)
-{
-    // SRRIP-HP inserts with "long" re-reference prediction.
-    rrpv[std::size_t(set) * assoc + way] =
-        static_cast<std::uint8_t>(maxRrpv - 1);
-}
-
-std::uint32_t
-SrripPolicy::victim(std::uint32_t set, WayMask candidates)
-{
-    SIM_ASSERT(candidates != 0, "empty candidate mask");
-    for (;;) {
-        for (std::uint32_t w = 0; w < assoc; ++w) {
-            if (!(candidates & (WayMask(1) << w)))
-                continue;
-            if (rrpv[std::size_t(set) * assoc + w] >= maxRrpv)
-                return w;
-        }
-        // Age every candidate and retry.
-        for (std::uint32_t w = 0; w < assoc; ++w) {
-            if (candidates & (WayMask(1) << w))
-                ++rrpv[std::size_t(set) * assoc + w];
-        }
-    }
-}
-
-void
-LruPolicy::serialize(ckpt::Serializer &s) const
-{
-    s.writeU64(clock);
-    s.writePodVec(stamps);
-}
-
-void
-LruPolicy::unserialize(ckpt::Deserializer &d)
-{
-    clock = d.readU64();
-    const auto restored = d.readPodVec<std::uint64_t>();
-    if (restored.size() != stamps.size())
-        sim::fatal("ckpt: LRU stamp count mismatch (checkpoint %zu, "
-                   "array %zu)",
-                   restored.size(), stamps.size());
-    stamps = restored;
-}
-
-void
-RandomPolicy::serialize(ckpt::Serializer &s) const
-{
-    for (const std::uint64_t w : rng.state())
-        s.writeU64(w);
-}
-
-void
-RandomPolicy::unserialize(ckpt::Deserializer &d)
-{
-    std::array<std::uint64_t, 4> st;
-    for (std::uint64_t &w : st)
-        w = d.readU64();
-    rng.setState(st);
-}
-
-void
-SrripPolicy::serialize(ckpt::Serializer &s) const
-{
-    s.writePodVec(rrpv);
-}
-
-void
-SrripPolicy::unserialize(ckpt::Deserializer &d)
-{
-    const auto restored = d.readPodVec<std::uint8_t>();
-    if (restored.size() != rrpv.size())
-        sim::fatal("ckpt: SRRIP rrpv count mismatch (checkpoint %zu, "
-                   "array %zu)",
-                   restored.size(), rrpv.size());
-    rrpv = restored;
-}
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(const std::string &name, std::uint64_t seed)
+ReplKind
+parseReplacement(const std::string &name)
 {
     if (name == "lru")
-        return std::make_unique<LruPolicy>();
+        return ReplKind::Lru;
     if (name == "random")
-        return std::make_unique<RandomPolicy>(seed);
+        return ReplKind::Random;
     if (name == "srrip")
-        return std::make_unique<SrripPolicy>();
+        return ReplKind::Srrip;
     sim::fatal("unknown replacement policy '%s'", name.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include "tag_array.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "ckpt/serializer.hh"
 
@@ -15,11 +16,17 @@ namespace cache
 namespace
 {
 
-std::uint32_t
-setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
+void
+checkAssoc(std::uint32_t assoc)
 {
     if (assoc == 0 || assoc > 64)
         sim::fatal("cache associativity %u out of range [1, 64]", assoc);
+}
+
+std::uint32_t
+setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
+{
+    checkAssoc(assoc);
     const std::uint64_t lines = sizeBytes / mem::lineSize;
     if (lines == 0 || lines % assoc != 0) {
         sim::fatal("cache size %llu not divisible into %u ways of "
@@ -29,69 +36,120 @@ setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
     return static_cast<std::uint32_t>(lines / assoc);
 }
 
+/** Words of a block's byte area: W flags, W replacement, 1 clock. */
+std::uint32_t
+byteWords(std::uint32_t assoc)
+{
+    return (2 * assoc + 1 + 7) / 8;
+}
+
+/** Seed of the random policy (the historical policy default). */
+constexpr std::uint64_t randomSeed = 7;
+
+/** Marks a tag-array record in a checkpoint section. */
+constexpr std::array<char, 4> tagsMagic = {'T', 'A', 'G', 'S'};
+
 } // anonymous namespace
 
 TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t assoc,
-                   std::unique_ptr<ReplacementPolicy> policy)
-    : TagArray(setsFromSize(sizeBytes, assoc), assoc, std::move(policy),
-               0)
+                   ReplKind repl)
+    : TagArray(setsFromSize(sizeBytes, assoc), assoc, repl, false, 0)
 {
 }
 
 TagArray::TagArray(std::uint32_t numSets, std::uint32_t assoc,
-                   std::unique_ptr<ReplacementPolicy> pol, int)
+                   ReplKind repl, bool withSharers, int)
     : nSets(numSets), nWays(assoc),
       setsPow2(numSets != 0 && (numSets & (numSets - 1)) == 0),
-      setMask(numSets - 1), policy(std::move(pol)),
-      lines(std::size_t(numSets) * assoc),
-      tags(std::size_t(numSets) * assoc, invalidTag),
-      freeWays(numSets, lowWays(assoc))
+      setMask(numSets - 1), kind(repl),
+      blockWords(assoc + byteWords(assoc) + (withSharers ? assoc : 0)),
+      sharerOff(withSharers ? assoc + byteWords(assoc) : 0),
+      rng(randomSeed)
 {
-    policy->init(nSets, nWays);
-    if (policy->kind() == ReplKind::Lru)
-        lruFast = static_cast<LruPolicy *>(policy.get());
+    resetBlocks();
 }
 
 TagArray
 TagArray::withSets(std::uint32_t numSets, std::uint32_t assoc,
-                   std::unique_ptr<ReplacementPolicy> policy)
+                   ReplKind repl, bool withSharers)
 {
-    return TagArray(numSets, assoc, std::move(policy), 0);
-}
-
-CacheLine &
-TagArray::fill(const LineRef &slot, sim::Addr addr, bool dirty, bool io)
-{
-    CacheLine &l = *slot.line;
-    l.addr = mem::lineAlign(addr);
-    l.valid = true;
-    l.dirty = dirty;
-    l.io = io;
-    l.prefetched = false;
-    l.ddioAlloc = false;
-    l.sharers = 0;
-    tags[std::size_t(slot.set) * nWays + slot.way] = l.addr;
-    freeWays[slot.set] &= ~(WayMask(1) << slot.way);
-    // LruPolicy::fill == touch; skip the two virtual hops.
-    if (lruFast)
-        lruFast->touchFast(slot.set, slot.way);
-    else
-        policy->fill(slot.set, slot.way);
-    return l;
+    checkAssoc(assoc);
+    if (numSets == 0)
+        sim::fatal("tag array needs at least one set");
+    return TagArray(numSets, assoc, repl, withSharers, 0);
 }
 
 void
-TagArray::invalidate(const LineRef &slot)
+TagArray::resetBlocks()
 {
-    CacheLine &l = *slot.line;
-    l.valid = false;
-    l.dirty = false;
-    l.io = false;
-    l.prefetched = false;
-    l.ddioAlloc = false;
-    l.sharers = 0;
-    tags[std::size_t(slot.set) * nWays + slot.way] = invalidTag;
-    freeWays[slot.set] |= WayMask(1) << slot.way;
+    // Build one empty block and copy it into every set: the store is
+    // written once, which is most of a machine's construction time.
+    std::vector<std::uint64_t> blank(blockWords, 0);
+    std::fill(blank.begin(), blank.begin() + nWays, LineRef::invalidTag);
+    if (kind == ReplKind::Srrip)
+        std::fill_n(replOf(blank.data()), nWays, srripMax);
+    store.clear();
+    store.reserve(std::size_t(nSets) * blockWords);
+    for (std::uint32_t s = 0; s < nSets; ++s)
+        store.insert(store.end(), blank.begin(), blank.end());
+    freeWays.assign(nSets, lowWays(nWays));
+}
+
+void
+TagArray::renumber(std::uint8_t *repl) const
+{
+    std::array<std::uint8_t, 64> rank{};
+    for (std::uint32_t i = 0; i < nWays; ++i) {
+        for (std::uint32_t j = 0; j < nWays; ++j) {
+            if (repl[j] < repl[i] || (repl[j] == repl[i] && j < i))
+                ++rank[i];
+        }
+    }
+    std::copy(rank.begin(), rank.begin() + nWays, repl);
+    repl[nWays] = static_cast<std::uint8_t>(nWays - 1);
+}
+
+std::uint32_t
+TagArray::victimSlow(std::uint32_t set, WayMask candidates)
+{
+    if (kind == ReplKind::Random) {
+        std::uint64_t pick =
+            rng.below(static_cast<std::uint64_t>(std::popcount(candidates)));
+        WayMask m = candidates;
+        for (; pick > 0; --pick)
+            m &= m - 1;
+        return static_cast<std::uint32_t>(std::countr_zero(m));
+    }
+    // SRRIP: the lowest candidate at the distant RRPV; age all
+    // candidates until one gets there.
+    std::uint8_t *r = replOf(block(set));
+    for (;;) {
+        for (WayMask m = candidates; m != 0; m &= m - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+            if (r[w] >= srripMax)
+                return w;
+        }
+        for (WayMask m = candidates; m != 0; m &= m - 1)
+            ++r[std::countr_zero(m)];
+    }
+}
+
+CacheLine
+TagArray::lineAt(std::uint32_t set, std::uint32_t way) const
+{
+    const std::uint64_t *b = block(set);
+    CacheLine l;
+    if (b[way] == LineRef::invalidTag)
+        return l;
+    const std::uint8_t f = flagsOf(b)[way];
+    l.addr = b[way];
+    l.valid = true;
+    l.dirty = f & LineRef::dirtyBit;
+    l.io = f & LineRef::ioBit;
+    l.prefetched = f & LineRef::prefetchedBit;
+    l.ddioAlloc = f & LineRef::ddioAllocBit;
+    l.sharers = sharerOff != 0 ? b[sharerOff + way] : 0;
+    return l;
 }
 
 std::uint64_t
@@ -101,9 +159,14 @@ TagArray::countValid(
 {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < nSets; ++s) {
-        for (std::uint32_t w = 0; w < nWays; ++w) {
-            const CacheLine &l = lineAt(s, w);
-            if (l.valid && (!pred || pred(l, w)))
+        const WayMask used = lowWays(nWays) & ~freeWays[s];
+        if (!pred) {
+            n += static_cast<std::uint64_t>(std::popcount(used));
+            continue;
+        }
+        for (WayMask m = used; m != 0; m &= m - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+            if (pred(lineAt(s, w), w))
                 ++n;
         }
     }
@@ -113,63 +176,120 @@ TagArray::countValid(
 void
 TagArray::clear()
 {
-    for (auto &l : lines)
-        l = CacheLine{};
-    std::fill(tags.begin(), tags.end(), invalidTag);
-    std::fill(freeWays.begin(), freeWays.end(), lowWays(nWays));
+    resetBlocks();
 }
 
 void
 TagArray::serialize(ckpt::Serializer &s) const
 {
-    // Field by field: CacheLine has padding between the flag bytes and
-    // the sharers word, and padding must never reach a checkpoint.
+    s.writeBytes(tagsMagic.data(), tagsMagic.size());
     s.writeU32(nSets);
     s.writeU32(nWays);
-    for (const CacheLine &l : lines) {
-        s.writeU64(l.addr);
-        s.writeBool(l.valid);
-        s.writeBool(l.dirty);
-        s.writeBool(l.io);
-        s.writeBool(l.prefetched);
-        s.writeBool(l.ddioAlloc);
-        s.writeU64(l.sharers);
+    s.writeU8(static_cast<std::uint8_t>(kind));
+    s.writeBool(sharerOff != 0);
+    if (kind == ReplKind::Random) {
+        for (const std::uint64_t w : rng.state())
+            s.writeU64(w);
     }
-    policy->serialize(s);
+
+    std::uint32_t liveSets = 0;
+    for (std::uint32_t set = 0; set < nSets; ++set)
+        liveSets += freeWays[set] != lowWays(nWays);
+    s.writeU32(liveSets);
+
+    for (std::uint32_t set = 0; set < nSets; ++set) {
+        const WayMask used = lowWays(nWays) & ~freeWays[set];
+        if (used == 0)
+            continue;
+        const std::uint64_t *b = block(set);
+        const std::uint8_t *r = replOf(b);
+        s.writeU32(set);
+        s.writeU8(r[nWays]);
+        s.writeU8(static_cast<std::uint8_t>(std::popcount(used)));
+        for (WayMask m = used; m != 0; m &= m - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+            // An LRU stamp is saved as its rank among the valid ways,
+            // so equal orders save equal bytes whatever the stale
+            // stamps of invalid ways were.
+            std::uint8_t repl = r[w];
+            if (kind == ReplKind::Lru) {
+                repl = 0;
+                for (WayMask o = used; o != 0; o &= o - 1) {
+                    const auto v = std::countr_zero(o);
+                    repl += r[v] < r[w] ||
+                            (r[v] == r[w] && std::uint32_t(v) < w);
+                }
+            }
+            s.writeU8(static_cast<std::uint8_t>(w));
+            s.writeU64(b[w]);
+            s.writeU8(flagsOf(b)[w]);
+            s.writeU8(repl);
+            if (sharerOff != 0)
+                s.writeU64(b[sharerOff + w]);
+        }
+    }
 }
 
 void
 TagArray::unserialize(ckpt::Deserializer &d)
 {
+    std::array<char, 4> magic;
+    d.readBytes(magic.data(), magic.size());
+    if (magic != tagsMagic)
+        sim::fatal("ckpt: tag-array record missing (not format v5)");
     const std::uint32_t sets = d.readU32();
     const std::uint32_t ways = d.readU32();
-    if (sets != nSets || ways != nWays) {
+    const std::uint8_t policy = d.readU8();
+    const bool withSharers = d.readBool();
+    if (sets != nSets || ways != nWays ||
+        policy != static_cast<std::uint8_t>(kind) ||
+        withSharers != (sharerOff != 0)) {
         sim::fatal("ckpt: tag-array geometry mismatch (checkpoint "
-                   "%ux%u, config %ux%u)",
-                   sets, ways, nSets, nWays);
+                   "%ux%u policy %u, config %ux%u policy %u)",
+                   sets, ways, policy, nSets, nWays,
+                   static_cast<unsigned>(kind));
     }
-    for (CacheLine &l : lines) {
-        l.addr = d.readU64();
-        l.valid = d.readBool();
-        l.dirty = d.readBool();
-        l.io = d.readBool();
-        l.prefetched = d.readBool();
-        l.ddioAlloc = d.readBool();
-        l.sharers = d.readU64();
+    if (kind == ReplKind::Random) {
+        std::array<std::uint64_t, 4> st;
+        for (std::uint64_t &w : st)
+            w = d.readU64();
+        rng.setState(st);
     }
-    // Rebuild the derived lookup structures.
-    for (std::uint32_t set = 0; set < nSets; ++set) {
-        WayMask free = 0;
-        for (std::uint32_t w = 0; w < nWays; ++w) {
-            const CacheLine &l = lineAt(set, w);
-            tags[std::size_t(set) * nWays + w] =
-                l.valid ? l.addr : invalidTag;
-            if (!l.valid)
-                free |= WayMask(1) << w;
+
+    resetBlocks();
+    const std::uint32_t liveSets = d.readU32();
+    std::int64_t prevSet = -1;
+    for (std::uint32_t i = 0; i < liveSets; ++i) {
+        const std::uint32_t set = d.readU32();
+        if (set >= nSets || std::int64_t(set) <= prevSet)
+            sim::fatal("ckpt: tag-array set %u out of order or range "
+                       "(%u sets)",
+                       set, nSets);
+        prevSet = set;
+        std::uint64_t *b = block(set);
+        std::uint8_t *r = replOf(b);
+        r[nWays] = d.readU8();
+        const std::uint32_t count = d.readU8();
+        if (count == 0 || count > nWays)
+            sim::fatal("ckpt: tag-array set %u holds %u of %u ways", set,
+                       count, nWays);
+        for (std::uint32_t k = 0; k < count; ++k) {
+            const std::uint32_t w = d.readU8();
+            const std::uint64_t tag = d.readU64();
+            if (w >= nWays || !(freeWays[set] >> w & 1) ||
+                tag != mem::lineAlign(tag) || setIndex(tag) != set) {
+                sim::fatal("ckpt: bad tag-array slot (set %u, way %u, "
+                           "tag %#llx)",
+                           set, w, (unsigned long long)tag);
+            }
+            b[w] = tag;
+            flagsOf(b)[w] = d.readU8();
+            r[w] = d.readU8();
+            if (sharerOff != 0)
+                b[sharerOff + w] = d.readU64();
+            freeWays[set] &= ~(WayMask(1) << w);
         }
-        freeWays[set] = free;
     }
-    policy->unserialize(d);
 }
 
 } // namespace cache

@@ -176,7 +176,8 @@ Deserializer::Deserializer(const std::vector<std::uint8_t> &blob)
     const std::uint32_t version = r.readInt<std::uint32_t>();
     if (version != formatVersion)
         sim::fatal("ckpt: format version mismatch (file %u, "
-                   "simulator %u)",
+                   "simulator %u); re-create the checkpoint with this "
+                   "build",
                    version, formatVersion);
 
     hdrSeed = r.readInt<std::uint64_t>();

@@ -67,8 +67,12 @@ namespace ckpt
  * timing wheel is the only scheduler. Section version 4 also drops
  * the events-since-last-hook counter (the section is versioned on
  * its own, so the file format stays v4).
+ * v5: cache tag arrays write only their valid slots, each set that
+ * holds any as one record (set, clock, then way, tag, flags, LRU rank
+ * or RRPV, and sharers in the directory), plus the random policy's
+ * RNG; the LLC's DDIO width follows its array.
  */
-constexpr std::uint32_t formatVersion = 4;
+constexpr std::uint32_t formatVersion = 5;
 
 /** File magic, first 8 bytes of every checkpoint. */
 constexpr std::array<char, 8> magic = {'I', 'D', 'I', 'O',

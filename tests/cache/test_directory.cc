@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "cache/directory.hh"
+#include "cache/hierarchy.hh"
+#include "hierarchy_fixture.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -94,6 +99,51 @@ TEST_F(DirectoryTest, StatsCount)
     dir.add(0, 0x80);
     EXPECT_EQ(dir.insertions.get(), 2u);
     EXPECT_GE(dir.lookups.get(), 2u);
+}
+
+/** Build a hierarchy whose directory is configured by @p tweak. */
+template <typename Fn>
+void
+buildWith(Fn tweak)
+{
+    cache::HierarchyConfig cfg = testutil::tinyConfig();
+    tweak(cfg);
+    sim::Simulation s;
+    cache::MemoryHierarchy hier(s, "sys", cfg);
+}
+
+TEST(DirectoryDeathTest, AssociativityOutsideOneToSixtyFourIsFatal)
+{
+    for (std::uint32_t assoc : {0u, 65u}) {
+        EXPECT_EXIT(buildWith([&](cache::HierarchyConfig &c) {
+                        c.directoryAssoc = assoc;
+                    }),
+                    ::testing::ExitedWithCode(1), "directoryAssoc")
+            << assoc;
+    }
+}
+
+TEST(DirectoryDeathTest, NonFiniteOrNonPositiveCoverageIsFatal)
+{
+    for (double cov : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                       -1.5, std::numeric_limits<double>::infinity(),
+                       1e300}) {
+        EXPECT_EXIT(buildWith([&](cache::HierarchyConfig &c) {
+                        c.directoryCoverage = cov;
+                    }),
+                    ::testing::ExitedWithCode(1), "directoryCoverage")
+            << cov;
+    }
+}
+
+TEST(DirectoryDeathTest, ValidEdgeGeometriesBuild)
+{
+    buildWith([](cache::HierarchyConfig &c) { c.directoryAssoc = 64; });
+    buildWith([](cache::HierarchyConfig &c) {
+        c.directoryAssoc = 1;
+        c.directoryCoverage = 0.01; // rounds down to one set
+    });
+    SUCCEED();
 }
 
 } // anonymous namespace

@@ -74,8 +74,8 @@ TEST_F(HierarchyTest, LlcHitMovesDataToMlcExclusively)
     // carry I/O provenance.
     auto ref = hier.mlcOf(0).probe(0x3000);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty);
-    EXPECT_TRUE(ref.line->io);
+    EXPECT_TRUE(ref.dirty());
+    EXPECT_TRUE(ref.io());
 }
 
 TEST_F(HierarchyTest, MlcEvictionAllocatesInLlc)
@@ -132,7 +132,7 @@ TEST_F(HierarchyTest, WriteAllocatesAndMarksDirty)
     EXPECT_EQ(r.level, HitLevel::DRAM);
     auto ref = hier.l1(0).probe(0x5000);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty);
+    EXPECT_TRUE(ref.dirty());
 }
 
 TEST_F(HierarchyTest, L1DirtyVictimMergesIntoMlc)
@@ -144,7 +144,7 @@ TEST_F(HierarchyTest, L1DirtyVictimMergesIntoMlc)
 
     auto ref = hier.mlcOf(0).probe(0x0);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty) << "L1 dirtiness must merge into MLC";
+    EXPECT_TRUE(ref.dirty()) << "L1 dirtiness must merge into MLC";
 }
 
 TEST_F(HierarchyTest, DmaBloatingOccupiesNonDdioWays)
@@ -160,7 +160,7 @@ TEST_F(HierarchyTest, DmaBloatingOccupiesNonDdioWays)
     // outside ways 0-1 unless it was evicted to DRAM already.
     const auto ref = hier.llc().probe(0x3000);
     if (ref) {
-        EXPECT_TRUE(ref.line->io);
+        EXPECT_TRUE(ref.io());
     } else {
         // Evicted to DRAM: the dirty writeback happened.
         EXPECT_GT(hier.dram().writeCount(), 0u);
@@ -206,7 +206,7 @@ TEST_F(HierarchyTest, MigratoryCoherenceMovesDirtyLineBetweenCores)
 
     auto ref = hier.mlcOf(1).probe(0x7000);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty) << "dirtiness must migrate";
+    EXPECT_TRUE(ref.dirty()) << "dirtiness must migrate";
     EXPECT_EQ(hier.dram().readCount(), dramReadsAfterFill)
         << "the migration itself must not touch DRAM";
 }

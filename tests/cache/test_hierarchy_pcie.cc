@@ -21,8 +21,8 @@ TEST_F(HierarchyTest, P5UncachedWriteAllocatesInDdioWays)
     auto ref = hier.llc().probe(0x1000);
     ASSERT_TRUE(ref);
     EXPECT_LT(ref.way, hier.llc().ddioWays());
-    EXPECT_TRUE(ref.line->dirty);
-    EXPECT_TRUE(ref.line->io);
+    EXPECT_TRUE(ref.dirty());
+    EXPECT_TRUE(ref.io());
     EXPECT_EQ(hier.llc().ddioAllocs.get(), 1u);
     EXPECT_EQ(hier.dram().writeCount(), 0u) << "DDIO bypasses DRAM";
 }
@@ -56,8 +56,8 @@ TEST_F(HierarchyTest, P3NonDdioLlcLineUpdatedInPlace)
     auto after = hier.llc().probe(0x1000);
     ASSERT_TRUE(after);
     EXPECT_EQ(llcWayOf(0x1000), way) << "in-place update, same way";
-    EXPECT_TRUE(after.line->dirty);
-    EXPECT_TRUE(after.line->io) << "the line is I/O data now";
+    EXPECT_TRUE(after.dirty());
+    EXPECT_TRUE(after.io()) << "the line is I/O data now";
     EXPECT_GE(hier.llc().ddioUpdates.get(), 1u);
 }
 

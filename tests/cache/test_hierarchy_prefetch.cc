@@ -29,8 +29,8 @@ TEST_F(HierarchyTest, PrefetchPreservesDirtyAndIo)
     hier.mlcPrefetch(0, 0x1000);
     auto ref = hier.mlcOf(0).probe(0x1000);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty);
-    EXPECT_TRUE(ref.line->io);
+    EXPECT_TRUE(ref.dirty());
+    EXPECT_TRUE(ref.io());
 }
 
 TEST_F(HierarchyTest, PrefetchOfMlcResidentLineIsNoop)
@@ -47,7 +47,7 @@ TEST_F(HierarchyTest, PrefetchFromDramWhenAllowed)
     EXPECT_EQ(hier.dram().readCount(), 1u);
     auto ref = hier.mlcOf(0).probe(0x3000);
     ASSERT_TRUE(ref);
-    EXPECT_FALSE(ref.line->dirty) << "DRAM-backed fill is clean";
+    EXPECT_FALSE(ref.dirty()) << "DRAM-backed fill is clean";
 }
 
 TEST_F(HierarchyTest, PrefetchFromDramDisabled)

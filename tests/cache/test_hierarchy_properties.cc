@@ -69,7 +69,7 @@ class HierarchyPropertyTest
                 for (std::uint32_t w = 0; w < l1.assoc(); ++w) {
                     const auto &line = l1.lineAt(s, w);
                     if (line.valid) {
-                        ASSERT_NE(mlc.peek(line.addr), nullptr)
+                        ASSERT_TRUE(mlc.contains(line.addr))
                             << "L1 line not in MLC (core " << c << ")";
                     }
                 }

@@ -15,7 +15,7 @@ using cache::TagArray;
 TagArray
 makeArray(std::uint64_t size, std::uint32_t assoc)
 {
-    return TagArray(size, assoc, cache::makeReplacementPolicy("lru"));
+    return TagArray(size, assoc, cache::ReplKind::Lru);
 }
 
 TEST(TagArray, GeometryFromSize)
@@ -28,8 +28,7 @@ TEST(TagArray, GeometryFromSize)
 
 TEST(TagArray, WithSetsFactory)
 {
-    TagArray a = TagArray::withSets(128, 4,
-                                    cache::makeReplacementPolicy("lru"));
+    TagArray a = TagArray::withSets(128, 4, cache::ReplKind::Lru);
     EXPECT_EQ(a.numSets(), 128u);
     EXPECT_EQ(a.capacityBytes(), 128u * 4 * 64);
 }
@@ -38,21 +37,21 @@ TEST(TagArray, MissOnEmpty)
 {
     TagArray a = makeArray(4096, 4);
     EXPECT_FALSE(a.lookup(0x1000));
-    EXPECT_EQ(a.peek(0x1000), nullptr);
+    EXPECT_FALSE(a.contains(0x1000));
 }
 
 TEST(TagArray, FillThenHit)
 {
     TagArray a = makeArray(4096, 4);
     auto slot = a.findFillSlot(0x1000);
-    EXPECT_FALSE(slot.line->valid);
+    EXPECT_FALSE(slot.valid());
     a.fill(slot, 0x1000, true, false);
 
     auto ref = a.lookup(0x1000);
     ASSERT_TRUE(ref);
-    EXPECT_TRUE(ref.line->dirty);
-    EXPECT_FALSE(ref.line->io);
-    EXPECT_EQ(ref.line->addr, 0x1000u);
+    EXPECT_TRUE(ref.dirty());
+    EXPECT_FALSE(ref.io());
+    EXPECT_EQ(ref.addr(), 0x1000u);
 }
 
 TEST(TagArray, LookupAlignsAddresses)
@@ -69,7 +68,7 @@ TEST(TagArray, FillPrefersInvalidWay)
     TagArray a = makeArray(4 * 64, 4); // one set, 4 ways
     a.fill(a.findFillSlot(0x0), 0x0, false, false);
     auto slot = a.findFillSlot(0x1000);
-    EXPECT_FALSE(slot.line->valid);
+    EXPECT_FALSE(slot.valid());
 }
 
 TEST(TagArray, EvictionWhenSetFull)
@@ -80,9 +79,9 @@ TEST(TagArray, EvictionWhenSetFull)
         a.fill(s, i * 64, false, false);
     }
     auto victim = a.findFillSlot(0x5000);
-    EXPECT_TRUE(victim.line->valid); // caller must evict
+    EXPECT_TRUE(victim.valid()); // caller must evict
     // LRU: line 0 was filled first and never touched again.
-    EXPECT_EQ(victim.line->addr, 0u);
+    EXPECT_EQ(victim.addr(), 0u);
 }
 
 TEST(TagArray, MaskedFillSlotStaysInMask)
@@ -147,7 +146,7 @@ TEST(TagArray, TouchAffectsLruOrder)
     auto ref = a.lookup(0x00);
     a.touch(ref); // way holding 0x00 is now MRU
     auto victim = a.findFillSlot(0x9000);
-    EXPECT_EQ(victim.line->addr, 0x40u);
+    EXPECT_EQ(victim.addr(), 0x40u);
 }
 
 TEST(TagArrayDeath, BadGeometryIsFatal)

@@ -108,8 +108,8 @@ TEST(CkptSerializer, BadMagicIsFatal)
 
 TEST(CkptSerializer, FormatVersionDriftIsFatal)
 {
-    // A newer file and one from the previous format (v3, which still
-    // carried the scheduler backend tag) are both refused.
+    // A newer file and one from the previous format (v4, which wrote
+    // every cache slot) are both refused.
     for (const std::uint32_t bogus :
          {ckpt::formatVersion + 1, ckpt::formatVersion - 1}) {
         auto blob = sampleBlob();

@@ -86,6 +86,22 @@ TEST(PinnedWork, Scaled32)
     EXPECT_EQ(w.events, 493517u);
 }
 
+TEST(PinnedWork, Scaled32CacheStateBytes)
+{
+    // The cache layer's host footprint on the 32-core machine: one
+    // block per set in every tag array plus its free-way masks. The
+    // earlier three-array layout (24-byte line structs, tags and
+    // 64-bit LRU stamps) held 86769664 bytes here.
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 32;
+    cfg.rxQueues = 32;
+    cfg.totalFlows = 1u << 20;
+    cfg.nfKind = harness::NfKind::TouchDrop;
+    cfg.applyPolicy(idio::Policy::Idio);
+    harness::TestSystem sys(cfg);
+    EXPECT_EQ(sys.hierarchy().stateBytes(), 30670848u);
+}
+
 /**
  * Run the canonical tenant mix under @p scheme for 300 us and check
  * its rpc p99/p99.9 and batch p99 (ticks) and the IOCA controller's

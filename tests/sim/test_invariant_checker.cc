@@ -154,10 +154,8 @@ TEST_F(CacheCorruptionDeathTest, DdioLineOutsideThePartitionPanics)
     const std::uint32_t set = tags.setIndex(0x4000);
     const std::uint32_t lastWay = tags.assoc() - 1;
     ASSERT_GE(lastWay, hier.llc().ddioWays());
-    cache::CacheLine &l = tags.lineAt(set, lastWay);
-    l.addr = 0x4000;
-    l.valid = true;
-    l.ddioAlloc = true;
+    tags.fill(tags.at(set, lastWay), 0x4000, false, false)
+        .setDdioAlloc();
 
     EXPECT_DEATH(chk.check(), "DDIO partition");
 }

@@ -6,7 +6,10 @@ src/ckpt/serializer.hh for the layout), prints the header and one row
 per section (name, schema version, payload size, checksum), and
 validates the whole file: magic, format version, section bounds,
 FNV-1a checksums, duplicate names and trailing bytes. The `_eventq`
-section is decoded too; this tool reads its version 4 only.
+section is decoded too; this tool reads its version 4 only. Every
+cache tag array (a section payload that starts with "TAGS") is decoded
+and its valid lines counted: format v5 writes only valid slots, so a
+checkpoint's size follows the live cache state.
 
 Exit status: 0 when the checkpoint is well-formed, 1 on any
 corruption, 2 on usage errors.
@@ -20,7 +23,7 @@ import struct
 import sys
 
 MAGIC = b"IDIOCKPT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 EVENTQ_VERSION = 4
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -82,8 +85,10 @@ def inspect(path: str) -> int:
           f"tick {tick} ({tick / 1e6:.3f} us)   {count} sections")
     if version != FORMAT_VERSION:
         print(f"FAIL formatVersion {version}; this tool understands "
-              f"{FORMAT_VERSION}")
+              f"{FORMAT_VERSION} only (v4 and older wrote every cache "
+              "slot)")
         failures += 1
+        return 1
 
     rows = []
     seen = set()
@@ -130,11 +135,51 @@ def inspect(path: str) -> int:
         else:
             print(f"  {name}: {decode_eventq(payload)}")
 
+    arrays = [(name, payload) for name, _, _, _, _, payload in rows
+              if payload[:4] == TAGS_MAGIC]
+    if arrays:
+        print(f"\n  tag arrays ({len(arrays)}):")
+    for name, payload in arrays:
+        print(f"  {name:<{width}}  {decode_tags(name, payload)}")
+
     if failures:
         print(f"\n{failures} problem(s) found")
         return 1
     print(f"\nall {count} section checksums valid")
     return 0
+
+
+TAGS_MAGIC = b"TAGS"
+POLICIES = {0: "lru", 1: "random", 2: "srrip"}
+
+
+def decode_tags(name: str, payload: bytes) -> str:
+    """Walk a v5 tag-array record (see TagArray::serialize)."""
+    r = Reader(payload)
+    r.take(4, f"'{name}' magic")
+    sets = r.u32(f"'{name}' sets")
+    ways = r.u32(f"'{name}' ways")
+    policy, sharers = r.take(2, f"'{name}' policy")
+    if policy not in POLICIES or sharers > 1:
+        raise Corrupt(f"'{name}' has policy {policy} sharers {sharers}")
+    if policy == 1:
+        r.take(32, f"'{name}' rng state")
+    live = r.u32(f"'{name}' live sets")
+    slot_bytes = 1 + 8 + 1 + 1 + (8 if sharers else 0)
+    valid = 0
+    prev = -1
+    for i in range(live):
+        s = r.u32(f"'{name}' set record {i}")
+        _clock, count = r.take(2, f"'{name}' set {s} header")
+        if s >= sets or s <= prev or not 0 < count <= ways:
+            raise Corrupt(f"'{name}' set record {i}: set {s} holds "
+                          f"{count} of {ways} ways ({sets} sets)")
+        prev = s
+        r.take(count * slot_bytes, f"'{name}' set {s} slots")
+        valid += count
+    kind = "directory " if sharers else ""
+    return (f"{kind}{sets}x{ways} {POLICIES[policy]}: {valid} valid "
+            f"lines of {sets * ways} in {live} sets")
 
 
 def decode_eventq(payload: bytes) -> str:
