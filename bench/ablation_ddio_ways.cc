@@ -50,7 +50,7 @@ main()
                  std::to_string(m.totals.llcWritebacks),
                  std::to_string(m.totals.dramWrites),
                  stats::TablePrinter::num(
-                     sim::ticksToSeconds(m.execTime()) * 1e3, 3),
+                     sim::ticksToSeconds(m.execTime) * 1e3, 3),
                  stats::TablePrinter::num(
                      m.antagonistTpa / double(sim::oneNs), 2)});
         }

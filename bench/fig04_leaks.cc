@@ -91,7 +91,7 @@ main()
     auto addRow = [&](const std::string &name, const Load &load,
                       std::uint32_t ring, bool oneWay) {
         const auto cfg = fig4Config(ring, load, oneWay);
-        const auto m = bench::runFor(cfg, load.duration);
+        const auto m = bench::runToHorizon(cfg, {.horizon = load.duration});
 
         const double rxBytes =
             std::max(1.0, static_cast<double>(m.totals.rxPackets -

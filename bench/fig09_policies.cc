@@ -41,7 +41,7 @@ fig9Config(idio::Policy policy, double gbps)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
+    const auto opts = bench::parseBenchOptions(argc, argv, bench::sweepFlags);
 
     std::printf("=== Figure 9: policy comparison over one burst "
                 "(2x TouchDrop, ring 1024, 1514 B) ===\n");
@@ -63,7 +63,8 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = bench::runSweepSingleBurst(cases, opts);
+    bench::applyCaseOptions(cases, opts);
+    const auto results = bench::runSweep(cases, opts);
     bench::JsonReport report(opts.jsonPath, "fig09", opts.jobs);
 
     std::size_t i = 0;
@@ -83,7 +84,7 @@ main(int argc, char **argv)
                  std::to_string(m.totals.dramReads),
                  std::to_string(m.totals.dramWrites),
                  stats::TablePrinter::num(
-                     sim::ticksToSeconds(m.execTime()) * 1e3, 3),
+                     sim::ticksToSeconds(m.execTime) * 1e3, 3),
                  stats::TablePrinter::num(sim::ticksToUs(m.p99), 1)});
         }
         table.print(std::cout);

@@ -36,7 +36,7 @@ fig10Config(idio::Policy policy, double gbps, bool antagonist)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
+    const auto opts = bench::parseBenchOptions(argc, argv, bench::sweepFlags);
 
     std::printf("=== Figure 10: Static and IDIO normalised to DDIO "
                 "===\n");
@@ -69,7 +69,8 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = bench::runSweepSingleBurst(cases, opts);
+    bench::applyCaseOptions(cases, opts);
+    const auto results = bench::runSweep(cases, opts);
     bench::JsonReport report(opts.jsonPath, "fig10", opts.jobs);
     for (std::size_t i = 0; i < cases.size(); ++i)
         report.row(cases[i], results[i]);
@@ -95,7 +96,7 @@ main(int argc, char **argv)
                               base.totals.dramReads),
                  bench::ratio(m.totals.dramWrites,
                               base.totals.dramWrites),
-                 bench::ratio(m.execTime(), base.execTime()),
+                 bench::ratio(m.execTime, base.execTime),
                  sc.antagonist
                      ? stats::TablePrinter::num(
                            m.antagonistTpa / base.antagonistTpa, 2)

@@ -30,19 +30,12 @@ fig12Config(idio::Policy policy, double gbps, bool antagonist)
     return cfg;
 }
 
-/** Four burst periods; NF 0's distribution represents both NFs. */
-bench::RunMetrics
-measure(const harness::ExperimentConfig &cfg)
-{
-    return bench::runFor(cfg, 40 * sim::oneMs);
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
+    const auto opts = bench::parseBenchOptions(argc, argv, bench::sweepFlags);
 
     std::printf("=== Figure 12: p50/p99 latency, normalised to DDIO "
                 "solo ===\n");
@@ -66,7 +59,9 @@ main(int argc, char **argv)
     }
 
     bench::applyCaseOptions(cases, opts);
-    const auto results = bench::runSweep(cases, opts.jobs, measure);
+    // Four burst periods; NF 0's distribution represents both NFs.
+    const auto results = bench::runSweep(cases, opts, bench::runToHorizon,
+                                         {.horizon = 40 * sim::oneMs});
     bench::JsonReport report(opts.jsonPath, "fig12", opts.jobs);
     for (std::size_t i = 0; i < cases.size(); ++i)
         report.row(cases[i], results[i]);

@@ -32,7 +32,16 @@ fig14Config(idio::Policy policy, double mlcThr)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
+    const auto opts = bench::parseBenchOptions(
+        argc, argv, bench::sweepFlags | bench::flagWarmStart);
+    if (opts.warmStart &&
+        !(opts.checkpointPath.empty() && opts.restorePath.empty())) {
+        std::fprintf(stderr, "%s: --warm-start forks from its own "
+                     "warm-up and takes no %s (try --help)\n", argv[0],
+                     opts.restorePath.empty() ? "--checkpoint"
+                                              : "--restore");
+        return 2;
+    }
 
     std::printf("=== Figure 14: IDIO sensitivity to mlcTHR "
                 "(100 Gbps bursts) ===\n");
@@ -47,27 +56,31 @@ main(int argc, char **argv)
                          fig14Config(idio::Policy::Idio, thr)});
     }
 
+    bench::applyCaseOptions(cases, opts);
     std::vector<bench::RunMetrics> results;
     if (opts.warmStart) {
         // The thr family shares one warm-up: the threshold only
         // matters once the measured writeback rate falls between two
         // swept values, which happens well after the burst head — so
-        // every fork is bit-identical to its cold run. The DDIO
-        // baseline is a different policy and runs cold.
-        bench::applyCaseOptions(cases, opts);
+        // every fork is bit-identical to its cold run. The first thr
+        // case runs cold and saves its state at the warm-start tick;
+        // the DDIO baseline is a different policy and runs cold too.
         std::printf("# warm-start: thr family forked from one "
                     "%llu us warm-up\n\n",
                     (unsigned long long)sim::ticksToUs(
                         bench::warmStartTick));
+        std::vector<std::uint8_t> warm;
         results.push_back(bench::runSingleBurst(cases[0].cfg));
-        const auto warm = bench::captureWarmState(cases[1].cfg);
-        const std::vector<bench::SweepCase> thrCases(
-            cases.begin() + 1, cases.end());
+        results.push_back(
+            bench::runSingleBurst(cases[1].cfg, {.saveBlob = &warm}));
+        const std::vector<bench::SweepCase> forkCases(
+            cases.begin() + 2, cases.end());
         const auto forked =
-            bench::runSweepWarmFork(thrCases, opts, warm);
+            bench::runSweep(forkCases, opts, bench::runSingleBurst,
+                            {.restoreBlob = &warm});
         results.insert(results.end(), forked.begin(), forked.end());
     } else {
-        results = bench::runSweepSingleBurst(cases, opts);
+        results = bench::runSweep(cases, opts);
     }
     bench::JsonReport report(opts.jsonPath, "fig14", opts.jobs);
     for (std::size_t i = 0; i < cases.size(); ++i)
@@ -89,7 +102,7 @@ main(int argc, char **argv)
                                    base.totals.dramReads),
                       bench::ratio(m.totals.dramWrites,
                                    base.totals.dramWrites),
-                      bench::ratio(m.execTime(), base.execTime())});
+                      bench::ratio(m.execTime, base.execTime)});
     }
     table.print(std::cout);
 

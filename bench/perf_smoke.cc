@@ -20,7 +20,7 @@
  * speedup is unmeasurable and only the bit-identity check gates.
  *
  * Options: --jobs=N (sweep width, capped at the host's threads) and
- * --seed=N. Every other bench option is a usage error (exit 2).
+ * --seed=N; any other is a usage error (exit 2).
  */
 
 #include <algorithm>
@@ -116,36 +116,13 @@ sweepCases()
     return cases;
 }
 
-bool
-sameResults(const std::vector<bench::RunMetrics> &a,
-            const std::vector<bench::RunMetrics> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!(a[i].totals == b[i].totals) || a[i].p50 != b[i].p50 ||
-            a[i].p99 != b[i].p99 ||
-            a[i].firstArrival != b[i].firstArrival ||
-            a[i].drainedAt != b[i].drainedAt) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
-    if (!opts.jsonPath.empty() || !opts.tracePath.empty() ||
-        !opts.checkpointPath.empty() || !opts.restorePath.empty() ||
-        opts.warmStart || opts.cores || opts.rxQueues) {
-        std::fprintf(stderr, "%s: takes only --jobs and --seed and "
-                     "writes no file (try --help)\n", argv[0]);
-        return 2;
-    }
+    const auto opts = bench::parseBenchOptions(
+        argc, argv, bench::flagJobs | bench::flagSeed);
     const unsigned hwThreads = harness::SweepRunner::hardwareJobs();
     // The smoke always contrasts a serial sweep with a parallel one.
     // More workers than hardware threads would only measure context
@@ -160,18 +137,21 @@ main(int argc, char **argv)
                 hwThreads, parallelism, sweepJobs);
 
     auto cases = sweepCases();
-    bench::applySeed(cases, opts);
+    bench::applyCaseOptions(cases, opts);
     std::printf("sweep: %zu fig10-style configs\n", cases.size());
 
+    bench::BenchOptions sweep = opts;
+    sweep.jobs = 1;
     const auto serialStart = Clock::now();
-    const auto serial = bench::runSweepSingleBurst(cases, 1);
+    const auto serial = bench::runSweep(cases, sweep);
     const double serialSec = secondsSince(serialStart);
 
+    sweep.jobs = sweepJobs;
     const auto parallelStart = Clock::now();
-    const auto parallel = bench::runSweepSingleBurst(cases, sweepJobs);
+    const auto parallel = bench::runSweep(cases, sweep);
     const double parallelSec = secondsSince(parallelStart);
 
-    const bool deterministic = sameResults(serial, parallel);
+    const bool deterministic = serial == parallel;
     const double speedup =
         parallelSec > 0 ? serialSec / parallelSec : 0;
 

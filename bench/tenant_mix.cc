@@ -19,7 +19,7 @@
  *   antag — best-effort antagonist tenant: one aggressor core running
  *           an LLC-thrashing scan (nf::LlcAntagonist) and no NF.
  *
- * The run is a fixed 600 us horizon stepped in 10 us quanta, so every
+ * The run is a fixed 600 us horizon (bench::runLoop), so every
  * scheme sees the identical packet arrivals and the output JSON is
  * bit-identical across repeated runs and a mid-burst
  * checkpoint/restore (the golden tenant_mix cases rely on this —
@@ -48,8 +48,8 @@ struct MixRun
 
 /**
  * Fixed-horizon run. The FIRST scheme honours --trace, --checkpoint
- * and --restore; saving reads state only and the checkpoint tick is a
- * quantum multiple, so the reported numbers are unchanged.
+ * and --restore; saving reads state only, so the reported numbers are
+ * unchanged.
  */
 MixRun
 runMix(const harness::ExperimentConfig &cfg,
@@ -65,23 +65,12 @@ runMix(const harness::ExperimentConfig &cfg,
     }
     sys.start();
 
-    if (first && !opts.restorePath.empty()) {
-        const bench::WarmState w =
-            bench::loadWarmState(opts.restorePath);
-        sys.restore(w.blob);
+    bench::RunLoop loop{.horizon = horizon};
+    if (first) {
+        loop.restorePath = opts.restorePath;
+        loop.checkpointPath = opts.checkpointPath;
     }
-
-    bool saved = !(first && !opts.checkpointPath.empty());
-    while (sys.simulation().now() < horizon) {
-        sys.runFor(bench::burstQuantum);
-        if (!saved && sys.simulation().now() >= bench::warmStartTick) {
-            saved = true;
-            bench::WarmState w;
-            w.tick = sys.simulation().now();
-            w.blob = sys.checkpoint();
-            bench::saveWarmState(opts.checkpointPath, w);
-        }
-    }
+    bench::runLoop(sys, loop);
 
     MixRun r;
     r.tenants = sys.tenantTotals();
@@ -99,12 +88,12 @@ runMix(const harness::ExperimentConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseBenchOptions(argc, argv);
-    if (opts.cores || opts.rxQueues) {
-        std::fprintf(stderr, "tenant_mix: --cores/--rx-queues are "
-                             "incompatible with the tenant layout\n");
-        return 2;
-    }
+    // One scheme after another, on the fixed tenant layout: no
+    // --jobs, --cores or --warm-start.
+    const auto opts = bench::parseBenchOptions(
+        argc, argv,
+        bench::flagJson | bench::flagTrace | bench::flagSeed |
+            bench::flagCheckpoint | bench::flagRestore);
 
     std::printf("=== Tenant mix: noisy-neighbor isolation, "
                 "%zu schemes on one scenario ===\n",

@@ -102,8 +102,9 @@ TEST_P(EndToEndLayout, InvariantCheckerSweepsTheWholeRun)
     // Acceptance gate for the correctness tooling: a full end-to-end
     // run must evaluate every registered invariant on every sweep,
     // with zero violations (a violation would have panicked the run),
-    // whatever the machine layout. Stepping in 10 us quanta (as the
-    // benches do) sweeps once per checker grid point crossed.
+    // whatever the machine layout. Stepping in 10 us quanta (as a
+    // bench does until its burst drains) sweeps once per checker grid
+    // point crossed.
     harness::TestSystem sys(GetParam().config());
     sys.start();
     constexpr sim::Tick quantum = 10 * sim::oneUs;

@@ -3,10 +3,10 @@
  * Pinned work counters: exact, host-independent numbers of three
  * canonical runs.
  *
- * Each case repeats a fixed measurement loop (runFor(burstQuantum)
- * until the burst drains or the horizon passes, no settle time) and
- * asserts the exact events dispatched and, for the tenant mix, the
- * exact per-tenant tail latencies in ticks. The constants are the
+ * Each case runs the benches' own loop (bench::runLoop, to the drain
+ * or the horizon, no settle time) and asserts the exact events
+ * dispatched and, for the tenant mix, the exact per-tenant tail
+ * latencies in ticks. The constants are the
  * values the simulator produced when these gates moved here from the
  * perf smoke's committed trajectory file, in release and checker-on
  * builds alike: the invariant checker and the tracer must not change
@@ -33,24 +33,14 @@ struct BurstWork
     std::uint64_t events = 0;
 };
 
-/** Run one burst of @p config in burstQuantum steps until drained. */
+/** Run one burst of @p config until drained. */
 BurstWork
-drainOneBurst(harness::ExperimentConfig cfg)
+drainOneBurst(const harness::ExperimentConfig &config)
 {
-    cfg.traffic = harness::TrafficKind::Bursty;
-    cfg.burstPeriod = 10 * sim::oneSec; // one burst
-
-    harness::TestSystem sys(cfg);
+    harness::TestSystem sys(bench::singleBurst(config));
     sys.start();
-    const std::uint64_t expected = cfg.expectedBurstTotal();
-    while (sys.simulation().now() < 50 * sim::oneMs) {
-        sys.runFor(bench::burstQuantum);
-        const auto t = sys.totals();
-        if (t.processedPackets + t.rxDrops >= expected &&
-            t.rxPackets >= expected) {
-            break;
-        }
-    }
+    bench::runLoop(sys, {.drainPackets =
+                             sys.config().expectedBurstTotal()});
     return {sys.totals().processedPackets,
             sys.simulation().totalProcessedEvents()};
 }
@@ -116,8 +106,7 @@ expectTenantHeadlines(const bench::TenantScheme &scheme,
     cfg.nic.ringSize = 256;
     harness::TestSystem sys(cfg);
     sys.start();
-    while (sys.simulation().now() < 300 * sim::oneUs)
-        sys.runFor(bench::burstQuantum);
+    bench::runLoop(sys, {.horizon = 300 * sim::oneUs});
 
     const auto tt = sys.tenantTotals();
     ASSERT_GE(tt.size(), 2u);
