@@ -44,6 +44,14 @@ struct OracleCase
     bool prefetchFromDram = true;
 };
 
+// Without this gtest prints the case as raw bytes, name pointer
+// included, so the test names differed from one process to the next.
+void
+PrintTo(const OracleCase &k, std::ostream *os)
+{
+    *os << k.name;
+}
+
 cache::HierarchyConfig
 configFor(const OracleCase &k)
 {
