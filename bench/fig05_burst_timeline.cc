@@ -67,7 +67,9 @@ main(int argc, char **argv)
         }
         const double toTxns = sim::ticksToSeconds(10 * sim::oneUs) *
                               1e6; // MTPS -> txns per sample
-        bursts.addRow({"#" + std::to_string(b + 1),
+        std::string label = "#"; // not "#" + ...: GCC 12 -Wrestrict
+        label += std::to_string(b + 1);
+        bursts.addRow({label,
                        std::to_string(10 * b) + "-" +
                            std::to_string(10 * (b + 1)) + "ms",
                        stats::TablePrinter::num(peakMlc, 1),

@@ -26,16 +26,24 @@
 namespace
 {
 
+/** A member event, as the model's are, that counts its dispatches. */
+class CountEvent : public sim::Event
+{
+  public:
+    void process() override { ++fired; }
+    std::uint64_t fired = 0;
+};
+
 void
 BM_EventQueueScheduleFire(benchmark::State &state)
 {
     sim::EventQueue q;
-    std::uint64_t sink = 0;
+    CountEvent ev;
     for (auto _ : state) {
-        q.schedule(q.now() + 10, [&sink] { ++sink; });
+        q.schedule(&ev, q.now() + 10);
         q.runUntil(q.now() + 10);
     }
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(ev.fired);
 }
 BENCHMARK(BM_EventQueueScheduleFire);
 
@@ -44,14 +52,8 @@ BM_EventQueueSquashCompact(benchmark::State &state)
 {
     // Deschedule churn: every scheduled event is squashed again,
     // exercising the lazy heap compaction path end to end.
-    class NopEvent : public sim::Event
-    {
-      public:
-        void process() override {}
-    };
-
     constexpr int batch = 64;
-    std::vector<NopEvent> evs(batch);
+    std::vector<CountEvent> evs(batch);
     sim::EventQueue q;
     for (auto _ : state) {
         for (int i = 0; i < batch; ++i)
@@ -67,18 +69,18 @@ BENCHMARK(BM_EventQueueSquashCompact);
 void
 BM_EventQueueSameTickFanout(benchmark::State &state)
 {
-    // Fused same-tick dispatch: N one-shots land on one tick and the
+    // Fused same-tick dispatch: N events land on one tick and the
     // level-0 slot drains in a single batched pass.
     constexpr int fanout = 32;
+    std::vector<CountEvent> evs(fanout);
     sim::EventQueue q;
-    std::uint64_t sink = 0;
     for (auto _ : state) {
         const sim::Tick at = q.now() + 8;
-        for (int i = 0; i < fanout; ++i)
-            q.schedule(at, [&sink] { ++sink; });
+        for (CountEvent &ev : evs)
+            q.schedule(&ev, at);
         q.runUntil(at);
     }
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(evs.back().fired);
     state.SetItemsProcessed(state.iterations() * fanout);
 }
 BENCHMARK(BM_EventQueueSameTickFanout);
@@ -92,12 +94,12 @@ BM_EventQueueCascadeCrossing(benchmark::State &state)
     // long-period timers (retransmit, sweep barriers) pay.
     constexpr sim::Tick delta = 1 << 12; // level-1 span
     sim::EventQueue q;
-    std::uint64_t sink = 0;
+    CountEvent ev;
     for (auto _ : state) {
-        q.schedule(q.now() + delta, [&sink] { ++sink; });
+        q.schedule(&ev, q.now() + delta);
         q.runUntil(q.now() + delta);
     }
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(ev.fired);
 }
 BENCHMARK(BM_EventQueueCascadeCrossing);
 
@@ -110,12 +112,12 @@ BM_EventQueueOverflowSpill(benchmark::State &state)
     // every event pays heap push + refill placement + cascade.
     constexpr sim::Tick delta = sim::Tick(1) << 26;
     sim::EventQueue q;
-    std::uint64_t sink = 0;
+    CountEvent ev;
     for (auto _ : state) {
-        q.schedule(q.now() + delta, [&sink] { ++sink; });
+        q.schedule(&ev, q.now() + delta);
         q.runUntil(q.now() + delta);
     }
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(ev.fired);
 }
 BENCHMARK(BM_EventQueueOverflowSpill);
 

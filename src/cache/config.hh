@@ -72,18 +72,6 @@ struct HierarchyConfig
 
     std::uint32_t directoryAssoc = 16;
 
-    /** Insert clean MLC victims into the LLC (victim-cache behaviour). */
-    bool insertCleanVictims = true;
-
-    /**
-     * Self-invalidate also drops an LLC-resident copy (needed for the
-     * zero-copy NF flow, Sec. VII "Experimenting with shallow NFs").
-     */
-    bool invalidateReachesLlc = true;
-
-    /** Allow MLC prefetch hints to fetch lines that left the LLC. */
-    bool prefetchFromDram = true;
-
     /** DRAM device latency, ns. */
     double dramLatencyNs = 60.0;
 

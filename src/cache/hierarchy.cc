@@ -209,12 +209,10 @@ MemoryHierarchy::evictMlcVictim(sim::CoreId core, CacheLine victim)
     IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict, now(), 0,
                        victim.dirty ? 1 : 0, victim.addr);
 
-    if (victim.dirty || cfg.insertCleanVictims) {
-        llcInsertVictim(victim.addr, victim.dirty, victim.io,
-                        allocMasks[core]);
-        if (mlcWbObserver)
-            mlcWbObserver(core);
-    }
+    llcInsertVictim(victim.addr, victim.dirty, victim.io,
+                    allocMasks[core]);
+    if (mlcWbObserver)
+        mlcWbObserver(core);
 }
 
 void
@@ -377,12 +375,9 @@ MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
                 ++mlcs[c]->cleanEvictions;
             IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict,
                                now(), 0, dirty ? 1 : 0, victim.addr);
-            if (dirty || cfg.insertCleanVictims) {
-                llcInsertVictim(victim.addr, dirty, io,
-                                allocMasks[c]);
-                if (mlcWbObserver)
-                    mlcWbObserver(c);
-            }
+            llcInsertVictim(victim.addr, dirty, io, allocMasks[c]);
+            if (mlcWbObserver)
+                mlcWbObserver(c);
         }
     }
 }
@@ -406,11 +401,9 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
     }
     dir->remove(core, addr);
 
-    if (cfg.invalidateReachesLlc) {
-        if (LineRef ref = sharedLlc->probe(addr)) {
-            sharedLlc->tags().invalidate(ref);
-            ++sharedLlc->selfInvals;
-        }
+    if (LineRef ref = sharedLlc->probe(addr)) {
+        sharedLlc->tags().invalidate(ref);
+        ++sharedLlc->selfInvals;
     }
     return true;
 }
@@ -550,10 +543,8 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
         io = ref.io();
         ++sharedLlc->demandMoves;
         sharedLlc->tags().invalidate(ref);
-    } else if (cfg.prefetchFromDram) {
-        dramModel->access(mem::AccessType::Read);
     } else {
-        return false;
+        dramModel->access(mem::AccessType::Read);
     }
 
     installMlc(core, addr, dirty, io, true);

@@ -77,8 +77,9 @@ class MemoryHierarchy : public sim::SimObject
 
     /**
      * Self-invalidate instruction (paper Sec. IV-A / V-D): drop the
-     * line from the core's private caches (and, per configuration, the
-     * LLC) without any writeback.
+     * line from the core's private caches and the LLC without any
+     * writeback (the LLC drop is what the zero-copy NF flow of
+     * Sec. VII needs).
      *
      * @return false when the page is not marked Invalidatable (the
      *         modelled privacy fault; the drop is suppressed).
@@ -114,8 +115,8 @@ class MemoryHierarchy : public sim::SimObject
     /** @} */
 
     /**
-     * IDIO prefetch hint: move the line into @p core 's MLC (from LLC,
-     * or DRAM when permitted).
+     * IDIO prefetch hint: move the line into @p core 's MLC (from the
+     * LLC, or from DRAM when the line has left it).
      *
      * @return true when a fill actually happened.
      */

@@ -67,52 +67,43 @@ Serializer::writeBoolVec(const std::vector<bool> &v)
         writeU8(b ? 1 : 0);
 }
 
-namespace
-{
-
-void
-appendRaw(std::vector<std::uint8_t> &out, const void *data,
-          std::size_t n)
-{
-    if (n == 0)
-        return; // empty vectors hand us data() == nullptr
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    out.insert(out.end(), p, p + n);
-}
-
-template <typename T>
-void
-appendInt(std::vector<std::uint8_t> &out, T v)
-{
-    appendRaw(out, &v, sizeof(v));
-}
-
-} // anonymous namespace
-
 std::vector<std::uint8_t>
 Serializer::finish(std::uint64_t seed, sim::Tick tick)
 {
     if (open)
         sim::panic("ckpt: finish() with a section still open");
 
-    std::vector<std::uint8_t> out;
-    appendRaw(out, magic.data(), magic.size());
-    appendInt<std::uint32_t>(out, formatVersion);
-    appendInt<std::uint64_t>(out, seed);
-    appendInt<std::uint64_t>(out, tick);
-    appendInt<std::uint32_t>(
-        out, static_cast<std::uint32_t>(sections.size()));
+    // Size the blob up front so it is allocated once and never
+    // regrows. Header: magic, format version, seed, tick, section
+    // count; each section: name length, name, version, payload
+    // length, checksum, payload.
+    std::size_t bytes = magic.size() + 4 + 8 + 8 + 4;
+    for (const Section &s : sections)
+        bytes += 4 + s.name.size() + 4 + 8 + 8 + s.payload.size();
+    std::vector<std::uint8_t> out(bytes);
+    std::size_t pos = 0;
+    const auto put = [&out, &pos](const void *data, std::size_t n) {
+        SIM_ASSERT(pos + n <= out.size(), "ckpt: blob size miscounted");
+        if (n != 0) // empty vectors hand us data == nullptr
+            std::memcpy(out.data() + pos, data, n);
+        pos += n;
+    };
+    const auto putInt = [&put](auto v) { put(&v, sizeof(v)); };
 
+    put(magic.data(), magic.size());
+    putInt(std::uint32_t(formatVersion));
+    putInt(std::uint64_t(seed));
+    putInt(std::uint64_t(tick));
+    putInt(static_cast<std::uint32_t>(sections.size()));
     for (const Section &s : sections) {
-        appendInt<std::uint32_t>(
-            out, static_cast<std::uint32_t>(s.name.size()));
-        appendRaw(out, s.name.data(), s.name.size());
-        appendInt<std::uint32_t>(out, s.version);
-        appendInt<std::uint64_t>(out, s.payload.size());
-        appendInt<std::uint64_t>(
-            out, fnv1a(s.payload.data(), s.payload.size()));
-        appendRaw(out, s.payload.data(), s.payload.size());
+        putInt(static_cast<std::uint32_t>(s.name.size()));
+        put(s.name.data(), s.name.size());
+        putInt(std::uint32_t(s.version));
+        putInt(std::uint64_t(s.payload.size()));
+        putInt(fnv1a(s.payload.data(), s.payload.size()));
+        put(s.payload.data(), s.payload.size());
     }
+    SIM_ASSERT(pos == out.size(), "ckpt: blob size miscounted");
     return out;
 }
 
@@ -288,17 +279,10 @@ Deserializer::readBoolVec()
 }
 
 void
-Deserializer::deferOneShot(std::uint64_t origSeq, sim::Tick when,
-                           std::function<void()> fn)
-{
-    deferred.push_back(Deferred{origSeq, when, std::move(fn), nullptr});
-}
-
-void
 Deserializer::deferEvent(std::uint64_t origSeq, sim::Tick when,
                          sim::Event *ev)
 {
-    deferred.push_back(Deferred{origSeq, when, nullptr, ev});
+    deferred.push_back(Deferred{origSeq, when, ev});
 }
 
 void
@@ -331,12 +315,8 @@ Deserializer::applyDeferred(sim::EventQueue &eq)
               [](const Deferred &a, const Deferred &b) {
                   return a.origSeq < b.origSeq;
               });
-    for (Deferred &d : deferred) {
-        if (d.fn)
-            eq.schedule(d.when, std::move(d.fn));
-        else
-            eq.schedule(d.ev, d.when);
-    }
+    for (const Deferred &d : deferred)
+        eq.schedule(d.ev, d.when);
     deferred.clear();
 }
 

@@ -26,12 +26,12 @@
  *     u64      checksum       (FNV-1a 64 over the payload bytes)
  *     u8[len]  payload
  *
- * Pending one-shot events cannot be serialized as raw callables;
- * instead each owner records enough state to re-create its own
- * callbacks and, on restore, re-registers them through
- * Deserializer::deferOneShot()/deferEvent(). The deferred schedules
- * are replayed in original-sequence order so same-tick events fire in
- * exactly the order the uninterrupted run would have used.
+ * Every pending callback is an Event its owner holds. The owner
+ * records each pending one's {when, seq} (serializeEvent() or its own
+ * layout) and, on restore, re-registers it through
+ * Deserializer::deferEvent(). The deferred schedules are replayed in
+ * original-sequence order so same-tick events fire in exactly the
+ * order the uninterrupted run would have used.
  */
 
 #ifndef IDIO_CKPT_SERIALIZER_HH
@@ -41,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -263,8 +262,6 @@ class Deserializer
      * globally sorted replay. Owners register their pending events
      * here; ckpt::restore() replays them in @p origSeq order.
      */
-    void deferOneShot(std::uint64_t origSeq, sim::Tick when,
-                      std::function<void()> fn);
     void deferEvent(std::uint64_t origSeq, sim::Tick when,
                     sim::Event *ev);
 
@@ -284,7 +281,6 @@ class Deserializer
     {
         std::uint64_t origSeq;
         sim::Tick when;
-        std::function<void()> fn; // empty => reschedulable `ev`
         sim::Event *ev;
     };
 

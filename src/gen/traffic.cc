@@ -50,17 +50,16 @@ TrafficSource::TrafficSource(sim::Simulation &simulation,
                    name.c_str());
 }
 
-TrafficSource::~TrafficSource() = default;
+TrafficSource::~TrafficSource()
+{
+    if (fireEvent.scheduled())
+        eventq().deschedule(&fireEvent);
+}
 
 void
 TrafficSource::scheduleFireAt(sim::Tick when)
 {
-    pendingTick.active = true;
-    pendingTick.when = when;
-    pendingTick.seq = eventq().schedule(when, [this] {
-        pendingTick.active = false;
-        fire();
-    });
+    eventq().schedule(&fireEvent, when);
 }
 
 void
@@ -68,11 +67,7 @@ TrafficSource::serialize(ckpt::Serializer &s) const
 {
     s.writeU64(nextFlow);
     s.writeU64(seq);
-    s.writeBool(pendingTick.active);
-    if (pendingTick.active) {
-        s.writeTick(pendingTick.when);
-        s.writeU64(pendingTick.seq);
-    }
+    ckpt::serializeEvent(s, fireEvent);
 }
 
 void
@@ -80,15 +75,7 @@ TrafficSource::unserialize(ckpt::Deserializer &d)
 {
     nextFlow = static_cast<std::size_t>(d.readU64());
     seq = d.readU64();
-    pendingTick.active = d.readBool();
-    if (pendingTick.active) {
-        pendingTick.when = d.readTick();
-        pendingTick.seq = d.readU64();
-        d.deferOneShot(pendingTick.seq, pendingTick.when, [this] {
-            pendingTick.active = false;
-            fire();
-        });
-    }
+    ckpt::unserializeEvent(d, &fireEvent);
 }
 
 void

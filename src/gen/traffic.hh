@@ -107,10 +107,10 @@ class TrafficSource : public sim::SimObject
     bool stopped() const { return now() >= cfg.stopAt; }
 
     /**
-     * @{ Tracked one-shot scheduling. All generator pacing goes
-     * through these so a checkpoint knows the pending callback's
-     * {when, seq} and restore can re-register it; fire() dispatches to
-     * the subclass's emission routine.
+     * @{ Generator pacing. All of it goes through one member event,
+     * so a checkpoint records its {when, seq} and restore can
+     * re-register it; fire() dispatches to the subclass's emission
+     * routine.
      */
     void scheduleFireAt(sim::Tick when);
     void scheduleFireIn(sim::Tick delay) { scheduleFireAt(now() + delay); }
@@ -121,16 +121,23 @@ class TrafficSource : public sim::SimObject
     TrafficConfig cfg;
 
   private:
-    struct PendingTick
+    class FireEvent : public sim::Event
     {
-        bool active = false;
-        sim::Tick when = 0;
-        std::uint64_t seq = 0;
+      public:
+        explicit FireEvent(TrafficSource &owner) : owner(owner) {}
+        void process() override { owner.fire(); }
+        std::string name() const override
+        {
+            return owner.name() + ".fire";
+        }
+
+      private:
+        TrafficSource &owner;
     };
 
     std::size_t nextFlow = 0;
     std::uint64_t seq = 0;
-    PendingTick pendingTick;
+    FireEvent fireEvent{*this};
 };
 
 /**

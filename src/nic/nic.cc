@@ -92,7 +92,7 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
       txBytes(statGroup, "txBytes", "bytes transmitted"),
       cfg(validated(name, config)),
       trc(simulation.tracer().registerSource(name)),
-      fdir(numCores, 8192, cfg.rssTableEntries, cfg.numQueues),
+      fdir(numCores, cfg.rssTableEntries, cfg.numQueues),
       dma(simulation, name + ".dma", target, cfg.pcieGBps),
       cls(simulation, name + ".classifier", cfg.classifier, numCores),
       descWbDelay(sim::nsToTicks(cfg.descWbDelayNs))
@@ -118,6 +118,13 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
         });
 }
 
+Nic::~Nic()
+{
+    for (PendingWb &wb : pendingWbs)
+        if (wb.event.scheduled())
+            eventq().deschedule(&wb.event);
+}
+
 void
 Nic::start()
 {
@@ -136,7 +143,7 @@ Nic::deliver(net::Packet pkt)
     if (rxTap)
         rxTap(pkt.nicArrival, pkt);
 
-    // One steering decision per packet (EP/ATR filter, else the RSS
+    // One steering decision per packet (EP rule, else the RSS
     // hash through the RETA) feeds both queue selection and the
     // classifier. Queue selection happens before the ring-full check,
     // as in real multi-queue hardware: the chosen ring's occupancy
@@ -209,22 +216,19 @@ Nic::startDescriptorWriteback(std::uint32_t descIdx,
     meta.destCore = pktCls.destCore;
 
     // The delay is a constant, so pending writebacks complete in FIFO
-    // order; the scheduled one-shot pops the deque's front. Tracking
-    // them explicitly (instead of capturing descIdx/meta in the
-    // closure) is what makes in-flight writebacks checkpointable.
-    pendingWbs.push_back(
-        PendingWb{now() + descWbDelay, 0, descIdx, queue, meta});
-    pendingWbs.back().seq =
-        eventq().scheduleIn(descWbDelay, [this] { descWbFire(); });
+    // order and each one's event pops the deque's front.
+    pendingWbs.emplace_back(*this, descIdx, queue, meta);
+    eventq().scheduleIn(&pendingWbs.back().event, descWbDelay);
 }
 
 void
 Nic::descWbFire()
 {
-    SIM_ASSERT(!pendingWbs.empty(),
-               "descriptor writeback fired with none pending");
-    const PendingWb wb = pendingWbs.front();
-    pendingWbs.pop_front();
+    // Runs from the front entry's own event; the pop at the end
+    // destroys it, and the queue does not touch it after process().
+    const PendingWb &wb = pendingWbs.front();
+    SIM_ASSERT(!wb.event.scheduled(),
+               "descriptor writebacks completed out of order");
 
     const sim::Addr base = rings[wb.queue].descAddr(wb.descIdx);
     dma.enqueueWrite(base, wb.meta,
@@ -233,6 +237,7 @@ Nic::descWbFire()
     dma.enqueueCallback(descCompleteHandler,
                         DmaArgs{packDescRef(wb.descIdx, wb.queue),
                                 0, 0, 0, 0, 0});
+    pendingWbs.pop_front();
 }
 
 void
@@ -285,8 +290,8 @@ Nic::serialize(ckpt::Serializer &s) const
     // In-flight descriptor writebacks, front (oldest) first.
     s.writeU64(pendingWbs.size());
     for (const PendingWb &wb : pendingWbs) {
-        s.writeTick(wb.when);
-        s.writeU64(wb.seq);
+        s.writeTick(wb.event.when());
+        s.writeU64(wb.event.seq());
         s.writeU32(wb.descIdx);
         s.writeU32(wb.queue);
         serializeTlpMeta(s, wb.meta);
@@ -328,14 +333,13 @@ Nic::unserialize(ckpt::Deserializer &d)
     pendingWbs.clear();
     const std::uint64_t wbs = d.readU64();
     for (std::uint64_t i = 0; i < wbs; ++i) {
-        PendingWb wb;
-        wb.when = d.readTick();
-        wb.seq = d.readU64();
-        wb.descIdx = d.readU32();
-        wb.queue = d.readU32();
-        wb.meta = unserializeTlpMeta(d);
-        pendingWbs.push_back(wb);
-        d.deferOneShot(wb.seq, wb.when, [this] { descWbFire(); });
+        const sim::Tick when = d.readTick();
+        const std::uint64_t seq = d.readU64();
+        const std::uint32_t descIdx = d.readU32();
+        const std::uint32_t queue = d.readU32();
+        pendingWbs.emplace_back(*this, descIdx, queue,
+                                unserializeTlpMeta(d));
+        d.deferEvent(seq, when, &pendingWbs.back().event);
     }
 }
 

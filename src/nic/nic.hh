@@ -81,6 +81,7 @@ class Nic : public sim::SimObject
     Nic(sim::Simulation &simulation, const std::string &name,
         const NicConfig &config, DmaTarget &target,
         mem::PhysAllocator &alloc, std::uint32_t numCores);
+    ~Nic() override;
 
     /** Start periodic machinery (classifier counters). */
     void start();
@@ -155,16 +156,39 @@ class Nic : public sim::SimObject
     /** @} */
 
   private:
+    /** Completes the oldest pending descriptor writeback. */
+    class WbEvent : public sim::Event
+    {
+      public:
+        explicit WbEvent(Nic &owner) : owner(owner) {}
+        void process() override { owner.descWbFire(); }
+        std::string name() const override
+        {
+            return owner.name() + ".descWb";
+        }
+
+      private:
+        Nic &owner;
+    };
+
     /**
-     * A descriptor writeback waiting for its batching delay to elapse.
-     * The delay is a constant, so pending writebacks fire in FIFO
-     * order: the scheduled one-shots pop the front of the deque, and a
-     * checkpoint serializes the deque plus each entry's schedule.
+     * A descriptor writeback waiting for its batching delay to elapse,
+     * with the event that completes it. The delay is a constant, so
+     * pending writebacks fire in FIFO order: each event pops the front
+     * of the deque (its own entry), and a checkpoint serializes the
+     * deque plus each event's {when, seq}.
      */
     struct PendingWb
     {
-        sim::Tick when;
-        std::uint64_t seq;
+        PendingWb(Nic &nic, std::uint32_t descIdx, std::uint32_t queue,
+                  const TlpMeta &meta)
+            : event(nic), descIdx(descIdx), queue(queue), meta(meta)
+        {
+        }
+        PendingWb(const PendingWb &) = delete; // the queue holds &event
+        PendingWb &operator=(const PendingWb &) = delete;
+
+        WbEvent event;
         std::uint32_t descIdx;
         std::uint32_t queue;
         TlpMeta meta;
@@ -188,6 +212,7 @@ class Nic : public sim::SimObject
     std::vector<std::uint64_t> queueRx;
     std::vector<std::uint64_t> queueDrops;
     sim::Tick descWbDelay;
+    /** Oldest first; a deque keeps each entry's event in place. */
     std::deque<PendingWb> pendingWbs;
     std::uint32_t payloadDoneHandler;
     std::uint32_t descCompleteHandler;

@@ -2,7 +2,7 @@
  * @file
  * EventQueue implementation: the hierarchical-timing-wheel scheduler
  * and its dispatch machinery (fused same-tick drain, overflow
- * compaction, one-shot pooling, sleeping events).
+ * compaction, sleeping events).
  */
 
 #include "event_queue.hh"
@@ -45,13 +45,11 @@ Event::~Event()
 EventQueue::~EventQueue()
 {
     // Unmark remaining live entries so their owners can destroy them
-    // afterwards. Pooled one-shot nodes are owned by oneShotPool and
-    // destroyed with it (their destructor disarms any stored
-    // callable); squashed/tombstoned entries are null already.
+    // afterwards; squashed/tombstoned entries are null already.
     auto unmark = [](std::vector<Entry> &v) {
         for (Entry &e : v)
-            if (e.evTag && !e.owned())
-                e.ev()->_scheduled = false;
+            if (e.ev)
+                e.ev->_scheduled = false;
     };
     for (auto &level : slots)
         for (auto &slot : level)
@@ -76,27 +74,6 @@ EventQueue::popTop()
     return e;
 }
 
-OneShotEvent *
-EventQueue::acquireOneShot()
-{
-    if (freeOneShots) {
-        OneShotEvent *ev = freeOneShots;
-        freeOneShots = ev->nextFree;
-        ev->nextFree = nullptr;
-        return ev;
-    }
-    oneShotPool.push_back(std::make_unique<OneShotEvent>());
-    return oneShotPool.back().get();
-}
-
-void
-EventQueue::releaseOneShot(OneShotEvent *ev)
-{
-    ev->disarm();
-    ev->nextFree = freeOneShots;
-    freeOneShots = ev;
-}
-
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -111,7 +88,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->_scheduled = true;
     ev->_when = when;
     ev->_seq = seq;
-    insert(when, seq, Entry::tag(ev, false));
+    insert(when, seq, ev);
 }
 
 void
@@ -150,8 +127,8 @@ EventQueue::deschedule(Event *ev)
         if (draining) {
             for (std::size_t i = drainPos + 1; i < drainBatch.size();
                  ++i) {
-                if (drainBatch[i].evTag && drainBatch[i].seq == seq) {
-                    drainBatch[i].evTag = 0;
+                if (drainBatch[i].ev && drainBatch[i].seq == seq) {
+                    drainBatch[i].ev = nullptr;
                     return;
                 }
             }
@@ -165,8 +142,8 @@ EventQueue::deschedule(Event *ev)
     // the queue must not keep the pointer. Nulling does not disturb the
     // heap order (ordering keys are when/seq only).
     for (Entry &e : heap) {
-        if (e.ev() == ev && e.seq == seq) {
-            e.evTag = 0;
+        if (e.ev == ev && e.seq == seq) {
+            e.ev = nullptr;
             ++squashedCount;
             // Lazy compaction: once squashed entries outnumber live
             // ones the heap is mostly dead weight — rebuild it from
@@ -250,7 +227,7 @@ EventQueue::computeMin()
     // Mid-drain remnants of the active tick still count as pending.
     if (draining) {
         for (std::size_t i = drainPos; i < drainBatch.size(); ++i)
-            if (drainBatch[i].evTag)
+            if (drainBatch[i].ev)
                 return curTick;
     }
     // Level hierarchy: every live level-0 tick precedes every level-1
@@ -283,7 +260,7 @@ EventQueue::nextEventTick() const
                 if (e.when < earliest)
                     earliest = e.when;
     for (std::size_t i = drainPos; i < drainBatch.size(); ++i)
-        if (drainBatch[i].evTag && drainBatch[i].when < earliest)
+        if (drainBatch[i].ev && drainBatch[i].when < earliest)
             earliest = drainBatch[i].when;
     for (const Entry &e : heap)
         if (!squashed(e) && e.when < earliest)
@@ -321,7 +298,7 @@ EventQueue::fireTickSlow()
             std::sort(drainBatch.begin(), drainBatch.end(), bySeq);
         for (drainPos = 0; drainPos < drainBatch.size(); ++drainPos) {
             const Entry e = drainBatch[drainPos];
-            if (!e.evTag)
+            if (!e.ev)
                 continue; // descheduled mid-drain
             fireEntry(e);
             ++fired;
@@ -436,7 +413,7 @@ EventQueue::wakeAt(Event *ev, Tick t, std::uint64_t s)
     ev->_scheduled = true;
     ev->_when = z.g;
     ev->_seq = seq;
-    insertAt(Entry{z.g, seq, Entry::tag(ev, false)});
+    insertAt(Entry{z.g, seq, ev});
     recovered.push_back(Recovered{ev, z.g});
     updateSleepActive();
     z.owner->awoke();
@@ -475,7 +452,7 @@ void
 EventQueue::noteDispatch(const Entry &e)
 {
     if (e.seq & 1)
-        forgetRecovered(e.ev());
+        forgetRecovered(e.ev);
     if (sleeps.empty())
         return;
     dispatchLog.push_back(DispatchRec{e.when, e.seq, nextSeq});
@@ -601,7 +578,7 @@ EventQueue::selfCheckConsistent() const
             // the same-tick rule makes the whole slot seq-sorted.
             seqByTick.clear();
             for (const Entry &e : slot) {
-                if (!e.evTag)
+                if (!e.ev)
                     return false; // tombstone outside the drain batch
                 if (levelFor(e.when) != l ||
                     slotIndex(l, e.when) != idx)
@@ -624,7 +601,7 @@ EventQueue::selfCheckConsistent() const
     // already gone); only entries after it are still live.
     const std::size_t firstLive = drainPos + (draining ? 1 : 0);
     for (std::size_t i = firstLive; i < drainBatch.size(); ++i)
-        if (drainBatch[i].evTag)
+        if (drainBatch[i].ev)
             ++liveInWheel;
 
     for (const Entry &e : heap) {
@@ -649,15 +626,9 @@ EventQueueRestoreAccess::clearPending(EventQueue &eq)
     SIM_ASSERT(!eq.draining,
                "checkpoint restore from inside event dispatch");
     auto drop = [&eq](std::vector<EventQueue::Entry> &v) {
-        for (EventQueue::Entry &e : v) {
-            if (!e.evTag)
-                continue;
-            if (e.owned()) {
-                eq.releaseOneShot(static_cast<OneShotEvent *>(e.ev()));
-            } else {
-                e.ev()->_scheduled = false;
-            }
-        }
+        for (EventQueue::Entry &e : v)
+            if (e.ev)
+                e.ev->_scheduled = false;
         v.clear();
     };
     for (auto &level : eq.slots)

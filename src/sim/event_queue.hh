@@ -2,11 +2,13 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue totally orders (tick, sequence, callback) entries.
+ * The EventQueue totally orders (tick, sequence, event) entries.
  * Events scheduled for the same tick fire in insertion order, which
- * makes simulations fully deterministic. Components either schedule
- * one-shot callbacks or derive from Event for reschedulable events
- * (e.g.\ periodic control-plane sampling).
+ * makes simulations fully deterministic. There is one kind of entry:
+ * every scheduled callback is an Event its owner holds (a member of
+ * the owning SimObject, or one per pending item in a container with
+ * stable addresses), so every pending callback is named, can be
+ * descheduled, and can be checkpointed by its owner as {when, seq}.
  *
  * The scheduler is a hierarchical timing wheel: three levels of 256
  * slots each (8 bits of tick per level, 2^24 ticks of horizon).
@@ -23,13 +25,9 @@
  * current tick in one pass (in seq order) without re-entering the
  * scheduler between them.
  *
- * One-shot callbacks are stored in pooled OneShotEvent nodes with
- * inline callable storage: scheduling one performs no heap allocation
- * once the pool is warm (callables larger than the inline buffer spill
- * to the heap, which no simulator callback does today). Wheel entries
- * are removed exactly on deschedule; descheduled ("squashed") overflow
- * heap entries are compacted lazily so deschedule churn cannot bloat
- * the heap.
+ * Wheel entries are removed exactly on deschedule; descheduled
+ * ("squashed") overflow heap entries are compacted lazily so
+ * deschedule churn cannot bloat the heap.
  *
  * Sleeping events: an event that would reschedule itself every
  * `period` ticks with no effect but counters (an idle PMD poll) can
@@ -48,11 +46,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "logging.hh"
@@ -108,88 +102,6 @@ class Event
 };
 
 /**
- * Pooled one-shot event used by EventQueue::schedule(Tick, callable).
- *
- * The callable is type-erased into a fixed inline buffer (no heap
- * allocation, no std::function); a callable too large for the buffer
- * is boxed into a unique_ptr whose 8-byte handle fits inline. Nodes
- * are owned and recycled by the EventQueue's free list, so the steady
- * state of a simulation performs zero allocations per one-shot.
- *
- * Declared final so the queue's hot path can call process()
- * non-virtually for entries it owns.
- */
-class OneShotEvent final : public Event
-{
-  public:
-    OneShotEvent() = default;
-    ~OneShotEvent() override { disarm(); }
-
-    /** Invoke and consume the stored callable (single indirect call). */
-    void
-    process() override
-    {
-        auto fire = invokeFn;
-        invokeFn = nullptr;
-        destroyFn = nullptr;
-        fire(storage);
-    }
-
-    std::string name() const override { return "one-shot-event"; }
-
-    /**
-     * Store @p fn; the previous callable must be disarmed already.
-     * invokeFn CONSUMES the callable (invoke + destroy in one
-     * type-erased call, so the fire path pays a single indirect
-     * call); destroyFn destroys without invoking, for the disarm
-     * path.
-     */
-    template <typename F>
-    void
-    arm(F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= storageBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(storage)) // lint: allow(no-naked-new)
-                Fn(std::forward<F>(fn));
-            invokeFn = [](void *p) {
-                Fn *f = static_cast<Fn *>(p);
-                (*f)();
-                f->~Fn();
-            };
-            destroyFn = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-        } else {
-            // Oversized callable: box it; the unique_ptr fits inline.
-            arm([boxed = std::make_unique<Fn>(std::forward<F>(fn))] {
-                (*boxed)();
-            });
-        }
-    }
-
-    /** Destroy the stored callable (idempotent). */
-    void
-    disarm()
-    {
-        if (destroyFn) {
-            destroyFn(storage);
-            destroyFn = nullptr;
-            invokeFn = nullptr;
-        }
-    }
-
-  private:
-    friend class EventQueue;
-
-    static constexpr std::size_t storageBytes = 48;
-
-    alignas(std::max_align_t) unsigned char storage[storageBytes];
-    void (*invokeFn)(void *) = nullptr;
-    void (*destroyFn)(void *) = nullptr;
-    OneShotEvent *nextFree = nullptr; // intrusive pool free list
-};
-
-/**
  * Owner of a sleeping event (see EventQueue::sleep()).
  */
 class Sleeper
@@ -241,41 +153,6 @@ class EventQueue
 
     /** Schedule @p ev at now() + @p delta. */
     void scheduleIn(Event *ev, Tick delta) { schedule(ev, now() + delta); }
-
-    /**
-     * Schedule a one-shot callable at an absolute tick. The callable
-     * is moved into a pooled OneShotEvent: no per-call allocation.
-     *
-     * @return the assigned sequence number; owners that need to
-     *         checkpoint the pending callback record it (together with
-     *         @p when) so restore can replay the exact firing order.
-     */
-    template <typename F>
-    std::uint64_t
-    schedule(Tick when, F &&fn)
-    {
-        if (when < curTick)
-            panic("one-shot event scheduled in the past (%llu < %llu)",
-                  (unsigned long long)when,
-                  (unsigned long long)curTick);
-        OneShotEvent *ev = acquireOneShot();
-        ev->arm(std::forward<F>(fn));
-        // One-shots are anonymous: nothing outside the queue holds a
-        // pointer, so the Event-side bookkeeping (_scheduled, _when,
-        // _seq) is skipped on this hot path. Identity lives in the
-        // Entry alone.
-        const std::uint64_t seq = freshSeq();
-        insert(when, seq, Entry::tag(ev, true));
-        return seq;
-    }
-
-    /** Schedule a one-shot callable at now() + delta. */
-    template <typename F>
-    std::uint64_t
-    scheduleIn(Tick delta, F &&fn)
-    {
-        return schedule(now() + delta, std::forward<F>(fn));
-    }
 
     /** Number of events currently pending. */
     std::size_t pending() const { return livePending; }
@@ -407,31 +284,12 @@ class EventQueue
     static constexpr unsigned spanBits = slotBits * numLevels;
     static constexpr std::size_t wordsPerLevel = slotCount / 64;
 
-    /**
-     * A queue entry: 24 bytes. The owned flag (pooled OneShotEvent
-     * recycled by the queue) is packed into bit 0 of the event
-     * pointer — Event alignment guarantees it is free.
-     */
+    /** A queue entry: 24 bytes. A null event marks a dead entry. */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        std::uintptr_t evTag;
-
-        static std::uintptr_t
-        tag(const Event *ev, bool owned)
-        {
-            return reinterpret_cast<std::uintptr_t>(ev) |
-                   std::uintptr_t(owned);
-        }
-
-        Event *
-        ev() const
-        {
-            return reinterpret_cast<Event *>(evTag & ~std::uintptr_t(1));
-        }
-
-        bool owned() const { return (evTag & 1) != 0; }
+        Event *ev;
 
         bool
         operator>(const Entry &o) const
@@ -458,7 +316,7 @@ class EventQueue
      * erased exactly instead; only the drain batch uses tombstones,
      * for deschedule-during-dispatch.)
      */
-    static bool squashed(const Entry &e) { return e.evTag == 0; }
+    static bool squashed(const Entry &e) { return e.ev == nullptr; }
 
     /**
      * Wheel level for @p when relative to the current base, or
@@ -521,18 +379,18 @@ class EventQueue
      * word (a store-forwarding stall that doubled schedule cost).
      */
     void
-    insert(Tick when, std::uint64_t seq, std::uintptr_t evTag)
+    insert(Tick when, std::uint64_t seq, Event *ev)
     {
         if (minValid && when < cachedMin)
             cachedMin = when;
         ++livePending;
         if ((when ^ wheelBase) >> spanBits) {
-            push(Entry{when, seq, evTag});
+            push(Entry{when, seq, ev});
             return;
         }
         const unsigned l = levelFor(when);
         const std::size_t idx = slotIndex(l, when);
-        slots[l][idx].push_back(Entry{when, seq, evTag});
+        slots[l][idx].push_back(Entry{when, seq, ev});
         markSlot(l, idx);
     }
 
@@ -559,10 +417,10 @@ class EventQueue
     void refillFromOverflow(Tick t);
 
     /**
-     * Dispatch one entry: unmark, invoke, recycle (for pooled
-     * one-shots the invoke is a single devirtualized indirect call
-     * that consumes the callable), bump counters. The entry is
-     * already out of its container.
+     * Dispatch one entry: unmark, invoke, bump counters. The entry is
+     * already out of its container. The queue never touches the event
+     * after process() returns, so process() may destroy it (a NIC
+     * writeback pops its own pending record).
      */
     void
     fireEntry(const Entry &e)
@@ -571,20 +429,8 @@ class EventQueue
         if (sleepActive)
             noteDispatch(e);
         dispatchSeq = e.seq;
-        if (e.owned()) {
-            // The queue created this node, so its dynamic type is
-            // exactly OneShotEvent (final): call non-virtually, then
-            // push it straight onto the free list (process() consumed
-            // the callable, so no disarm is needed).
-            auto *os = static_cast<OneShotEvent *>(e.ev());
-            os->OneShotEvent::process();
-            os->nextFree = freeOneShots;
-            freeOneShots = os;
-        } else {
-            Event *ev = e.ev();
-            ev->_scheduled = false;
-            ev->process();
-        }
+        e.ev->_scheduled = false;
+        e.ev->process();
         ++nProcessed;
     }
 
@@ -638,9 +484,6 @@ class EventQueue
      * the heap within 2x of its live population.
      */
     void compact();
-
-    OneShotEvent *acquireOneShot();
-    void releaseOneShot(OneShotEvent *ev);
 
     /** Entry seq of the next fresh schedule (always even). */
     std::uint64_t freshSeq() { return (nextSeq++) << 1; }
@@ -788,11 +631,6 @@ class EventQueue
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t nProcessed = 0;
-
-    // One-shot node pool: `oneShotPool` owns every node ever created;
-    // `freeOneShots` chains the currently idle ones.
-    std::vector<std::unique_ptr<OneShotEvent>> oneShotPool;
-    OneShotEvent *freeOneShots = nullptr;
 };
 
 /**
@@ -832,16 +670,9 @@ struct EventQueueTestAccess
                 n += slot.size();
         for (std::size_t i = eq.drainPos; i < eq.drainBatch.size();
              ++i)
-            if (eq.drainBatch[i].evTag)
+            if (eq.drainBatch[i].ev)
                 ++n;
         return n;
-    }
-
-    /** Nodes in the one-shot pool (idle + in flight). */
-    static std::size_t
-    oneShotPoolSize(const EventQueue &eq)
-    {
-        return eq.oneShotPool.size();
     }
 
     /**
@@ -867,9 +698,8 @@ struct EventQueueRestoreAccess
 {
     /**
      * Drop every pending event and reset the sequence counter so the
-     * deferred-schedule replay starts from zero. Owned one-shot nodes
-     * go back to the pool; non-owned events are simply unmarked so
-     * their owners can reschedule them.
+     * deferred-schedule replay starts from zero. Events are only
+     * unmarked, so their owners can reschedule them.
      */
     static void clearPending(EventQueue &eq);
 

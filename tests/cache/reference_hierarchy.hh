@@ -231,7 +231,7 @@ class ReferenceHierarchy
             count(mlcn(c) + "selfInvals");
         }
         dirRemove(c, a);
-        if (cfg.invalidateReachesLlc && llcLevel.find(a)) {
+        if (llcLevel.find(a)) {
             llcLevel.erase(a);
             count("sys.llc.selfInvals");
         }
@@ -314,10 +314,8 @@ class ReferenceHierarchy
             io = l->io;
             count("sys.llc.demandMoves");
             llcLevel.erase(a);
-        } else if (cfg.prefetchFromDram) {
-            count("sys.dram.reads");
         } else {
-            return false;
+            count("sys.dram.reads");
         }
         installMlc(c, a, dirty, io, true);
         return true;
@@ -442,10 +440,8 @@ class ReferenceHierarchy
             const bool vDirty = v.dirty || l1Dirty;
             dirRemove(c, *victim);
             count(mlcn(c) + (vDirty ? "writebacks" : "cleanEvictions"));
-            if (vDirty || cfg.insertCleanVictims) {
-                llcInsert(*victim, vDirty, v.io, masks[c]);
-                ++wbNotices;
-            }
+            llcInsert(*victim, vDirty, v.io, masks[c]);
+            ++wbNotices;
         }
         mlcs[c].insert(a, w, dirty, io).prefetched = isPrefetch;
         count(mlcn(c) + (isPrefetch ? "prefetchFills" : "fills"));
@@ -480,10 +476,8 @@ class ReferenceHierarchy
                 count(mlcn(p) + "backInvals");
                 count(mlcn(p) +
                       (vDirty ? "writebacks" : "cleanEvictions"));
-                if (vDirty || cfg.insertCleanVictims) {
-                    llcInsert(*dv, vDirty, vIo, masks[p]);
-                    ++wbNotices;
-                }
+                llcInsert(*dv, vDirty, vIo, masks[p]);
+                ++wbNotices;
             }
         }
     }

@@ -39,9 +39,6 @@ struct OracleCase
     std::uint32_t ddioWays;
     double dirCoverage;
     std::uint32_t dirAssoc;
-    bool insertCleanVictims = true;
-    bool invalidateReachesLlc = true;
-    bool prefetchFromDram = true;
 };
 
 // Without this gtest prints the case as raw bytes, name pointer
@@ -63,9 +60,6 @@ configFor(const OracleCase &k)
     cfg.ddioWays = k.ddioWays;
     cfg.directoryCoverage = k.dirCoverage;
     cfg.directoryAssoc = k.dirAssoc;
-    cfg.insertCleanVictims = k.insertCleanVictims;
-    cfg.invalidateReachesLlc = k.invalidateReachesLlc;
-    cfg.prefetchFromDram = k.prefetchFromDram;
     if (k.cores > 1) // one core starts CAT-confined to the top ways
         cfg.llcAllocMask = {0, ~cache::lowWays(k.llcAssoc / 2)};
     return cfg;
@@ -346,8 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"c3_l2_m2_l16_d4_cov50", 3, 2, 2, 16, 4, 0.5, 4},
         OracleCase{"c4_l4_m4_l8_d3_cov25", 4, 4, 4, 8, 3, 0.25, 2},
         OracleCase{"c2_l2_m4_l8_d8_cov25_dir3", 2, 2, 4, 8, 8, 0.25, 3},
-        OracleCase{"c2_noclean_nollc_nodram", 2, 2, 4, 4, 1, 0.5, 4,
-                   false, false, false}),
+        OracleCase{"c2_l2_m4_l4_d1_cov50", 2, 2, 4, 4, 1, 0.5, 4}),
     [](const ::testing::TestParamInfo<OracleCase> &info) {
         return std::string(info.param.name);
     });

@@ -97,21 +97,6 @@ TEST_F(HierarchyTest, CleanVictimsInsertedWhenConfigured)
     EXPECT_GE(hier.mlcOf(0).cleanEvictions.get(), 1u);
 }
 
-TEST_F(HierarchyTest, CleanVictimsDroppedWhenDisabled)
-{
-    auto cfg = testutil::tinyConfig();
-    cfg.insertCleanVictims = false;
-    sim::Simulation s2;
-    cache::MemoryHierarchy h2(s2, "sys2", cfg);
-
-    h2.coreRead(0, 0x1000);
-    const auto lines = cfg.mlc.sizeBytes / mem::lineSize;
-    for (std::uint64_t i = 0; i < 2 * lines; ++i)
-        h2.coreRead(0, 0x40000000 + i * mem::lineSize);
-    EXPECT_FALSE(h2.mlcOf(0).contains(0x1000));
-    EXPECT_FALSE(h2.llc().contains(0x1000));
-}
-
 TEST_F(HierarchyTest, DirtyChainReachesDram)
 {
     hier.coreWrite(0, 0x1000);

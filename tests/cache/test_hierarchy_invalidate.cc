@@ -38,18 +38,6 @@ TEST_F(HierarchyTest, InvalidateReachesLlcByDefault)
     EXPECT_EQ(hier.dram().writeCount(), 0u);
 }
 
-TEST_F(HierarchyTest, InvalidateLlcReachDisabled)
-{
-    auto cfg = testutil::tinyConfig();
-    cfg.invalidateReachesLlc = false;
-    sim::Simulation s2;
-    cache::MemoryHierarchy h2(s2, "sys2", cfg);
-
-    h2.pcieWrite(0x2000);
-    EXPECT_TRUE(h2.coreInvalidate(0, 0x2000));
-    EXPECT_TRUE(h2.llc().contains(0x2000)) << "LLC copy must survive";
-}
-
 TEST_F(HierarchyTest, InvalidateUncachedLineIsHarmless)
 {
     EXPECT_TRUE(hier.coreInvalidate(0, 0xABCD00));

@@ -50,18 +50,6 @@ TEST_F(HierarchyTest, PrefetchFromDramWhenAllowed)
     EXPECT_FALSE(ref.dirty()) << "DRAM-backed fill is clean";
 }
 
-TEST_F(HierarchyTest, PrefetchFromDramDisabled)
-{
-    auto cfg = testutil::tinyConfig();
-    cfg.prefetchFromDram = false;
-    sim::Simulation s2;
-    cache::MemoryHierarchy h2(s2, "sys2", cfg);
-
-    EXPECT_FALSE(h2.mlcPrefetch(0, 0x3000));
-    EXPECT_FALSE(h2.mlcOf(0).contains(0x3000));
-    EXPECT_EQ(h2.dram().readCount(), 0u);
-}
-
 TEST_F(HierarchyTest, PrefetchThenDemandReadHitsMlc)
 {
     hier.pcieWrite(0x1000);

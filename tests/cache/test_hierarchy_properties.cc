@@ -183,11 +183,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{3, 2, 16, 4, 2.0}),
     [](const ::testing::TestParamInfo<Geometry> &info) {
         const Geometry &g = info.param;
-        return "c" + std::to_string(g.cores) + "_mlc" +
-               std::to_string(g.mlcAssoc) + "_llc" +
-               std::to_string(g.llcAssoc) + "_ddio" +
-               std::to_string(g.ddioWays) + "_cov" +
-               std::to_string(static_cast<int>(g.dirCoverage * 10));
+        // Appended, not "c" + ...: GCC 12 warns -Wrestrict on
+        // operator+(const char *, std::string &&) at -O3.
+        std::string name = "c";
+        name += std::to_string(g.cores) + "_mlc" +
+                std::to_string(g.mlcAssoc) + "_llc" +
+                std::to_string(g.llcAssoc) + "_ddio" +
+                std::to_string(g.ddioWays) + "_cov" +
+                std::to_string(static_cast<int>(g.dirCoverage * 10));
+        return name;
     });
 
 } // anonymous namespace

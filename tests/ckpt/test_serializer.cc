@@ -15,6 +15,8 @@
 #include "ckpt/serializer.hh"
 #include "sim/event_queue.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace
 {
 
@@ -167,14 +169,16 @@ TEST(CkptSerializer, FnvMatchesKnownVector)
 
 TEST(CkptSerializer, DeferredReplayFollowsOriginalSequence)
 {
-    // Two same-tick one-shots registered in reverse sequence order
-    // must still fire in original-sequence order after replay.
+    // Two same-tick events registered in reverse sequence order must
+    // still fire in original-sequence order after replay.
     const auto blob = sampleBlob();
     ckpt::Deserializer d(blob);
 
     std::vector<int> fired;
-    d.deferOneShot(9, 100, [&] { fired.push_back(9); });
-    d.deferOneShot(2, 100, [&] { fired.push_back(2); });
+    simtest::CallbackEvent nine([&] { fired.push_back(9); });
+    simtest::CallbackEvent two([&] { fired.push_back(2); });
+    d.deferEvent(9, 100, &nine);
+    d.deferEvent(2, 100, &two);
 
     sim::EventQueue eq;
     d.applyDeferred(eq);

@@ -8,6 +8,8 @@
 #include "cpu/core.hh"
 #include "sim/simulation.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace
 {
 
@@ -219,7 +221,8 @@ runIdle(bool sleeping)
     IdlePoll wl(0x40);
     core.run(wl);
     bool sleptBeforeDma = false;
-    s.eventq().schedule(1234, [&] {
+    simtest::Callbacks cb(s.eventq());
+    cb.at(1234, [&] {
         sleptBeforeDma = core.sleeping();
         hier.pcieWrite(0x40); // drops the polled line: wakes the core
         EXPECT_FALSE(core.sleeping());
@@ -254,13 +257,14 @@ TEST_F(CoreTest, OnBehalfAccessAndHaltWakeTheCore)
 {
     IdlePoll wl(0x40);
     core0.run(wl);
-    s.eventq().schedule(555, [&] {
+    simtest::Callbacks cb(s.eventq());
+    cb.at(555, [&] {
         EXPECT_TRUE(core0.sleeping());
         core0.write(0x80, 1); // e.g. a TX completion's free-list write
         EXPECT_FALSE(core0.sleeping());
         EXPECT_EQ(core0.steps.get(), 6u); // 0 .. 500
     });
-    s.eventq().schedule(777, [&] {
+    cb.at(777, [&] {
         EXPECT_TRUE(core0.sleeping());
         core0.halt();
         EXPECT_FALSE(core0.sleeping());

@@ -32,6 +32,8 @@
 #include "stats/json.hh"
 #include "trace/chrome_export.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace
 {
 
@@ -268,16 +270,18 @@ TEST(IdleSleep, CheckpointWhileCoresSleep)
     // Both runs carry the same observer event, so their event streams
     // stay alike.
     std::uint64_t sleptAtStop = 0;
-    auto observe = [&sleptAtStop](TestSystem &sys) {
+    auto observe = [&sleptAtStop](simtest::Callbacks &cb,
+                                  TestSystem &sys) {
         sim::EventQueue &eq = sys.simulation().eventq();
-        eq.schedule(ckptAt - 1,
-                    [&sleptAtStop, &eq] { sleptAtStop = eq.sleeping(); });
+        cb.at(ckptAt - 1,
+              [&sleptAtStop, &eq] { sleptAtStop = eq.sleeping(); });
     };
 
     TestSystem ref(cfg);
     prepare(ref, false);
     ref.start();
-    observe(ref);
+    simtest::Callbacks refCalls(ref.simulation().eventq());
+    observe(refCalls, ref);
     ref.runFor(ckptAt);
     EXPECT_EQ(sleptAtStop, 0u);
     const harness::Totals refAtCkpt = ref.totals();
@@ -288,7 +292,8 @@ TEST(IdleSleep, CheckpointWhileCoresSleep)
     prepare(cut, true);
     cut.start();
     // Cores really sleep just before the checkpoint's run call returns.
-    observe(cut);
+    simtest::Callbacks cutCalls(cut.simulation().eventq());
+    observe(cutCalls, cut);
     cut.runFor(ckptAt);
     EXPECT_GT(sleptAtStop, 0u);
     EXPECT_EQ(cut.totals(), refAtCkpt);

@@ -129,10 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                         harness::TrafficKind::Bursty
                     ? "_bursty"
                     : "_steady";
-        name += "_" +
-                std::to_string(
-                    static_cast<int>(std::get<2>(info.param))) +
-                "G";
+        name += "_";
+        name += std::to_string(static_cast<int>(std::get<2>(info.param)));
+        name += "G";
         return name;
     });
 

@@ -32,7 +32,7 @@ smallConfig(harness::NfKind nf, idio::Policy policy)
 }
 
 void
-checkTraceMatchesTotals(const harness::ExperimentConfig &cfg)
+checkTraceMatchesTotals([[maybe_unused]] const harness::ExperimentConfig &cfg)
 {
 #if !IDIO_TRACE
     GTEST_SKIP() << "tracing compiled out (IDIO_TRACE=0)";

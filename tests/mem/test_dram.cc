@@ -8,6 +8,8 @@
 #include "mem/dram.hh"
 #include "sim/simulation.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace
 {
 
@@ -66,7 +68,8 @@ TEST(Dram, QueueDrainsWithTime)
 
     dram.access(mem::AccessType::Write);
     // Advance simulated time beyond the busy period.
-    s.eventq().schedule(sim::nsToTicks(100.0), [] {});
+    simtest::Callbacks cb(s.eventq());
+    cb.at(sim::nsToTicks(100.0), [] {});
     s.runUntil(sim::nsToTicks(100.0));
 
     const sim::Tick lat = dram.access(mem::AccessType::Write);

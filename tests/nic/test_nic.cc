@@ -315,12 +315,6 @@ TEST_F(MultiQueueNicTest, EpRuleSteersRingAndClassifier)
     EXPECT_EQ(deliverOne(packet(100), 6), 6 % queues);
 }
 
-TEST_F(MultiQueueNicTest, AtrEntrySteersRingAndClassifier)
-{
-    port->flowDirector().learn(packet(200).flow, 5);
-    EXPECT_EQ(deliverOne(packet(200), 5), 5 % queues);
-}
-
 TEST_F(MultiQueueNicTest, RetaSteersRingAndClassifier)
 {
     // Default fill: each flow's destination is its RETA queue. Fewer

@@ -9,6 +9,8 @@
 #include "nic/nic.hh"
 #include "sim/simulation.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace
 {
 
@@ -63,7 +65,8 @@ TEST(RxTap, TimestampIsArrivalTime)
     port.setRxTap(
         [&](sim::Tick when, const net::Packet &) { tapped = when; });
 
-    s.eventq().schedule(5 * sim::oneUs, [&] {
+    simtest::Callbacks cb(s.eventq());
+    cb.at(5 * sim::oneUs, [&] {
         net::Packet p;
         p.frameBytes = 64;
         port.deliver(p);

@@ -5,14 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
 #include <vector>
 
+#include "callback_event.hh"
 #include "sim/event_queue.hh"
 
 namespace
 {
 
+using simtest::Callbacks;
 using sim::Event;
 using sim::EventQueue;
 using sim::Tick;
@@ -38,10 +40,11 @@ TEST(EventQueue, StartsAtTickZero)
 TEST(EventQueue, ProcessesInTimeOrder)
 {
     EventQueue q;
+    Callbacks cb(q);
     std::vector<int> log;
-    q.schedule(30, [&] { log.push_back(3); });
-    q.schedule(10, [&] { log.push_back(1); });
-    q.schedule(20, [&] { log.push_back(2); });
+    cb.at(30, [&] { log.push_back(3); });
+    cb.at(10, [&] { log.push_back(1); });
+    cb.at(20, [&] { log.push_back(2); });
     q.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.now(), 30u);
@@ -50,9 +53,10 @@ TEST(EventQueue, ProcessesInTimeOrder)
 TEST(EventQueue, SameTickFiresInInsertionOrder)
 {
     EventQueue q;
+    Callbacks cb(q);
     std::vector<int> log;
     for (int i = 0; i < 16; ++i)
-        q.schedule(5, [&log, i] { log.push_back(i); });
+        cb.at(5, [&log, i] { log.push_back(i); });
     q.run();
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(log[i], i);
@@ -61,10 +65,11 @@ TEST(EventQueue, SameTickFiresInInsertionOrder)
 TEST(EventQueue, RunUntilStopsAtLimit)
 {
     EventQueue q;
+    Callbacks cb(q);
     int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    q.schedule(30, [&] { ++fired; });
+    cb.at(10, [&] { ++fired; });
+    cb.at(20, [&] { ++fired; });
+    cb.at(30, [&] { ++fired; });
 
     q.runUntil(20);
     EXPECT_EQ(fired, 2);
@@ -80,10 +85,11 @@ TEST(EventQueue, RunUntilStopsAtLimit)
 TEST(EventQueue, EventsScheduledDuringProcessingRun)
 {
     EventQueue q;
+    Callbacks cb(q);
     std::vector<int> log;
-    q.schedule(10, [&] {
+    cb.at(10, [&] {
         log.push_back(1);
-        q.schedule(15, [&] { log.push_back(2); });
+        cb.at(15, [&] { log.push_back(2); });
     });
     q.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
@@ -92,12 +98,13 @@ TEST(EventQueue, EventsScheduledDuringProcessingRun)
 TEST(EventQueue, ZeroDelaySelfScheduleAdvancesDeterministically)
 {
     EventQueue q;
+    Callbacks cb(q);
     int count = 0;
     std::function<void()> again = [&] {
         if (++count < 5)
-            q.scheduleIn(0, again);
+            cb.in(0, again);
     };
-    q.scheduleIn(1, again);
+    cb.in(1, again);
     q.run();
     EXPECT_EQ(count, 5);
     EXPECT_EQ(q.now(), 1u);
@@ -190,8 +197,9 @@ TEST(EventQueue, PendingCountTracksSquashedEntries)
 TEST(EventQueue, ProcessedEventsCounter)
 {
     EventQueue q;
+    Callbacks cb(q);
     for (int i = 0; i < 10; ++i)
-        q.schedule(i, [] {});
+        cb.at(i, [] {});
     q.run();
     EXPECT_EQ(q.processedEvents(), 10u);
 }
@@ -220,34 +228,6 @@ TEST(EventQueue, CompactionPreservesPendingAndOrder)
 
     q.run();
     EXPECT_EQ(log, (std::vector<int>{3, 7, 11, 15, 19, 23, 27, 31}));
-}
-
-TEST(EventQueue, OneShotPoolIsReusedAcrossCycles)
-{
-    EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-        q.schedule(q.now() + 5, [&fired] { ++fired; });
-        q.runUntil(q.now() + 5);
-    }
-    EXPECT_EQ(fired, 1000);
-    // One event in flight at a time => the pool never needs to grow
-    // past a single node; per-schedule heap allocation would show up
-    // here as an unbounded pool (or not be pooled at all).
-    EXPECT_LE(sim::EventQueueTestAccess::oneShotPoolSize(q), 1u);
-}
-
-TEST(EventQueue, OneShotCallableIsDestroyedAfterFiring)
-{
-    EventQueue q;
-    auto token = std::make_shared<int>(42);
-    std::weak_ptr<int> watch = token;
-    q.schedule(10, [token] { (void)*token; });
-    token.reset();
-    EXPECT_FALSE(watch.expired()) << "queue must keep the callable alive";
-    q.run();
-    EXPECT_TRUE(watch.expired())
-        << "callable must be destroyed once the one-shot fires";
 }
 
 TEST(EventQueue, PeekNextTickMatchesNextEventTick)
@@ -285,9 +265,11 @@ TEST(EventQueue, PeekNextTickSkipsSquashedTop)
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue q;
-    q.schedule(100, [] {});
+    std::vector<int> log;
+    RecordingEvent ev(log, 1);
+    q.schedule(&ev, 100);
     q.run();
-    EXPECT_DEATH(q.schedule(50, [] {}), "past");
+    EXPECT_DEATH(q.schedule(&ev, 50), "past");
 }
 
 TEST(EventQueueDeath, DoubleSchedulePanics)

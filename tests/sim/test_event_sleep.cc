@@ -4,7 +4,7 @@
  * indistinguishable from one dispatched every period.
  *
  * Pollers reschedule themselves every period and count their
- * dispatches. Actors are one-shots that fire at random ticks (many on
+ * dispatches. Actors are callback events that fire at random ticks (many on
  * the pollers' grids, many sharing a tick), observe every poller's
  * count, wake pollers at random and schedule more actors. The same
  * seeded scenario runs once with sleeping forbidden (the reference)
@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "callback_event.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -100,6 +101,7 @@ runScenario(std::uint64_t seed, bool sleeping)
     }
 
     Outcome out;
+    simtest::Callbacks cb(q);
     sim::Rng rng(seed);
     int nextActor = 0;
     const int maxActors = 600;
@@ -110,7 +112,7 @@ runScenario(std::uint64_t seed, bool sleeping)
         if (nextActor >= maxActors)
             return;
         const int id = nextActor++;
-        q.schedule(when, [&act, id] { act(id); });
+        cb.at(when, [&act, id] { act(id); });
     };
     act = [&](int id) {
         // Observe (syncing the sleepers first, else an observation
@@ -194,7 +196,8 @@ TEST(EventSleep, SharedGridIsRefused)
     q.schedule(&a, 0);
     q.schedule(&b, 0); // same phase as a
     q.schedule(&c, 5); // 5 apart, gcd(10, 15) = 5: grids meet
-    q.schedule(6, [&] {
+    simtest::Callbacks cb(q);
+    cb.at(6, [&] {
         EXPECT_TRUE(a.asleep || b.asleep);
         EXPECT_FALSE(a.asleep && b.asleep);
         EXPECT_FALSE(c.asleep);
@@ -216,7 +219,8 @@ TEST(EventSleep, WakeRestoresTheExactRepeat)
     q.schedule(&a, 5);
     Tick seenAt = 0;
     std::uint64_t seenCount = 0;
-    q.schedule(42, [&] {
+    simtest::Callbacks cb(q);
+    cb.at(42, [&] {
         a.wake();
         EXPECT_FALSE(a.asleep);
         EXPECT_TRUE(a.scheduled());
@@ -239,13 +243,12 @@ TEST(EventSleep, WokenRepeatJoinsTheActiveDrainBatch)
     Poller p(q, 10);
     q.schedule(&p, 0);
     std::uint64_t seenByF = 0;
-    q.schedule(20, [&] {
+    simtest::Callbacks cb(q);
+    cb.at(20, [&] {
         EXPECT_TRUE(p.asleep);
         p.wake();
     });
-    q.schedule(15, [&] {
-        q.schedule(20, [&] { seenByF = p.count; });
-    });
+    cb.at(15, [&] { cb.at(20, [&] { seenByF = p.count; }); });
     q.runUntil(25);
     EXPECT_EQ(seenByF, 3u);
     EXPECT_EQ(p.count, 3u);

@@ -27,6 +27,7 @@
 #include <random>
 #include <vector>
 
+#include "callback_event.hh"
 #include "reference_queue.hh"
 #include "sim/event_queue.hh"
 
@@ -89,7 +90,9 @@ drawDelta(std::mt19937_64 &rng)
  * A wheel and a reference queue driven by one op stream. Every op is
  * applied to both; their firing logs, sequence numbers and observers
  * must stay equal. Members are reschedulable events on the wheel side
- * and tracked seqs on the reference side.
+ * and tracked seqs on the reference side; callbacks are test-only
+ * events that may schedule a chained callback from inside their
+ * dispatch.
  */
 class Lockstep
 {
@@ -130,9 +133,9 @@ class Lockstep
         }
         switch (kind) {
         case 0:
-        case 1: { // one-shot, sometimes chaining a second from inside
+        case 1: { // callback, sometimes chaining a second from inside
             const bool chain = rng() % 4 == 0;
-            oneShot(++nextOneShot, when, chain, drawDelta(rng));
+            callback(++nextCallback, when, chain, drawDelta(rng));
             break;
         }
         case 2:
@@ -205,14 +208,14 @@ class Lockstep
     }
 
     void
-    oneShot(int id, Tick when, bool chain, Tick chainDelta)
+    callback(int id, Tick when, bool chain, Tick chainDelta)
     {
         remember(when);
-        const std::uint64_t a = wheel.schedule(
+        const std::uint64_t a = wheelCalls.at(
             when, [this, id, chain, chainDelta] {
                 wheelLog.push_back({wheel.now(), id});
                 if (chain) {
-                    wheel.schedule(wheel.now() + chainDelta, [this, id] {
+                    wheelCalls.in(chainDelta, [this, id] {
                         wheelLog.push_back({wheel.now(), -id});
                     });
                 }
@@ -226,7 +229,7 @@ class Lockstep
                     });
                 }
             });
-        EXPECT_EQ(a, b) << "one-shot " << id << " seq";
+        EXPECT_EQ(a, b) << "callback " << id << " seq";
     }
 
     void
@@ -249,11 +252,12 @@ class Lockstep
         refSeq[m] = none;
     }
 
+    simtest::Callbacks wheelCalls{wheel};
     std::vector<std::unique_ptr<ScriptedEvent>> members;
     std::vector<std::uint64_t> refSeq;
     std::array<Tick, 8> recent{};
     std::size_t nextRecent = 0;
-    int nextOneShot = 0;
+    int nextCallback = 0;
 };
 
 TEST(SchedulerDifferential, RandomizedWorkloadsFireIdentically)
@@ -327,8 +331,9 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
     std::vector<Firing> ref;
     {
         EventQueue q;
+        simtest::Callbacks cb(q);
         for (const Planned &p : plan) {
-            q.schedule(p.when, [&q, &ref, id = p.id] {
+            cb.at(p.when, [&q, &ref, id = p.id] {
                 ref.push_back({q.now(), id});
             });
         }
@@ -340,8 +345,9 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
     std::vector<Firing> firstHalf;
     {
         EventQueue q;
+        simtest::Callbacks cb(q);
         for (const Planned &p : plan) {
-            q.schedule(p.when, [&q, &firstHalf, id = p.id] {
+            cb.at(p.when, [&q, &firstHalf, id = p.id] {
                 firstHalf.push_back({q.now(), id});
             });
         }
@@ -351,12 +357,13 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
     std::vector<Firing> secondHalf;
     {
         EventQueue q;
+        simtest::Callbacks cb(q);
         // Replay survivors in original (ascending seq == plan) order,
         // then force the time base past them, as ckpt::restore does.
         for (const Planned &p : plan) {
             if (p.when <= cut)
                 continue;
-            q.schedule(p.when, [&q, &secondHalf, id = p.id] {
+            cb.at(p.when, [&q, &secondHalf, id = p.id] {
                 secondHalf.push_back({q.now(), id});
             });
         }
