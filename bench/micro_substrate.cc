@@ -48,10 +48,10 @@ BM_EventQueueScheduleFire(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleFire);
 
 void
-BM_EventQueueSquashCompact(benchmark::State &state)
+BM_EventQueueDescheduleChurn(benchmark::State &state)
 {
-    // Deschedule churn: every scheduled event is squashed again,
-    // exercising the lazy heap compaction path end to end.
+    // Deschedule churn: every scheduled event is descheduled again,
+    // each one erased exactly from its level-0 slot.
     constexpr int batch = 64;
     std::vector<CountEvent> evs(batch);
     sim::EventQueue q;
@@ -64,7 +64,7 @@ BM_EventQueueSquashCompact(benchmark::State &state)
     benchmark::DoNotOptimize(q.pending());
     state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_EventQueueSquashCompact);
+BENCHMARK(BM_EventQueueDescheduleChurn);
 
 void
 BM_EventQueueSameTickFanout(benchmark::State &state)
@@ -104,12 +104,11 @@ BM_EventQueueCascadeCrossing(benchmark::State &state)
 BENCHMARK(BM_EventQueueCascadeCrossing);
 
 void
-BM_EventQueueOverflowSpill(benchmark::State &state)
+BM_EventQueueLevel3Cascade(benchmark::State &state)
 {
-    // Beyond-horizon traffic: deltas past the 2^24-tick wheel span
-    // spill to the overflow heap and are refilled into the wheel when
-    // the base crosses into their block. Worst case for the wheel —
-    // every event pays heap push + refill placement + cascade.
+    // Far-future traffic: a 2^26-tick delta places the event in level
+    // 3, and the advance to its tick cascades that slot down to level
+    // 0. Every event pays the upper-level placement and one cascade.
     constexpr sim::Tick delta = sim::Tick(1) << 26;
     sim::EventQueue q;
     CountEvent ev;
@@ -119,7 +118,7 @@ BM_EventQueueOverflowSpill(benchmark::State &state)
     }
     benchmark::DoNotOptimize(ev.fired);
 }
-BENCHMARK(BM_EventQueueOverflowSpill);
+BENCHMARK(BM_EventQueueLevel3Cascade);
 
 void
 BM_TagSetIndexPow2(benchmark::State &state)

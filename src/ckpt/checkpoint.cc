@@ -30,13 +30,13 @@ constexpr std::uint8_t tagLatencyRecorder = 2;
 
 constexpr const char *eventqSection = "_eventq";
 
+// _eventq holds only what the replay cannot rebuild: the time base
+// and the counters. Firing order is the (tick, seq) order whatever the
+// wheel geometry, so the geometry is not recorded.
 void
 saveEventq(Serializer &s, sim::EventQueue &eq)
 {
-    s.beginSection(eventqSection, /*version=*/4);
-    s.writeU32(sim::EventQueueRestoreAccess::wheelLevels());
-    s.writeU32(sim::EventQueueRestoreAccess::wheelSlotBits());
-    s.writeTick(sim::EventQueueRestoreAccess::wheelBase(eq));
+    s.beginSection(eventqSection, /*version=*/5);
     s.writeTick(eq.now());
     s.writeU64(sim::EventQueueRestoreAccess::nextSeq(eq));
     s.writeU64(eq.processedEvents());
@@ -44,49 +44,47 @@ saveEventq(Serializer &s, sim::EventQueue &eq)
     s.endSection();
 }
 
-void
-restoreEventq(Deserializer &d, sim::EventQueue &eq)
+/** The _eventq counters, applied once the pending set is replayed. */
+struct EventqCounters
+{
+    std::uint64_t nextSeq;
+    std::uint64_t processed;
+    std::uint64_t pending;
+};
+
+/**
+ * Read _eventq and set the emptied queue's time base, so the replay
+ * places the pending set against it.
+ */
+EventqCounters
+restoreEventqTick(Deserializer &d, sim::EventQueue &eq)
 {
     const std::uint32_t version = d.beginSection(eventqSection);
-    if (version != 4)
+    if (version != 5)
         sim::fatal("ckpt: '%s' section version %u; this build reads "
-                   "version 4",
+                   "version 5",
                    eventqSection, version);
-    const std::uint32_t levels = d.readU32();
-    const std::uint32_t slotBits = d.readU32();
-    const sim::Tick wheelBase = d.readTick();
     const sim::Tick tick = d.readTick();
-    const std::uint64_t nextSeq = d.readU64();
-    const std::uint64_t nProcessed = d.readU64();
-    const std::uint64_t pendingCount = d.readU64();
+    EventqCounters c;
+    c.nextSeq = d.readU64();
+    c.processed = d.readU64();
+    c.pending = d.readU64();
     d.endSection();
+    sim::EventQueueRestoreAccess::setCurTick(eq, tick);
+    return c;
+}
 
-    // Validate the wheel geometry eagerly: the pending set was already
-    // replayed into this queue, so drift between the checkpointed and
-    // live wheel would otherwise surface as a silent ordering change.
-    if (levels != sim::EventQueueRestoreAccess::wheelLevels() ||
-        slotBits != sim::EventQueueRestoreAccess::wheelSlotBits())
-        sim::fatal("ckpt: '%s' wheel geometry %u levels x 2^%u slots "
-                   "does not match this build (%u x 2^%u)",
-                   eventqSection, levels, slotBits,
-                   sim::EventQueueRestoreAccess::wheelLevels(),
-                   sim::EventQueueRestoreAccess::wheelSlotBits());
-    if (wheelBase > tick)
-        sim::fatal("ckpt: '%s' wheel base %llu is ahead of the "
-                   "checkpointed tick %llu (corrupt section)",
-                   eventqSection, (unsigned long long)wheelBase,
-                   (unsigned long long)tick);
-
-    if (eq.pending() != pendingCount)
+void
+restoreEventqCounters(sim::EventQueue &eq, const EventqCounters &c)
+{
+    if (eq.pending() != c.pending)
         sim::fatal("ckpt: restored %zu pending events in '%s' but the "
                    "checkpoint recorded %llu — some owner failed to "
                    "re-register its callbacks",
                    eq.pending(), eventqSection,
-                   (unsigned long long)pendingCount);
-
-    sim::EventQueueRestoreAccess::setCurTick(eq, tick);
-    sim::EventQueueRestoreAccess::setNextSeq(eq, nextSeq);
-    sim::EventQueueRestoreAccess::setProcessed(eq, nProcessed);
+                   (unsigned long long)c.pending);
+    sim::EventQueueRestoreAccess::setNextSeq(eq, c.nextSeq);
+    sim::EventQueueRestoreAccess::setProcessed(eq, c.processed);
 }
 
 void
@@ -305,8 +303,10 @@ restore(sim::Simulation &simulation,
     sim::EventQueue &eq = simulation.eventq();
 
     // Drop everything construction/start() scheduled; the checkpointed
-    // pending set replaces it wholesale.
+    // pending set replaces it wholesale, replayed against the
+    // checkpointed time base.
     sim::EventQueueRestoreAccess::clearPending(eq);
+    const EventqCounters counters = restoreEventqTick(d, eq);
 
     // _rootRng
     d.beginSection("_rootRng");
@@ -325,11 +325,10 @@ restore(sim::Simulation &simulation,
         d.endSection();
     }
 
-    // Replay pending events in original order, then force the time
-    // bases and counters last (schedule() checks against curTick).
+    // Replay pending events in original order, then force the counters
+    // (the replay took fresh sequence numbers from zero).
     d.applyDeferred(eq);
-
-    restoreEventq(d, eq);
+    restoreEventqCounters(eq, counters);
 }
 
 void

@@ -69,7 +69,9 @@ namespace ckpt
  * v5: cache tag arrays write only their valid slots, each set that
  * holds any as one record (set, clock, then way, tag, flags, LRU rank
  * or RRPV, and sharers in the directory), plus the random policy's
- * RNG; the LLC's DDIO width follows its array.
+ * RNG; the LLC's DDIO width follows its array. _eventq section
+ * version 5 drops the wheel base and geometry: the section is
+ * {tick, nextSeq, processed, pending}.
  */
 constexpr std::uint32_t formatVersion = 5;
 

@@ -6,12 +6,12 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cache/invariants.hh"
 #include "ckpt/checkpoint.hh"
 #include "nf/copy_touch_drop.hh"
 #include "nic/invariants.hh"
+#include "stats/latency_recorder.hh"
 
 #include "sim/logging.hh"
 
@@ -413,21 +413,11 @@ TestSystem::tenantTotals() const
                 samples.insert(samples.end(), s.begin(), s.end());
             }
         }
-        // Exact nearest-rank percentiles over the merged member-NF
-        // samples (same method as stats::LatencyRecorder).
+        // Exact percentiles over the merged member-NF samples.
         std::sort(samples.begin(), samples.end());
-        auto pct = [&samples](double p) -> std::uint64_t {
-            if (samples.empty())
-                return 0;
-            auto rank = static_cast<std::size_t>(std::ceil(
-                p / 100.0 * static_cast<double>(samples.size())));
-            if (rank == 0)
-                rank = 1;
-            return samples[rank - 1];
-        };
-        tt.p50 = pct(50.0);
-        tt.p99 = pct(99.0);
-        tt.p999 = pct(99.9);
+        tt.p50 = stats::nearestRank(samples, 50.0);
+        tt.p99 = stats::nearestRank(samples, 99.0);
+        tt.p999 = stats::nearestRank(samples, 99.9);
         out.push_back(std::move(tt));
     }
     return out;

@@ -73,13 +73,13 @@ registerEventQueueInvariants(InvariantChecker &checker, EventQueue &eq)
         });
 
     // Structural audit of the scheduler internals: wheel occupancy
-    // bitmaps, slot placement/ordering, overflow-heap squash counts
-    // and the live-entry accounting must all agree.
+    // bitmaps, slot placement/ordering and the live-entry accounting
+    // must all agree.
     checker.registerInvariant(
         "eventq.self-consistent", [&eq](InvariantReport &report) {
             if (!eq.selfCheckConsistent())
                 report.fail("scheduler structures inconsistent "
-                            "(wheel slots/bitmaps/overflow accounting)");
+                            "(wheel slots/bitmaps/live accounting)");
         });
 
     // Dequeue-tick monotonicity: time observed by consecutive sweeps

@@ -1,8 +1,8 @@
 /**
  * @file
  * EventQueue implementation: the hierarchical-timing-wheel scheduler
- * and its dispatch machinery (fused same-tick drain, overflow
- * compaction, sleeping events).
+ * and its dispatch machinery (fused same-tick drain, sleeping
+ * events).
  */
 
 #include "event_queue.hh"
@@ -45,7 +45,7 @@ Event::~Event()
 EventQueue::~EventQueue()
 {
     // Unmark remaining live entries so their owners can destroy them
-    // afterwards; squashed/tombstoned entries are null already.
+    // afterwards; tombstoned entries are null already.
     auto unmark = [](std::vector<Entry> &v) {
         for (Entry &e : v)
             if (e.ev)
@@ -55,23 +55,6 @@ EventQueue::~EventQueue()
         for (auto &slot : level)
             unmark(slot);
     unmark(drainBatch);
-    unmark(heap);
-}
-
-void
-EventQueue::push(const Entry &e)
-{
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), EntryAfter{});
-}
-
-EventQueue::Entry
-EventQueue::popTop()
-{
-    std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
-    Entry e = heap.back();
-    heap.pop_back();
-    return e;
 }
 
 void
@@ -107,88 +90,46 @@ EventQueue::deschedule(Event *ev)
     if (minValid && when == cachedMin)
         minValid = false;
 
+    // Erase the entry exactly: no tombstones in slots, so deschedule
+    // churn cannot bloat the wheel.
     const unsigned l = levelFor(when);
-    if (l < numLevels) {
-        // Wheel-resident: erase the entry exactly. No tombstones in
-        // slots — deschedule churn cannot bloat the wheel.
-        const std::size_t idx = slotIndex(l, when);
-        auto &slot = slots[l][idx];
-        for (auto it = slot.begin(); it != slot.end(); ++it) {
-            if (it->seq == seq) {
-                slot.erase(it);
-                if (slot.empty())
-                    clearSlotMark(l, idx);
-                return;
-            }
-        }
-        // Not in its slot: the event's tick is being drained right now
-        // and the entry sits in the swapped-out batch. Tombstone it
-        // there so the dispatch loop skips it.
-        if (draining) {
-            for (std::size_t i = drainPos + 1; i < drainBatch.size();
-                 ++i) {
-                if (drainBatch[i].ev && drainBatch[i].seq == seq) {
-                    drainBatch[i].ev = nullptr;
-                    return;
-                }
-            }
-        }
-        SIM_ASSERT(false, "scheduled event missing from its wheel slot");
-        return;
-    }
-
-    // Overflow heap: null the entry in place.
-    // Once descheduled, the owner may destroy the Event immediately, so
-    // the queue must not keep the pointer. Nulling does not disturb the
-    // heap order (ordering keys are when/seq only).
-    for (Entry &e : heap) {
-        if (e.ev == ev && e.seq == seq) {
-            e.ev = nullptr;
-            ++squashedCount;
-            // Lazy compaction: once squashed entries outnumber live
-            // ones the heap is mostly dead weight — rebuild it from
-            // the survivors so heap.size() stays within 2x of its
-            // live population no matter how much a workload
-            // deschedules.
-            if (squashedCount * 2 > heap.size())
-                compact();
+    const std::size_t idx = slotIndex(l, when);
+    auto &slot = slots[l][idx];
+    for (auto it = slot.begin(); it != slot.end(); ++it) {
+        if (it->seq == seq) {
+            slot.erase(it);
+            if (slot.empty())
+                clearSlotMark(l, idx);
             return;
         }
     }
-    SIM_ASSERT(false, "scheduled event missing from the overflow heap");
-}
-
-void
-EventQueue::compact()
-{
-    const std::size_t liveHeap = heap.size() - squashedCount;
-    heap.erase(std::remove_if(
-                   heap.begin(), heap.end(),
-                   [](const Entry &e) { return squashed(e); }),
-               heap.end());
-    std::make_heap(heap.begin(), heap.end(), EntryAfter{});
-    squashedCount = 0;
-    SIM_ASSERT(heap.size() == liveHeap,
-               "squashed-entry compaction changed pending()");
-}
-
-void
-EventQueue::advanceSlow(Tick t)
-{
-    const Tick x = wheelBase ^ t;
-    // Set the base first: the cascade/refill placement below is
-    // relative to the NEW base, so moved entries land in lower levels
-    // (or the overflow pulls into exact slots) and are never
-    // re-visited by this advance.
-    wheelBase = t;
-    if (x >> spanBits) {
-        // Crossed into a new 2^24-tick block: pull the now-in-horizon
-        // overflow events back into the wheel.
-        refillFromOverflow(t);
+    // Not in its slot: the event's tick is being drained right now and
+    // the entry sits in the swapped-out batch. Tombstone it there so
+    // the dispatch loop skips it (the owner may destroy the Event as
+    // soon as it is descheduled, so the pointer must go).
+    if (draining) {
+        for (std::size_t i = drainPos + 1; i < drainBatch.size(); ++i) {
+            if (drainBatch[i].ev && drainBatch[i].seq == seq) {
+                drainBatch[i].ev = nullptr;
+                return;
+            }
+        }
     }
-    if (x >> (2 * slotBits))
-        cascade(2, slotIndex(2, t));
-    cascade(1, slotIndex(1, t));
+    SIM_ASSERT(false, "scheduled event missing from its wheel slot");
+}
+
+void
+EventQueue::advanceSlow(Tick x, Tick t)
+{
+    // curTick is already t, so cascade() places against it. Every
+    // entry of level l shares the tick bits above level l with the
+    // old now() and is later than it. Crossing level L = levelOf(x)
+    // therefore leaves levels below L empty (their entries would
+    // precede t) and every level above L in place: only the level-L
+    // slot covering t holds entries whose level changes, and they all
+    // land below L.
+    const unsigned l = levelOf(x);
+    cascade(l, slotIndex(l, t));
 }
 
 void
@@ -198,7 +139,7 @@ EventQueue::cascade(unsigned level, std::size_t idx)
     if (slot.empty())
         return;
     // Swap out before re-placing: every entry here shares tick bits
-    // with the new base down through this level, so placeWheel targets
+    // with now() down through this level, so placeWheel targets
     // strictly lower levels and never appends back into `slot`.
     cascadeScratch.clear();
     cascadeScratch.swap(slot);
@@ -208,21 +149,8 @@ EventQueue::cascade(unsigned level, std::size_t idx)
     cascadeScratch.clear();
 }
 
-void
-EventQueue::refillFromOverflow(Tick t)
-{
-    const Tick blockEnd = t | ((Tick(1) << spanBits) - 1);
-    for (;;) {
-        dropSquashedTop();
-        if (heap.empty() || heap.front().when > blockEnd)
-            break;
-        const Entry e = popTop();
-        placeWheel(e);
-    }
-}
-
 Tick
-EventQueue::computeMin()
+EventQueue::computeMin() const
 {
     // Mid-drain remnants of the active tick still count as pending.
     if (draining) {
@@ -230,12 +158,11 @@ EventQueue::computeMin()
             if (drainBatch[i].ev)
                 return curTick;
     }
-    // Level hierarchy: every live level-0 tick precedes every level-1
-    // tick, which precedes every level-2 tick, which precedes every
-    // overflow tick — so the first occupied level decides the min.
+    // Level hierarchy: every live level-l tick precedes every
+    // level-(l+1) tick, so the first occupied level decides the min.
     if (!levelEmpty(0)) {
         const std::size_t idx = lowestSetIndex(occupied[0]);
-        return (wheelBase & ~Tick(slotMask)) | Tick(idx);
+        return (curTick & ~Tick(slotMask)) | Tick(idx);
     }
     for (unsigned l = 1; l < numLevels; ++l) {
         if (levelEmpty(l))
@@ -246,8 +173,7 @@ EventQueue::computeMin()
             best = std::min(best, e.when);
         return best;
     }
-    dropSquashedTop();
-    return heap.empty() ? maxTick : heap.front().when;
+    return maxTick;
 }
 
 Tick
@@ -262,9 +188,6 @@ EventQueue::nextEventTick() const
     for (std::size_t i = drainPos; i < drainBatch.size(); ++i)
         if (drainBatch[i].ev && drainBatch[i].when < earliest)
             earliest = drainBatch[i].when;
-    for (const Entry &e : heap)
-        if (!squashed(e) && e.when < earliest)
-            earliest = e.when;
     return earliest;
 }
 
@@ -272,9 +195,8 @@ std::uint64_t
 EventQueue::fireTickSlow()
 {
     std::uint64_t fired = 0;
-    // Every curTick entry lives in the level-0 slot (the overflow
-    // refill runs before the base reaches a block). Swap the slot out
-    // and fire it in one pass; events scheduled into the same tick
+    // Every curTick entry lives in its level-0 slot (advanceTo
+    // cascaded it there). Swap the slot out and fire it in one pass; events scheduled into the same tick
     // mid-drain land in the (now empty) slot and are picked up by the
     // outer loop — still in seq order, since new seqs exceed every
     // batched one.
@@ -289,11 +211,11 @@ EventQueue::fireTickSlow()
         clearSlotMark(0, idx);
         // A level-0 slot covers a single tick, and same-tick entries
         // are seq-sorted by construction: direct appends use fresh
-        // ascending seqs, and cascades/refills preserve the relative
-        // order of same-tick entries. (Whole level-1/2 slots are NOT
-        // seq-sorted — the overflow refill interleaves ticks in
-        // (when, seq) order — but that never reaches this drain
-        // unsorted.) Keep a defensive re-sort behind the cheap check.
+        // ascending seqs, insertAt() keeps same-tick order, and
+        // cascades preserve it. (Whole level-1+ slots are NOT
+        // seq-sorted — a cascade appends older entries behind newer
+        // ones of other ticks.) Keep a defensive re-sort behind an
+        // O(n) sortedness check.
         if (!std::is_sorted(drainBatch.begin(), drainBatch.end(), bySeq))
             std::sort(drainBatch.begin(), drainBatch.end(), bySeq);
         for (drainPos = 0; drainPos < drainBatch.size(); ++drainPos) {
@@ -305,15 +227,6 @@ EventQueue::fireTickSlow()
         }
         drainBatch.clear();
         drainPos = 0;
-    }
-    // Defensively, any overflow entry at exactly curTick (the refill
-    // never leaves one there).
-    for (;;) {
-        dropSquashedTop();
-        if (heap.empty() || heap.front().when != curTick)
-            break;
-        fireEntry(popTop());
-        ++fired;
     }
     draining = false;
     // The cached min was consumed. An empty queue re-validates at
@@ -330,10 +243,6 @@ EventQueue::insertAt(const Entry &e)
     if (minValid && e.when < cachedMin)
         cachedMin = e.when;
     ++livePending;
-    if ((e.when ^ wheelBase) >> spanBits) {
-        push(e);
-        return;
-    }
     const auto bySeq = [](const Entry &a, const Entry &b) {
         return a.seq < b.seq;
     };
@@ -350,7 +259,7 @@ EventQueue::insertAt(const Entry &e)
     const unsigned l = levelFor(e.when);
     const std::size_t idx = slotIndex(l, e.when);
     auto &slot = slots[l][idx];
-    // Level-1/2 slots mix ticks; only same-tick order matters.
+    // Level-1+ slots mix ticks; only same-tick order matters.
     auto it = std::find_if(slot.begin(), slot.end(), [&e](const Entry &o) {
         return o.when == e.when && o.seq > e.seq;
     });
@@ -558,7 +467,6 @@ bool
 EventQueue::selfCheckConsistent() const
 {
     std::size_t liveInWheel = 0;
-    std::size_t squashedInHeap = 0;
     std::unordered_map<Tick, std::uint64_t> seqByTick;
 
     for (unsigned l = 0; l < numLevels; ++l) {
@@ -571,11 +479,10 @@ EventQueue::selfCheckConsistent() const
             // Entries sharing a tick must appear in ascending seq
             // order — that is the order the level-0 drain fires them
             // in, and cascades preserve relative order on the way
-            // down. Whole level-1/2 slots need NOT be seq-sorted: the
-            // overflow refill emits entries in (when, seq) order, so
-            // a multi-tick slot can interleave ticks out of seq
-            // order. A level-0 slot covers a single tick, so there
-            // the same-tick rule makes the whole slot seq-sorted.
+            // down. Whole level-1+ slots need NOT be seq-sorted: a
+            // cascade appends older entries behind newer ones of
+            // other ticks. A level-0 slot covers a single tick, so
+            // there the same-tick rule makes the whole slot sorted.
             seqByTick.clear();
             for (const Entry &e : slot) {
                 if (!e.ev)
@@ -583,7 +490,7 @@ EventQueue::selfCheckConsistent() const
                 if (levelFor(e.when) != l ||
                     slotIndex(l, e.when) != idx)
                     return false;
-                if (e.when < wheelBase)
+                if (e.when < curTick)
                     return false; // live event in the past
                 const auto [it, fresh] =
                     seqByTick.emplace(e.when, e.seq);
@@ -604,20 +511,7 @@ EventQueue::selfCheckConsistent() const
         if (drainBatch[i].ev)
             ++liveInWheel;
 
-    for (const Entry &e : heap) {
-        if (squashed(e)) {
-            ++squashedInHeap;
-            continue;
-        }
-        if (!draining && !((e.when ^ wheelBase) >> spanBits))
-            return false; // in-horizon event stuck in the overflow
-    }
-    if (squashedInHeap != squashedCount)
-        return false;
-    if (livePending != liveInWheel + heap.size() - squashedInHeap)
-        return false;
-
-    return wheelBase <= curTick;
+    return livePending == liveInWheel;
 }
 
 void
@@ -638,7 +532,6 @@ EventQueueRestoreAccess::clearPending(EventQueue &eq)
         words.fill(0);
     drop(eq.drainBatch);
     eq.drainPos = 0;
-    drop(eq.heap);
     // Sleepers' owners reset their own state on restore.
     eq.sleeps.clear();
     eq.recovered.clear();
@@ -646,7 +539,6 @@ EventQueueRestoreAccess::clearPending(EventQueue &eq)
     eq.sleepActive = false;
     eq.dispatchSeq = EventQueue::betweenDispatches;
     eq.livePending = 0;
-    eq.squashedCount = 0;
     eq.nextSeq = 0;
     eq.cachedMin = maxTick;
     eq.minValid = true;

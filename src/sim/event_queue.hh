@@ -10,24 +10,20 @@
  * stable addresses), so every pending callback is named, can be
  * descheduled, and can be checkpointed by its owner as {when, seq}.
  *
- * The scheduler is a hierarchical timing wheel: three levels of 256
- * slots each (8 bits of tick per level, 2^24 ticks of horizon).
- * Level-0 slots cover exactly one tick, so a slot IS the same-tick
- * dispatch batch: schedule, deschedule and pop are O(1) for the
- * short-horizon events that dominate the workload (per-cacheline DMA
- * completions, 250–500 ns link hops, ring polls, 1 us telemetry).
- * Events beyond the horizon spill to a binary-heap overflow level and
- * are pulled back into the wheel when the wheel base crosses into
- * their 2^24 block. The differential tests check the firing order
- * against a plain binary-heap reference queue in tests/sim/.
+ * The scheduler is a hierarchical timing wheel: eight levels of 256
+ * slots each (8 bits of tick per level), so every 64-bit tick has a
+ * slot and there is no horizon. Level-0 slots cover exactly one tick,
+ * so a slot IS the same-tick dispatch batch: schedule, deschedule and
+ * pop are O(1) for the short-horizon events that dominate the
+ * workload (per-cacheline DMA completions, 250–500 ns link hops, ring
+ * polls, 1 us telemetry). Far events sit in a higher level and
+ * cascade down as now() crosses into their block. The differential
+ * tests check the firing order against a plain binary-heap reference
+ * queue in tests/sim/.
  *
  * Fused same-tick dispatch: runUntil() drains all events of the
  * current tick in one pass (in seq order) without re-entering the
- * scheduler between them.
- *
- * Wheel entries are removed exactly on deschedule; descheduled
- * ("squashed") overflow heap entries are compacted lazily so
- * deschedule churn cannot bloat the heap.
+ * scheduler between them. Deschedule erases the entry exactly.
  *
  * Sleeping events: an event that would reschedule itself every
  * `period` ticks with no effect but counters (an idle PMD poll) can
@@ -44,6 +40,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -168,12 +165,10 @@ class EventQueue
     Tick nextEventTick() const;
 
     /**
-     * Hot-path variant of nextEventTick(): amortized O(1). The result
-     * is cached across calls and recomputed lazily (level-occupancy
-     * bitmaps make the recompute cheap); squashed overflow entries are
-     * popped off the heap top, each pop amortized against the
-     * deschedule that created it. Does not change pending() or fire
-     * anything.
+     * Hot-path variant of nextEventTick(). The result is cached across
+     * calls and recomputed lazily; the level-occupancy bitmaps find
+     * the first occupied slot without visiting empty ones. Does not
+     * change pending() or fire anything.
      */
     Tick
     peekNextTick()
@@ -272,69 +267,41 @@ class EventQueue
     friend struct EventQueueTestAccess;
     friend struct EventQueueRestoreAccess;
 
-    // Wheel geometry: three levels of 256 one-per-2^(8*level)-tick
-    // slots cover 2^24 ticks (~16.8 ms at 1 ns ticks) of horizon;
-    // later events spill to the overflow heap. The geometry constants
-    // are recorded in checkpoints and validated eagerly on restore.
+    // Wheel geometry: eight levels of 256 slots, level l's slots
+    // 2^(8*l) ticks wide, cover all 64 bits of a tick.
     static constexpr unsigned slotBits = 8;
     static constexpr std::size_t slotCount = std::size_t(1)
                                              << slotBits;
     static constexpr std::size_t slotMask = slotCount - 1;
-    static constexpr unsigned numLevels = 3;
-    static constexpr unsigned spanBits = slotBits * numLevels;
+    static constexpr unsigned numLevels = 8;
     static constexpr std::size_t wordsPerLevel = slotCount / 64;
+    static_assert(slotBits * numLevels == 64, "every tick needs a slot");
 
-    /** A queue entry: 24 bytes. A null event marks a dead entry. */
+    /**
+     * A queue entry: 24 bytes. A null event marks an entry descheduled
+     * while its tick is being drained (the only tombstone).
+     */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
         Event *ev;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
-    };
-
-    /** Min-heap ordering for std::push_heap/std::pop_heap. */
-    struct EntryAfter
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            return a > b;
-        }
     };
 
     /**
-     * True when an overflow-heap entry no longer refers to a live
-     * schedule. deschedule() nulls the entry's pointer eagerly — the
-     * owner may destroy the Event as soon as it is descheduled, so a
-     * squashed entry must never be dereferenced. (Wheel entries are
-     * erased exactly instead; only the drain batch uses tombstones,
-     * for deschedule-during-dispatch.)
+     * Level of the highest set bit of @p x (0 for x == 0). For
+     * x = a ^ b: (a ^ b) >> k == 0 iff a >> k == b >> k, so this is
+     * the level of the highest tick digit where a and b differ.
      */
-    static bool squashed(const Entry &e) { return e.ev == nullptr; }
-
-    /**
-     * Wheel level for @p when relative to the current base, or
-     * numLevels for the overflow heap. The XOR trick compares block
-     * prefixes: (a ^ b) >> k == 0 iff a >> k == b >> k.
-     */
-    unsigned
-    levelFor(Tick when) const
+    static unsigned
+    levelOf(Tick x)
     {
-        const Tick x = when ^ wheelBase;
-        if (!(x >> slotBits))
-            return 0;
-        if (!(x >> (2 * slotBits)))
-            return 1;
-        if (!(x >> spanBits))
-            return 2;
-        return numLevels;
+        return static_cast<unsigned>(std::bit_width(x | 1) - 1) /
+               slotBits;
     }
+
+    /** Wheel level for @p when (>= curTick), placed against now(). */
+    unsigned levelFor(Tick when) const { return levelOf(when ^ curTick); }
 
     static std::size_t
     slotIndex(unsigned level, Tick when)
@@ -362,7 +329,7 @@ class EventQueue
         return (w[0] | w[1] | w[2] | w[3]) == 0;
     }
 
-    /** Place an entry into its wheel slot (never the heap). */
+    /** Place an entry into its wheel slot. */
     void
     placeWheel(const Entry &e)
     {
@@ -373,10 +340,10 @@ class EventQueue
     }
 
     /**
-     * Route a new entry to the wheel or the overflow heap. Takes the
-     * fields, not an Entry: building the entry in its slot keeps GCC
-     * from spilling the fresh seq and reloading it as one 16-byte
-     * word (a store-forwarding stall that doubled schedule cost).
+     * Place a new entry. Takes the fields, not an Entry: building the
+     * entry in its slot keeps GCC from spilling the fresh seq and
+     * reloading it as one 16-byte word (a store-forwarding stall that
+     * doubled schedule cost).
      */
     void
     insert(Tick when, std::uint64_t seq, Event *ev)
@@ -384,10 +351,6 @@ class EventQueue
         if (minValid && when < cachedMin)
             cachedMin = when;
         ++livePending;
-        if ((when ^ wheelBase) >> spanBits) {
-            push(Entry{when, seq, ev});
-            return;
-        }
         const unsigned l = levelFor(when);
         const std::size_t idx = slotIndex(l, when);
         slots[l][idx].push_back(Entry{when, seq, ev});
@@ -395,26 +358,21 @@ class EventQueue
     }
 
     /**
-     * Advance the time base to @p t. Precondition: no live event is
-     * scheduled before @p t. Cascades the level-1/2 slots covering
-     * @p t when the base crosses their block boundaries, and refills
-     * the wheel from the overflow heap on 2^24 crossings.
+     * Advance now() to @p t. Precondition: no live event is scheduled
+     * before @p t. Crossing a level-0 block boundary cascades the slot
+     * covering @p t down.
      */
     void
     advanceTo(Tick t)
     {
-        const Tick x = wheelBase ^ t;
+        const Tick x = curTick ^ t;
         curTick = t;
-        if (!(x >> slotBits)) { // same level-0 block (or no move)
-            wheelBase = t;
-            return;
-        }
-        advanceSlow(t);
+        if (x >> slotBits)
+            advanceSlow(x, t);
     }
 
-    void advanceSlow(Tick t);
+    void advanceSlow(Tick x, Tick t);
     void cascade(unsigned level, std::size_t idx);
-    void refillFromOverflow(Tick t);
 
     /**
      * Dispatch one entry: unmark, invoke, bump counters. The entry is
@@ -460,30 +418,10 @@ class EventQueue
         return fireTickSlow();
     }
 
-    /** Batch drain of curTick: wheel slot swap + overflow loop. */
+    /** Batch drain of curTick's level-0 slot. */
     std::uint64_t fireTickSlow();
 
-    Tick computeMin();
-
-    void push(const Entry &e);
-    Entry popTop();
-
-    /** Pop squashed entries off the heap top (amortized O(1)). */
-    void
-    dropSquashedTop()
-    {
-        while (!heap.empty() && squashed(heap.front())) {
-            popTop();
-            --squashedCount;
-        }
-    }
-
-    /**
-     * Remove every squashed overflow entry and re-heapify. Called when
-     * squashed entries outnumber live ones so deschedule churn keeps
-     * the heap within 2x of its live population.
-     */
-    void compact();
+    Tick computeMin() const;
 
     /** Entry seq of the next fresh schedule (always even). */
     std::uint64_t freshSeq() { return (nextSeq++) << 1; }
@@ -596,17 +534,13 @@ class EventQueue
     bool sleepForbidden = false;
 
     // --- Hierarchical timing wheel --------------------------------
-    // slots[l][i] holds the entries of level l, slot i; level-0 slots
-    // cover exactly one tick. occupied[] mirrors slot non-emptiness
-    // so the min recompute scans 4 words per level instead of 256
-    // vectors. wheelBase is the tick the slot indexing is anchored
-    // at; it trails curTick only transiently after a restore.
-    std::array<std::array<std::vector<Entry>, slotCount>, numLevels>
-        slots;
+    // slots[l][i] (declared last) holds the entries of level l, slot
+    // i, placed against curTick; level-0 slots cover exactly one tick.
+    // occupied[] mirrors slot non-emptiness so the min recompute scans
+    // 4 words per level instead of 256 vectors.
     std::array<std::array<std::uint64_t, wordsPerLevel>, numLevels>
         occupied{};
-    Tick wheelBase = 0;
-    std::size_t livePending = 0; // all live entries (wheel + heap)
+    std::size_t livePending = 0; // all live entries
     std::vector<Entry> cascadeScratch;
 
     // Fused same-tick dispatch: the active tick's slot is swapped
@@ -617,20 +551,20 @@ class EventQueue
     bool draining = false;
 
     // Cached earliest live tick: exact while minValid; recomputed
-    // lazily from the occupancy bitmaps + heap top otherwise.
+    // lazily from the occupancy bitmaps otherwise.
     Tick cachedMin = maxTick;
     bool minValid = true;
-
-    // --- Overflow level ------------------------------------------
-    // A plain vector managed with the <algorithm> heap primitives
-    // (rather than std::priority_queue) so nextEventTick() and the
-    // invariant checker can inspect pending entries in place.
-    std::vector<Entry> heap;
-    std::size_t squashedCount = 0;
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t nProcessed = 0;
+
+    // Declared last, after every scalar above. Behind the 48 KiB of
+    // slot headers, the counters sat a multiple of 4 KiB past the low
+    // level-0 slots, and the deschedule-churn micro ran 1.9x slower
+    // (slot-header loads falsely waiting on counter stores).
+    std::array<std::array<std::vector<Entry>, slotCount>, numLevels>
+        slots;
 };
 
 /**
@@ -647,17 +581,6 @@ struct EventQueueTestAccess
     setCurTick(EventQueue &eq, Tick t)
     {
         eq.curTick = t;
-    }
-
-    /**
-     * Raw overflow-heap slots (live + squashed), for compaction
-     * tests. Wheel entries never appear here: deschedule removes
-     * them exactly.
-     */
-    static std::size_t
-    heapSlots(const EventQueue &eq)
-    {
-        return eq.heap.size();
     }
 
     /** Live entries currently resident in the wheel (full scan). */
@@ -690,9 +613,10 @@ struct EventQueueTestAccess
 /**
  * Checkpoint-layer access to EventQueue internals (used only by
  * src/ckpt). Restore must discard every event scheduled by fresh
- * construction/start() and rebuild the pending set from the
- * checkpoint, then force the private time base and counters to the
- * checkpointed values. Production model code must never touch this.
+ * construction/start(), set the checkpointed time base, rebuild the
+ * pending set from the checkpoint against it, then force the private
+ * counters to the checkpointed values. Production model code must
+ * never touch this.
  */
 struct EventQueueRestoreAccess
 {
@@ -710,25 +634,15 @@ struct EventQueueRestoreAccess
     }
 
     /**
-     * Wheel base tick (== now() except transiently after restore).
-     * Recorded in checkpoints for eager validation.
+     * Set the time base of an empty queue (after clearPending(),
+     * before the replay: slots are placed against it).
      */
-    static Tick wheelBase(const EventQueue &eq)
+    static void
+    setCurTick(EventQueue &eq, Tick t)
     {
-        return eq.wheelBase;
+        SIM_ASSERT(eq.empty(), "setCurTick on a non-empty queue");
+        eq.curTick = t;
     }
-
-    /** @{ Wheel geometry constants (checkpoint validation). */
-    static std::uint32_t wheelLevels() { return EventQueue::numLevels; }
-    static std::uint32_t wheelSlotBits() { return EventQueue::slotBits; }
-    /** @} */
-
-    /**
-     * Force the time base. The wheel base is left untouched: replayed
-     * entries were placed relative to it, and the first advance
-     * cascades it forward to the restored tick.
-     */
-    static void setCurTick(EventQueue &eq, Tick t) { eq.curTick = t; }
 
     static void setNextSeq(EventQueue &eq, std::uint64_t s)
     {

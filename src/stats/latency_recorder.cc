@@ -21,20 +21,23 @@ LatencyRecorder::ensureSorted() const
 }
 
 std::uint64_t
-LatencyRecorder::percentile(double p) const
+nearestRank(const std::vector<std::uint64_t> &sorted, double p)
 {
-    if (samples.empty())
+    if (sorted.empty())
         return 0;
-    ensureSorted();
     p = std::clamp(p, 0.0, 100.0);
-    // Nearest-rank: the smallest value with at least ceil(p/100 * n)
-    // samples at or below it.
-    const auto n = samples.size();
     std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(n)));
+        std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
     if (rank == 0)
         rank = 1;
-    return samples[rank - 1];
+    return sorted[rank - 1];
+}
+
+std::uint64_t
+LatencyRecorder::percentile(double p) const
+{
+    ensureSorted();
+    return nearestRank(samples, p);
 }
 
 double

@@ -21,6 +21,16 @@ namespace stats
 {
 
 /**
+ * Exact percentile of ascending @p sorted samples by the nearest-rank
+ * method: the smallest sample with at least ceil(p/100 * n) samples
+ * at or below it.
+ * @param p Percentile in [0, 100]; e.g.\ 99.0 for p99.
+ * @return 0 when @p sorted is empty.
+ */
+std::uint64_t nearestRank(const std::vector<std::uint64_t> &sorted,
+                          double p);
+
+/**
  * Stores raw latency samples (in ticks) and answers exact percentile
  * queries. value() reports the mean.
  */
@@ -40,11 +50,7 @@ class LatencyRecorder : public Stat
     /** Number of recorded samples. */
     std::size_t count() const { return samples.size(); }
 
-    /**
-     * Exact percentile using the nearest-rank method.
-     * @param p Percentile in [0, 100]; e.g.\ 99.0 for p99.
-     * @return 0 when no samples were recorded.
-     */
+    /** Exact percentile of the samples; see nearestRank(). */
     std::uint64_t percentile(double p) const;
 
     /** Convenience accessors. @{ */

@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hh"
+#include "ckpt/serializer.hh"
 #include "harness/system.hh"
 #include "harness/trace_artifacts.hh"
 #include "stats/json.hh"
@@ -198,6 +200,96 @@ TEST(CkptRoundTrip, SeedMismatchIsFatal)
     other.start();
     EXPECT_EXIT(other.restore(blob), ::testing::ExitedWithCode(1),
                 "seed");
+}
+
+/** Where one section's fields sit in a checkpoint blob. */
+struct SectionAt
+{
+    std::size_t version;  ///< u32 section version
+    std::size_t checksum; ///< u64 FNV-1a of the payload
+    std::size_t payload;  ///< first payload byte
+    std::size_t size;     ///< payload bytes
+};
+
+/** Walk @p blob's section table (serializer.hh) to @p name. */
+SectionAt
+sectionAt(const std::vector<std::uint8_t> &blob, const std::string &name)
+{
+    auto read = [&blob](std::size_t pos, auto &out) {
+        std::memcpy(&out, blob.data() + pos, sizeof(out));
+    };
+    std::size_t pos = 8 + 4 + 8 + 8; // magic, format, seed, tick
+    std::uint32_t count = 0;
+    read(pos, count);
+    pos += 4;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::uint32_t nameLen = 0;
+        read(pos, nameLen);
+        pos += 4;
+        const std::string n(blob.begin() + std::ptrdiff_t(pos),
+                            blob.begin() + std::ptrdiff_t(pos + nameLen));
+        pos += nameLen;
+        SectionAt s{};
+        s.version = pos;
+        std::uint64_t size = 0;
+        read(pos + 4, size);
+        s.checksum = pos + 12;
+        s.payload = pos + 20;
+        s.size = std::size_t(size);
+        pos = s.payload + s.size;
+        if (n == name)
+            return s;
+    }
+    ADD_FAILURE() << "no section '" << name << "'";
+    return SectionAt{};
+}
+
+/** A mid-burst checkpoint of the DDIO single-burst system. */
+std::vector<std::uint8_t>
+ddioCheckpoint()
+{
+    harness::TestSystem sys(
+        burstConfig(idio::Policy::Ddio, harness::NfKind::TouchDrop));
+    sys.start();
+    sys.runFor(ckptTick);
+    return sys.checkpoint();
+}
+
+/** Restore @p blob into a fresh DDIO system; it must die naming @p what. */
+void
+expectRestoreFatal(const std::vector<std::uint8_t> &blob,
+                   const std::string &what)
+{
+    harness::TestSystem sys(
+        burstConfig(idio::Policy::Ddio, harness::NfKind::TouchDrop));
+    sys.start();
+    EXPECT_EXIT(sys.restore(blob), ::testing::ExitedWithCode(1), what);
+}
+
+TEST(CkptEventqDeathTest, SectionVersion4IsFatal)
+{
+    auto blob = ddioCheckpoint();
+    const SectionAt eq = sectionAt(blob, "_eventq");
+    ASSERT_EQ(eq.size, 32u); // {tick, nextSeq, processed, pending}
+    const std::uint32_t v4 = 4;
+    std::memcpy(blob.data() + eq.version, &v4, sizeof(v4));
+    expectRestoreFatal(blob, "section version 4");
+}
+
+TEST(CkptEventqDeathTest, PendingCountMismatchIsFatal)
+{
+    auto blob = ddioCheckpoint();
+    const SectionAt eq = sectionAt(blob, "_eventq");
+    ASSERT_EQ(eq.size, 32u);
+    std::uint8_t *pending = blob.data() + eq.payload + 24;
+    std::uint64_t n = 0;
+    std::memcpy(&n, pending, sizeof(n));
+    ++n;
+    std::memcpy(pending, &n, sizeof(n));
+    // Keep the section checksum valid so the count check is reached.
+    const std::uint64_t sum = ckpt::fnv1a(blob.data() + eq.payload, eq.size);
+    std::memcpy(blob.data() + eq.checksum, &sum, sizeof(sum));
+    expectRestoreFatal(blob, "pending events");
 }
 
 /**

@@ -9,14 +9,14 @@
  * drive randomized schedule / deschedule / reschedule workloads with
  * random runUntil slices through both queues in lockstep and assert
  * the firing sequences and assigned sequence numbers are identical
- * event by event, with tick deltas drawn to span every wheel level
- * (L0 same-tick slots, L1/L2 cascades) and the overflow heap.
+ * event by event, with tick deltas drawn to span the wheel levels
+ * (L0 same-tick slots, L1/L2 cascades, and levels 3-5 out to 2^40
+ * ticks) and to land next to block boundaries.
  *
  * The full-system mid-burst checkpoint gate (stats + trace
  * byte-equality across save/restore) lives in tests/ckpt/ and
  * tests/integration/; here a queue-level rebuild test covers the
- * restore-specific wheel path (replay into a fresh wheel, then force
- * the time base and cascade forward).
+ * restore path (set the time base of a fresh wheel, then replay).
  */
 
 #include <gtest/gtest.h>
@@ -66,23 +66,35 @@ class ScriptedEvent : public Event
     int id;
 };
 
+/** Largest delta drawDelta() returns (a 2^40 block plus slack). */
+constexpr Tick maxDelta = (Tick(1) << 41);
+
 /**
- * Tick deltas spanning the whole wheel: level-0 slots (same tick and
- * near-future), level-1/2 cascade distances, and the overflow heap
- * horizon beyond 2^24 ticks.
+ * Tick deltas from @p now spanning the wheel: level-0 slots (same
+ * tick and near-future), level-1/2 cascade distances, levels 3-5
+ * (2^24 to 2^40 ticks out), and ticks within one of the next 2^k
+ * boundary (k = 8..40), where a cascade crosses block boundaries.
  */
 Tick
-drawDelta(std::mt19937_64 &rng)
+drawDelta(std::mt19937_64 &rng, Tick now)
 {
-    switch (rng() % 4) {
+    switch (rng() % 6) {
     case 0:
         return rng() % 16; // L0 (incl. same-tick)
     case 1:
         return rng() % (Tick(1) << 12); // L1
     case 2:
         return rng() % (Tick(1) << 20); // L2
-    default:
-        return rng() % (Tick(1) << 28); // overflow heap
+    case 3:
+        return rng() % (Tick(1) << 28); // L3
+    case 4: // L3-L5
+        return (Tick(1) << 24) +
+               rng() % ((Tick(1) << 40) - (Tick(1) << 24));
+    default: { // next to a 2^k block boundary
+        const unsigned k = 8 * unsigned(1 + rng() % 5);
+        const Tick boundary = ((now >> k) + 1) << k;
+        return boundary - now + rng() % 3 - 1;
+    }
     }
 }
 
@@ -123,7 +135,7 @@ class Lockstep
     {
         const std::uint64_t kind = rng() % 8;
         const std::size_t m = rng() % members.size();
-        const Tick delta = drawDelta(rng);
+        const Tick delta = drawDelta(rng, wheel.now());
         const bool reuse = rng() % 4 == 0;
         Tick when = wheel.now() + delta;
         if (reuse) {
@@ -135,7 +147,8 @@ class Lockstep
         case 0:
         case 1: { // callback, sometimes chaining a second from inside
             const bool chain = rng() % 4 == 0;
-            callback(++nextCallback, when, chain, drawDelta(rng));
+            callback(++nextCallback, when, chain,
+                     drawDelta(rng, wheel.now()));
             break;
         }
         case 2:
@@ -165,12 +178,17 @@ class Lockstep
         EXPECT_EQ(a, b) << "events fired by runUntil(" << limit << ")";
     }
 
-    /** Drain both queues, chains included (a chain adds <= 2^28). */
+    /**
+     * Drain both queues, chains included (a chain adds maxDelta).
+     * Stops at the first disagreement: a wheel that loses an event
+     * would otherwise never drain.
+     */
     void
     drain()
     {
-        while (!wheel.empty() || !ref.empty())
-            runUntil(wheel.now() + (Tick(1) << 29));
+        while ((!wheel.empty() || !ref.empty()) &&
+               !::testing::Test::HasFailure())
+            runUntil(wheel.now() + 2 * maxDelta);
     }
 
     /** Every observer agrees between the two queues. */
@@ -304,29 +322,20 @@ TEST(SchedulerDifferential, StateObserversAgreeAfterEveryOp)
     ASSERT_EQ(ls.wheelLog, ls.refLog);
 }
 
-/**
- * Restore-style rebuild under the wheel: fire half a schedule, move
- * the survivors into a fresh queue in original sequence order (what
- * ckpt's deferred replay does), force the time base, and check the
- * continuation fires exactly like the uninterrupted run. Covers the
- * wheel-specific restore path: entries placed against wheelBase 0,
- * then the first advance cascading the base up to the restored tick.
- */
-TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
+/** One planned callback of the rebuild test. */
+struct Planned
 {
-    struct Planned
-    {
-        Tick when;
-        int id;
-    };
-    std::vector<Planned> plan;
-    std::mt19937_64 rng(11);
-    for (int i = 0; i < 200; ++i)
-        plan.push_back({drawDelta(rng) + 1, i});
+    Tick when;
+    int id;
+};
 
-    const Tick cut = Tick(1) << 16;
-    const Tick end = Tick(1) << 29;
-
+/**
+ * Run @p plan uninterrupted and cut at @p cut then rebuilt; both must
+ * fire identically up to @p end.
+ */
+void
+rebuildAt(const std::vector<Planned> &plan, Tick cut, Tick end)
+{
     // Uninterrupted reference run.
     std::vector<Firing> ref;
     {
@@ -358,8 +367,9 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
     {
         EventQueue q;
         simtest::Callbacks cb(q);
-        // Replay survivors in original (ascending seq == plan) order,
-        // then force the time base past them, as ckpt::restore does.
+        // Set the time base, then replay survivors in original
+        // (ascending seq == plan) order, as ckpt::restore does.
+        sim::EventQueueRestoreAccess::setCurTick(q, cut);
         for (const Planned &p : plan) {
             if (p.when <= cut)
                 continue;
@@ -367,7 +377,6 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
                 secondHalf.push_back({q.now(), id});
             });
         }
-        sim::EventQueueRestoreAccess::setCurTick(q, cut);
         EXPECT_TRUE(q.selfCheckConsistent());
         q.runUntil(end);
         ASSERT_TRUE(q.empty());
@@ -379,11 +388,34 @@ TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
     ASSERT_EQ(combined, ref);
 }
 
+
 /**
- * With near events wheel-resident, lazy squash + compaction only runs
- * for far-future (overflow-heap) deschedules; pin that path directly.
+ * Restore-style rebuild under the wheel: fire part of a schedule, set
+ * a fresh queue's time base to the cut, move the survivors into it in
+ * original sequence order (what ckpt::restore does), and check the
+ * continuation fires exactly like the uninterrupted run. Cuts in the
+ * low levels and past 2^32 place the replay in every level.
  */
-TEST(SchedulerDifferential, FarFutureCompactionPreservesOrder)
+TEST(SchedulerDifferential, RebuiltWheelContinuesIdentically)
+{
+    std::vector<Planned> plan;
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 200; ++i)
+        plan.push_back({drawDelta(rng, 0) + 1, i});
+
+    const Tick end = 2 * maxDelta;
+    for (const Tick cut : {Tick(1) << 16, (Tick(1) << 33) + 12345}) {
+        SCOPED_TRACE(cut);
+        rebuildAt(plan, cut, end);
+    }
+}
+
+/**
+ * Far-future events sit in level 3 (2^26 ticks out); deschedule
+ * erases them exactly there, and the survivors cascade down from
+ * level 3 and fire in schedule order.
+ */
+TEST(SchedulerDifferential, FarFutureDescheduleErasesExactly)
 {
     // Each event records the tick it fires at.
     class TickEvent : public Event
@@ -401,29 +433,36 @@ TEST(SchedulerDifferential, FarFutureCompactionPreservesOrder)
     };
 
     EventQueue q;
-    const Tick far = Tick(1) << 26; // beyond the 2^24 wheel horizon
+    const Tick far = Tick(1) << 26; // level 3
     std::vector<Tick> fired;
     std::vector<TickEvent> evs(64, TickEvent(q, fired));
     for (std::size_t i = 0; i < evs.size(); ++i)
         q.schedule(&evs[i], far + Tick(i));
-    ASSERT_EQ(sim::EventQueueTestAccess::heapSlots(q), 64u);
-    ASSERT_EQ(sim::EventQueueTestAccess::wheelEntries(q), 0u);
+    ASSERT_EQ(sim::EventQueueTestAccess::wheelEntries(q), 64u);
 
-    // Squash most of the heap; compaction keeps slots < live*2.
     for (std::size_t i = 0; i < evs.size(); ++i) {
         if (i % 4 != 0)
             q.deschedule(&evs[i]);
     }
     EXPECT_EQ(q.pending(), 16u);
-    EXPECT_LT(sim::EventQueueTestAccess::heapSlots(q), 32u);
+    EXPECT_EQ(sim::EventQueueTestAccess::wheelEntries(q), 16u);
     EXPECT_TRUE(q.selfCheckConsistent());
 
-    // Survivors still fire in schedule order as they cascade into the
-    // wheel and drain.
     q.runUntil(far + 64);
     ASSERT_EQ(fired.size(), 16u);
     for (std::size_t i = 0; i < fired.size(); ++i)
         EXPECT_EQ(fired[i], far + Tick(4 * i));
+}
+
+/** Restore sets the time base before the replay, on an empty queue. */
+TEST(SchedulerDifferentialDeathTest, SetCurTickOnNonEmptyQueuePanics)
+{
+    EventQueue q;
+    simtest::Callbacks cb(q);
+    cb.at(10, [] {});
+    EXPECT_DEATH(sim::EventQueueRestoreAccess::setCurTick(q, 5),
+                 "non-empty queue");
+    q.run();
 }
 
 } // namespace

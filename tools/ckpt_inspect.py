@@ -6,7 +6,7 @@ src/ckpt/serializer.hh for the layout), prints the header and one row
 per section (name, schema version, payload size, checksum), and
 validates the whole file: magic, format version, section bounds,
 FNV-1a checksums, duplicate names and trailing bytes. The `_eventq`
-section is decoded too; this tool reads its version 4 only. Every
+section is decoded too; this tool reads its version 5 only. Every
 cache tag array (a section payload that starts with "TAGS") is decoded
 and its valid lines counted: format v5 writes only valid slots, so a
 checkpoint's size follows the live cache state.
@@ -24,7 +24,7 @@ import sys
 
 MAGIC = b"IDIOCKPT"
 FORMAT_VERSION = 5
-EVENTQ_VERSION = 4
+EVENTQ_VERSION = 5
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -129,8 +129,8 @@ def inspect(path: str) -> int:
             continue
         if ver != EVENTQ_VERSION:
             print(f"FAIL '{name}' section version {ver}; this tool "
-                  f"reads version {EVENTQ_VERSION} only (version 3 "
-                  "carried the removed post-event hook counter)")
+                  f"reads version {EVENTQ_VERSION} only (version 4 "
+                  "also carried the wheel geometry and wheel base)")
             failures += 1
         else:
             print(f"  {name}: {decode_eventq(payload)}")
@@ -183,15 +183,12 @@ def decode_tags(name: str, payload: bytes) -> str:
 
 
 def decode_eventq(payload: bytes) -> str:
-    """Pretty-print a v4 _eventq section (see ckpt saveEventq)."""
-    if len(payload) != 4 + 4 + 8 * 5:
+    """Pretty-print a v5 _eventq section (see ckpt saveEventq)."""
+    if len(payload) != 8 * 4:
         raise Corrupt(f"'_eventq' payload is {len(payload)} bytes; "
-                      "version 4 has 48")
-    levels, slot_bits = struct.unpack_from("<II", payload, 0)
-    wheel_base, tick, next_seq, processed, pending = \
-        struct.unpack_from("<5Q", payload, 8)
-    return (f"wheel={levels}x2^{slot_bits} base={wheel_base} "
-            f"tick={tick} nextSeq={next_seq} processed={processed} "
+                      "version 5 has 32")
+    tick, next_seq, processed, pending = struct.unpack("<4Q", payload)
+    return (f"tick={tick} nextSeq={next_seq} processed={processed} "
             f"pending={pending}")
 
 

@@ -17,6 +17,11 @@ Custom rules (beyond what clang-tidy covers):
                  path relative to the repo root and the leading
                  ``src/`` dropped (e.g. src/cache/llc.hh ->
                  IDIO_CACHE_LLC_HH).
+  access-struct  The structs that open EventQueue internals stay where
+                 they belong: ``EventQueueTestAccess`` only under
+                 tests/, ``EventQueueRestoreAccess`` only in src/ckpt/
+                 and tests/ (both besides src/sim/event_queue.*, which
+                 defines them).
 
 Suppress a rule on one line with a trailing ``// lint: allow(<rule>)``.
 
@@ -47,6 +52,13 @@ ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)")
 ASSERT_RE = re.compile(r"(?<![A-Za-z0-9_.])assert\s*\(")
 NAKED_NEW_RE = re.compile(r"\bnew\b\s*[A-Za-z_:(<]")
 STDOUT_RE = re.compile(r"std\s*::\s*cout")
+
+# Each EventQueue access struct and the path prefixes that may name it.
+ACCESS_STRUCTS = {
+    "EventQueueTestAccess": ("src/sim/event_queue.", "tests/"),
+    "EventQueueRestoreAccess": ("src/sim/event_queue.", "src/ckpt/",
+                                "tests/"),
+}
 
 
 def cxx_files() -> list[pathlib.Path]:
@@ -173,6 +185,13 @@ def scan_file(path: pathlib.Path) -> list[Violation]:
         "no-stdout", STDOUT_RE,
         "std::cout is banned in src/; use sim::inform()",
         only_src=True)
+    for name, allowed in ACCESS_STRUCTS.items():
+        if not rel.as_posix().startswith(allowed):
+            check_line_rule(
+                "access-struct", re.compile(rf"\b{name}\b"),
+                f"{name} may only be named in "
+                + ", ".join(f"{a}*" for a in allowed),
+                only_src=False)
 
     if path.suffix in (".hh", ".hpp"):
         violations.extend(check_header_guard(path, text))
