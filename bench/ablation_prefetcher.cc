@@ -54,7 +54,7 @@ main()
         stats::TablePrinter table({"prefetcher", "fsm", "mlcWB",
                                    "llcWB", "dramWr", "exec ms",
                                    "p99 us"});
-        auto row = [&](const char *name, const bench::RunMetrics &m,
+        auto row = [&](const char *name, const harness::RunReport &m,
                        const char *fsm) {
             table.addRow(
                 {name, fsm, std::to_string(m.totals.mlcWritebacks),

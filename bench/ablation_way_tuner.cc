@@ -15,6 +15,7 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "common.hh"
 #include "idio/way_tuner.hh"

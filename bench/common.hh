@@ -5,9 +5,10 @@
  * Every bench binary prints the series/rows of one paper table or
  * figure. The helpers here parse the benches' options, step a system
  * in one run loop (to a drain or a horizon, with optional checkpoint
- * and restore) and extract the metrics the paper reports: transaction
- * totals, burst processing time (burst start until the NFs drain) and
- * percentile latencies.
+ * and restore) and report each run as a harness::RunReport: the
+ * transaction totals, burst processing time (burst start until the
+ * NFs drain) and percentile latencies the paper reports, written by
+ * --json=FILE in the one report schema.
  */
 
 #ifndef IDIO_BENCH_COMMON_HH
@@ -18,18 +19,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ckpt/checkpoint.hh"
+#include "harness/run_report.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
-#include "stats/json.hh"
 #include "stats/table.hh"
 #include "trace/tracer.hh"
 
@@ -244,27 +242,6 @@ parseBenchOptions(int argc, char **argv, unsigned honoured)
     return opts;
 }
 
-/** Everything measured from one run. */
-struct RunMetrics
-{
-    harness::Totals totals;
-
-    /**
-     * Burst processing time: from the burst start (tick 0, when
-     * start() launches the generators) until the NFs drain. A run to
-     * a horizon reports the horizon.
-     */
-    sim::Tick execTime = 0;
-
-    std::uint64_t p50 = 0;
-    std::uint64_t p99 = 0;
-
-    /** Antagonist CPI proxy (0 when not co-running). */
-    double antagonistTpa = 0.0;
-
-    bool operator==(const RunMetrics &o) const = default;
-};
-
 /** runLoop()'s step while it watches for a drain or a save. */
 constexpr sim::Tick burstQuantum = 10 * sim::oneUs;
 
@@ -342,20 +319,6 @@ runLoop(harness::TestSystem &sys, const RunLoop &loop)
     return simulation.now();
 }
 
-/** The metrics of @p sys after a run that took @p execTime. */
-inline RunMetrics
-measure(harness::TestSystem &sys, sim::Tick execTime)
-{
-    RunMetrics m;
-    m.totals = sys.totals();
-    m.execTime = execTime;
-    m.p50 = sys.nf(0).latency.p50();
-    m.p99 = sys.nf(0).latency.p99();
-    if (!sys.antagonists().empty())
-        m.antagonistTpa = sys.antagonists().front()->ticksPerAccess();
-    return m;
-}
-
 /** @p config with its traffic cut to one burst per NIC. */
 inline harness::ExperimentConfig
 singleBurst(harness::ExperimentConfig config)
@@ -380,25 +343,25 @@ drainBurst(harness::TestSystem &sys, RunLoop loop)
     return drainedAt;
 }
 
-/** Run one burst of @p config to its drain and measure it. */
-inline RunMetrics
+/** Run one burst of @p config to its drain and report it. */
+inline harness::RunReport
 runSingleBurst(const harness::ExperimentConfig &config,
                const RunLoop &loop = {})
 {
     harness::TestSystem sys(singleBurst(config));
     sys.start();
     const sim::Tick drainedAt = drainBurst(sys, loop);
-    return measure(sys, drainedAt);
+    return harness::captureReport(sys, drainedAt);
 }
 
-/** Run @p cfg's own traffic to @p loop's horizon and measure it. */
-inline RunMetrics
+/** Run @p cfg's own traffic to @p loop's horizon and report it. */
+inline harness::RunReport
 runToHorizon(const harness::ExperimentConfig &cfg, const RunLoop &loop)
 {
     harness::TestSystem sys(cfg);
     sys.start();
     const sim::Tick horizon = runLoop(sys, loop);
-    return measure(sys, horizon);
+    return harness::captureReport(sys, horizon);
 }
 
 /**
@@ -416,8 +379,8 @@ maybeTraceRun(const BenchOptions &opts,
     harness::TestSystem sys(singleBurst(cfg));
     harness::enableTracing(sys);
     sys.start();
-    drainBurst(sys, {});
-    harness::writeTraceArtifacts(opts.tracePath, sys);
+    const sim::Tick drainedAt = drainBurst(sys, {});
+    harness::writeTraceArtifacts(opts.tracePath, sys, drainedAt);
     std::printf("# trace written to %s (+ .totals.json sidecar)\n",
                 opts.tracePath.c_str());
 }
@@ -454,16 +417,16 @@ applyCaseOptions(std::vector<SweepCase> &cases, const BenchOptions &opts)
 }
 
 /** A bench run of one config: runSingleBurst or runToHorizon. */
-using RunFn = RunMetrics (*)(const harness::ExperimentConfig &,
-                             const RunLoop &);
+using RunFn = harness::RunReport (*)(const harness::ExperimentConfig &,
+                                     const RunLoop &);
 
 /**
  * Run every case through @p run with @p loop on opts.jobs threads and
- * return the metrics in case order. --checkpoint and --restore act on
+ * return the reports in case order. --checkpoint and --restore act on
  * the FIRST case; saving only reads state, so the measured results
  * are unchanged.
  */
-inline std::vector<RunMetrics>
+inline std::vector<harness::RunReport>
 runSweep(const std::vector<SweepCase> &cases, const BenchOptions &opts,
          RunFn run = runSingleBurst, const RunLoop &loop = {})
 {
@@ -479,71 +442,21 @@ runSweep(const std::vector<SweepCase> &cases, const BenchOptions &opts,
 }
 
 /**
- * Optional JSON sidecar for a bench run: one object with the bench
- * name, the job count, and an array of per-case metric rows. Inactive
- * (all no-ops) when the path is empty.
+ * Honour --json=FILE: write the reports of @p cases (in case order)
+ * as bench @p bench's report file (harness/run_report.hh).
  */
-class JsonReport
+inline void
+maybeWriteJson(const BenchOptions &opts, const std::string &bench,
+               const std::vector<SweepCase> &cases,
+               const std::vector<harness::RunReport> &reports)
 {
-  public:
-    JsonReport(const std::string &path, const std::string &benchName,
-               unsigned jobs)
-    {
-        if (path.empty())
-            return;
-        ofs.open(path);
-        if (!ofs)
-            sim::fatal("cannot open JSON output file '%s'",
-                       path.c_str());
-        writer = std::make_unique<stats::JsonWriter>(ofs);
-        writer->beginObject();
-        writer->field("bench", benchName);
-        writer->field("jobs", jobs);
-        writer->beginArray("rows");
-    }
-
-    ~JsonReport()
-    {
-        if (!writer)
-            return;
-        writer->end(); // rows
-        writer->end(); // top-level object
-        ofs << "\n";
-    }
-
-    /** Append one measured row. */
-    void
-    row(const SweepCase &c, const RunMetrics &m)
-    {
-        if (!writer)
-            return;
-        stats::JsonWriter &w = *writer;
-        w.beginObject();
-        w.field("label", c.label);
-        w.field("rateGbps", c.cfg.rateGbps);
-        w.field("seed", c.cfg.seed);
-        w.field("mlcWB", m.totals.mlcWritebacks);
-        w.field("nfMlcWB", m.totals.nfMlcWritebacks);
-        w.field("mlcPcieInvals", m.totals.mlcPcieInvals);
-        w.field("llcWB", m.totals.llcWritebacks);
-        w.field("dramRd", m.totals.dramReads);
-        w.field("dramWr", m.totals.dramWrites);
-        w.field("rxPackets", m.totals.rxPackets);
-        w.field("rxDrops", m.totals.rxDrops);
-        w.field("processedPackets", m.totals.processedPackets);
-        w.field("execTimeUs", sim::ticksToUs(m.execTime));
-        w.field("p50Us", sim::ticksToUs(m.p50));
-        w.field("p99Us", sim::ticksToUs(m.p99));
-        w.field("antagonistTpa", m.antagonistTpa);
-        w.end();
-    }
-
-    explicit operator bool() const { return writer != nullptr; }
-
-  private:
-    std::ofstream ofs;
-    std::unique_ptr<stats::JsonWriter> writer;
-};
+    if (opts.jsonPath.empty())
+        return;
+    std::vector<harness::ReportRow> rows;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        rows.push_back({cases[i].label, cases[i].cfg, reports[i]});
+    harness::writeReportFile(opts.jsonPath, bench, rows);
+}
 
 /** "x.xx" ratio of two counters, "-" when the base is zero. */
 inline std::string

@@ -65,7 +65,7 @@ main(int argc, char **argv)
 
     bench::applyCaseOptions(cases, opts);
     const auto results = bench::runSweep(cases, opts);
-    bench::JsonReport report(opts.jsonPath, "fig09", opts.jobs);
+    bench::maybeWriteJson(opts, "fig09", cases, results);
 
     std::size_t i = 0;
     for (double gbps : rates) {
@@ -74,9 +74,7 @@ main(int argc, char **argv)
                                    "dramRd", "dramWr", "exec ms",
                                    "p99 us"});
         for (auto policy : policies) {
-            const auto &m = results[i];
-            report.row(cases[i], m);
-            ++i;
+            const auto &m = results[i++];
             table.addRow(
                 {idio::policyName(policy),
                  std::to_string(m.totals.mlcWritebacks),

@@ -71,9 +71,7 @@ main(int argc, char **argv)
 
     bench::applyCaseOptions(cases, opts);
     const auto results = bench::runSweep(cases, opts);
-    bench::JsonReport report(opts.jsonPath, "fig10", opts.jobs);
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        report.row(cases[i], results[i]);
+    bench::maybeWriteJson(opts, "fig10", cases, results);
 
     stats::TablePrinter table({"scenario", "config", "nfMlcWB", "llcWB",
                                "dramRd", "dramWr", "exeTime",

@@ -62,9 +62,7 @@ main(int argc, char **argv)
     // Four burst periods; NF 0's distribution represents both NFs.
     const auto results = bench::runSweep(cases, opts, bench::runToHorizon,
                                          {.horizon = 40 * sim::oneMs});
-    bench::JsonReport report(opts.jsonPath, "fig12", opts.jobs);
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        report.row(cases[i], results[i]);
+    bench::maybeWriteJson(opts, "fig12", cases, results);
 
     stats::TablePrinter table({"rate", "scenario", "config",
                                "p50 (norm)", "p99 (norm)", "p50 us",

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     }
 
     bench::applyCaseOptions(cases, opts);
-    std::vector<bench::RunMetrics> results;
+    std::vector<harness::RunReport> results;
     if (opts.warmStart) {
         // The thr family shares one warm-up: the threshold only
         // matters once the measured writeback rate falls between two
@@ -82,9 +82,7 @@ main(int argc, char **argv)
     } else {
         results = bench::runSweep(cases, opts);
     }
-    bench::JsonReport report(opts.jsonPath, "fig14", opts.jobs);
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        report.row(cases[i], results[i]);
+    bench::maybeWriteJson(opts, "fig14", cases, results);
 
     const auto &base = results[0];
 

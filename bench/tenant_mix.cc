@@ -34,24 +34,14 @@
 namespace
 {
 
-constexpr sim::Tick horizon = bench::tenantHorizon;
-
 using bench::tenantSchemes;
-
-/** Everything one scheme run reports. */
-struct MixRun
-{
-    std::vector<harness::TenantTotals> tenants;
-    std::uint64_t reallocations = 0;
-    std::uint64_t evaluations = 0;
-};
 
 /**
  * Fixed-horizon run. The FIRST scheme honours --trace, --checkpoint
  * and --restore; saving reads state only, so the reported numbers are
  * unchanged.
  */
-MixRun
+harness::RunReport
 runMix(const harness::ExperimentConfig &cfg,
        const bench::BenchOptions &opts, bool first)
 {
@@ -65,22 +55,15 @@ runMix(const harness::ExperimentConfig &cfg,
     }
     sys.start();
 
-    bench::RunLoop loop{.horizon = horizon};
+    bench::RunLoop loop{.horizon = bench::tenantHorizon};
     if (first) {
         loop.restorePath = opts.restorePath;
         loop.checkpointPath = opts.checkpointPath;
     }
-    bench::runLoop(sys, loop);
-
-    MixRun r;
-    r.tenants = sys.tenantTotals();
-    if (sys.iocaController()) {
-        r.reallocations = sys.iocaController()->reallocations.get();
-        r.evaluations = sys.iocaController()->evaluations.get();
-    }
+    const sim::Tick horizon = bench::runLoop(sys, loop);
     if (tracing)
-        harness::writeTraceArtifacts(opts.tracePath, sys);
-    return r;
+        harness::writeTraceArtifacts(opts.tracePath, sys, horizon);
+    return harness::captureReport(sys, horizon);
 }
 
 } // anonymous namespace
@@ -100,27 +83,24 @@ main(int argc, char **argv)
                 std::size(tenantSchemes));
     bench::printConfigEcho(bench::tenantMixConfig(tenantSchemes[0]));
 
-    std::vector<harness::ExperimentConfig> cfgs;
+    std::vector<bench::SweepCase> cases;
     for (const bench::TenantScheme &s : tenantSchemes) {
-        cfgs.push_back(bench::tenantMixConfig(s));
+        cases.push_back({s.label, bench::tenantMixConfig(s)});
         if (opts.seed)
-            cfgs.back().seed = *opts.seed;
+            cases.back().cfg.seed = *opts.seed;
     }
 
-    std::vector<MixRun> runs;
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        runs.push_back(runMix(cfgs[i], opts, i == 0));
+    std::vector<harness::RunReport> runs;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        runs.push_back(runMix(cases[i].cfg, opts, i == 0));
 
     stats::TablePrinter table({"config", "tenant", "slo", "ways", "rx",
                                "drops", "processed", "p99 us",
                                "p99.9 us"});
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        for (std::size_t t = 0; t < runs[i].tenants.size(); ++t) {
-            const harness::TenantTotals &tt = runs[i].tenants[t];
-            const harness::TenantSpec &spec = cfgs[i].tenants[t];
+        for (const harness::TenantTotals &tt : runs[i].tenants) {
             table.addRow(
-                {tenantSchemes[i].label, tt.name,
-                 tenant::sloClassName(spec.slo),
+                {cases[i].label, tt.name, tenant::sloClassName(tt.slo),
                  std::to_string(tt.ways),
                  std::to_string(tt.rxPackets),
                  std::to_string(tt.rxDrops),
@@ -138,56 +118,15 @@ main(int argc, char **argv)
         std::printf("\n%s controller: %llu evaluations, %llu way "
                     "reallocations\n",
                     tenantSchemes[i].label,
-                    (unsigned long long)runs[i].evaluations,
-                    (unsigned long long)runs[i].reallocations);
+                    (unsigned long long)runs[i].iocaEvaluations,
+                    (unsigned long long)runs[i].iocaReallocations);
     }
 
-    // Machine-readable rows. Deliberately free of host-dependent
-    // fields (job counts, timings): the golden tenant_mix cases check
-    // this file against one digest across checkpoint/restore.
+    // The report holds no host-dependent field (job counts, timings):
+    // the golden tenant_mix cases check this file against one digest
+    // across checkpoint/restore and tracing.
+    bench::maybeWriteJson(opts, "tenant_mix", cases, runs);
     if (!opts.jsonPath.empty()) {
-        std::ofstream ofs(opts.jsonPath);
-        if (!ofs)
-            sim::fatal("cannot open JSON output file '%s'",
-                       opts.jsonPath.c_str());
-        stats::JsonWriter w(ofs);
-        w.beginObject();
-        w.field("bench", "tenant_mix");
-        w.field("horizonUs", sim::ticksToUs(horizon));
-        w.field("seed", cfgs[0].seed);
-        w.beginArray("configs");
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            w.beginObject();
-            w.field("config", tenantSchemes[i].label);
-            w.field("policy", idio::policyName(tenantSchemes[i].policy));
-            w.field("partition",
-                    harness::tenantPartitionName(
-                        tenantSchemes[i].partition));
-            w.field("evaluations", runs[i].evaluations);
-            w.field("reallocations", runs[i].reallocations);
-            w.beginArray("tenants");
-            for (std::size_t t = 0; t < runs[i].tenants.size(); ++t) {
-                const harness::TenantTotals &tt = runs[i].tenants[t];
-                const harness::TenantSpec &spec = cfgs[i].tenants[t];
-                w.beginObject();
-                w.field("tenant", tt.name);
-                w.field("slo", tenant::sloClassName(spec.slo));
-                w.field("ways", tt.ways);
-                w.field("rxPackets", tt.rxPackets);
-                w.field("rxDrops", tt.rxDrops);
-                w.field("processedPackets", tt.processedPackets);
-                w.field("mlcWritebacks", tt.mlcWritebacks);
-                w.field("p50Us", sim::ticksToUs(tt.p50));
-                w.field("p99Us", sim::ticksToUs(tt.p99));
-                w.field("p999Us", sim::ticksToUs(tt.p999));
-                w.end();
-            }
-            w.end(); // tenants
-            w.end(); // config object
-        }
-        w.end(); // configs
-        w.end(); // top-level
-        ofs << "\n";
         std::printf("\n# JSON rows written to %s\n",
                     opts.jsonPath.c_str());
     }

@@ -7,7 +7,7 @@
  *   1. fill an ExperimentConfig (paper Table I defaults),
  *   2. pick a policy preset,
  *   3. build a TestSystem, start it, run simulated time,
- *   4. read the transaction totals and per-packet latency.
+ *   4. capture its run report: transaction totals and latency.
  */
 
 #include <cstdio>
@@ -16,20 +16,13 @@
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "harness/run_report.hh"
 #include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
 #include "stats/table.hh"
 #include "trace/tracer.hh"
 
 namespace
 {
-
-struct RunResult
-{
-    harness::Totals totals;
-    std::uint64_t p50;
-    std::uint64_t p99;
-};
 
 /**
  * Run three burst periods under @p policy. With a checkpoint path the
@@ -38,7 +31,7 @@ struct RunResult
  * Either way the totals printed at 30 ms are bit-identical to an
  * uninterrupted run.
  */
-RunResult
+harness::RunReport
 runPolicy(idio::Policy policy, const std::string &checkpointPath = {},
           const std::string &restorePath = {})
 {
@@ -65,11 +58,7 @@ runPolicy(idio::Policy policy, const std::string &checkpointPath = {},
         system.runFor(duration);
     }
 
-    RunResult r;
-    r.totals = system.totals();
-    r.p50 = system.nf(0).latency.p50();
-    r.p99 = system.nf(0).latency.p99();
-    return r;
+    return harness::captureReport(system, system.simulation().now());
 }
 
 /**
@@ -93,7 +82,8 @@ tracedRun(const std::string &tracePath)
     harness::enableTracing(system);
     system.start();
     system.runFor(10 * sim::oneMs); // one burst period
-    harness::writeTraceArtifacts(tracePath, system);
+    harness::writeTraceArtifacts(tracePath, system,
+                                 system.simulation().now());
 }
 
 } // anonymous namespace
@@ -148,8 +138,8 @@ main(int argc, char **argv)
     std::printf("IDIO quickstart: 2x TouchDrop, 1024-entry rings, "
                 "1514 B packets, 25 Gbps bursts\n\n");
 
-    const RunResult ddio = runPolicy(idio::Policy::Ddio);
-    const RunResult idioRun =
+    const harness::RunReport ddio = runPolicy(idio::Policy::Ddio);
+    const harness::RunReport idioRun =
         runPolicy(idio::Policy::Idio, checkpointPath, restorePath);
     if (!checkpointPath.empty())
         std::printf("checkpoint written to %s\n\n",

@@ -100,7 +100,11 @@ struct TenantSpec
  */
 struct ExperimentConfig
 {
-    /** Cache hierarchy (Table I defaults; numCores set by builder). */
+    /**
+     * Cache hierarchy (Table I defaults). numCores, mlcSizeOverride
+     * and pageAttributes follow the machine plan: TestSystem refuses
+     * a config that sets them.
+     */
     cache::HierarchyConfig hier;
 
     /** IDIO policy (defaults to the DDIO baseline). */
@@ -109,7 +113,7 @@ struct ExperimentConfig
     /** Per-port NIC settings (ring size, PCIe bandwidth). */
     nic::NicConfig nic;
 
-    /** NF execution-loop settings (selfInvalidate synced from idio). */
+    /** NF execution-loop settings (M1 follows idio.policy). */
     nf::NfConfig nf;
 
     /** Antagonist settings of every aggressor core. */
@@ -197,13 +201,8 @@ struct ExperimentConfig
     /** RNG seed for the whole run. */
     std::uint64_t seed = 1;
 
-    /** Apply a named IDIO policy preset (also syncs nf/dscp knobs). */
-    void
-    applyPolicy(idio::Policy p)
-    {
-        idio = idio::IdioConfig::preset(p);
-        nf.selfInvalidate = idio.selfInvalidate;
-    }
+    /** Apply a named IDIO policy preset. */
+    void applyPolicy(idio::Policy p) { idio = {.policy = p}; }
 
     /** True when the run uses the one-port multi-queue layout. */
     bool multiQueue() const { return rxQueues != 0; }

@@ -183,6 +183,15 @@ TestSystem::TestSystem(const ExperimentConfig &config)
     MachinePlan plan = planMachine(cfg);
 
     // Hierarchy: aggressor MLC override, Invalidatable-page oracle.
+    // The plan sets these three fields, so a config may not.
+    const cache::HierarchyConfig planned;
+    if (cfg.hier.numCores != planned.numCores ||
+        !cfg.hier.mlcSizeOverride.empty() ||
+        cfg.hier.pageAttributes != nullptr) {
+        sim::fatal("hier.numCores, hier.mlcSizeOverride and "
+                   "hier.pageAttributes follow the machine plan "
+                   "(numNfs, rxQueues, tenants); leave them unset");
+    }
     cache::HierarchyConfig hierCfg = cfg.hier;
     hierCfg.numCores = plan.numCores;
     for (const AggressorPlan &a : plan.aggressors) {
@@ -196,8 +205,7 @@ TestSystem::TestSystem(const ExperimentConfig &config)
     ctrl = std::make_unique<idio::IdioController>(sim_, "system.idio",
                                                   *hier, cfg.idio);
 
-    nf::NfConfig nfCfg = cfg.nf;
-    nfCfg.selfInvalidate = cfg.idio.selfInvalidate;
+    const bool selfInval = cfg.idio.selfInvalidate();
 
     // One NF core's worth of compute + driver machinery, bound to
     // ring `queue` of `port`.
@@ -217,20 +225,23 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         switch (kind) {
           case NfKind::TouchDrop:
             nfs.push_back(std::make_unique<nf::TouchDrop>(
-                sim_, base, *cores.back(), *rxqs.back(), nfCfg));
+                sim_, base, *cores.back(), *rxqs.back(), cfg.nf,
+                selfInval));
             break;
           case NfKind::CopyTouchDrop:
             nfs.push_back(std::make_unique<nf::CopyTouchDrop>(
-                sim_, base, *cores.back(), *rxqs.back(), nfCfg,
-                alloc));
+                sim_, base, *cores.back(), *rxqs.back(), cfg.nf,
+                selfInval, alloc));
             break;
           case NfKind::L2Fwd:
             nfs.push_back(std::make_unique<nf::L2Fwd>(
-                sim_, base, *cores.back(), *rxqs.back(), nfCfg));
+                sim_, base, *cores.back(), *rxqs.back(), cfg.nf,
+                selfInval));
             break;
           case NfKind::L2FwdDropPayload:
             nfs.push_back(std::make_unique<nf::L2FwdDropPayload>(
-                sim_, base, *cores.back(), *rxqs.back(), nfCfg));
+                sim_, base, *cores.back(), *rxqs.back(), cfg.nf,
+                selfInval));
             break;
         }
     };
@@ -400,6 +411,9 @@ TestSystem::tenantTotals() const
         const tenant::Tenant &t = tenantMgr->tenant(id);
         TenantTotals tt;
         tt.name = t.name;
+        tt.slo = t.slo;
+        tt.antagonist = t.antagonist;
+        tt.cores = t.cores;
         tt.ways = t.ways;
         std::vector<std::uint64_t> samples;
         for (const sim::CoreId c : t.cores) {

@@ -68,6 +68,9 @@ struct Totals
 struct TenantTotals
 {
     std::string name;
+    tenant::SloClass slo = tenant::SloClass::BestEffort;
+    bool antagonist = false;
+    std::vector<sim::CoreId> cores; ///< the trace attributes by these
     std::uint64_t rxPackets = 0;
     std::uint64_t rxDrops = 0;
     std::uint64_t processedPackets = 0;

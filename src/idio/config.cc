@@ -1,6 +1,6 @@
 /**
  * @file
- * Policy presets.
+ * Policy names.
  */
 
 #include "config.hh"
@@ -50,38 +50,6 @@ parsePolicy(const std::string &name)
     if (const auto p = tryParsePolicy(name))
         return *p;
     sim::fatal("unknown IDIO policy '%s'", name.c_str());
-}
-
-IdioConfig
-IdioConfig::preset(Policy p)
-{
-    IdioConfig cfg;
-    cfg.policy = p;
-    switch (p) {
-      case Policy::Ddio:
-        break;
-      case Policy::InvalidateOnly:
-        cfg.selfInvalidate = true;
-        break;
-      case Policy::PrefetchOnly:
-        cfg.mlcPrefetch = true;
-        cfg.dynamicFsm = true;
-        cfg.directDram = true;
-        break;
-      case Policy::Static:
-        cfg.selfInvalidate = true;
-        cfg.mlcPrefetch = true;
-        cfg.dynamicFsm = false;
-        cfg.directDram = true;
-        break;
-      case Policy::Idio:
-        cfg.selfInvalidate = true;
-        cfg.mlcPrefetch = true;
-        cfg.dynamicFsm = true;
-        cfg.directDram = true;
-        break;
-    }
-    return cfg;
 }
 
 } // namespace idio

@@ -54,23 +54,39 @@ std::optional<Policy> tryParsePolicy(const std::string &name);
 Policy parsePolicy(const std::string &name);
 
 /**
- * Controller and mechanism knobs.
+ * Controller and mechanism knobs. The mechanisms a run enables are
+ * functions of the policy (the Fig. 9 presets), not fields of their
+ * own, so no combination outside the five configurations can be set.
  */
 struct IdioConfig
 {
     Policy policy = Policy::Ddio;
 
     /** M1: software self-invalidates consumed DMA buffers. */
-    bool selfInvalidate = false;
+    bool
+    selfInvalidate() const
+    {
+        return policy == Policy::InvalidateOnly ||
+               policy == Policy::Static || policy == Policy::Idio;
+    }
 
     /** M2: controller sends MLC prefetch hints. */
-    bool mlcPrefetch = false;
+    bool
+    mlcPrefetch() const
+    {
+        return policy == Policy::PrefetchOnly ||
+               policy == Policy::Static || policy == Policy::Idio;
+    }
 
     /** Use the dynamic FSM (false = status hardcoded to MLC). */
-    bool dynamicFsm = false;
+    bool
+    dynamicFsm() const
+    {
+        return policy == Policy::PrefetchOnly || policy == Policy::Idio;
+    }
 
-    /** M3: class-1 payloads go straight to DRAM. */
-    bool directDram = false;
+    /** M3: class-1 payloads go straight to DRAM (with M2 in every preset). */
+    bool directDram() const { return mlcPrefetch(); }
 
     /** MLC-pressure threshold, million transactions/second. */
     double mlcThrMtps = 50.0;
@@ -95,9 +111,6 @@ struct IdioConfig
      * 1 MB MLC by default).
      */
     std::uint32_t prefetchWindowLines = 8192;
-
-    /** Build the preset for a named policy. */
-    static IdioConfig preset(Policy p);
 
     /** mlcTHR converted to transactions per control interval. */
     std::uint32_t

@@ -69,9 +69,9 @@ IdioController::start()
 Steering
 IdioController::status(sim::CoreId core) const
 {
-    if (!cfg.mlcPrefetch)
+    if (!cfg.mlcPrefetch())
         return Steering::Llc;
-    if (!cfg.dynamicFsm)
+    if (!cfg.dynamicFsm())
         return Steering::Mlc; // Static configuration
     return fsms[core].status();
 }
@@ -80,13 +80,13 @@ void
 IdioController::dmaWrite(sim::Addr addr, const nic::TlpMeta &meta)
 {
     // Baseline DDIO / invalidate-only: static LLC placement.
-    if (!cfg.mlcPrefetch && !cfg.directDram) {
+    if (!cfg.mlcPrefetch() && !cfg.directDram()) {
         hier.pcieWrite(addr);
         return;
     }
 
     // Burst notification resets the FSM to the MLC state (Alg. 1 l.3).
-    if (meta.isBurst && cfg.dynamicFsm && cfg.mlcPrefetch) {
+    if (meta.isBurst && cfg.dynamicFsm() && cfg.mlcPrefetch()) {
         if (fsms[meta.destCore].state() != 0) {
             ++burstSignals;
             IDIO_TRACE_INSTANT(trc, trace::EventKind::IdioBurst, now(),
@@ -99,7 +99,7 @@ IdioController::dmaWrite(sim::Addr addr, const nic::TlpMeta &meta)
 
     // Headers always stay on the DCA path and are prefetched to the
     // destination MLC (Alg. 1 l.4-5).
-    if (meta.isHeader && cfg.mlcPrefetch) {
+    if (meta.isHeader && cfg.mlcPrefetch()) {
         hier.pcieWrite(addr);
         prefetchers[meta.destCore]->hint(addr);
         ++headerHints;
@@ -109,7 +109,7 @@ IdioController::dmaWrite(sim::Addr addr, const nic::TlpMeta &meta)
     }
 
     // Class-1 payloads bypass the cache hierarchy (Alg. 1 l.6-7).
-    if (meta.appClass == 1 && cfg.directDram) {
+    if (meta.appClass == 1 && cfg.directDram()) {
         hier.pcieWriteDirectDram(addr);
         ++directDramSteers;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::IdioDirectDram,
@@ -120,7 +120,7 @@ IdioController::dmaWrite(sim::Addr addr, const nic::TlpMeta &meta)
     // Class-0 payloads: DDIO write, plus a prefetch hint while the
     // destination core's status register reads MLC (Alg. 1 l.8-11).
     hier.pcieWrite(addr);
-    if (cfg.mlcPrefetch && status(meta.destCore) == Steering::Mlc) {
+    if (cfg.mlcPrefetch() && status(meta.destCore) == Steering::Mlc) {
         prefetchers[meta.destCore]->hint(addr);
         ++payloadHints;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::IdioHintPayload,
@@ -143,7 +143,7 @@ IdioController::controlPlaneTick()
             wbThisInterval[c] > wbAvg[c] + thrPerInterval;
         if (high)
             ++highPressureIntervals;
-        if (cfg.mlcPrefetch && cfg.dynamicFsm) {
+        if (cfg.mlcPrefetch() && cfg.dynamicFsm()) {
             const std::uint8_t before = fsms[c].state();
             fsms[c].step(high);
             if (fsms[c].state() != before) {

@@ -14,9 +14,11 @@ CopyTouchDrop::CopyTouchDrop(sim::Simulation &simulation,
                              const std::string &name, cpu::Core &core,
                              dpdk::RxQueue &rxQueue,
                              const NfConfig &config,
+                             bool selfInvalidate,
                              mem::PhysAllocator &alloc,
                              std::uint32_t arenaBuffers)
-    : NetworkFunction(simulation, name, core, rxQueue, config),
+    : NetworkFunction(simulation, name, core, rxQueue, config,
+                      selfInvalidate),
       arenaBase(alloc.allocate(
           std::uint64_t(arenaBuffers) * dpdk::defaultBufBytes,
           mem::pageSize)),
@@ -39,7 +41,7 @@ CopyTouchDrop::processPacket(cpu::Core &c, dpdk::Mbuf &m)
     // what makes copy-mode stacks the easiest self-invalidation
     // clients. (The base class's completePacket() would invalidate
     // after processing; doing it here shortens the window further.)
-    if (cfg.selfInvalidate)
+    if (selfInvalidate)
         lat += c.invalidate(m.dataAddr, m.pktBytes);
 
     // Process the copy: touch every line of it.

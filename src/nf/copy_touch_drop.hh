@@ -39,7 +39,8 @@ class CopyTouchDrop : public NetworkFunction
      */
     CopyTouchDrop(sim::Simulation &simulation, const std::string &name,
                   cpu::Core &core, dpdk::RxQueue &rxQueue,
-                  const NfConfig &config, mem::PhysAllocator &alloc,
+                  const NfConfig &config, bool selfInvalidate,
+                  mem::PhysAllocator &alloc,
                   std::uint32_t arenaBuffers = 512);
 
     void serialize(ckpt::Serializer &s) const override;

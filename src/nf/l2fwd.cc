@@ -13,8 +13,9 @@ namespace nf
 
 L2Fwd::L2Fwd(sim::Simulation &simulation, const std::string &name,
              cpu::Core &core, dpdk::RxQueue &rxQueue,
-             const NfConfig &config)
-    : NetworkFunction(simulation, name, core, rxQueue, config),
+             const NfConfig &config, bool selfInvalidate)
+    : NetworkFunction(simulation, name, core, rxQueue, config,
+                      selfInvalidate),
       txDoneHandler(rxQueue.port().dmaEngine().registerHandler(
           name + ".txDone",
           [this](const nic::DmaArgs &args) {

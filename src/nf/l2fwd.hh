@@ -30,7 +30,7 @@ class L2Fwd : public NetworkFunction
   public:
     L2Fwd(sim::Simulation &simulation, const std::string &name,
           cpu::Core &core, dpdk::RxQueue &rxQueue,
-          const NfConfig &config);
+          const NfConfig &config, bool selfInvalidate);
 
     /** Packets whose TX has not completed yet. */
     std::uint32_t inFlightTx() const { return txInFlight; }

@@ -16,7 +16,8 @@ namespace nf
 NetworkFunction::NetworkFunction(sim::Simulation &simulation,
                                  const std::string &name,
                                  cpu::Core &core, dpdk::RxQueue &rxQueue,
-                                 const NfConfig &config)
+                                 const NfConfig &config,
+                                 bool selfInvalidate)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       packetsProcessed(statGroup, "packetsProcessed",
@@ -28,6 +29,7 @@ NetworkFunction::NetworkFunction(sim::Simulation &simulation,
       latency(statGroup, "latency",
               "per-packet NIC-arrival-to-completion latency (ticks)"),
       rxq(rxQueue), core(core), cfg(config),
+      selfInvalidate(selfInvalidate),
       trc(simulation.tracer().registerSource(name)),
       perPacketCost(sim::nsToTicks(config.perPacketCostNs)),
       perLineCost(sim::nsToTicks(config.perLineCostNs)),

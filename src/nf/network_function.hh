@@ -32,9 +32,6 @@ namespace nf
 /** Tuning knobs shared by all network functions. */
 struct NfConfig
 {
-    /** Packets processed per poll (DPDK default 32). */
-    std::uint32_t batch = 32;
-
     /** Gap between empty polls, ns (bounds idle event count). */
     double idlePollGapNs = 100.0;
 
@@ -43,9 +40,6 @@ struct NfConfig
 
     /** Compute cost per touched cacheline, ns (calibrated). */
     double perLineCostNs = 8.0;
-
-    /** M1: self-invalidate DMA buffers after consumption. */
-    bool selfInvalidate = false;
 };
 
 /**
@@ -58,7 +52,7 @@ class NetworkFunction : public cpu::Workload, public sim::SimObject
   public:
     NetworkFunction(sim::Simulation &simulation, const std::string &name,
                     cpu::Core &core, dpdk::RxQueue &rxQueue,
-                    const NfConfig &config);
+                    const NfConfig &config, bool selfInvalidate);
 
     /** Bind to the core and start polling. */
     void launch();
@@ -70,6 +64,9 @@ class NetworkFunction : public cpu::Workload, public sim::SimObject
     void creditIdleSteps(std::uint64_t n) override { emptyPolls += n; }
 
     const NfConfig &config() const { return cfg; }
+
+    /** M1: whether consumed DMA buffers are self-invalidated. */
+    bool selfInvalidates() const { return selfInvalidate; }
 
     /** @{ Counters. */
     stats::Counter packetsProcessed;
@@ -107,7 +104,7 @@ class NetworkFunction : public cpu::Workload, public sim::SimObject
     virtual bool
     invalidateOnComplete() const
     {
-        return cfg.selfInvalidate;
+        return selfInvalidate;
     }
 
     /**
@@ -125,6 +122,7 @@ class NetworkFunction : public cpu::Workload, public sim::SimObject
     dpdk::RxQueue &rxq;
     cpu::Core &core;
     NfConfig cfg;
+    bool selfInvalidate;
     trace::Source trc;
     sim::Tick perPacketCost;
     sim::Tick perLineCost;

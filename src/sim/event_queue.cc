@@ -229,6 +229,14 @@ EventQueue::fireTickSlow()
         drainPos = 0;
     }
     draining = false;
+    // runUntil() sends a tick here only when computeMin() found an
+    // entry due at it, and advanceTo() cascades every such entry into
+    // this slot. A tick that fires nothing means the wheel misplaced
+    // its entries; without this check the run loop would pick the
+    // same tick again forever.
+    if (fired == 0)
+        panic("tick %llu was due but fired nothing: no entry is in "
+              "its level-0 slot", (unsigned long long)curTick);
     // The cached min was consumed. An empty queue re-validates at
     // maxTick immediately, so the dominant schedule-one/run-one cycle
     // updates the min on schedule and skips the recompute entirely.

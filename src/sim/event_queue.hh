@@ -570,9 +570,9 @@ class EventQueue
 /**
  * Test-only access to EventQueue internals.
  *
- * Exists solely so the invariant-checker unit tests can corrupt the
- * time base and prove the checker catches it; production code must
- * never touch it.
+ * Exists solely so tests can corrupt the time base and prove that
+ * the invariant checker and the run loop catch it; production code
+ * must never touch it.
  */
 struct EventQueueTestAccess
 {

@@ -31,8 +31,8 @@ std::string jsonEscape(const std::string &s);
  * Produces compact, valid JSON with automatic comma management; the
  * caller is responsible for nesting begin/end calls correctly (an
  * unbalanced document is a programming error and asserts). Used by the
- * benches' `--json=FILE` reports, the Chrome trace exporter and the
- * trace totals sidecar.
+ * run report writer (harness/run_report.cc: the benches' `--json=FILE`
+ * files and the trace totals sidecar) and the Chrome trace exporter.
  */
 class JsonWriter
 {

@@ -21,8 +21,8 @@
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serializer.hh"
+#include "harness/run_report.hh"
 #include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
 #include "stats/json.hh"
 #include "trace/chrome_export.hh"
 

@@ -22,8 +22,7 @@ class RxQueueTest : public ::testing::Test
         hcfg.numCores = 2;
         hier = std::make_unique<cache::MemoryHierarchy>(s, "sys", hcfg);
         ctrl = std::make_unique<idio::IdioController>(
-            s, "idio", *hier, idio::IdioConfig::preset(
-                              idio::Policy::Ddio));
+            s, "idio", *hier, idio::IdioConfig{.policy = idio::Policy::Ddio});
         nic::NicConfig ncfg;
         ncfg.ringSize = 64;
         port = std::make_unique<nic::Nic>(s, "nic", ncfg, *ctrl, alloc,

@@ -180,13 +180,36 @@ TEST(System, FlowRulesSteerToOwnCore)
     EXPECT_EQ(sys.nicPort(1).flowDirector().ruleCount(), 4u);
 }
 
-TEST(System, PolicyPresetSyncsNfConfig)
+TEST(System, PolicyDrivesNfSelfInvalidation)
 {
-    harness::ExperimentConfig cfg;
-    cfg.applyPolicy(idio::Policy::Idio);
-    EXPECT_TRUE(cfg.nf.selfInvalidate);
-    cfg.applyPolicy(idio::Policy::Ddio);
-    EXPECT_FALSE(cfg.nf.selfInvalidate);
+    // M1 is a function of the policy; no config field can disagree.
+    for (const idio::Policy p :
+         {idio::Policy::Ddio, idio::Policy::InvalidateOnly,
+          idio::Policy::PrefetchOnly, idio::Policy::Static,
+          idio::Policy::Idio}) {
+        harness::ExperimentConfig cfg;
+        cfg.applyPolicy(p);
+        harness::TestSystem sys(cfg);
+        for (std::uint32_t i = 0; i < sys.numNfs(); ++i) {
+            EXPECT_EQ(sys.nf(i).selfInvalidates(),
+                      cfg.idio.selfInvalidate())
+                << idio::policyName(p);
+        }
+    }
+}
+
+TEST(SystemDeath, PlanOwnedHierarchyFieldsAreRefused)
+{
+    // The machine plan sets these; a config that does is fatal, not
+    // silently overridden.
+    harness::ExperimentConfig cores;
+    cores.hier.numCores = 8;
+    EXPECT_EXIT(harness::TestSystem sys(cores),
+                ::testing::ExitedWithCode(1), "hier.numCores");
+    harness::ExperimentConfig mlc;
+    mlc.hier.mlcSizeOverride = {0, 256 * 1024};
+    EXPECT_EXIT(harness::TestSystem sys(mlc),
+                ::testing::ExitedWithCode(1), "follow the machine plan");
 }
 
 TEST(System, SummaryMentionsKeyParameters)

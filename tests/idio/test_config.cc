@@ -15,42 +15,42 @@ using idio::Policy;
 
 TEST(Presets, Ddio)
 {
-    const auto c = IdioConfig::preset(Policy::Ddio);
-    EXPECT_FALSE(c.selfInvalidate);
-    EXPECT_FALSE(c.mlcPrefetch);
-    EXPECT_FALSE(c.directDram);
+    const auto c = IdioConfig{.policy = Policy::Ddio};
+    EXPECT_FALSE(c.selfInvalidate());
+    EXPECT_FALSE(c.mlcPrefetch());
+    EXPECT_FALSE(c.directDram());
 }
 
 TEST(Presets, InvalidateOnly)
 {
-    const auto c = IdioConfig::preset(Policy::InvalidateOnly);
-    EXPECT_TRUE(c.selfInvalidate);
-    EXPECT_FALSE(c.mlcPrefetch);
+    const auto c = IdioConfig{.policy = Policy::InvalidateOnly};
+    EXPECT_TRUE(c.selfInvalidate());
+    EXPECT_FALSE(c.mlcPrefetch());
 }
 
 TEST(Presets, PrefetchOnly)
 {
-    const auto c = IdioConfig::preset(Policy::PrefetchOnly);
-    EXPECT_FALSE(c.selfInvalidate);
-    EXPECT_TRUE(c.mlcPrefetch);
-    EXPECT_TRUE(c.dynamicFsm);
+    const auto c = IdioConfig{.policy = Policy::PrefetchOnly};
+    EXPECT_FALSE(c.selfInvalidate());
+    EXPECT_TRUE(c.mlcPrefetch());
+    EXPECT_TRUE(c.dynamicFsm());
 }
 
 TEST(Presets, StaticHardcodesMlc)
 {
-    const auto c = IdioConfig::preset(Policy::Static);
-    EXPECT_TRUE(c.selfInvalidate);
-    EXPECT_TRUE(c.mlcPrefetch);
-    EXPECT_FALSE(c.dynamicFsm);
+    const auto c = IdioConfig{.policy = Policy::Static};
+    EXPECT_TRUE(c.selfInvalidate());
+    EXPECT_TRUE(c.mlcPrefetch());
+    EXPECT_FALSE(c.dynamicFsm());
 }
 
 TEST(Presets, IdioEnablesEverything)
 {
-    const auto c = IdioConfig::preset(Policy::Idio);
-    EXPECT_TRUE(c.selfInvalidate);
-    EXPECT_TRUE(c.mlcPrefetch);
-    EXPECT_TRUE(c.dynamicFsm);
-    EXPECT_TRUE(c.directDram);
+    const auto c = IdioConfig{.policy = Policy::Idio};
+    EXPECT_TRUE(c.selfInvalidate());
+    EXPECT_TRUE(c.mlcPrefetch());
+    EXPECT_TRUE(c.dynamicFsm());
+    EXPECT_TRUE(c.directDram());
 }
 
 TEST(Presets, PaperDefaults)

@@ -21,7 +21,7 @@ class ControllerTest : public ::testing::Test
         cache::HierarchyConfig hcfg;
         hcfg.numCores = 2;
         hier = std::make_unique<cache::MemoryHierarchy>(s, "sys", hcfg);
-        auto cfg = idio::IdioConfig::preset(policy);
+        auto cfg = idio::IdioConfig{.policy = policy};
         if (tweak)
             tweak(cfg);
         ctrl = std::make_unique<idio::IdioController>(s, "idio", *hier,

@@ -118,7 +118,7 @@ TEST(CpuPacedController, EndToEndConfigWorks)
     hcfg.numCores = 2;
     cache::MemoryHierarchy hier(s, "sys", hcfg);
 
-    auto cfg = idio::IdioConfig::preset(idio::Policy::Idio);
+    auto cfg = idio::IdioConfig{.policy = idio::Policy::Idio};
     cfg.prefetcher = idio::PrefetcherKind::CpuPaced;
     cfg.prefetchWindowLines = 8;
     idio::IdioController ctrl(s, "idio", hier, cfg);

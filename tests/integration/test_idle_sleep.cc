@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/run_report.hh"
 #include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
 #include "sim/rng.hh"
 #include "stats/json.hh"
 #include "trace/chrome_export.hh"

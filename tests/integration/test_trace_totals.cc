@@ -1,15 +1,15 @@
 /**
  * @file
- * Trace/Totals cross-check: every count derived from the packet
- * lifecycle trace must exactly equal the simulator's own counters.
+ * Trace/report cross-check: every count derived from the packet
+ * lifecycle trace must exactly equal the simulator's own counters,
+ * as harness::captureReport reports them.
  * This is the in-process twin of the CI trace smoke
  * (tools/trace_summary.py --check-totals).
  */
 
 #include <gtest/gtest.h>
 
-#include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
+#include "harness/run_report.hh"
 #include "trace/events.hh"
 #include "trace/tracer.hh"
 
@@ -43,10 +43,12 @@ checkTraceMatchesTotals([[maybe_unused]] const harness::ExperimentConfig &cfg)
     sys.runFor(10 * sim::oneMs); // one burst period
 
     const trace::Tracer &tracer = sys.simulation().tracer();
-    ASSERT_EQ(tracer.totalDropped(), 0u)
+    const harness::RunReport r =
+        harness::captureReport(sys, sys.simulation().now());
+    ASSERT_EQ(r.traceDropped, 0u)
         << "ring wraparound would invalidate the cross-check";
 
-    const harness::Totals t = sys.totals();
+    const harness::Totals &t = r.totals;
     ASSERT_GT(t.rxPackets, 0u);
     ASSERT_GT(t.processedPackets, 0u);
 
@@ -60,29 +62,19 @@ checkTraceMatchesTotals([[maybe_unused]] const harness::ExperimentConfig &cfg)
               t.mlcPcieInvals);
     EXPECT_EQ(tracer.count(EventKind::CacheLlcWb), t.llcWritebacks);
 
-    cache::MemoryHierarchy &hier = sys.hierarchy();
-    EXPECT_EQ(tracer.count(EventKind::CacheDdioUpdate),
-              hier.llc().ddioUpdates.get());
-    EXPECT_EQ(tracer.count(EventKind::CacheDdioAlloc),
-              hier.llc().ddioAllocs.get());
+    EXPECT_EQ(tracer.count(EventKind::CacheDdioUpdate), r.ddioUpdates);
+    EXPECT_EQ(tracer.count(EventKind::CacheDdioAlloc), r.ddioAllocs);
     EXPECT_EQ(tracer.count(EventKind::CacheDramDirect),
-              hier.directDramWrites.get());
-
-    std::uint64_t prefetchFills = 0;
-    std::uint64_t selfInvals = 0;
-    for (std::uint32_t c = 0; c < hier.numCores(); ++c) {
-        prefetchFills += hier.mlcOf(c).prefetchFills.get();
-        selfInvals += hier.mlcOf(c).selfInvals.get();
-    }
+              r.directDramWrites);
     EXPECT_EQ(tracer.count(EventKind::CacheMlcPrefetchFill),
-              prefetchFills);
-    EXPECT_EQ(tracer.count(EventKind::CacheSelfInval), selfInvals);
+              r.mlcPrefetchFills);
+    EXPECT_EQ(tracer.count(EventKind::CacheSelfInval), r.mlcSelfInvals);
 
     // Every inbound DMA cacheline takes exactly one placement path.
     EXPECT_EQ(tracer.count(EventKind::CacheDdioUpdate) +
                   tracer.count(EventKind::CacheDdioAlloc) +
                   tracer.count(EventKind::CacheDramDirect),
-              hier.pcieWrites.get());
+              r.pcieWrites);
 
     // Lifecycle consistency: an mbuf is freed at most once per
     // consumed packet (async-completion NFs may end the run with
@@ -121,7 +113,7 @@ TEST(TraceTotals, TracingDoesNotPerturbTheRun)
     GTEST_SKIP() << "tracing compiled out (IDIO_TRACE=0)";
 #else
     // A traced run and an untraced run of the same config must
-    // produce identical totals: observation must not change the
+    // produce identical reports: observation must not change the
     // simulated behaviour.
     const auto cfg =
         smallConfig(harness::NfKind::TouchDrop, idio::Policy::Idio);
@@ -135,7 +127,8 @@ TEST(TraceTotals, TracingDoesNotPerturbTheRun)
     traced.start();
     traced.runFor(10 * sim::oneMs);
 
-    EXPECT_EQ(plain.totals(), traced.totals());
+    EXPECT_EQ(harness::captureReport(plain, plain.simulation().now()),
+              harness::captureReport(traced, traced.simulation().now()));
 #endif // IDIO_TRACE
 }
 

@@ -281,4 +281,20 @@ TEST(EventQueueDeath, DoubleSchedulePanics)
     q.deschedule(&ev);
 }
 
+TEST(EventQueueDeath, TickThatFiresNothingPanics)
+{
+    // Moving the time base under a pending entry leaves it in a slot
+    // advanceTo() never cascades: the entry at 300 stays in level 1,
+    // computeMin() still reports 300, and its level-0 slot is empty.
+    // The run loop must stop there, not pick tick 300 forever.
+    EventQueue q;
+    std::vector<int> log;
+    RecordingEvent ev(log, 1);
+    q.schedule(&ev, 300);
+    sim::EventQueueTestAccess::setCurTick(q, 256);
+    EXPECT_DEATH(q.runUntil(1000), "fired nothing");
+    sim::EventQueueTestAccess::setCurTick(q, 0); // where it was placed
+    q.deschedule(&ev);
+}
+
 } // anonymous namespace

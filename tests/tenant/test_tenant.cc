@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "../cache/hierarchy_fixture.hh"
+#include "harness/run_report.hh"
 #include "harness/system.hh"
-#include "harness/trace_artifacts.hh"
 #include "stats/json.hh"
 #include "tenant/ioca.hh"
 #include "tenant/manager.hh"

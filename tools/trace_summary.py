@@ -13,22 +13,25 @@ Input is the Chrome trace-event JSON written by ``--trace=FILE``
     share one packet id (DMA, ring-wait, NF processing, total).
 
 With ``--check-totals SIDECAR`` (the ``FILE.totals.json`` written
-alongside every ``--trace`` run) the tool additionally asserts that
-every trace-derived count exactly matches the simulator's own
-``harness::Totals`` counters and exits non-zero on any mismatch —
-the CI trace smoke gate.
+alongside every ``--trace`` run: the run's ``harness::RunReport``, in
+the same schema as the benches' ``--json`` runs) the tool additionally
+asserts that every trace-derived count exactly matches the
+simulator's own counters and exits 1 on any mismatch — the CI trace
+smoke gate. A sidecar of another report ``schemaVersion`` fails
+without comparing fields, naming its version.
 
 With ``--by-tenant`` (tenant-mode traces, e.g. ``bench/tenant_mix
 --trace``) the tool also prints per-tenant lifecycle tables and
 per-stage latency percentiles, attributing events through the
-core->tenant map in the sidecar's ``tenants`` array (``nf.consume``
+core->tenant map in the report's ``tenants`` array (``nf.consume``
 carries the consuming core; NIC events come from the per-core
 ``system.nf<i>.nic`` sources). Every attributable per-tenant count is
 cross-checked exactly against the sidecar's per-tenant totals; any
 mismatch exits non-zero.
 
-An input that is missing, is not JSON, or is JSON without a
-``traceEvents`` array is a usage error: one ``error:`` line, exit 2.
+A trace that is missing, is not JSON, or is JSON without a
+``traceEvents`` array, and a sidecar that is missing or not JSON, are
+usage errors: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
@@ -49,22 +52,26 @@ def percentile(sorted_vals: list[float], p: float) -> float:
     return sorted_vals[rank]
 
 
-class NotATrace(Exception):
-    """The input file is missing, not JSON, or not a Chrome trace."""
+class BadInput(Exception):
+    """An input file is missing, not JSON, or not a Chrome trace."""
+
+
+def load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise BadInput(f"cannot read '{path}': {e.strerror}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise BadInput(f"'{path}' is not JSON: {e}") from e
 
 
 def load_trace(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            trace = json.load(fh)
-    except OSError as e:
-        raise NotATrace(f"cannot read '{path}': {e.strerror}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise NotATrace(f"'{path}' is not JSON: {e}") from e
+    trace = load_json(path)
     if not isinstance(trace, dict) or \
             not isinstance(trace.get("traceEvents"), list):
-        raise NotATrace(f"'{path}' is not a Chrome trace "
-                        "(no traceEvents array)")
+        raise BadInput(f"'{path}' is not a Chrome trace "
+                       "(no traceEvents array)")
     return trace
 
 
@@ -136,7 +143,7 @@ LIFECYCLE_ROWS = [
     ("packets consumed by NF", "nf.consume"),
 ]
 
-# sidecar field -> trace event name whose count must match exactly
+# report field -> trace event name whose count must match exactly
 CHECKS = [
     ("rxPackets", "nic.rx"),
     ("rxDrops", "nic.drop"),
@@ -159,33 +166,22 @@ def print_table(title: str, rows: list[tuple[str, str]]) -> None:
         print(f"  {label:<{width}}  {value}")
 
 
-# Sidecar format version this script understands (kept in sync with
-# harness::totalsFormatVersion in src/harness/trace_artifacts.hh).
-TOTALS_FORMAT_VERSION = 1
+# Run report schema this script reads (harness::reportSchemaVersion
+# in src/harness/run_report.hh).
+REPORT_SCHEMA_VERSION = 2
 
 
-def check_totals(counts: Counter, sidecar_path: str,
-                 dropped: int) -> int:
-    with open(sidecar_path) as fh:
-        totals = json.load(fh)
-
+def check_totals(counts: Counter, totals: dict, dropped: int) -> int:
     failures = 0
-    version = totals.get("formatVersion")
-    if version != TOTALS_FORMAT_VERSION:
-        print(f"FAIL sidecar formatVersion={version!r}; this script "
-              f"understands version {TOTALS_FORMAT_VERSION} "
-              "(regenerate the sidecar or update the tool)")
-        failures += 1
     if dropped:
         print(f"FAIL ring truncation: {dropped} events were "
               "overwritten; counts cannot be cross-checked "
               "(raise the ring capacity or shorten the run)")
         failures += 1
 
+    # A field the report lacks reads None and fails.
     for field, name in CHECKS:
-        if field not in totals:
-            continue
-        want = totals[field]
+        want = totals.get(field)
         got = counts.get(name, 0)
         status = "ok  " if got == want else "FAIL"
         if got != want:
@@ -194,20 +190,19 @@ def check_totals(counts: Counter, sidecar_path: str,
               f"totals.{field}={want}")
 
     # Every inbound DMA line takes exactly one placement path.
-    if "pcieWrites" in totals:
-        placed = (counts.get("cache.ddioUpdate", 0) +
-                  counts.get("cache.ddioAlloc", 0) +
-                  counts.get("cache.dramDirect", 0))
-        want = totals["pcieWrites"]
-        status = "ok  " if placed == want else "FAIL"
-        if placed != want:
-            failures += 1
-        print(f"{status} {'placement sum':<24} trace={placed:<10} "
-              f"totals.pcieWrites={want}")
+    placed = (counts.get("cache.ddioUpdate", 0) +
+              counts.get("cache.ddioAlloc", 0) +
+              counts.get("cache.dramDirect", 0))
+    want = totals.get("pcieWrites")
+    status = "ok  " if placed == want else "FAIL"
+    if placed != want:
+        failures += 1
+    print(f"{status} {'placement sum':<24} trace={placed:<10} "
+          f"totals.pcieWrites={want}")
     return failures
 
 
-# sidecar tenant field -> trace event name (the per-tenant slice of
+# report tenant field -> trace event name (the per-tenant slice of
 # CHECKS; cache events come from the shared hierarchy source and are
 # not attributable to a tenant from the trace alone)
 TENANT_CHECKS = [
@@ -223,15 +218,12 @@ def source_core(name: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def tenant_breakdown(trace: dict, sidecar_path: str,
-                     dropped: int) -> int:
+def tenant_breakdown(trace: dict, totals: dict, dropped: int) -> int:
     """Per-tenant tables + exact cross-check; returns failure count."""
-    with open(sidecar_path) as fh:
-        totals = json.load(fh)
     tenants = totals.get("tenants")
     if not tenants:
-        print(f"FAIL --by-tenant: sidecar {sidecar_path} has no "
-              "'tenants' array (not a tenant-mode trace?)")
+        print("FAIL --by-tenant: the sidecar's 'tenants' array is "
+              "empty (not a tenant-mode trace?)")
         return 1
 
     core_to_tenant: dict[int, str] = {}
@@ -319,9 +311,7 @@ def tenant_breakdown(trace: dict, sidecar_path: str,
         failures += 1
     for t in tenants:
         for field, name in TENANT_CHECKS:
-            if field not in t:
-                continue
-            want = t[field]
+            want = t.get(field)
             got = counts[t["name"]].get(name, 0)
             status = "ok  " if got == want else "FAIL"
             if got != want:
@@ -349,11 +339,22 @@ def main() -> int:
                     "from --check-totals or TRACE.totals.json)")
     args = ap.parse_args()
 
+    sidecar_path = args.check_totals or \
+        (args.by_tenant and args.trace + ".totals.json")
     try:
         trace = load_trace(args.trace)
-    except NotATrace as e:
+        sidecar = load_json(sidecar_path) if sidecar_path else {}
+    except BadInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    version = sidecar.get("schemaVersion") \
+        if isinstance(sidecar, dict) else None
+    if sidecar_path and version != REPORT_SCHEMA_VERSION:
+        print(f"FAIL sidecar {sidecar_path} has schemaVersion "
+              f"{version!r}; this script reads run report schema "
+              f"{REPORT_SCHEMA_VERSION} (regenerate the sidecar or "
+              "update the tool)")
+        return 1
     counts = event_counts(trace)
 
     sources = trace.get("idio", {}).get("sources", [])
@@ -388,18 +389,17 @@ def main() -> int:
     failures = 0
     if args.by_tenant:
         print()
-        sidecar = args.check_totals or args.trace + ".totals.json"
         failures += tenant_breakdown(trace, sidecar, dropped)
 
     if args.check_totals:
         print()
-        failures += check_totals(counts, args.check_totals, dropped)
+        failures += check_totals(counts, sidecar, dropped)
 
     if args.check_totals or args.by_tenant:
         if failures:
             print(f"\n{failures} cross-check(s) FAILED")
             return 1
-        print("\nall trace counts match harness::Totals")
+        print("\nall trace counts match the run report")
     elif dropped:
         print("\nwarning: ring truncation — aggregate counts "
               "undercount the run")
