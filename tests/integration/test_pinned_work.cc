@@ -20,7 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "ckpt/serializer.hh"
 #include "common.hh"
+#include "stats/json.hh"
 #include "tenant_scenario.hh"
 
 namespace
@@ -31,7 +35,26 @@ struct BurstWork
 {
     std::uint64_t packets = 0;
     std::uint64_t events = 0;
+    std::uint64_t outputDigest = 0; ///< FNV-1a of stats JSON + totals
 };
+
+/**
+ * FNV-1a 64 of the whole stats registry as JSON plus the Totals, the
+ * bytes every figure is computed from.
+ */
+std::uint64_t
+outputDigest(harness::TestSystem &sys)
+{
+    std::ostringstream os;
+    stats::writeJson(os, sys.simulation().statsRegistry());
+    const harness::Totals t = sys.totals();
+    os << "\ntotals " << t.mlcWritebacks << ' ' << t.nfMlcWritebacks << ' '
+       << t.mlcPcieInvals << ' ' << t.llcWritebacks << ' ' << t.dramReads
+       << ' ' << t.dramWrites << ' ' << t.rxPackets << ' ' << t.rxDrops
+       << ' ' << t.processedPackets << '\n';
+    const std::string bytes = os.str();
+    return ckpt::fnv1a(bytes.data(), bytes.size());
+}
 
 /** Run one burst of @p config until drained. */
 BurstWork
@@ -42,7 +65,7 @@ drainOneBurst(const harness::ExperimentConfig &config)
     bench::runLoop(sys, {.drainPackets =
                              sys.config().expectedBurstTotal()});
     return {sys.totals().processedPackets,
-            sys.simulation().totalProcessedEvents()};
+            sys.simulation().totalProcessedEvents(), outputDigest(sys)};
 }
 
 TEST(PinnedWork, SingleBurst)
@@ -74,6 +97,8 @@ TEST(PinnedWork, Scaled32)
     const BurstWork w = drainOneBurst(cfg);
     EXPECT_EQ(w.packets, 8192u);
     EXPECT_EQ(w.events, 493517u);
+    // The 32-queue machine's every statistic, byte for byte.
+    EXPECT_EQ(w.outputDigest, 0x398de66320338a68ull);
 }
 
 TEST(PinnedWork, Scaled32CacheStateBytes)
