@@ -251,7 +251,9 @@ void
 BM_ClassifierPacket(benchmark::State &state)
 {
     sim::Simulation s;
-    nic::IdioClassifier cls(s, "cls", {}, 8);
+    // One port of eight queues (cores 0-7); the packet takes queue 5.
+    nic::IdioClassifier cls(s, "cls", {}, /*firstCore=*/0,
+                            /*numQueues=*/8);
     net::Packet p;
     p.flow.srcIp = 1;
     p.flow.dstIp = 2;

@@ -7,7 +7,6 @@
 #define IDIO_NET_FLOW_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "net/headers.hh"
 
@@ -40,21 +39,6 @@ extern const std::uint8_t defaultRssKey[40];
 
 /** Toeplitz hash with the default key. */
 std::uint32_t toeplitzHash(const FiveTuple &tuple);
-
-/** Cheap structural hash for container keys. */
-struct FiveTupleHash
-{
-    std::size_t
-    operator()(const FiveTuple &t) const
-    {
-        std::uint64_t h = t.srcIp;
-        h = h * 0x100000001b3ULL ^ t.dstIp;
-        h = h * 0x100000001b3ULL ^ t.srcPort;
-        h = h * 0x100000001b3ULL ^ t.dstPort;
-        h = h * 0x100000001b3ULL ^ static_cast<std::uint8_t>(t.proto);
-        return static_cast<std::size_t>(h);
-    }
-};
 
 } // namespace net
 

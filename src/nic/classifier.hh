@@ -5,10 +5,11 @@
  * NIC-resident logic that, for every inbound packet, determines:
  *  (1) the application class from the IPv4 DSCP field,
  *  (2) which DMA write carries the header cacheline,
- *  (3) the destination core (the NIC's one Flow Director lookup per
- *      packet, shared with RX queue selection), and
+ *  (3) the destination core: the port's queue q, chosen by its one
+ *      steering decision per packet, is polled by core firstCore + q,
+ *      and
  *  (4) whether an RX burst is in progress for that core, by keeping a
- *      32-bit per-core received-byte counter that is reset every 1 us
+ *      32-bit per-queue received-byte counter that is reset every 1 us
  *      and compared against rxBurstTHR.
  */
 
@@ -64,18 +65,23 @@ class IdioClassifier : public sim::SimObject
     stats::StatGroup statGroup;
 
   public:
+    /**
+     * @param firstCore Core polling the port's queue 0.
+     * @param numQueues The port's RX queues; queue q is polled by core
+     *                  firstCore + q.
+     */
     IdioClassifier(sim::Simulation &simulation, const std::string &name,
-                   const ClassifierConfig &config,
-                   std::uint32_t numCores);
+                   const ClassifierConfig &config, sim::CoreId firstCore,
+                   std::uint32_t numQueues);
 
     /** Start the periodic counter-reset machinery. */
     void start();
 
     /**
      * Classify one inbound packet and update the burst counters.
-     * Called once per packet when its DMA begins. @p destCore is the
-     * packet's Flow Director destination (< numCores): the NIC looks
-     * it up once and uses it for queue selection too.
+     * Called once per packet when its DMA begins. @p queue is the
+     * port's queue the packet was steered to (< numQueues); its
+     * polling core is the destination.
      *
      * Burst detection is edge-triggered: the burst bit is raised on
      * the packet whose bytes push the interval counter over
@@ -85,8 +91,7 @@ class IdioClassifier : public sim::SimObject
      * but does not re-signal, so the controller's pressure feedback
      * stays in charge during the burst.
      */
-    Classification classify(const net::Packet &pkt,
-                            sim::CoreId destCore);
+    Classification classify(const net::Packet &pkt, std::uint32_t queue);
 
     /**
      * Build the TLP metadata for one cacheline of the packet.
@@ -104,10 +109,10 @@ class IdioClassifier : public sim::SimObject
         return meta;
     }
 
-    /** Current burst-counter value for @p core (bytes this interval). */
-    std::uint32_t burstCounter(sim::CoreId core) const
+    /** Current burst-counter value for @p queue (bytes this interval). */
+    std::uint32_t burstCounter(std::uint32_t queue) const
     {
-        return counters[core];
+        return counters[queue];
     }
 
     /** Threshold in bytes per interval. */
@@ -127,7 +132,8 @@ class IdioClassifier : public sim::SimObject
 
     ClassifierConfig cfg;
     std::uint32_t thrBytes;
-    std::vector<std::uint32_t> counters;
+    sim::CoreId firstCore;
+    std::vector<std::uint32_t> counters; // one per queue
     std::vector<bool> crossedThis; // crossed threshold this interval
     std::vector<bool> crossedPrev; // crossed in the previous interval
     sim::PeriodicEvent resetEvent;

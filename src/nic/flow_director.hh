@@ -1,91 +1,59 @@
 /**
  * @file
- * Intel Ethernet Flow Director model (paper Sec. II-C).
+ * Receive steering of one NIC port (paper Sec. II-C).
  *
- * Flow Director steers incoming packets to the core running their
- * consumer through EP (Externally Programmed) exact 5-tuple rules
- * installed by the administrator ("perfect match" filters). The
- * hardware's other mode, ATR (Application Targeting Routing), learns
- * from outbound traffic; no workload here transmits on the flows it
- * receives, so it is not modelled.
+ * A port is a range of cores: its queue q is polled by core
+ * firstCore + q. Steering picks one of the port's own queues for each
+ * packet, so the destination core never leaves that range.
  *
- * Packets matching no rule fall back to RSS. Two RSS variants exist:
- * the legacy direct modulus (hash % numCores, the historical default,
- * kept byte-for-byte) and a real indirection table (RETA) of
- * power-of-two size whose entries map hash buckets to RX queues —
- * the Niantic/Fortville model, enabled by passing rssTableEntries > 0.
+ * A one-queue port has nothing to choose: every packet takes queue 0,
+ * with no hash and no table lookup. A multi-queue port hashes the
+ * 5-tuple (Toeplitz, the default RSS key) into a fixed 128-entry
+ * indirection table (RETA) filled round-robin over its queues, the
+ * layout drivers program at device init (the Niantic/Fortville
+ * model). Flow Director's EP perfect-match rules and ATR learning are
+ * not modelled: a workload that needs a flow on a given core gives it
+ * a port of its own.
  */
 
 #ifndef IDIO_NIC_FLOW_DIRECTOR_HH
 #define IDIO_NIC_FLOW_DIRECTOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/flow.hh"
-#include "sim/types.hh"
 
 namespace nic
 {
 
 /**
- * Flow-to-core steering table.
+ * Flow-to-queue steering of one port.
  */
 class FlowDirector
 {
   public:
-    /**
-     * @param numCores RSS fallback modulus (legacy mode) and default
-     *                 queue count for the RETA fill.
-     * @param rssTableEntries RETA size (power of two); 0 keeps the
-     *                        legacy direct-modulus RSS fallback.
-     * @param rssQueues Queues the default RETA fill round-robins
-     *                  over; 0 means numCores, more is fatal.
-     */
-    explicit FlowDirector(std::uint32_t numCores,
-                          std::uint32_t rssTableEntries = 0,
-                          std::uint32_t rssQueues = 0);
-
-    /** Install an EP perfect-match rule; @p core must be < numCores. */
-    void addRule(const net::FiveTuple &flow, sim::CoreId core);
+    /** RETA entries of a multi-queue port (a power of two). */
+    static constexpr std::uint32_t retaEntries = 128;
 
     /**
-     * Destination core for an RX packet: its EP rule, else its RSS
-     * queue. An EP hit does not hash at all. Always < numCores.
+     * @param numQueues The port's RX queues: at least one, at most
+     *                  retaEntries (a queue no entry names would never
+     *                  receive).
      */
-    sim::CoreId lookup(const net::FiveTuple &flow) const;
+    explicit FlowDirector(std::uint32_t numQueues);
 
-    /** Number of installed EP rules. */
-    std::size_t ruleCount() const { return rules.size(); }
-
-    /**
-     * RSS queue for @p flow, ignoring EP rules: the pure hash →
-     * RETA (or legacy modulus) mapping. This is what a multi-queue
-     * NIC uses for ring selection.
-     */
-    std::uint32_t rssQueue(const net::FiveTuple &flow) const;
-
-    /**
-     * Overwrite the RETA (lengths must match; RETA mode only). Every
-     * entry must be < numCores: lookup() returns it as a core.
-     */
-    void setIndirection(const std::vector<std::uint32_t> &table);
-
-    /** The RETA; empty in legacy direct-modulus mode. */
-    const std::vector<std::uint32_t> &indirection() const
+    /** The port's queue for @p flow; always < numQueues. */
+    std::uint32_t
+    queueOf(const net::FiveTuple &flow) const
     {
-        return reta;
+        if (reta.empty())
+            return 0;
+        return reta[net::toeplitzHash(flow) & (retaEntries - 1)];
     }
 
   private:
-    /** Fatal unless @p target names one of the numCores cores. */
-    void checkTarget(const char *what, std::uint32_t target) const;
-
-    std::uint32_t numCores;
-    std::unordered_map<net::FiveTuple, sim::CoreId, net::FiveTupleHash>
-        rules;
-    std::vector<std::uint32_t> reta; // empty = legacy modulus
+    std::vector<std::uint32_t> reta; ///< empty on a one-queue port
 };
 
 } // namespace nic

@@ -81,7 +81,7 @@ validated(const std::string &name, const NicConfig &config)
 
 Nic::Nic(sim::Simulation &simulation, const std::string &name,
          const NicConfig &config, DmaTarget &target,
-         mem::PhysAllocator &alloc, std::uint32_t numCores)
+         mem::PhysAllocator &alloc, sim::CoreId firstCore)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       rxPackets(statGroup, "rxPackets", "packets received at the MAC"),
@@ -92,9 +92,10 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
       txBytes(statGroup, "txBytes", "bytes transmitted"),
       cfg(validated(name, config)),
       trc(simulation.tracer().registerSource(name)),
-      fdir(numCores, cfg.rssTableEntries, cfg.numQueues),
+      fdir(cfg.numQueues),
       dma(simulation, name + ".dma", target, cfg.pcieGBps),
-      cls(simulation, name + ".classifier", cfg.classifier, numCores),
+      cls(simulation, name + ".classifier", cfg.classifier, firstCore,
+          cfg.numQueues),
       descWbDelay(sim::nsToTicks(cfg.descWbDelayNs))
 {
     rings.reserve(cfg.numQueues);
@@ -143,15 +144,13 @@ Nic::deliver(net::Packet pkt)
     if (rxTap)
         rxTap(pkt.nicArrival, pkt);
 
-    // One steering decision per packet (EP rule, else the RSS
-    // hash through the RETA) feeds both queue selection and the
-    // classifier. Queue selection happens before the ring-full check,
-    // as in real multi-queue hardware: the chosen ring's occupancy
-    // then decides the drop. The lookup is const, so making it for a
-    // packet that is then dropped changes no state. With one queue
-    // this degenerates to the historical single-ring path.
-    const sim::CoreId dest = fdir.lookup(pkt.flow);
-    const std::uint32_t q = cfg.numQueues > 1 ? dest % cfg.numQueues : 0;
+    // One steering decision per packet picks one of the port's own
+    // queues; the classifier turns it into the polling core. Queue
+    // selection happens before the ring-full check, as in real
+    // multi-queue hardware: the chosen ring's occupancy then decides
+    // the drop. The decision is const, so making it for a packet that
+    // is then dropped changes no state.
+    const std::uint32_t q = fdir.queueOf(pkt.flow);
     RxRing &ring = rings[q];
 
     if (!ring.hwCanFill()) {
@@ -162,7 +161,7 @@ Nic::deliver(net::Packet pkt)
         return;
     }
 
-    const Classification pktCls = cls.classify(pkt, dest);
+    const Classification pktCls = cls.classify(pkt, q);
     IDIO_TRACE_INSTANT(trc, trace::EventKind::NicClassify, now(),
                        pkt.id, pktCls.appClass, pktCls.destCore);
     const std::uint32_t idx = ring.hwClaim(pkt);

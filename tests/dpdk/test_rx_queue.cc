@@ -26,7 +26,7 @@ class RxQueueTest : public ::testing::Test
         nic::NicConfig ncfg;
         ncfg.ringSize = 64;
         port = std::make_unique<nic::Nic>(s, "nic", ncfg, *ctrl, alloc,
-                                          2);
+                                          0);
         core = std::make_unique<cpu::Core>(s, "core0", 0, *hier);
         pool = std::make_unique<dpdk::Mempool>(alloc, 128);
         rxq = std::make_unique<dpdk::RxQueue>(*core, *port, *pool);

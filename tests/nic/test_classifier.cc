@@ -1,11 +1,12 @@
 /**
  * @file
  * IDIO classifier tests: app class, destination core, edge-triggered
- * burst detection (paper Sec. V-A).
+ * per-queue burst detection (paper Sec. V-A).
  */
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.hh"
 #include "nic/classifier.hh"
 #include "nic/flow_director.hh"
 #include "sim/simulation.hh"
@@ -13,10 +14,13 @@
 namespace
 {
 
+/** A port of 4 queues owning cores 8-11. */
 class ClassifierTest : public ::testing::Test
 {
   protected:
-    ClassifierTest() : fdir(4), cls(s, "cls", cfgFor(), 4)
+    static constexpr sim::CoreId firstCore = 8;
+
+    ClassifierTest() : fdir(4), cls(s, "cls", cfgFor(), firstCore, 4)
     {
         cls.start();
     }
@@ -43,11 +47,11 @@ class ClassifierTest : public ::testing::Test
         return p;
     }
 
-    /** Classify @p p at its Flow Director destination, as the NIC does. */
+    /** Classify @p p on queue @p queue. */
     nic::Classification
-    classify(const net::Packet &p)
+    classify(const net::Packet &p, std::uint32_t queue = 0)
     {
-        return cls.classify(p, fdir.lookup(p.flow));
+        return cls.classify(p, queue);
     }
 
     sim::Simulation s;
@@ -66,21 +70,26 @@ TEST_F(ClassifierTest, AppClassFromDscp)
 
 TEST_F(ClassifierTest, DestCoreFromFlowDirector)
 {
-    fdir.addRule(packet(77).flow, 2);
-    EXPECT_EQ(classify(packet(77)).destCore, 2u);
+    // As the NIC does it: the Flow Director picks the queue, and the
+    // destination is the core polling it.
+    for (std::uint16_t p = 70; p < 90; ++p) {
+        const std::uint32_t q = fdir.queueOf(packet(p).flow);
+        EXPECT_EQ(classify(packet(p), q).destCore, firstCore + q);
+    }
 }
 
 TEST_F(ClassifierTest, DestCoreIsTheCallersDestination)
 {
-    // The classifier does no steering of its own: it takes the
-    // destination the NIC's one Flow Director lookup produced.
-    EXPECT_EQ(cls.classify(packet(77), 3).destCore, 3u);
+    // The classifier does no steering of its own: it takes the queue
+    // the NIC's one Flow Director decision produced.
+    EXPECT_EQ(cls.classify(packet(77), 3).destCore, firstCore + 3);
     EXPECT_EQ(cls.burstCounter(3), 1514u);
 }
 
 TEST_F(ClassifierTest, OutOfRangeDestCorePanics)
 {
-    EXPECT_DEATH(cls.classify(packet(77), 4), "out of range");
+    // Queue 4 of a 4-queue port would name core 12, outside the port.
+    EXPECT_DEATH(cls.classify(packet(77), 4), "queue out of range");
 }
 
 TEST_F(ClassifierTest, ThresholdBytesMatchTenGbps)
@@ -91,7 +100,6 @@ TEST_F(ClassifierTest, ThresholdBytesMatchTenGbps)
 
 TEST_F(ClassifierTest, BurstFlaggedOnCrossingAfterQuiet)
 {
-    fdir.addRule(packet(1).flow, 0);
     // First MTU packet crosses 1250 B immediately -> burst start.
     const auto c1 = classify(packet(1));
     EXPECT_TRUE(c1.burstActive);
@@ -104,7 +112,6 @@ TEST_F(ClassifierTest, BurstFlaggedOnCrossingAfterQuiet)
 
 TEST_F(ClassifierTest, SustainedTrafficSignalsOnlyOnce)
 {
-    fdir.addRule(packet(1).flow, 0);
     classify(packet(1)); // burst start
     // Cross the threshold in each of the next intervals too.
     for (int interval = 0; interval < 5; ++interval) {
@@ -119,7 +126,6 @@ TEST_F(ClassifierTest, SustainedTrafficSignalsOnlyOnce)
 
 TEST_F(ClassifierTest, NewBurstAfterQuietPeriodSignalsAgain)
 {
-    fdir.addRule(packet(1).flow, 0);
     classify(packet(1));
     EXPECT_EQ(cls.burstsDetected.get(), 1u);
 
@@ -132,7 +138,6 @@ TEST_F(ClassifierTest, NewBurstAfterQuietPeriodSignalsAgain)
 
 TEST_F(ClassifierTest, SmallPacketsAccumulateToThreshold)
 {
-    fdir.addRule(packet(1).flow, 0);
     // 64-byte packets: the 20th crosses 1250 bytes.
     for (int i = 0; i < 19; ++i)
         EXPECT_FALSE(classify(packet(1, 0, 64)).burstActive);
@@ -141,18 +146,16 @@ TEST_F(ClassifierTest, SmallPacketsAccumulateToThreshold)
 
 TEST_F(ClassifierTest, PerCoreCountersIndependent)
 {
-    fdir.addRule(packet(1).flow, 0);
-    fdir.addRule(packet(2).flow, 1);
-    EXPECT_TRUE(classify(packet(1)).burstActive);
-    // Core 1's counter is untouched by core 0's traffic.
+    // One counter per queue, so per polling core.
+    EXPECT_TRUE(classify(packet(1), 0).burstActive);
+    // Queue 1's counter is untouched by queue 0's traffic.
     EXPECT_EQ(cls.burstCounter(1), 0u);
-    EXPECT_TRUE(classify(packet(2)).burstActive);
+    EXPECT_TRUE(classify(packet(2), 1).burstActive);
     EXPECT_EQ(cls.burstsDetected.get(), 2u);
 }
 
 TEST_F(ClassifierTest, CountersResetEveryInterval)
 {
-    fdir.addRule(packet(1).flow, 0);
     classify(packet(1));
     EXPECT_GT(cls.burstCounter(0), 0u);
     s.runFor(2 * sim::oneUs);
@@ -161,14 +164,35 @@ TEST_F(ClassifierTest, CountersResetEveryInterval)
 
 TEST_F(ClassifierTest, TlpForBuildsMetadata)
 {
-    fdir.addRule(packet(9).flow, 3);
-    const auto c = classify(packet(9, 40));
+    const auto c = classify(packet(9, 40), 3);
     const auto header = cls.tlpFor(c, true);
     const auto payload = cls.tlpFor(c, false);
     EXPECT_TRUE(header.isHeader);
     EXPECT_FALSE(payload.isHeader);
     EXPECT_EQ(header.appClass, 1);
-    EXPECT_EQ(header.destCore, 3u);
+    EXPECT_EQ(header.destCore, firstCore + 3);
+}
+
+TEST(ClassifierCkptDeath, QueueCountDriftIsFatal)
+{
+    // A blob written for a 2-queue port (or by builds that sized the
+    // burst state by the machine's cores) must not restore into a
+    // 1-queue port's classifier, where it would leave a counter no
+    // queue owns.
+    sim::Simulation two;
+    nic::IdioClassifier wide(two, "port.classifier", {}, 0, 2);
+    wide.start();
+    const auto blob = ckpt::save(two);
+
+    EXPECT_EXIT(
+        {
+            sim::Simulation one;
+            nic::IdioClassifier narrow(one, "port.classifier", {}, 0, 1);
+            narrow.start();
+            ckpt::restore(one, blob);
+        },
+        ::testing::ExitedWithCode(1),
+        "'port.classifier' holds burst state for 2 queues; the port has 1");
 }
 
 } // anonymous namespace

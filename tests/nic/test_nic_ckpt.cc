@@ -108,7 +108,7 @@ struct Rig
     static constexpr std::uint32_t ringSize = 32;
 
     Rig()
-        : target(s), port(s, "nic", config(), target, alloc, 4),
+        : target(s), port(s, "nic", config(), target, alloc, 0),
           early(s, "early", port), late(s, "late", port)
     {
         port.start();
