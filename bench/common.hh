@@ -397,23 +397,30 @@ struct SweepCase
 };
 
 /**
- * Honour --seed and --cores in every case of a sweep. --cores=N gives
- * a case N NF cores on one port with N RX queues, RSS-steered over a
- * synthetic flow population.
+ * @p cfg with --seed and --cores applied. --cores=N gives it N NF
+ * cores on one port with N RX queues, RSS-steered over a synthetic
+ * flow population.
  */
+inline harness::ExperimentConfig
+withCaseOptions(harness::ExperimentConfig cfg, const BenchOptions &opts)
+{
+    if (opts.seed)
+        cfg.seed = *opts.seed;
+    if (opts.cores) {
+        cfg.numNfs = opts.cores;
+        cfg.rxQueues = opts.cores;
+        if (cfg.totalFlows == 0)
+            cfg.totalFlows = 1u << 16;
+    }
+    return cfg;
+}
+
+/** Honour --seed and --cores in every case of a sweep. */
 inline void
 applyCaseOptions(std::vector<SweepCase> &cases, const BenchOptions &opts)
 {
-    for (auto &c : cases) {
-        if (opts.seed)
-            c.cfg.seed = *opts.seed;
-        if (opts.cores) {
-            c.cfg.numNfs = opts.cores;
-            c.cfg.rxQueues = opts.cores;
-            if (c.cfg.totalFlows == 0)
-                c.cfg.totalFlows = 1u << 16;
-        }
-    }
+    for (auto &c : cases)
+        c.cfg = withCaseOptions(c.cfg, opts);
 }
 
 /** A bench run of one config: runSingleBurst or runToHorizon. */
@@ -469,21 +476,27 @@ ratio(std::uint64_t ours, std::uint64_t base, int precision = 2)
         precision);
 }
 
-/** Print the Table I configuration echo every bench starts with. */
+/**
+ * Print the Table I configuration echo every bench starts with: the
+ * hierarchy TestSystem builds from @p cfg's machine plan (its core
+ * count and LLC size) and the plan's summary.
+ */
 inline void
 printConfigEcho(const harness::ExperimentConfig &cfg)
 {
+    const cache::HierarchyConfig hier =
+        harness::planMachine(cfg).hierarchy(cfg.hier);
     std::printf("# Table I config: %u-core aarch64-class @ %.1f GHz, "
                 "L1D %lluKB/%u, MLC %lluKB/%u, LLC %lluKB/%u "
                 "(%u DDIO ways), DDR4 %.0fGB/s\n",
-                cfg.hier.numCores, cfg.hier.cpuFreqGHz,
-                (unsigned long long)cfg.hier.l1.sizeBytes / 1024,
-                cfg.hier.l1.assoc,
-                (unsigned long long)cfg.hier.mlc.sizeBytes / 1024,
-                cfg.hier.mlc.assoc,
-                (unsigned long long)cfg.hier.llcSizeBytes() / 1024,
-                cfg.hier.llcPerCore.assoc, cfg.hier.ddioWays,
-                cfg.hier.dramBandwidthGBps);
+                hier.numCores, hier.cpuFreqGHz,
+                (unsigned long long)hier.l1.sizeBytes / 1024,
+                hier.l1.assoc,
+                (unsigned long long)hier.mlc.sizeBytes / 1024,
+                hier.mlc.assoc,
+                (unsigned long long)hier.llcSizeBytes() / 1024,
+                hier.llcPerCore.assoc, hier.ddioWays,
+                hier.dramBandwidthGBps);
     std::printf("# workload: %s\n\n", cfg.summary().c_str());
 }
 

@@ -45,7 +45,8 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 9: policy comparison over one burst "
                 "(2x TouchDrop, ring 1024, 1514 B) ===\n");
-    bench::printConfigEcho(fig9Config(idio::Policy::Ddio, 100.0));
+    bench::printConfigEcho(
+        bench::withCaseOptions(fig9Config(idio::Policy::Ddio, 100.0), opts));
 
     const auto policies = {
         idio::Policy::Ddio, idio::Policy::InvalidateOnly,

@@ -40,8 +40,8 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 10: Static and IDIO normalised to DDIO "
                 "===\n");
-    bench::printConfigEcho(fig10Config(idio::Policy::Ddio, 100.0,
-                                       false));
+    bench::printConfigEcho(bench::withCaseOptions(
+        fig10Config(idio::Policy::Ddio, 100.0, false), opts));
 
     // One scenario = a DDIO baseline plus the two IDIO variants; all
     // 18 runs are independent and sweep in parallel.

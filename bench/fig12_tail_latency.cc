@@ -39,8 +39,8 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 12: p50/p99 latency, normalised to DDIO "
                 "solo ===\n");
-    bench::printConfigEcho(fig12Config(idio::Policy::Ddio, 25.0,
-                                       false));
+    bench::printConfigEcho(bench::withCaseOptions(
+        fig12Config(idio::Policy::Ddio, 25.0, false), opts));
 
     const auto rates = {100.0, 25.0, 10.0};
 

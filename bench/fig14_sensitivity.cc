@@ -45,7 +45,8 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 14: IDIO sensitivity to mlcTHR "
                 "(100 Gbps bursts) ===\n");
-    bench::printConfigEcho(fig14Config(idio::Policy::Idio, 50.0));
+    bench::printConfigEcho(bench::withCaseOptions(
+        fig14Config(idio::Policy::Idio, 50.0), opts));
 
     // Case 0 is the DDIO baseline; the rest sweep the threshold.
     std::vector<bench::SweepCase> cases;
