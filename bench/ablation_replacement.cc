@@ -15,7 +15,7 @@ namespace
 {
 
 harness::ExperimentConfig
-config(idio::Policy policy, const std::string &replacement)
+config(idio::Policy policy, cache::ReplKind replacement)
 {
     harness::ExperimentConfig cfg;
     cfg.numNfs = 2;
@@ -33,16 +33,21 @@ main()
 {
     std::printf("=== Ablation: replacement policy (25 Gbps bursts) "
                 "===\n");
-    bench::printConfigEcho(config(idio::Policy::Ddio, "lru"));
+    bench::printConfigEcho(config(idio::Policy::Ddio, cache::ReplKind::Lru));
 
     stats::TablePrinter table({"replacement", "config", "mlcWB",
                                "llcWB", "dramWr", "exec ms"});
-    for (const char *repl : {"lru", "srrip", "random"}) {
+    const std::pair<cache::ReplKind, const char *> repls[] = {
+        {cache::ReplKind::Lru, "lru"},
+        {cache::ReplKind::Srrip, "srrip"},
+        {cache::ReplKind::Random, "random"},
+    };
+    for (const auto &[repl, replName] : repls) {
         for (auto policy : {idio::Policy::Ddio, idio::Policy::Idio}) {
             const auto m =
                 bench::runSingleBurst(config(policy, repl));
             table.addRow(
-                {repl, idio::policyName(policy),
+                {replName, idio::policyName(policy),
                  std::to_string(m.totals.mlcWritebacks),
                  std::to_string(m.totals.llcWritebacks),
                  std::to_string(m.totals.dramWrites),

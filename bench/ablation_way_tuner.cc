@@ -49,13 +49,8 @@ run(idio::Policy policy, bool withTuner)
     harness::TestSystem sys(config(policy));
     std::unique_ptr<idio::DdioWayTuner> tuner;
     if (withTuner) {
-        // Fast re-evaluation so the tuner can react within the
-        // ~124 us burst.
-        idio::WayTunerConfig tcfg;
-        tcfg.interval = 10 * sim::oneUs;
         tuner = std::make_unique<idio::DdioWayTuner>(
-            sys.simulation(), "system.wayTuner", sys.hierarchy(),
-            tcfg);
+            sys.simulation(), "system.wayTuner", sys.hierarchy());
         tuner->start();
     }
     sys.start();

@@ -496,7 +496,7 @@ printConfigEcho(const harness::ExperimentConfig &cfg)
                 hier.mlc.assoc,
                 (unsigned long long)hier.llcSizeBytes() / 1024,
                 hier.llcPerCore.assoc, hier.ddioWays,
-                hier.dramBandwidthGBps);
+                mem::DramModel::bandwidthGBps);
     std::printf("# workload: %s\n\n", cfg.summary().c_str());
 }
 

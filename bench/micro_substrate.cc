@@ -252,8 +252,7 @@ BM_ClassifierPacket(benchmark::State &state)
 {
     sim::Simulation s;
     // One port of eight queues (cores 0-7); the packet takes queue 5.
-    nic::IdioClassifier cls(s, "cls", {}, /*firstCore=*/0,
-                            /*numQueues=*/8);
+    nic::IdioClassifier cls(s, "cls", /*firstCore=*/0, /*numQueues=*/8);
     net::Packet p;
     p.flow.srcIp = 1;
     p.flow.dstIp = 2;

@@ -45,7 +45,7 @@ run(idio::Policy policy)
     cfg.traffic = harness::TrafficKind::Poisson;
     cfg.rateGbps = 8.0;
     cfg.withAntagonist = true; // the analytics tenant
-    cfg.antagonist.bufferBytes = 6ull << 20;
+    cfg.antagonistBufferBytes = 6ull << 20;
     cfg.applyPolicy(policy);
 
     harness::TestSystem sys(cfg);

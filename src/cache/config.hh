@@ -7,7 +7,6 @@
 #define IDIO_CACHE_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -21,29 +20,43 @@ class PhysAllocator;
 namespace cache
 {
 
-/** Geometry and latency of one cache level. */
+/**
+ * Geometry and latency of one cache level. Fields because the cache
+ * oracle's tests (tests/cache) run small geometries.
+ */
 struct LevelConfig
 {
     std::uint64_t sizeBytes = 0;
-    std::uint32_t assoc = 1;
-    std::uint32_t latencyCycles = 1;
+    std::uint32_t assoc = 1;         // lint: allow(config-field)
+    std::uint32_t latencyCycles = 1; // lint: allow(config-field)
 };
 
 /**
  * Full hierarchy configuration. Defaults reproduce paper Table I:
  * aarch64-style cores at 3 GHz, 64 KB 2-way L1D (2 CC), 1 MB 8-way MLC
- * (12 CC), 1.5 MB/core 12-way non-inclusive LLC (24 CC), DDR4-3200.
+ * (12 CC), 1.5 MB/core 12-way non-inclusive LLC (24 CC). DDR4-3200 is
+ * mem::DramModel's constants.
  */
 struct HierarchyConfig
 {
     std::uint32_t numCores = 2;
-    double cpuFreqGHz = 3.0;
 
-    LevelConfig l1{64 * 1024, 2, 2};
-    LevelConfig mlc{1024 * 1024, 8, 12};
+    /**
+     * Core clock. A field because test_idle_sleep's poll-grid
+     * alignment puts poll grids on the DMA pump grid at other clocks.
+     */
+    double cpuFreqGHz = 3.0; // lint: allow(config-field)
+
+    /**
+     * @{ Level geometries: fig04 sets the LLC's, and the cache
+     * oracle's tests run small ones.
+     */
+    LevelConfig l1{64 * 1024, 2, 2};     // lint: allow(config-field)
+    LevelConfig mlc{1024 * 1024, 8, 12}; // lint: allow(config-field)
 
     /** LLC size is per core; total = llcPerCore.sizeBytes * numCores. */
     LevelConfig llcPerCore{1536 * 1024, 12, 24};
+    /** @} */
 
     /** Number of LLC ways DDIO write-allocates into (Intel default 2). */
     std::uint32_t ddioWays = 2;
@@ -61,22 +74,17 @@ struct HierarchyConfig
      */
     std::vector<WayMask> llcAllocMask;
 
-    /** Replacement policy name for all levels. */
-    std::string replacement = "lru";
+    /** Replacement policy of every level (ablation_replacement). */
+    ReplKind replacement = ReplKind::Lru;
 
     /**
      * Excl-MLC directory capacity as a multiple of total MLC lines
-     * (snoop-filter coverage factor).
+     * (snoop-filter coverage factor). This and directoryAssoc are
+     * fields because the cache oracle's geometries need small
+     * directories.
      */
-    double directoryCoverage = 1.5;
-
-    std::uint32_t directoryAssoc = 16;
-
-    /** DRAM device latency, ns. */
-    double dramLatencyNs = 60.0;
-
-    /** DRAM peak bandwidth, GB/s. */
-    double dramBandwidthGBps = 60.0;
+    double directoryCoverage = 1.5;    // lint: allow(config-field)
+    std::uint32_t directoryAssoc = 16; // lint: allow(config-field)
 
     /**
      * Page-attribute oracle for the self-invalidate instruction; when

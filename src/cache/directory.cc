@@ -32,7 +32,7 @@ directorySets(std::uint64_t numEntries, std::uint32_t assoc)
 MlcDirectory::MlcDirectory(sim::Simulation &simulation,
                            const std::string &name,
                            std::uint64_t numEntries, std::uint32_t assoc,
-                           const std::string &replacement)
+                           ReplKind replacement)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       lookups(statGroup, "lookups", "directory lookups"),
@@ -40,7 +40,7 @@ MlcDirectory::MlcDirectory(sim::Simulation &simulation,
       capacityEvictions(statGroup, "capacityEvictions",
                         "entries displaced by capacity pressure"),
       array(TagArray::withSets(directorySets(numEntries, assoc), assoc,
-                               parseReplacement(replacement),
+                               replacement,
                                /*withSharers=*/true))
 {
 }

@@ -45,7 +45,7 @@ class MlcDirectory : public sim::SimObject
      */
     MlcDirectory(sim::Simulation &simulation, const std::string &name,
                  std::uint64_t numEntries, std::uint32_t assoc,
-                 const std::string &replacement);
+                 ReplKind replacement);
 
     /** Sharer bit-vector for @p addr (0 when untracked). */
     std::uint64_t

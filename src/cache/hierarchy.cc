@@ -69,11 +69,8 @@ MemoryHierarchy::MemoryHierarchy(sim::Simulation &simulation,
                                          dirEntries, cfg.directoryAssoc,
                                          cfg.replacement);
 
-    mem::DramConfig dramCfg;
-    dramCfg.accessLatencyNs = cfg.dramLatencyNs;
-    dramCfg.bandwidthGBps = cfg.dramBandwidthGBps;
-    dramModel = std::make_unique<mem::DramModel>(
-        simulation, name + ".dram", dramCfg);
+    dramModel =
+        std::make_unique<mem::DramModel>(simulation, name + ".dram");
 }
 
 mem::AccessResult

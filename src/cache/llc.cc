@@ -16,7 +16,7 @@ NonInclusiveLlc::NonInclusiveLlc(sim::Simulation &simulation,
                                  std::uint64_t sizeBytes,
                                  std::uint32_t assoc,
                                  std::uint32_t ddioWays,
-                                 const std::string &replacement)
+                                 ReplKind replacement)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       hits(statGroup, "hits", "demand hits"),
@@ -37,7 +37,7 @@ NonInclusiveLlc::NonInclusiveLlc(sim::Simulation &simulation,
       selfInvals(statGroup, "selfInvals",
                  "lines dropped by the self-invalidate instruction"),
       nDdioWays(ddioWays),
-      array(sizeBytes, assoc, parseReplacement(replacement))
+      array(sizeBytes, assoc, replacement)
 {
     if (ddioWays > assoc)
         sim::fatal("ddioWays %u exceeds LLC associativity %u", ddioWays,

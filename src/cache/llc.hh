@@ -33,7 +33,7 @@ class NonInclusiveLlc : public sim::SimObject
     NonInclusiveLlc(sim::Simulation &simulation, const std::string &name,
                     std::uint64_t sizeBytes, std::uint32_t assoc,
                     std::uint32_t ddioWays,
-                    const std::string &replacement);
+                    ReplKind replacement);
 
     TagArray &tags() { return array; }
     const TagArray &tags() const { return array; }

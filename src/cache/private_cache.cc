@@ -13,7 +13,7 @@ namespace cache
 PrivateCache::PrivateCache(sim::Simulation &simulation,
                            const std::string &name,
                            std::uint64_t sizeBytes, std::uint32_t assoc,
-                           const std::string &replacement)
+                           ReplKind replacement)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       hits(statGroup, "hits", "demand hits"),
@@ -31,7 +31,7 @@ PrivateCache::PrivateCache(sim::Simulation &simulation,
                  "lines dropped by the self-invalidate instruction"),
       backInvals(statGroup, "backInvals",
                  "invalidations from directory capacity evictions"),
-      array(sizeBytes, assoc, parseReplacement(replacement))
+      array(sizeBytes, assoc, replacement)
 {
 }
 

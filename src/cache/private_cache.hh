@@ -31,7 +31,7 @@ class PrivateCache : public sim::SimObject
   public:
     PrivateCache(sim::Simulation &simulation, const std::string &name,
                  std::uint64_t sizeBytes, std::uint32_t assoc,
-                 const std::string &replacement);
+                 ReplKind replacement);
 
     /** Underlying tag array. */
     TagArray &tags() { return array; }

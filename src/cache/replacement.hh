@@ -14,7 +14,6 @@
 #define IDIO_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <string>
 
 namespace cache
 {
@@ -45,9 +44,6 @@ enum class ReplKind : std::uint8_t
     Random,
     Srrip,
 };
-
-/** The kind named @p name ("lru", "random", "srrip"); else fatal. */
-ReplKind parseReplacement(const std::string &name);
 
 } // namespace cache
 

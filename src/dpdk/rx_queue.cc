@@ -10,17 +10,23 @@
 namespace dpdk
 {
 
+namespace
+{
+
+/** The tail doorbell's cost in ticks. */
+constexpr sim::Tick tailUpdateCost = sim::nsToTicks(RxQueue::tailUpdateNs);
+
+} // anonymous namespace
+
 RxQueue::RxQueue(cpu::Core &core, nic::Nic &port, Mempool &pool,
-                 const PmdConfig &config, std::uint32_t queueIdx)
-    : core(core), nicPort(port), pool(pool), cfg(config),
-      qIdx(queueIdx),
+                 std::uint32_t queueIdx)
+    : core(core), nicPort(port), pool(pool), qIdx(queueIdx),
       // Queue 0 keeps the legacy source name so single-queue traces
       // stay byte-identical; higher queues get a .q<N> suffix.
       trc(port.tracer().registerSource(
           queueIdx == 0
               ? port.name() + ".pmd"
-              : port.name() + ".pmd.q" + std::to_string(queueIdx))),
-      tailUpdateCost(sim::nsToTicks(config.tailUpdateNs))
+              : port.name() + ".pmd.q" + std::to_string(queueIdx)))
 {
 }
 
@@ -58,7 +64,7 @@ RxQueue::pollBurst()
     IDIO_TRACE_COUNTER(trc, trace::EventKind::DpdkRingBacklog,
                        core.now(), ring.backlog(), 0);
 
-    while (res.mbufs.size() < cfg.burst && ring.swReady()) {
+    while (res.mbufs.size() < burst && ring.swReady()) {
         const std::uint32_t descIdx = ring.swConsume();
         const nic::RxSlot &slot = ring.slot(descIdx);
 

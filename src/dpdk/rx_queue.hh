@@ -4,7 +4,7 @@
  *
  * RxQueue is the DPDK PMD: it arms the NIC's descriptor ring with
  * mempool buffers, polls descriptors for the DD bit, hands completed
- * mbufs to the network function in bursts (default 32), and re-arms
+ * mbufs to the network function in bursts of 32, and re-arms
  * consumed descriptors. Every descriptor read, mbuf-metadata write,
  * free-list touch, and descriptor re-arm is charged to the owning
  * core through the cache hierarchy, so driver-induced cache traffic
@@ -32,16 +32,6 @@ class Deserializer;
 namespace dpdk
 {
 
-/** PMD tuning. */
-struct PmdConfig
-{
-    /** RX burst size (DPDK default 32). */
-    std::uint32_t burst = 32;
-
-    /** MMIO doorbell cost for the tail update, ns. */
-    double tailUpdateNs = 30.0;
-};
-
 /** Result of one poll. */
 struct PollResult
 {
@@ -61,7 +51,13 @@ class RxQueue
      *                 the legacy single-ring binding).
      */
     RxQueue(cpu::Core &core, nic::Nic &port, Mempool &pool,
-            const PmdConfig &config = {}, std::uint32_t queueIdx = 0);
+            std::uint32_t queueIdx = 0);
+
+    /** RX burst size (DPDK's default; the only value any workload uses). */
+    static constexpr std::uint32_t burst = 32;
+
+    /** MMIO doorbell cost of the tail update, ns (the only value used). */
+    static constexpr double tailUpdateNs = 30.0;
 
     /**
      * Arm every descriptor with a fresh buffer (driver start-up).
@@ -102,12 +98,10 @@ class RxQueue
     cpu::Core &core;
     nic::Nic &nicPort;
     Mempool &pool;
-    PmdConfig cfg;
     std::uint32_t qIdx;
     trace::Source trc;
     std::uint32_t armNext = 0; ///< next ring index to re-arm
     std::uint32_t toRefill = 0;
-    sim::Tick tailUpdateCost;
 };
 
 } // namespace dpdk

@@ -83,7 +83,7 @@ TrafficSource::emitPacket()
 {
     net::Packet pkt;
     if (cfg.synthFlows != 0) {
-        pkt.flow = synthFlowTuple(nextFlow, cfg.synthBasePort);
+        pkt.flow = synthFlowTuple(nextFlow);
         pkt.dscp = cfg.synthDscp;
         nextFlow = (nextFlow + 1) % cfg.synthFlows;
     } else {
@@ -295,7 +295,7 @@ TraceTrafficGen::unserialize(ckpt::Deserializer &d)
 }
 
 net::FiveTuple
-synthFlowTuple(std::uint64_t idx, std::uint16_t basePort)
+synthFlowTuple(std::uint64_t idx)
 {
     // splitmix64 finaliser: a cheap, well-distributed pure function of
     // the flow index.
@@ -311,7 +311,7 @@ synthFlowTuple(std::uint64_t idx, std::uint16_t basePort)
               static_cast<std::uint32_t>((z >> 24) & 0xffffu); // 192.168
     t.srcPort =
         static_cast<std::uint16_t>(1024 + ((z >> 40) & 0x7fff));
-    t.dstPort = basePort;
+    t.dstPort = synthDstPort;
     t.proto = net::IpProto::Udp;
     return t;
 }

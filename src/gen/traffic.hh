@@ -51,9 +51,6 @@ struct TrafficConfig
      */
     std::uint64_t synthFlows = 0;
 
-    /** Destination port of every synthetic flow. */
-    std::uint16_t synthBasePort = 5000;
-
     /** DSCP marking of every synthetic flow. */
     std::uint8_t synthDscp = 0;
 
@@ -62,13 +59,19 @@ struct TrafficConfig
 };
 
 /**
- * The i-th synthetic flow: a UDP 5-tuple whose addresses and source
- * port are a splitmix64 mix of @p idx, so consecutive indices spread
- * uniformly over the Toeplitz hash space (as a real many-client load
- * does) while remaining a pure deterministic function of the index.
+ * Destination port of every synthetic flow (the only value any
+ * workload uses).
  */
-net::FiveTuple synthFlowTuple(std::uint64_t idx,
-                              std::uint16_t basePort = 5000);
+constexpr std::uint16_t synthDstPort = 5000;
+
+/**
+ * The i-th synthetic flow: a UDP 5-tuple to synthDstPort whose
+ * addresses and source port are a splitmix64 mix of @p idx, so
+ * consecutive indices spread uniformly over the Toeplitz hash space
+ * (as a real many-client load does) while remaining a pure
+ * deterministic function of the index.
+ */
+net::FiveTuple synthFlowTuple(std::uint64_t idx);
 
 /**
  * Base class: owns the target NIC, flow rotation, and counters.

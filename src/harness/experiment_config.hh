@@ -22,11 +22,9 @@
 
 #include "cache/config.hh"
 #include "idio/config.hh"
-#include "nf/llc_antagonist.hh"
 #include "dpdk/mbuf.hh"
 #include "nf/network_function.hh"
 #include "nic/nic.hh"
-#include "tenant/ioca.hh"
 #include "tenant/tenant.hh"
 
 namespace harness
@@ -116,8 +114,11 @@ struct ExperimentConfig
     /** NF execution-loop settings (M1 follows idio.policy). */
     nf::NfConfig nf;
 
-    /** Antagonist settings of every aggressor core. */
-    nf::AntagonistConfig antagonist;
+    /**
+     * Working-set bytes of every aggressor core (default 8 MB: larger
+     * than the LLC).
+     */
+    std::uint64_t antagonistBufferBytes = 8ull << 20;
 
     /**
      * @{ Workload layout of the default tenant set (ignored when
@@ -160,9 +161,6 @@ struct ExperimentConfig
     /** LLC sharing mode between the tenants. */
     TenantPartition tenantPartition = TenantPartition::None;
 
-    /** Adaptive-controller knobs (TenantPartition::Ioca). */
-    tenant::IocaConfig ioca;
-
     bool tenantMode() const { return !tenants.empty(); }
     /** @} */
 
@@ -181,19 +179,12 @@ struct ExperimentConfig
     /** Ethernet frame bytes. */
     std::uint32_t frameBytes = 1514;
 
-    /** Flows per NF (all steered to its core). */
-    std::uint32_t flowsPerNf = 4;
-
-    /** DSCP for generated flows (>= 32 marks app class 1). */
-    std::uint8_t dscp = 0;
-    /** @} */
-
     /**
-     * Mempool head-room beyond the ring size (DPDK guidance: ring +
-     * burst + slack). The pool recycles FIFO, so the I/O working set
-     * is ring + extra buffers.
+     * Flows per NF (all steered to its core). A field because
+     * perfbench's NIC probe reads it.
      */
-    std::uint32_t mempoolExtra = 128;
+    std::uint32_t flowsPerNf = 4; // lint: allow(config-field)
+    /** @} */
 
     /** Buffer recycling order (see dpdk::Mempool; FIFO is faithful). */
     dpdk::RecycleOrder recycleOrder = dpdk::RecycleOrder::Fifo;

@@ -65,9 +65,7 @@ planMachine(const ExperimentConfig &cfg)
                        NfKind kind, TrafficKind traffic, double rateGbps,
                        sim::Tick stopAt) {
         // Class-1 marking follows the NF kind on the port's cores.
-        const std::uint8_t dscp =
-            kind == NfKind::L2FwdDropPayload && cfg.dscp < 32 ? 40
-                                                              : cfg.dscp;
+        const std::uint8_t dscp = kind == NfKind::L2FwdDropPayload ? 40 : 0;
         // The multi-queue layout's port spreads a synthetic population
         // over its queues by RSS; a per-core port carries its own
         // flow list.

@@ -18,6 +18,18 @@
 namespace harness
 {
 
+namespace
+{
+
+/**
+ * Mempool head-room beyond the ring size (DPDK guidance: ring + burst
+ * + slack). The pool recycles FIFO, so the I/O working set is ring +
+ * this many buffers. The only value any workload uses.
+ */
+constexpr std::uint32_t mempoolExtra = 128;
+
+} // anonymous namespace
+
 Totals
 Totals::operator-(const Totals &o) const
 {
@@ -67,12 +79,11 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         cores.push_back(std::make_unique<cpu::Core>(
             sim_, base + ".core", i, *hier));
         pools.push_back(std::make_unique<dpdk::Mempool>(
-            alloc, cfg.nic.ringSize + cfg.mempoolExtra,
+            alloc, cfg.nic.ringSize + mempoolExtra,
             dpdk::defaultBufBytes, /*invalidatable=*/true,
             cfg.recycleOrder));
         rxqs.push_back(std::make_unique<dpdk::RxQueue>(
-            *cores.back(), port, *pools.back(), dpdk::PmdConfig{},
-            queue));
+            *cores.back(), port, *pools.back(), queue));
 
         switch (kind) {
           case NfKind::TouchDrop:
@@ -126,10 +137,9 @@ TestSystem::TestSystem(const ExperimentConfig &config)
 
     // Each port, then the pipelines on its rings, then its generator.
     for (const PortPlan &p : plan.ports) {
-        nic::NicConfig nicCfg = cfg.nic;
-        nicCfg.numQueues = p.numQueues;
         nics.push_back(std::make_unique<nic::Nic>(
-            sim_, p.name + ".nic", nicCfg, *ctrl, alloc, p.firstCore));
+            sim_, p.name + ".nic", cfg.nic, *ctrl, alloc, p.firstCore,
+            p.numQueues));
         nic::Nic &port = *nics.back();
         for (std::uint32_t q = 0; q < p.numQueues; ++q)
             buildNfPipeline(p.firstCore + q, port, q, p.nfKind);
@@ -153,7 +163,8 @@ TestSystem::TestSystem(const ExperimentConfig &config)
         cores.push_back(std::make_unique<cpu::Core>(
             sim_, a.name + ".core", a.core, *hier));
         antags.push_back(std::make_unique<nf::LlcAntagonist>(
-            sim_, a.name, *cores.back(), alloc, cfg.antagonist));
+            sim_, a.name, *cores.back(), alloc,
+            cfg.antagonistBufferBytes));
     }
 
     if (cfg.tenantMode()) {
@@ -162,7 +173,7 @@ TestSystem::TestSystem(const ExperimentConfig &config)
             cfg.tenantPartition != TenantPartition::None);
         if (cfg.tenantPartition == TenantPartition::Ioca)
             ioca = std::make_unique<tenant::IocaController>(
-                sim_, "system.ioca", *hier, *tenantMgr, cfg.ioca);
+                sim_, "system.ioca", *hier, *tenantMgr);
     }
 
     // Runtime invariant checker: runFor() sweeps the whole model so a

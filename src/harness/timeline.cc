@@ -31,25 +31,9 @@ TimelineRecorder::trackRate(const std::string &name,
 }
 
 void
-TimelineRecorder::trackValue(const std::string &name,
-                             std::function<double()> value)
-{
-    auto t = std::make_unique<Track>();
-    t->series = stats::Series(name);
-    t->value = std::move(value);
-    tracks.push_back(std::move(t));
-}
-
-void
 TimelineRecorder::start()
 {
     event.start();
-}
-
-void
-TimelineRecorder::stop()
-{
-    event.stop();
 }
 
 void
@@ -60,15 +44,10 @@ TimelineRecorder::sample()
     simRef.eventq().syncSleepers();
     const sim::Tick when = simRef.now();
     for (auto &t : tracks) {
-        if (t->counter) {
-            const std::uint64_t cur = t->counter();
-            const double rate =
-                static_cast<double>(cur - t->last) * mtpsScale;
-            t->last = cur;
-            t->series.append(when, rate);
-        } else {
-            t->series.append(when, t->value());
-        }
+        const std::uint64_t cur = t->counter();
+        const double rate = static_cast<double>(cur - t->last) * mtpsScale;
+        t->last = cur;
+        t->series.append(when, rate);
     }
 }
 

@@ -43,15 +43,8 @@ class TimelineRecorder
     void trackRate(const std::string &name,
                    std::function<std::uint64_t()> counter);
 
-    /** Track a raw value (sampled, not differentiated). */
-    void trackValue(const std::string &name,
-                    std::function<double()> value);
-
     /** Begin sampling. */
     void start();
-
-    /** Stop sampling. */
-    void stop();
 
     /** Access a series by name; fatal when unknown. */
     const stats::Series &series(const std::string &name) const;
@@ -65,8 +58,7 @@ class TimelineRecorder
     struct Track
     {
         stats::Series series;
-        std::function<std::uint64_t()> counter; // rate mode
-        std::function<double()> value;          // value mode
+        std::function<std::uint64_t()> counter;
         std::uint64_t last = 0;
     };
 

@@ -5,8 +5,6 @@
 
 #include "config.hh"
 
-#include "sim/logging.hh"
-
 namespace idio
 {
 
@@ -42,14 +40,6 @@ tryParsePolicy(const std::string &name)
     if (name == "idio" || name == "IDIO")
         return Policy::Idio;
     return std::nullopt;
-}
-
-Policy
-parsePolicy(const std::string &name)
-{
-    if (const auto p = tryParsePolicy(name))
-        return *p;
-    sim::fatal("unknown IDIO policy '%s'", name.c_str());
 }
 
 } // namespace idio

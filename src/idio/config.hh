@@ -24,6 +24,12 @@
 namespace idio
 {
 
+/** Control-plane sampling interval (paper Table I: 1 us). */
+constexpr sim::Tick controlInterval = sim::oneUs;
+
+/** Control intervals averaged for mlcWBAvg (paper Table I: 8192). */
+constexpr std::uint32_t avgWindow = 8192;
+
 /** Named policy presets. */
 enum class Policy
 {
@@ -49,9 +55,6 @@ enum class PrefetcherKind
 
 /** Parse a policy name ("ddio", "invalidate", ...); nullopt if unknown. */
 std::optional<Policy> tryParsePolicy(const std::string &name);
-
-/** As tryParsePolicy(), but an unknown name is fatal. */
-Policy parsePolicy(const std::string &name);
 
 /**
  * Controller and mechanism knobs. The mechanisms a run enables are
@@ -90,18 +93,6 @@ struct IdioConfig
 
     /** MLC-pressure threshold, million transactions/second. */
     double mlcThrMtps = 50.0;
-
-    /** Control-plane sampling interval (paper: 1 us). */
-    sim::Tick controlInterval = sim::oneUs;
-
-    /** Samples averaged for mlcWBAvg (paper: 8192). */
-    std::uint32_t avgWindow = 8192;
-
-    /** MLC prefetcher queue depth (paper: 32). */
-    std::uint32_t prefetchQueueDepth = 32;
-
-    /** Pacing between prefetch issues, ns. */
-    double prefetchIssueNs = 5.0;
 
     /** Prefetcher flavour. */
     PrefetcherKind prefetcher = PrefetcherKind::SimpleQueue;

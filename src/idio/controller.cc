@@ -34,7 +34,7 @@ IdioController::IdioController(sim::Simulation &simulation,
       wbThisInterval(hierarchy.numCores(), 0),
       wbAccum(hierarchy.numCores(), 0),
       wbAvg(hierarchy.numCores(), 0),
-      controlEvent(eventq(), config.controlInterval,
+      controlEvent(eventq(), controlInterval,
                    [this] { controlPlaneTick(); },
                    name + ".controlPlane")
 {
@@ -45,8 +45,7 @@ IdioController::IdioController(sim::Simulation &simulation,
     for (std::uint32_t c = 0; c < hierarchy.numCores(); ++c) {
         prefetchers.push_back(std::make_unique<MlcPrefetcher>(
             simulation, name + ".prefetcher" + std::to_string(c),
-            hierarchy, c, cfg.prefetchQueueDepth,
-            sim::nsToTicks(cfg.prefetchIssueNs), window));
+            hierarchy, c, window));
     }
 }
 
@@ -155,10 +154,10 @@ IdioController::controlPlaneTick()
         wbThisInterval[c] = 0;
     }
 
-    if (++intervalsSinceAvg >= cfg.avgWindow) {
+    if (++intervalsSinceAvg >= avgWindow) {
         for (std::uint32_t c = 0; c < n; ++c) {
             wbAvg[c] = static_cast<std::uint32_t>(wbAccum[c] /
-                                                  cfg.avgWindow);
+                                                  avgWindow);
             wbAccum[c] = 0;
         }
         intervalsSinceAvg = 0;

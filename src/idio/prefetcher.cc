@@ -11,12 +11,18 @@
 namespace idio
 {
 
+namespace
+{
+
+/** Ticks between issued prefetches. */
+constexpr sim::Tick issuePeriod = sim::nsToTicks(prefetchIssueNs);
+
+} // anonymous namespace
+
 MlcPrefetcher::MlcPrefetcher(sim::Simulation &simulation,
                              const std::string &name,
                              cache::MemoryHierarchy &hierarchy,
-                             sim::CoreId core, std::uint32_t depth,
-                             sim::Tick issuePeriod,
-                             std::uint32_t pacingWindow)
+                             sim::CoreId core, std::uint32_t pacingWindow)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       hintsReceived(statGroup, "hintsReceived",
@@ -27,8 +33,8 @@ MlcPrefetcher::MlcPrefetcher(sim::Simulation &simulation,
       fills(statGroup, "fills", "prefetches that filled the MLC"),
       stalls(statGroup, "stalls",
              "issue slots skipped because the pacing window was full"),
-      hier(hierarchy), core(core), depth(depth),
-      issuePeriod(issuePeriod), window(pacingWindow), issueEvent(*this)
+      hier(hierarchy), core(core), window(pacingWindow),
+      issueEvent(*this)
 {
 }
 
@@ -42,7 +48,7 @@ void
 MlcPrefetcher::hint(sim::Addr addr)
 {
     ++hintsReceived;
-    if (queue.size() >= depth) {
+    if (queue.size() >= prefetchQueueDepth) {
         ++hintsDropped;
         return;
     }

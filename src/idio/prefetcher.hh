@@ -2,10 +2,10 @@
  * @file
  * Queued MLC prefetcher (paper Sec. V-C).
  *
- * Each MLC controller keeps a small FIFO (default 32 entries) of
- * prefetch hints received from the IDIO controller and issues prefetch
- * requests to the LLC at a configurable pace. Hints arriving at a full
- * queue are dropped.
+ * Each MLC controller keeps a small FIFO (32 entries) of prefetch
+ * hints received from the IDIO controller and issues prefetch requests
+ * to the LLC at a fixed pace. Hints arriving at a full queue are
+ * dropped.
  *
  * Besides the paper's simple queued prefetcher, a *CPU-paced* mode
  * implements the paper's suggested improvement ("a more sophisticated
@@ -30,6 +30,12 @@
 namespace idio
 {
 
+/** Prefetch queue entries per MLC (paper Sec. V-C and Table I: 32). */
+constexpr std::uint32_t prefetchQueueDepth = 32;
+
+/** Pacing between prefetch issues, ns (the only value any workload uses). */
+constexpr double prefetchIssueNs = 5.0;
+
 /**
  * Per-core queued prefetcher.
  */
@@ -40,15 +46,12 @@ class MlcPrefetcher : public sim::SimObject
   public:
     /**
      * @param core The MLC this prefetcher fills.
-     * @param depth Queue depth (paper default 32).
-     * @param issuePeriod Ticks between issued prefetches.
      * @param pacingWindow Maximum prefetched-but-unconsumed lines
      *        allowed in the MLC before issuing stalls (0 disables
      *        pacing: the paper's simple queued prefetcher).
      */
     MlcPrefetcher(sim::Simulation &simulation, const std::string &name,
                   cache::MemoryHierarchy &hierarchy, sim::CoreId core,
-                  std::uint32_t depth, sim::Tick issuePeriod,
                   std::uint32_t pacingWindow = 0);
 
     ~MlcPrefetcher() override;
@@ -105,8 +108,6 @@ class MlcPrefetcher : public sim::SimObject
 
     cache::MemoryHierarchy &hier;
     sim::CoreId core;
-    std::uint32_t depth;
-    sim::Tick issuePeriod;
     std::uint32_t window;
     std::uint32_t outstanding = 0;
     std::deque<sim::Addr> queue;

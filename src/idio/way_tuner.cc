@@ -13,20 +13,16 @@ namespace idio
 
 DdioWayTuner::DdioWayTuner(sim::Simulation &simulation,
                            const std::string &name,
-                           cache::MemoryHierarchy &hierarchy,
-                           const WayTunerConfig &config)
+                           cache::MemoryHierarchy &hierarchy)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       grows(statGroup, "grows", "DDIO partition grow decisions"),
       shrinks(statGroup, "shrinks", "DDIO partition shrink decisions"),
       evaluations(statGroup, "evaluations", "tuning intervals"),
-      hier(hierarchy), cfg(config),
-      tick(simulation.eventq(), config.interval,
-           [this] { evaluate(); }, name + ".tick")
+      hier(hierarchy),
+      tick(simulation.eventq(), interval, [this] { evaluate(); },
+           name + ".tick")
 {
-    if (cfg.minWays == 0 || cfg.minWays > cfg.maxWays)
-        sim::fatal("way tuner range [%u, %u] invalid", cfg.minWays,
-                   cfg.maxWays);
 }
 
 void
@@ -35,18 +31,6 @@ DdioWayTuner::start()
     lastLeak = hier.llc().ddioWayEvictions.get();
     lastMisses = hier.llc().misses.get();
     tick.start();
-}
-
-void
-DdioWayTuner::stop()
-{
-    tick.stop();
-}
-
-std::uint32_t
-DdioWayTuner::currentWays() const
-{
-    return hier.llc().ddioWays();
 }
 
 void
@@ -62,11 +46,11 @@ DdioWayTuner::evaluate()
     lastMisses = missNow;
 
     const std::uint32_t ways = hier.llc().ddioWays();
-    if (leak > cfg.growLeakThreshold && ways < cfg.maxWays) {
+    if (leak > growLeakThreshold && ways < maxWays) {
         hier.llc().setDdioWays(ways + 1);
         ++grows;
-    } else if (leak < cfg.shrinkLeakThreshold &&
-               misses > cfg.missThreshold && ways > cfg.minWays) {
+    } else if (leak < shrinkLeakThreshold &&
+               misses > missThreshold && ways > minWays) {
         hier.llc().setDdioWays(ways - 1);
         ++shrinks;
     }

@@ -25,30 +25,6 @@
 namespace idio
 {
 
-/** Tuner knobs. */
-struct WayTunerConfig
-{
-    /** Re-evaluation cadence. */
-    sim::Tick interval = 100 * sim::oneUs;
-
-    /** Minimum / maximum DDIO ways the tuner may configure. */
-    std::uint32_t minWays = 1;
-    std::uint32_t maxWays = 8;
-
-    /**
-     * Grow the partition when more than this many DDIO-way victims
-     * were displaced during the last interval (DMA leak pressure).
-     */
-    std::uint64_t growLeakThreshold = 64;
-
-    /**
-     * Shrink when the leak was below this and the CPU side missed in
-     * the LLC more than missThreshold times.
-     */
-    std::uint64_t shrinkLeakThreshold = 8;
-    std::uint64_t missThreshold = 256;
-};
-
 /**
  * Periodic controller adjusting the LLC's DDIO partition.
  */
@@ -58,17 +34,37 @@ class DdioWayTuner : public sim::SimObject
 
   public:
     DdioWayTuner(sim::Simulation &simulation, const std::string &name,
-                 cache::MemoryHierarchy &hierarchy,
-                 const WayTunerConfig &config = {});
+                 cache::MemoryHierarchy &hierarchy);
+
+    /**
+     * Re-evaluation cadence: fast enough to react within a ~124 us
+     * burst. The only value its one user (ablation_way_tuner) runs.
+     */
+    static constexpr sim::Tick interval = 10 * sim::oneUs;
+
+    /**
+     * @{ Minimum / maximum DDIO ways the tuner may configure. These and
+     * the thresholds below are the only values any workload uses.
+     */
+    static constexpr std::uint32_t minWays = 1;
+    static constexpr std::uint32_t maxWays = 8;
+    /** @} */
+
+    /**
+     * Grow the partition when more than this many DDIO-way victims
+     * were displaced during the last interval (DMA leak pressure).
+     */
+    static constexpr std::uint64_t growLeakThreshold = 64;
+
+    /**
+     * Shrink when the leak was below this and the CPU side missed in
+     * the LLC more than missThreshold times.
+     */
+    static constexpr std::uint64_t shrinkLeakThreshold = 8;
+    static constexpr std::uint64_t missThreshold = 256;
 
     /** Begin the monitoring loop. */
     void start();
-
-    /** Stop adjusting (the current partition stays). */
-    void stop();
-
-    /** Current partition size. */
-    std::uint32_t currentWays() const;
 
     /** @{ Counters. */
     stats::Counter grows;
@@ -83,7 +79,6 @@ class DdioWayTuner : public sim::SimObject
     void evaluate();
 
     cache::MemoryHierarchy &hier;
-    WayTunerConfig cfg;
     std::uint64_t lastLeak = 0;
     std::uint64_t lastMisses = 0;
     sim::PeriodicEvent tick;

@@ -29,19 +29,25 @@ hitLevelName(HitLevel level)
     return "?";
 }
 
-DramModel::DramModel(sim::Simulation &simulation, const std::string &name,
-                     const DramConfig &config)
-    : sim::SimObject(simulation, name), cfg(config),
+namespace
+{
+
+constexpr sim::Tick accessLatency = sim::nsToTicks(DramModel::latencyNs);
+
+/** Time one cacheline occupies the (aggregated) channels. */
+constexpr sim::Tick serviceTime = sim::nsToTicks(
+    static_cast<double>(lineSize) / DramModel::bandwidthGBps);
+
+} // anonymous namespace
+
+DramModel::DramModel(sim::Simulation &simulation, const std::string &name)
+    : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       reads(statGroup, "reads", "DRAM cacheline read transactions"),
       writes(statGroup, "writes", "DRAM cacheline write transactions"),
       queuedTicks(statGroup, "queuedTicks",
                   "total queueing delay suffered at DRAM (ticks)")
 {
-    accessLatency = sim::nsToTicks(cfg.accessLatencyNs);
-    // Time one cacheline occupies the (aggregated) channels.
-    const double ns = static_cast<double>(lineSize) / cfg.bandwidthGBps;
-    serviceTime = std::max<sim::Tick>(1, sim::nsToTicks(ns));
 }
 
 sim::Tick

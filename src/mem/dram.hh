@@ -4,7 +4,7 @@
  *
  * DramModel charges a fixed device latency per access plus queueing
  * delay from a bandwidth token bucket (one "slot" per cacheline at the
- * configured peak bandwidth, shared across channels). It maintains the
+ * peak bandwidth, shared across channels). It maintains the
  * DRAM read/write transaction counters the paper plots in Figs. 4 and
  * 10.
  */
@@ -23,24 +23,19 @@
 namespace mem
 {
 
-/** Configuration for DramModel. */
-struct DramConfig
-{
-    /** Device access latency (row hit average), ns. */
-    double accessLatencyNs = 60.0;
-
-    /** Peak sustainable bandwidth, GB/s (DDR4-3200, 3 channels). */
-    double bandwidthGBps = 60.0;
-};
-
 /**
  * Latency/bandwidth DRAM model with read/write accounting.
  */
 class DramModel : public sim::SimObject
 {
   public:
-    DramModel(sim::Simulation &simulation, const std::string &name,
-              const DramConfig &config);
+    DramModel(sim::Simulation &simulation, const std::string &name);
+
+    /** Device access latency (row hit average), ns (paper Table I). */
+    static constexpr double latencyNs = 60.0;
+
+    /** Peak bandwidth, GB/s (Table I's DDR4-3200, 3 channels). */
+    static constexpr double bandwidthGBps = 60.0;
 
     /**
      * Perform one cacheline access.
@@ -76,9 +71,6 @@ class DramModel : public sim::SimObject
     void unserialize(ckpt::Deserializer &d) override;
 
   private:
-    DramConfig cfg;
-    sim::Tick serviceTime;  // channel occupancy per cacheline
-    sim::Tick accessLatency;
     sim::Tick nextFree = 0; // earliest tick the channel is free
 
     stats::StatGroup statGroup;

@@ -11,19 +11,26 @@
 namespace nf
 {
 
+namespace
+{
+
+/** Compute cost per access in ticks. */
+constexpr sim::Tick perAccessCost =
+    sim::nsToTicks(LlcAntagonist::perAccessCostNs);
+
+} // anonymous namespace
+
 LlcAntagonist::LlcAntagonist(sim::Simulation &simulation,
                              const std::string &name, cpu::Core &core,
                              mem::PhysAllocator &alloc,
-                             const AntagonistConfig &config)
+                             std::uint64_t bufferBytes)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       accesses(statGroup, "accesses", "random accesses performed"),
       accessTicks(statGroup, "accessTicks",
                   "total latency of random accesses (ticks)"),
-      core(core), cfg(config),
-      base(alloc.allocate(config.bufferBytes, mem::pageSize)),
-      lines(config.bufferBytes / mem::lineSize),
-      perAccessCost(sim::nsToTicks(config.perAccessCostNs)),
+      core(core), base(alloc.allocate(bufferBytes, mem::pageSize)),
+      lines(bufferBytes / mem::lineSize),
       rng(simulation.deriveRng(name).next())
 {
 }
@@ -48,11 +55,11 @@ sim::Tick
 LlcAntagonist::step(cpu::Core &c)
 {
     sim::Tick lat = 0;
-    for (std::uint32_t i = 0; i < cfg.accessesPerStep; ++i) {
+    for (std::uint32_t i = 0; i < accessesPerStep; ++i) {
         const sim::Addr addr =
             base + rng.below(lines) * mem::lineSize;
         sim::Tick access;
-        if (rng.chance(cfg.writeFraction))
+        if (rng.chance(writeFraction))
             access = c.write(addr, 1);
         else
             access = c.read(addr, 1);

@@ -23,22 +23,6 @@
 namespace nf
 {
 
-/** Antagonist tuning. */
-struct AntagonistConfig
-{
-    /** Working-set bytes (default 8 MB: larger than the LLC). */
-    std::uint64_t bufferBytes = 8ull << 20;
-
-    /** Random accesses per atomic step. */
-    std::uint32_t accessesPerStep = 64;
-
-    /** Fraction of accesses that are writes. */
-    double writeFraction = 0.3;
-
-    /** Compute cost per access, ns. */
-    double perAccessCostNs = 2.0;
-};
-
 /**
  * Random-access LLC thrasher.
  */
@@ -47,9 +31,19 @@ class LlcAntagonist : public cpu::Workload, public sim::SimObject
     stats::StatGroup statGroup;
 
   public:
+    /** @param bufferBytes Working-set bytes. */
     LlcAntagonist(sim::Simulation &simulation, const std::string &name,
                   cpu::Core &core, mem::PhysAllocator &alloc,
-                  const AntagonistConfig &config);
+                  std::uint64_t bufferBytes);
+
+    /** Random accesses per atomic step (the only value used). */
+    static constexpr std::uint32_t accessesPerStep = 64;
+
+    /** Fraction of accesses that are writes (the only value used). */
+    static constexpr double writeFraction = 0.3;
+
+    /** Compute cost per access, ns (the only value used). */
+    static constexpr double perAccessCostNs = 2.0;
 
     /**
      * Touch the buffer sequentially (outside simulated time) so stats
@@ -79,10 +73,8 @@ class LlcAntagonist : public cpu::Workload, public sim::SimObject
 
   private:
     cpu::Core &core;
-    AntagonistConfig cfg;
     sim::Addr base;
     std::uint64_t lines;
-    sim::Tick perAccessCost;
     sim::Rng rng;
 };
 

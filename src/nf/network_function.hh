@@ -29,7 +29,10 @@
 namespace nf
 {
 
-/** Tuning knobs shared by all network functions. */
+/**
+ * Tuning knobs shared by all network functions. Fields because fig04
+ * recalibrates them to the paper's physical Xeon.
+ */
 struct NfConfig
 {
     /** Gap between empty polls, ns (bounds idle event count). */

@@ -28,7 +28,6 @@ bytesPerInterval(double gbps, sim::Tick interval)
 
 IdioClassifier::IdioClassifier(sim::Simulation &simulation,
                                const std::string &name,
-                               const ClassifierConfig &config,
                                sim::CoreId firstCore,
                                std::uint32_t numQueues)
     : sim::SimObject(simulation, name),
@@ -39,12 +38,10 @@ IdioClassifier::IdioClassifier(sim::Simulation &simulation,
                      "burst-threshold crossings"),
       class1Packets(statGroup, "class1Packets",
                     "packets classified as application class 1"),
-      cfg(config),
-      thrBytes(bytesPerInterval(config.rxBurstThresholdGbps,
-                                config.counterInterval)),
+      thrBytes(bytesPerInterval(rxBurstThresholdGbps, counterInterval)),
       firstCore(firstCore), counters(numQueues, 0),
       crossedThis(numQueues, false), crossedPrev(numQueues, false),
-      resetEvent(eventq(), config.counterInterval,
+      resetEvent(eventq(), counterInterval,
                  [this] { resetCounters(); }, name + ".counterReset")
 {
 }
@@ -62,7 +59,7 @@ IdioClassifier::classify(const net::Packet &pkt, std::uint32_t queue)
     ++packetsClassified;
 
     Classification cls;
-    cls.appClass = pkt.dscp >= cfg.class1DscpMin ? 1 : 0;
+    cls.appClass = pkt.dscp >= class1DscpMin ? 1 : 0;
     if (cls.appClass == 1)
         ++class1Packets;
 

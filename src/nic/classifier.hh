@@ -29,24 +29,6 @@
 namespace nic
 {
 
-/** Classifier configuration. */
-struct ClassifierConfig
-{
-    /** Burst detection threshold (paper default 10 Gbps). */
-    double rxBurstThresholdGbps = 10.0;
-
-    /** Burst counter reset interval. */
-    sim::Tick counterInterval = sim::oneUs;
-
-    /**
-     * DSCP values at or above this mark application class 1 (long use
-     * distance). The paper leaves the DSCP-to-class mapping to the
-     * deployment; a single threshold on the 6-bit field is the
-     * simplest faithful realisation.
-     */
-    std::uint8_t class1DscpMin = 32;
-};
-
 /**
  * Per-packet classification outcome.
  */
@@ -71,8 +53,21 @@ class IdioClassifier : public sim::SimObject
      *                  firstCore + q.
      */
     IdioClassifier(sim::Simulation &simulation, const std::string &name,
-                   const ClassifierConfig &config, sim::CoreId firstCore,
-                   std::uint32_t numQueues);
+                   sim::CoreId firstCore, std::uint32_t numQueues);
+
+    /** rxBurstTHR, Gbps (paper Table I). */
+    static constexpr double rxBurstThresholdGbps = 10.0;
+
+    /** Burst-counter reset interval (paper Sec. V-A: 1 us). */
+    static constexpr sim::Tick counterInterval = sim::oneUs;
+
+    /**
+     * DSCP values at or above this mark application class 1 (long use
+     * distance). The paper leaves the DSCP-to-class mapping to the
+     * deployment; a single threshold on the 6-bit field is the
+     * simplest faithful realisation.
+     */
+    static constexpr std::uint8_t class1DscpMin = 32;
 
     /** Start the periodic counter-reset machinery. */
     void start();
@@ -130,7 +125,6 @@ class IdioClassifier : public sim::SimObject
   private:
     void resetCounters();
 
-    ClassifierConfig cfg;
     std::uint32_t thrBytes;
     sim::CoreId firstCore;
     std::vector<std::uint32_t> counters; // one per queue

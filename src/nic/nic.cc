@@ -52,14 +52,18 @@ std::uint32_t descRefQueue(std::uint64_t v)
     return static_cast<std::uint32_t>(v >> 32);
 }
 
+/** The descriptor batching delay in ticks. */
+constexpr sim::Tick descWbDelay = sim::nsToTicks(Nic::descWbDelayNs);
+
 /**
  * @p config, after the checks that must pass before any part of the
  * port is built from it (the DMA engine's line time, the rings).
  */
 const NicConfig &
-validated(const std::string &name, const NicConfig &config)
+validated(const std::string &name, const NicConfig &config,
+          std::uint32_t numQueues)
 {
-    if (config.numQueues == 0)
+    if (numQueues == 0)
         sim::fatal("NIC '%s' needs at least one RX queue",
                    name.c_str());
     if (config.ringSize < 8)
@@ -69,11 +73,6 @@ validated(const std::string &name, const NicConfig &config)
         sim::fatal("NIC '%s' PCIe bandwidth %g GB/s must be positive "
                    "and finite",
                    name.c_str(), config.pcieGBps);
-    if (!std::isfinite(config.descWbDelayNs) ||
-        config.descWbDelayNs < 0.0)
-        sim::fatal("NIC '%s' descriptor writeback delay %g ns must be "
-                   "non-negative and finite",
-                   name.c_str(), config.descWbDelayNs);
     return config;
 }
 
@@ -81,7 +80,8 @@ validated(const std::string &name, const NicConfig &config)
 
 Nic::Nic(sim::Simulation &simulation, const std::string &name,
          const NicConfig &config, DmaTarget &target,
-         mem::PhysAllocator &alloc, sim::CoreId firstCore)
+         mem::PhysAllocator &alloc, sim::CoreId firstCore,
+         std::uint32_t numQueues)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       rxPackets(statGroup, "rxPackets", "packets received at the MAC"),
@@ -90,24 +90,22 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
               "packets dropped because the RX ring was full"),
       txPackets(statGroup, "txPackets", "packets transmitted"),
       txBytes(statGroup, "txBytes", "bytes transmitted"),
-      cfg(validated(name, config)),
+      cfg(validated(name, config, numQueues)),
       trc(simulation.tracer().registerSource(name)),
-      fdir(cfg.numQueues),
+      fdir(numQueues),
       dma(simulation, name + ".dma", target, cfg.pcieGBps),
-      cls(simulation, name + ".classifier", cfg.classifier, firstCore,
-          cfg.numQueues),
-      descWbDelay(sim::nsToTicks(cfg.descWbDelayNs))
+      cls(simulation, name + ".classifier", firstCore, numQueues)
 {
-    rings.reserve(cfg.numQueues);
-    for (std::uint32_t q = 0; q < cfg.numQueues; ++q) {
+    rings.reserve(numQueues);
+    for (std::uint32_t q = 0; q < numQueues; ++q) {
         rings.emplace_back(
             alloc.allocate(std::uint64_t(cfg.ringSize) * rxDescBytes,
                            mem::lineSize),
             cfg.ringSize);
     }
-    queueRx.assign(cfg.numQueues, 0);
-    queueDrops.assign(cfg.numQueues, 0);
-    ringWatchers.resize(cfg.numQueues);
+    queueRx.assign(numQueues, 0);
+    queueDrops.assign(numQueues, 0);
+    ringWatchers.resize(numQueues);
 
     payloadDoneHandler = dma.registerHandler(
         name + ".payloadDone",

@@ -6,7 +6,7 @@
  * traffic generator, steers each to one of its own RX queues, claims
  * an RX descriptor, runs the IDIO classifier, and streams cacheline
  * DMA writes (payload first, then the descriptor writeback after a
- * configurable completion delay) through the DMA engine to the root
+ * fixed completion delay) through the DMA engine to the root
  * complex. The TX path DMA-reads buffers for zero-copy forwarding NFs.
  *
  * A port is a range of cores: queue q is polled by core firstCore + q,
@@ -43,24 +43,11 @@ struct NicConfig
     std::uint32_t ringSize = 1024;
 
     /**
-     * RX queues (rings) on the port. With one queue every packet takes
-     * it; with more, the flow director's RSS decision selects the
-     * ring before the ring-full drop check, like real multi-queue
-     * hardware. See FlowDirector.
+     * Effective PCIe bandwidth of the port, GB/s. A field because
+     * test_idle_sleep's poll-grid alignment puts poll grids on the
+     * DMA pump grid this sets.
      */
-    std::uint32_t numQueues = 1;
-
-    /** Effective PCIe bandwidth of the port, GB/s. */
-    double pcieGBps = 32.0;
-
-    /**
-     * Delay between the end of a packet's payload DMA and the start of
-     * its descriptor writeback (models the NIC's descriptor batching;
-     * the paper observes ~1.9 us from first DMA to execution start).
-     */
-    double descWbDelayNs = 1500.0;
-
-    ClassifierConfig classifier;
+    double pcieGBps = 32.0; // lint: allow(config-field)
 };
 
 /**
@@ -76,11 +63,25 @@ class Nic : public sim::SimObject
      * @param alloc Allocator for descriptor ring memory.
      * @param firstCore Core polling queue 0; queue q's is
      *                  firstCore + q.
+     * @param numQueues RX queues (rings) on the port. With one queue
+     *                  every packet takes it; with more, the flow
+     *                  director's RSS decision selects the ring
+     *                  before the ring-full drop check, like real
+     *                  multi-queue hardware. See FlowDirector.
      */
     Nic(sim::Simulation &simulation, const std::string &name,
         const NicConfig &config, DmaTarget &target,
-        mem::PhysAllocator &alloc, sim::CoreId firstCore);
+        mem::PhysAllocator &alloc, sim::CoreId firstCore,
+        std::uint32_t numQueues);
     ~Nic() override;
+
+    /**
+     * Delay between the end of a packet's payload DMA and the start of
+     * its descriptor writeback, ns: the NIC's descriptor batching (the
+     * paper observes ~1.9 us from first DMA to execution start). The
+     * only value any workload uses.
+     */
+    static constexpr double descWbDelayNs = 1500.0;
 
     /** Start periodic machinery (classifier counters). */
     void start();
@@ -209,7 +210,6 @@ class Nic : public sim::SimObject
     std::vector<RxRing> rings;
     std::vector<std::uint64_t> queueRx;
     std::vector<std::uint64_t> queueDrops;
-    sim::Tick descWbDelay;
     /** Oldest first; a deque keeps each entry's event in place. */
     std::deque<PendingWb> pendingWbs;
     std::uint32_t payloadDoneHandler;

@@ -46,12 +46,12 @@ class PeriodicEvent : public Event
 
     ~PeriodicEvent() override { stop(); }
 
-    /** Start firing; first callback at now() + period (or @p phase). */
+    /** Start firing; first callback at now() + period. */
     void
-    start(Tick phase = 0)
+    start()
     {
         if (!scheduled())
-            queue.scheduleIn(this, phase ? phase : period);
+            queue.scheduleIn(this, period);
     }
 
     /** Stop firing. */

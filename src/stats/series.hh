@@ -63,9 +63,6 @@ class Series
     /** Sum of sampled values. */
     double sum() const;
 
-    /** Remove all points. */
-    void clear() { pts.clear(); }
-
   private:
     std::string _name;
     std::vector<SeriesPoint> pts;

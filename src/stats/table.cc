@@ -31,15 +31,6 @@ TablePrinter::num(double v, int precision)
     return buf;
 }
 
-std::string
-TablePrinter::pct(double fraction, int precision)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%%", precision,
-                  fraction * 100.0);
-    return buf;
-}
-
 void
 TablePrinter::print(std::ostream &os) const
 {

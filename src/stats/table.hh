@@ -31,9 +31,6 @@ class TablePrinter
     /** Format a double with the given precision. */
     static std::string num(double v, int precision = 3);
 
-    /** Format a percentage ("12.3%"). */
-    static std::string pct(double fraction, int precision = 1);
-
     /** Write the table to @p os. */
     void print(std::ostream &os) const;
 

@@ -14,23 +14,20 @@ namespace tenant
 IocaController::IocaController(sim::Simulation &simulation,
                                const std::string &name,
                                cache::MemoryHierarchy &hierarchy,
-                               TenantManager &manager,
-                               const IocaConfig &config)
+                               TenantManager &manager)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       evaluations(statGroup, "evaluations", "control intervals"),
       reallocations(statGroup, "reallocations",
                     "ways moved between tenants"),
-      hier(hierarchy), mgr(manager), cfg(config),
+      hier(hierarchy), mgr(manager),
       trc(simulation.tracer().registerSource(name)),
       lastDemand(manager.numTenants(), 0),
-      tick(simulation.eventq(), config.interval, [this] { evaluate(); },
+      tick(simulation.eventq(), interval, [this] { evaluate(); },
            name + ".tick")
 {
     if (!mgr.partitioned())
         sim::fatal("IocaController needs a partitioned TenantManager");
-    if (cfg.minWays == 0)
-        sim::fatal("IocaController minWays must be >= 1");
 }
 
 void
@@ -39,12 +36,6 @@ IocaController::start()
     for (std::uint32_t id = 0; id < mgr.numTenants(); ++id)
         lastDemand[id] = tenantDemand(id);
     tick.start();
-}
-
-void
-IocaController::stop()
-{
-    tick.stop();
 }
 
 std::uint64_t
@@ -84,7 +75,7 @@ IocaController::evaluate()
         if (receiver < 0 ||
             denser(id, static_cast<std::uint32_t>(receiver)))
             receiver = static_cast<std::int32_t>(id);
-        if (mgr.tenant(id).ways > cfg.minWays &&
+        if (mgr.tenant(id).ways > minWays &&
             (donor < 0 ||
              denser(static_cast<std::uint32_t>(donor), id)))
             donor = static_cast<std::int32_t>(id);
@@ -95,7 +86,7 @@ IocaController::evaluate()
     const auto r = static_cast<std::uint32_t>(receiver);
     if (!denser(r, d))
         return;
-    if (pressure[r] - pressure[d] < cfg.moveThreshold)
+    if (pressure[r] - pressure[d] < moveThreshold)
         return;
 
     std::vector<std::uint32_t> counts(n);

@@ -31,23 +31,6 @@
 namespace tenant
 {
 
-/** Controller knobs. */
-struct IocaConfig
-{
-    /** Re-evaluation cadence. */
-    sim::Tick interval = 50 * sim::oneUs;
-
-    /** Floor below which no tenant partition may shrink. */
-    std::uint32_t minWays = 1;
-
-    /**
-     * Minimum weighted-pressure gap (receiver minus donor, per
-     * interval) before a way moves; damps oscillation on balanced
-     * load.
-     */
-    std::uint64_t moveThreshold = 64;
-};
-
 /**
  * Periodic way-reallocation controller over a TenantManager.
  */
@@ -58,13 +41,23 @@ class IocaController : public sim::SimObject
   public:
     IocaController(sim::Simulation &simulation, const std::string &name,
                    cache::MemoryHierarchy &hierarchy,
-                   TenantManager &manager, const IocaConfig &config = {});
+                   TenantManager &manager);
+
+    /** Re-evaluation cadence (the only value any workload uses). */
+    static constexpr sim::Tick interval = 50 * sim::oneUs;
+
+    /** Floor below which no tenant partition may shrink (ditto). */
+    static constexpr std::uint32_t minWays = 1;
+
+    /**
+     * Minimum weighted-pressure gap (receiver minus donor, per
+     * interval) before a way moves; damps oscillation on balanced
+     * load. The only value any workload uses.
+     */
+    static constexpr std::uint64_t moveThreshold = 64;
 
     /** Begin the monitoring loop. */
     void start();
-
-    /** Stop adjusting (the current partition stays). */
-    void stop();
 
     /** @{ Counters. */
     stats::Counter evaluations;
@@ -82,7 +75,6 @@ class IocaController : public sim::SimObject
 
     cache::MemoryHierarchy &hier;
     TenantManager &mgr;
-    IocaConfig cfg;
     trace::Source trc;
     std::vector<std::uint64_t> lastDemand;
     sim::PeriodicEvent tick;

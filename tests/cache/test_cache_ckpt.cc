@@ -148,14 +148,24 @@ TEST(CacheCkpt, BlobGrowsWithValidLinesNotCapacity)
               25 * (validLines(big) - validLines(small)));
 }
 
+/** Parameterised by policy name, so each case is named after it. */
 class CacheCkptPolicy : public ::testing::TestWithParam<const char *>
 {
+  protected:
+    static cache::ReplKind
+    kind(const std::string &name)
+    {
+        if (name == "srrip")
+            return cache::ReplKind::Srrip;
+        return name == "random" ? cache::ReplKind::Random
+                                : cache::ReplKind::Lru;
+    }
 };
 
 TEST_P(CacheCkptPolicy, SaveRestoreSaveIsByteIdentical)
 {
     cache::HierarchyConfig cfg = testutil::tinyConfig();
-    cfg.replacement = GetParam();
+    cfg.replacement = kind(GetParam());
     sim::Simulation s1, s2;
     cache::MemoryHierarchy orig(s1, "sys", cfg);
     cache::MemoryHierarchy copy(s2, "sys", cfg);

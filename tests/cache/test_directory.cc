@@ -20,7 +20,7 @@ class DirectoryTest : public ::testing::Test
 {
   protected:
     sim::Simulation s;
-    cache::MlcDirectory dir{s, "dir", 64, 4, "lru"};
+    cache::MlcDirectory dir{s, "dir", 64, 4, cache::ReplKind::Lru};
 };
 
 TEST_F(DirectoryTest, UntrackedInitially)

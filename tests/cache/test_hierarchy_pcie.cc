@@ -149,7 +149,7 @@ TEST_F(HierarchyTest, PcieReadFallsBackToDram)
 {
     const auto lat = hier.pcieRead(0x9000);
     EXPECT_EQ(hier.dram().readCount(), 1u);
-    EXPECT_GE(lat, sim::nsToTicks(hier.config().dramLatencyNs));
+    EXPECT_GE(lat, sim::nsToTicks(mem::DramModel::latencyNs));
 }
 
 TEST_F(HierarchyTest, PcieReadOfCleanMlcCopyServedFromMemorySide)

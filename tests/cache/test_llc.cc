@@ -17,7 +17,8 @@ class LlcTest : public ::testing::Test
   protected:
     sim::Simulation s;
     // 3 MB, 12-way, 2 DDIO ways: the paper's 2-core Fig. 5 setup.
-    cache::NonInclusiveLlc llc{s, "llc", 3 * 1024 * 1024, 12, 2, "lru"};
+    cache::NonInclusiveLlc llc{s, "llc", 3 * 1024 * 1024, 12, 2,
+                               cache::ReplKind::Lru};
 };
 
 TEST_F(LlcTest, DdioMask)
@@ -68,7 +69,7 @@ TEST(LlcDeath, TooManyDdioWaysIsFatal)
 {
     sim::Simulation s;
     EXPECT_EXIT(cache::NonInclusiveLlc(s, "llc", 1024 * 1024, 4, 5,
-                                       "lru"),
+                                       cache::ReplKind::Lru),
                 ::testing::ExitedWithCode(1), "ddioWays");
 }
 

@@ -120,19 +120,6 @@ TEST(Srrip, HitPromotionProtects)
     EXPECT_EQ(victimOf(a, 0b11), 1u);
 }
 
-TEST(Factory, KnownNames)
-{
-    EXPECT_EQ(cache::parseReplacement("lru"), ReplKind::Lru);
-    EXPECT_EQ(cache::parseReplacement("random"), ReplKind::Random);
-    EXPECT_EQ(cache::parseReplacement("srrip"), ReplKind::Srrip);
-}
-
-TEST(FactoryDeath, UnknownNameIsFatal)
-{
-    EXPECT_EXIT(cache::parseReplacement("plru"),
-                ::testing::ExitedWithCode(1), "unknown replacement");
-}
-
 TEST(ReplacementPolicy, TouchRepeatMatchesRepeatedTouches)
 {
     // touchRepeat(n) must leave exactly the state of n touch() calls:

@@ -27,7 +27,7 @@ class TraceGenTest : public ::testing::Test
         nic::NicConfig ncfg;
         ncfg.ringSize = 1024;
         port = std::make_unique<nic::Nic>(s, "nic", ncfg, target,
-                                          alloc, 0);
+                                          alloc, 0, 1);
         for (std::uint32_t i = 0; i < 1024; ++i)
             port->rxRing().swArm(i, alloc.allocate(2048, 64), i);
     }
@@ -135,7 +135,7 @@ TEST(TraceGenDeath, EmptyTraceIsFatal)
     sim::Simulation s;
     NullTarget target;
     mem::PhysAllocator alloc;
-    nic::Nic port(s, "nic", {}, target, alloc, 0);
+    nic::Nic port(s, "nic", {}, target, alloc, 0, 1);
     EXPECT_EXIT(gen::TraceTrafficGen(s, "t", port, {}),
                 ::testing::ExitedWithCode(1), "empty trace");
 }

@@ -29,7 +29,7 @@ class TrafficTest : public ::testing::Test
         nic::NicConfig ncfg;
         ncfg.ringSize = 4096;
         port = std::make_unique<nic::Nic>(s, "nic", ncfg, target, alloc,
-                                          0);
+                                          0, 1);
         // Arm generously so nothing drops.
         for (std::uint32_t i = 0; i < 4096; ++i)
             port->rxRing().swArm(i, alloc.allocate(2048, 64), i);
@@ -163,7 +163,7 @@ TEST(TrafficDeath, EmptyFlowListIsFatal)
     sim::Simulation s;
     NullTarget target;
     mem::PhysAllocator alloc;
-    nic::Nic port(s, "nic", {}, target, alloc, 0);
+    nic::Nic port(s, "nic", {}, target, alloc, 0, 1);
     gen::TrafficConfig tc; // no flows
     EXPECT_EXIT(gen::SteadyTrafficGen(s, "gen", port, tc, 10.0),
                 ::testing::ExitedWithCode(1), "no flows");
@@ -174,7 +174,7 @@ TEST(TrafficDeath, NonPositiveOrNanRateIsFatal)
     sim::Simulation s;
     NullTarget target;
     mem::PhysAllocator alloc;
-    nic::Nic port(s, "nic", {}, target, alloc, 0);
+    nic::Nic port(s, "nic", {}, target, alloc, 0, 1);
     gen::TrafficConfig tc;
     tc.flows = gen::makeFlows(1);
     EXPECT_EXIT(gen::SteadyTrafficGen(s, "steady", port, tc, 0.0),

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment_config.hh"
+#include "idio/prefetcher.hh"
+#include "mem/dram.hh"
 
 namespace
 {
@@ -24,6 +26,15 @@ TEST(ExperimentConfig, TableOneDefaults)
     EXPECT_EQ(cfg.nic.ringSize, 1024u);
     EXPECT_EQ(cfg.frameBytes, 1514u);
     EXPECT_EQ(cfg.burstPeriod, 10 * sim::oneMs);
+
+    // The Table I values that are constants, not fields.
+    EXPECT_EQ(mem::DramModel::latencyNs, 60.0);
+    EXPECT_EQ(mem::DramModel::bandwidthGBps, 60.0);
+    EXPECT_EQ(nic::IdioClassifier::rxBurstThresholdGbps, 10.0);
+    EXPECT_EQ(nic::IdioClassifier::counterInterval, sim::oneUs);
+    EXPECT_EQ(idio::controlInterval, sim::oneUs);
+    EXPECT_EQ(idio::avgWindow, 8192u);
+    EXPECT_EQ(idio::prefetchQueueDepth, 32u);
 }
 
 TEST(ExperimentConfig, EffectiveBurstPackets)

@@ -33,37 +33,6 @@ TEST(Timeline, RateSeriesInMtps)
         EXPECT_NEAR(series.points()[i].value, 10.0, 0.01);
 }
 
-TEST(Timeline, ValueSeriesSampled)
-{
-    sim::Simulation s;
-    harness::TimelineRecorder rec(s, sim::oneUs);
-    double v = 1.0;
-    rec.trackValue("gauge", [&] { return v; });
-    rec.start();
-    s.runFor(3 * sim::oneUs);
-    v = 5.0;
-    s.runFor(3 * sim::oneUs);
-
-    const auto &series = rec.series("gauge");
-    ASSERT_GE(series.size(), 5u);
-    EXPECT_DOUBLE_EQ(series.points()[0].value, 1.0);
-    EXPECT_DOUBLE_EQ(series.points().back().value, 5.0);
-}
-
-TEST(Timeline, StopFreezesSeries)
-{
-    sim::Simulation s;
-    harness::TimelineRecorder rec(s, sim::oneUs);
-    std::uint64_t c = 0;
-    rec.trackRate("x", [&] { return c; });
-    rec.start();
-    s.runFor(5 * sim::oneUs);
-    rec.stop();
-    const auto n = rec.series("x").size();
-    s.runFor(5 * sim::oneUs);
-    EXPECT_EQ(rec.series("x").size(), n);
-}
-
 TEST(Timeline, AllReturnsRegistrationOrder)
 {
     sim::Simulation s;

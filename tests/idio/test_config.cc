@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "idio/config.hh"
+#include "idio/prefetcher.hh"
 
 namespace
 {
@@ -57,17 +58,17 @@ TEST(Presets, PaperDefaults)
 {
     const IdioConfig c;
     EXPECT_DOUBLE_EQ(c.mlcThrMtps, 50.0);
-    EXPECT_EQ(c.controlInterval, sim::oneUs);
-    EXPECT_EQ(c.avgWindow, 8192u);
-    EXPECT_EQ(c.prefetchQueueDepth, 32u);
+    EXPECT_EQ(idio::controlInterval, sim::oneUs);
+    EXPECT_EQ(idio::avgWindow, 8192u);
+    EXPECT_EQ(idio::prefetchQueueDepth, 32u);
+    EXPECT_DOUBLE_EQ(idio::prefetchIssueNs, 5.0);
 }
 
 TEST(Presets, ThresholdConversion)
 {
     IdioConfig c;
     c.mlcThrMtps = 50.0;
-    c.controlInterval = sim::oneUs;
-    // 50 MTPS over 1 us = 50 transactions.
+    // 50 MTPS over the 1 us control interval = 50 transactions.
     EXPECT_EQ(c.thresholdPerInterval(), 50u);
 
     c.mlcThrMtps = 10.0;
@@ -78,15 +79,10 @@ TEST(PolicyNames, RoundTrip)
 {
     for (auto p : {Policy::Ddio, Policy::InvalidateOnly,
                    Policy::PrefetchOnly, Policy::Static, Policy::Idio})
-        EXPECT_EQ(idio::parsePolicy(idio::policyName(p)), p);
-    EXPECT_EQ(idio::parsePolicy("idio"), Policy::Idio);
-    EXPECT_EQ(idio::parsePolicy("ddio"), Policy::Ddio);
-}
-
-TEST(PolicyNamesDeath, UnknownIsFatal)
-{
-    EXPECT_EXIT(idio::parsePolicy("bogus"),
-                ::testing::ExitedWithCode(1), "unknown");
+        EXPECT_EQ(idio::tryParsePolicy(idio::policyName(p)), p);
+    EXPECT_EQ(idio::tryParsePolicy("idio"), Policy::Idio);
+    EXPECT_EQ(idio::tryParsePolicy("ddio"), Policy::Ddio);
+    EXPECT_FALSE(idio::tryParsePolicy("bogus").has_value());
 }
 
 } // anonymous namespace

@@ -180,21 +180,29 @@ TEST_F(ControllerTest, QuietPeriodReenables)
 
 TEST_F(ControllerTest, AverageTracksLongTermRate)
 {
-    build(idio::Policy::Idio, [](idio::IdioConfig &c) {
-        c.avgWindow = 4; // tiny window for the test
-    });
+    build(idio::Policy::Idio);
 
-    // ~10 writebacks per interval for 8 intervals.
-    for (int interval = 0; interval < 8; ++interval) {
+    // 10 writebacks in each 1 us interval of one 8192-interval window.
+    ASSERT_EQ(idio::avgWindow, 8192u);
+    ASSERT_EQ(idio::controlInterval, sim::oneUs);
+    sim::Addr a = 0x200000;
+    for (std::uint32_t interval = 0; interval < idio::avgWindow;
+         ++interval) {
+        // Write lines into the MLC, then push them out as writebacks
+        // (a pcieRead of a dirty MLC line writes it back).
         for (int i = 0; i < 10; ++i)
-            hier->coreWrite(0, 0x200000 + (interval * 10 + i) * 64);
-        // Push them out by churning (tiny MLC would be needed for
-        // real evictions; emulate via pcieRead of dirty lines).
+            hier->coreWrite(0, a + i * 64);
         for (int i = 0; i < 10; ++i)
-            hier->pcieRead(0x200000 + (interval * 10 + i) * 64);
+            hier->pcieRead(a + i * 64);
+        a += 10 * 64;
         s.runFor(sim::oneUs);
+        if (interval + 2 == idio::avgWindow) {
+            // One interval short of the window: no average yet.
+            EXPECT_EQ(ctrl->mlcWbAvg(0), 0u);
+        }
     }
-    EXPECT_NEAR(static_cast<double>(ctrl->mlcWbAvg(0)), 10.0, 3.0);
+    EXPECT_EQ(ctrl->mlcWbAvg(0), 10u);
+    EXPECT_EQ(ctrl->mlcWbAvg(1), 0u) << "core 1 wrote nothing back";
 }
 
 TEST_F(ControllerTest, DmaReadDelegatesToHierarchy)

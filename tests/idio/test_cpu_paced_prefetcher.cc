@@ -22,9 +22,8 @@ class CpuPacedTest : public ::testing::Test
         cache::HierarchyConfig hcfg;
         hcfg.numCores = 1;
         hier = std::make_unique<cache::MemoryHierarchy>(s, "sys", hcfg);
-        pf = std::make_unique<idio::MlcPrefetcher>(
-            s, "pf", *hier, 0, /*depth=*/32,
-            sim::nsToTicks(10.0), /*window=*/4);
+        pf = std::make_unique<idio::MlcPrefetcher>(s, "pf", *hier, 0,
+                                                   /*window=*/4);
         // The delegate is non-owning: bind a fixture-member callable
         // that lives as long as the hierarchy does.
         retireFn = [this](sim::CoreId) { pf->onRetire(); };
@@ -51,6 +50,9 @@ class CpuPacedTest : public ::testing::Test
 TEST_F(CpuPacedTest, StallsAtWindow)
 {
     hintLines(10);
+    // One issue every idio::prefetchIssueNs (5 ns): at 5, 10, 15 ns.
+    s.runFor(sim::nsToTicks(17.0));
+    EXPECT_EQ(pf->fills.get(), 3u);
     s.runFor(sim::oneUs);
 
     // Only the 4-line window may be outstanding.

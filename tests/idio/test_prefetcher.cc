@@ -19,9 +19,7 @@ class PrefetcherTest : public ::testing::Test
         cache::HierarchyConfig hcfg;
         hcfg.numCores = 1;
         hier = std::make_unique<cache::MemoryHierarchy>(s, "sys", hcfg);
-        pf = std::make_unique<idio::MlcPrefetcher>(
-            s, "pf", *hier, 0, /*depth=*/32,
-            /*issuePeriod=*/sim::nsToTicks(10.0));
+        pf = std::make_unique<idio::MlcPrefetcher>(s, "pf", *hier, 0);
     }
 
     sim::Simulation s;
@@ -45,6 +43,7 @@ TEST_F(PrefetcherTest, QueueDropsWhenFull)
     for (int i = 0; i < 64; ++i)
         pf->hint(0x100000 + i * 64);
     EXPECT_EQ(pf->hintsReceived.get(), 64u);
+    ASSERT_EQ(idio::prefetchQueueDepth, 32u);
     EXPECT_EQ(pf->hintsDropped.get(), 64u - 32u - 0u)
         << "only the 32-deep queue's worth may be accepted";
 }
@@ -55,8 +54,9 @@ TEST_F(PrefetcherTest, IssuePacing)
         hier->pcieWrite(0x2000 + i * 64);
         pf->hint(0x2000 + i * 64);
     }
-    // 10 ns per issue: after 55 ns, 5 issued.
-    s.runFor(sim::nsToTicks(55.0));
+    // 5 ns per issue: after 27 ns, 5 issued.
+    ASSERT_EQ(idio::prefetchIssueNs, 5.0);
+    s.runFor(sim::nsToTicks(27.0));
     EXPECT_EQ(pf->issued.get(), 5u);
     s.runFor(sim::oneUs);
     EXPECT_EQ(pf->issued.get(), 10u);

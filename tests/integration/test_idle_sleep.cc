@@ -178,7 +178,9 @@ randomConfig(std::uint64_t seed)
     cfg.burstPeriod = (20 + rng.below(60)) * sim::oneUs;
     cfg.frameBytes = 64 + static_cast<std::uint32_t>(rng.below(1451));
     cfg.nic.ringSize = 64u << rng.below(3);
-    const char *repl[] = {"lru", "srrip", "random"};
+    const cache::ReplKind repl[] = {cache::ReplKind::Lru,
+                                    cache::ReplKind::Srrip,
+                                    cache::ReplKind::Random};
     cfg.hier.replacement = repl[rng.below(3)];
     cfg.numNfs = 1 + static_cast<std::uint32_t>(rng.below(4));
     if (rng.chance(0.5)) {

@@ -32,18 +32,14 @@ class AntagonistTest : public ::testing::Test
 
 TEST_F(AntagonistTest, WarmUpTouchesWholeBuffer)
 {
-    nf::AntagonistConfig cfg;
-    cfg.bufferBytes = 1 << 20;
-    nf::LlcAntagonist antag(s, "antag", *core, alloc, cfg);
+    nf::LlcAntagonist antag(s, "antag", *core, alloc, 1 << 20);
     antag.warmUp();
     EXPECT_EQ(core->reads.get(), (1u << 20) / 64);
 }
 
 TEST_F(AntagonistTest, RunsAndCountsAccesses)
 {
-    nf::AntagonistConfig cfg;
-    cfg.bufferBytes = 4 << 20;
-    nf::LlcAntagonist antag(s, "antag", *core, alloc, cfg);
+    nf::LlcAntagonist antag(s, "antag", *core, alloc, 4 << 20);
     antag.warmUp();
     antag.launch();
     s.runFor(sim::oneMs);
@@ -56,9 +52,8 @@ TEST_F(AntagonistTest, AccessesStayInBuffer)
 {
     // A small working set fits the hierarchy: after warm-up, no
     // access should reach DRAM.
-    nf::AntagonistConfig cfg;
-    cfg.bufferBytes = 128 * 1024; // fits the 256 KB MLC
-    nf::LlcAntagonist antag(s, "antag", *core, alloc, cfg);
+    nf::LlcAntagonist antag(s, "antag", *core, alloc,
+                            128 * 1024); // fits the 256 KB MLC
     antag.warmUp();
     const auto dramBefore = hier->dram().readCount();
     antag.launch();
@@ -68,9 +63,8 @@ TEST_F(AntagonistTest, AccessesStayInBuffer)
 
 TEST_F(AntagonistTest, LargeWorkingSetThrashesLlc)
 {
-    nf::AntagonistConfig cfg;
-    cfg.bufferBytes = 8 << 20; // 8 MB >> 1.5 MB LLC
-    nf::LlcAntagonist antag(s, "antag", *core, alloc, cfg);
+    nf::LlcAntagonist antag(s, "antag", *core, alloc,
+                            8 << 20); // 8 MB >> 1.5 MB LLC
     antag.warmUp();
     antag.launch();
     s.runFor(sim::oneMs);
@@ -80,19 +74,17 @@ TEST_F(AntagonistTest, LargeWorkingSetThrashesLlc)
 
 TEST_F(AntagonistTest, CpiDegradesWithWorkingSetSize)
 {
-    nf::AntagonistConfig small;
-    small.bufferBytes = 128 * 1024;
-    nf::AntagonistConfig large;
-    large.bufferBytes = 8 << 20;
+    const std::uint64_t smallBytes = 128 * 1024;
+    const std::uint64_t largeBytes = 8 << 20;
 
-    nf::LlcAntagonist a(s, "a", *core, alloc, small);
+    nf::LlcAntagonist a(s, "a", *core, alloc, smallBytes);
     a.warmUp();
     a.launch();
     s.runFor(sim::oneMs);
     const double cpiSmall = a.ticksPerAccess();
     core->halt();
 
-    nf::LlcAntagonist b(s, "b", *core, alloc, large);
+    nf::LlcAntagonist b(s, "b", *core, alloc, largeBytes);
     b.warmUp();
     b.launch();
     s.runFor(sim::oneMs);

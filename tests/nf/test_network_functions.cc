@@ -182,7 +182,7 @@ TEST(NetworkFunction, BatchingRespectsConfiguredBurst)
     sys.start();
     sys.runFor(5 * sim::oneMs);
 
-    const std::uint64_t burst = dpdk::PmdConfig{}.burst;
+    const std::uint64_t burst = dpdk::RxQueue::burst;
     const auto batches = sys.nf(0).batches.get();
     const auto pkts = sys.nf(0).packetsProcessed.get();
     EXPECT_LE(pkts, batches * burst) << "no batch may exceed the limit";

@@ -20,17 +20,9 @@ class ClassifierTest : public ::testing::Test
   protected:
     static constexpr sim::CoreId firstCore = 8;
 
-    ClassifierTest() : fdir(4), cls(s, "cls", cfgFor(), firstCore, 4)
+    ClassifierTest() : fdir(4), cls(s, "cls", firstCore, 4)
     {
         cls.start();
-    }
-
-    static nic::ClassifierConfig
-    cfgFor()
-    {
-        nic::ClassifierConfig c;
-        c.rxBurstThresholdGbps = 10.0; // 1250 B per 1 us interval
-        return c;
     }
 
     net::Packet
@@ -94,6 +86,9 @@ TEST_F(ClassifierTest, OutOfRangeDestCorePanics)
 
 TEST_F(ClassifierTest, ThresholdBytesMatchTenGbps)
 {
+    // Table I's rxBurstTHR over the 1 us counter interval.
+    EXPECT_EQ(nic::IdioClassifier::rxBurstThresholdGbps, 10.0);
+    EXPECT_EQ(nic::IdioClassifier::counterInterval, sim::oneUs);
     // 10 Gbps over 1 us = 1250 bytes.
     EXPECT_EQ(cls.thresholdBytes(), 1250u);
 }
@@ -180,14 +175,14 @@ TEST(ClassifierCkptDeath, QueueCountDriftIsFatal)
     // 1-queue port's classifier, where it would leave a counter no
     // queue owns.
     sim::Simulation two;
-    nic::IdioClassifier wide(two, "port.classifier", {}, 0, 2);
+    nic::IdioClassifier wide(two, "port.classifier", 0, 2);
     wide.start();
     const auto blob = ckpt::save(two);
 
     EXPECT_EXIT(
         {
             sim::Simulation one;
-            nic::IdioClassifier narrow(one, "port.classifier", {}, 0, 1);
+            nic::IdioClassifier narrow(one, "port.classifier", 0, 1);
             narrow.start();
             ckpt::restore(one, blob);
         },

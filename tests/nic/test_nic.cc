@@ -49,9 +49,8 @@ class NicTest : public ::testing::Test
     {
         nic::NicConfig cfg;
         cfg.ringSize = 32;
-        cfg.descWbDelayNs = 100.0;
         port = std::make_unique<nic::Nic>(s, "nic", cfg, target, alloc,
-                                          0);
+                                          0, 1);
         port->start();
         // Arm the ring like a driver would.
         for (std::uint32_t i = 0; i < 32; ++i) {
@@ -87,7 +86,7 @@ TEST(NicDeath, RingBelowMinimumIsFatal)
     mem::PhysAllocator alloc;
     nic::NicConfig cfg;
     cfg.ringSize = 4;
-    EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 0),
+    EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 0, 1),
                 ::testing::ExitedWithCode(1),
                 "NIC 'port' ring size 4 is below the minimum of 8");
 }
@@ -102,27 +101,11 @@ TEST(NicDeath, BadPcieBandwidthIsFatal)
         mem::PhysAllocator alloc;
         nic::NicConfig cfg;
         cfg.pcieGBps = gbps;
-        EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 0),
+        EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 0, 1),
                     ::testing::ExitedWithCode(1),
                     "NIC 'port' PCIe bandwidth .* GB/s must be positive "
                     "and finite")
             << gbps;
-    }
-}
-
-TEST(NicDeath, BadDescriptorWritebackDelayIsFatal)
-{
-    for (const double ns : {-10.0, std::nan(""), inf}) {
-        sim::Simulation s;
-        CountingTarget target;
-        mem::PhysAllocator alloc;
-        nic::NicConfig cfg;
-        cfg.descWbDelayNs = ns;
-        EXPECT_EXIT(nic::Nic(s, "port", cfg, target, alloc, 0),
-                    ::testing::ExitedWithCode(1),
-                    "NIC 'port' descriptor writeback delay .* ns must "
-                    "be non-negative and finite")
-            << ns;
     }
 }
 
@@ -173,12 +156,15 @@ TEST_F(NicTest, DescriptorWritebackDelayed)
 {
     port->deliver(packet());
     // Payload lines finish within ~24 * 2 ns; the descriptor write
-    // waits the configured 100 ns on top.
-    s.runFor(sim::nsToTicks(80.0));
+    // waits the 1500 ns batching delay on top.
+    ASSERT_EQ(nic::Nic::descWbDelayNs, 1500.0);
+    s.runFor(sim::nsToTicks(1500.0));
     EXPECT_EQ(target.writes.size(), 24u);
     EXPECT_FALSE(port->rxRing().swReady());
-    s.runFor(10 * sim::oneUs);
+    s.runFor(sim::nsToTicks(100.0));
     EXPECT_EQ(target.writes.size(), 26u);
+    s.runFor(10 * sim::oneUs);
+    EXPECT_TRUE(port->rxRing().swReady());
 }
 
 TEST_F(NicTest, DropsWhenRingExhausted)
@@ -250,9 +236,8 @@ class MultiQueueNicTest : public ::testing::Test
     {
         nic::NicConfig cfg;
         cfg.ringSize = 32;
-        cfg.numQueues = queues;
         port = std::make_unique<nic::Nic>(s, "nic", cfg, target, alloc,
-                                          firstCore);
+                                          firstCore, queues);
         port->start();
         for (std::uint32_t q = 0; q < queues; ++q) {
             for (std::uint32_t i = 0; i < 32; ++i)
@@ -333,7 +318,8 @@ TEST(OneQueueNic, EveryFlowTakesTheRingOfTheFirstCore)
     mem::PhysAllocator alloc;
     nic::NicConfig cfg;
     cfg.ringSize = 32;
-    nic::Nic port(s, "nic", cfg, target, alloc, /*firstCore=*/5);
+    nic::Nic port(s, "nic", cfg, target, alloc, /*firstCore=*/5,
+                  /*numQueues=*/1);
     port.start();
     for (std::uint32_t i = 0; i < 32; ++i)
         port.rxRing().swArm(i, alloc.allocate(2048, 64), i);

@@ -108,7 +108,7 @@ struct Rig
     static constexpr std::uint32_t ringSize = 32;
 
     Rig()
-        : target(s), port(s, "nic", config(), target, alloc, 0),
+        : target(s), port(s, "nic", config(), target, alloc, 0, 1),
           early(s, "early", port), late(s, "late", port)
     {
         port.start();
@@ -123,7 +123,6 @@ struct Rig
     {
         nic::NicConfig cfg;
         cfg.ringSize = ringSize;
-        cfg.descWbDelayNs = 100.0;
         return cfg;
     }
 
@@ -195,7 +194,10 @@ feed(Rig &r)
 
 TEST(NicCheckpoint, PendingWritebacksSetDdBitsAsUninterrupted)
 {
-    const sim::Tick end = sim::oneUs;
+    // Past the wires' own writebacks: each packet's descriptor goes
+    // out Nic::descWbDelayNs after its payload.
+    const sim::Tick end = 4 * sim::oneUs;
+    static_assert(2 * sim::nsToTicks(nic::Nic::descWbDelayNs) < end);
 
     Rig ref;
     feed(ref);

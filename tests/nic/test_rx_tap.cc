@@ -28,7 +28,7 @@ TEST(RxTap, SeesEveryDeliveryIncludingDrops)
     mem::PhysAllocator alloc;
     nic::NicConfig cfg;
     cfg.ringSize = 8;
-    nic::Nic port(s, "nic", cfg, target, alloc, 0);
+    nic::Nic port(s, "nic", cfg, target, alloc, 0, 1);
     // Arm only 4 descriptors: deliveries 5.. will drop.
     for (std::uint32_t i = 0; i < 4; ++i)
         port.rxRing().swArm(i, alloc.allocate(2048, 64), i);
@@ -58,7 +58,7 @@ TEST(RxTap, TimestampIsArrivalTime)
     sim::Simulation s;
     NullTarget target;
     mem::PhysAllocator alloc;
-    nic::Nic port(s, "nic", {}, target, alloc, 0);
+    nic::Nic port(s, "nic", {}, target, alloc, 0, 1);
     port.rxRing().swArm(0, alloc.allocate(2048, 64), 0);
 
     sim::Tick tapped = 0;
@@ -80,7 +80,7 @@ TEST(RxTap, NoTapNoCrash)
     sim::Simulation s;
     NullTarget target;
     mem::PhysAllocator alloc;
-    nic::Nic port(s, "nic", {}, target, alloc, 0);
+    nic::Nic port(s, "nic", {}, target, alloc, 0, 1);
     port.rxRing().swArm(0, alloc.allocate(2048, 64), 0);
     net::Packet p;
     p.frameBytes = 64;

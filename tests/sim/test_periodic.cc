@@ -21,18 +21,6 @@ TEST(PeriodicEvent, FiresEveryPeriod)
     EXPECT_EQ(fires, 10);
 }
 
-TEST(PeriodicEvent, StartWithPhaseOffset)
-{
-    sim::EventQueue q;
-    std::vector<sim::Tick> when;
-    sim::PeriodicEvent ev(q, 100, [&] { when.push_back(q.now()); });
-    ev.start(/*phase=*/37);
-    q.runUntil(350);
-    ASSERT_EQ(when.size(), 4u);
-    EXPECT_EQ(when[0], 37u);
-    EXPECT_EQ(when[1], 137u);
-}
-
 TEST(PeriodicEvent, StopHaltsFiring)
 {
     sim::EventQueue q;

@@ -42,14 +42,6 @@ TEST(Series, EmptyAggregates)
     EXPECT_DOUBLE_EQ(s.sum(), 0.0);
 }
 
-TEST(Series, ClearEmpties)
-{
-    stats::Series s("x");
-    s.append(1, 1.0);
-    s.clear();
-    EXPECT_TRUE(s.empty());
-}
-
 TEST(SeriesCsv, HeaderAndRows)
 {
     stats::Series a("alpha"), b("beta");

@@ -44,10 +44,4 @@ TEST(Table, NumFormatting)
     EXPECT_EQ(stats::TablePrinter::num(-1.5, 1), "-1.5");
 }
 
-TEST(Table, PctFormatting)
-{
-    EXPECT_EQ(stats::TablePrinter::pct(0.123, 1), "12.3%");
-    EXPECT_EQ(stats::TablePrinter::pct(1.0, 0), "100%");
-}
-
 } // anonymous namespace

@@ -22,6 +22,17 @@ Custom rules (beyond what clang-tidy covers):
                  tests/, ``EventQueueRestoreAccess`` only in src/ckpt/
                  and tests/ (both besides src/sim/event_queue.*, which
                  defines them).
+  config-field   A data member with a default initializer in a
+                 ``struct *Config`` under src/ must be set somewhere
+                 a workload can reach: an assignment to it (``.f =``,
+                 ``->f +=``, ``.f.x =``, ``.f[i] =``, ``.f.assign(``,
+                 or a designated initializer ``{.f = ...}``) in src/
+                 outside the header that declares it, or in bench/,
+                 examples/ or perfbench/. A value no workload sets is
+                 a constant: declare it ``constexpr`` beside the code
+                 that uses it. A field that tests alone must vary
+                 stays with ``// lint: allow(config-field)`` on its
+                 line and a comment naming the test that needs it.
 
 Suppress a rule on one line with a trailing ``// lint: allow(<rule>)``.
 
@@ -61,17 +72,27 @@ ACCESS_STRUCTS = {
 }
 
 
-def cxx_files() -> list[pathlib.Path]:
+# Where an assignment makes a config field a workload knob (src/ only
+# outside the field's own header).
+CONFIG_SETTER_DIRS = ("src", "bench", "examples", "perfbench")
+CONFIG_STRUCT_RE = re.compile(r"\bstruct\s+(\w+Config)\s*\{")
+# A defaulted data member on one line: `type name = v;`, `type name{v};`.
+CONFIG_MEMBER_RE = re.compile(
+    r"^\s*(?!static\b|using\b|friend\b|return\b)[\w:<>,\s*&]*?"
+    r"\b(\w+)\s*(?:=|\{)")
+
+
+def cxx_files(dirs: tuple[str, ...] = CXX_DIRS) -> list[pathlib.Path]:
     """All C++ sources, preferring git's view when available."""
     try:
         out = subprocess.run(
-            ["git", "ls-files", "--", *CXX_DIRS],
+            ["git", "ls-files", "--", *dirs],
             cwd=REPO_ROOT, capture_output=True, text=True, check=True,
         ).stdout
         files = [REPO_ROOT / line for line in out.splitlines()]
     except (OSError, subprocess.CalledProcessError):
         files = [
-            p for d in CXX_DIRS for p in (REPO_ROOT / d).rglob("*")
+            p for d in dirs for p in (REPO_ROOT / d).rglob("*")
         ]
     return sorted(
         p for p in files
@@ -198,6 +219,57 @@ def scan_file(path: pathlib.Path) -> list[Violation]:
     return violations
 
 
+def config_fields(stripped: str) -> list[tuple[int, str, str]]:
+    """(line, struct, member) of every defaulted data member of a
+    ``struct *Config`` in @p stripped, skipping allowed lines."""
+    fields = []
+    for m in CONFIG_STRUCT_RE.finditer(stripped):
+        first = stripped.count("\n", 0, m.end()) + 1  # the "{" line
+        depth = 1
+        for lineno, line in enumerate(stripped[m.end():].split("\n"),
+                                      start=first):
+            at_member_level = depth == 1
+            depth += line.count("{") - line.count("}")
+            if depth <= 0:
+                break
+            member = CONFIG_MEMBER_RE.match(line)
+            allow = ALLOW_RE.search(line)
+            if (at_member_level and member
+                    and "(" not in line.split("=")[0]
+                    and not (allow and allow.group(1) == "config-field")):
+                fields.append((lineno, m.group(1), member.group(1)))
+    return fields
+
+
+def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
+    """The config-field rule over the config headers among @p files;
+    assignments are searched in every setter directory."""
+    headers = [p for p in files
+               if p.relative_to(REPO_ROOT).parts[0] == "src"
+               and p.suffix in (".hh", ".hpp")]
+    setters = {p: strip_comments_and_strings(
+                   p.read_text(encoding="utf-8"))
+               for p in cxx_files(CONFIG_SETTER_DIRS)}
+    violations = []
+    for header in headers:
+        stripped = strip_comments_and_strings(
+            header.read_text(encoding="utf-8"))
+        for lineno, struct, name in config_fields(stripped):
+            assign = re.compile(
+                rf"(?:\.|->)\s*{name}\b(?:\s*\.\s*\w+|\s*\[[^\]]*\])*"
+                r"\s*(?:[-+*/|&]?=(?!=)|\.\s*(?:assign|push_back|"
+                r"emplace_back|resize|insert)\s*\()")
+            if any(assign.search(text) for p, text in setters.items()
+                   if p != header):
+                continue
+            violations.append(Violation(
+                header, lineno, "config-field",
+                f"{struct}::{name} is set by no workload (src/ outside "
+                "this header, bench/, examples/, perfbench/); make it "
+                "a constexpr"))
+    return violations
+
+
 def expected_guard(path: pathlib.Path) -> str:
     rel = path.relative_to(REPO_ROOT)
     parts = rel.parts
@@ -274,6 +346,7 @@ def main() -> int:
     violations: list[Violation] = []
     for path in files:
         violations.extend(scan_file(path))
+    violations.extend(check_config_fields(files))
 
     for v in violations:
         print(v)
