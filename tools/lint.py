@@ -28,11 +28,14 @@ Custom rules (beyond what clang-tidy covers):
                  ``->f +=``, ``.f.x =``, ``.f[i] =``, ``.f.assign(``,
                  or a designated initializer ``{.f = ...}``) in src/
                  outside the header that declares it, or in bench/,
-                 examples/ or perfbench/. A value no workload sets is
-                 a constant: declare it ``constexpr`` beside the code
-                 that uses it. A field that tests alone must vary
-                 stays with ``// lint: allow(config-field)`` on its
-                 line and a comment naming the test that needs it.
+                 examples/ or perfbench/, in a file that names the
+                 field's struct or a config struct holding it (so
+                 ``ip.dscp =`` does not count for
+                 ``ExperimentConfig::dscp``). A value no workload
+                 sets is a constant: declare it ``constexpr`` beside
+                 the code that uses it. A field that tests alone must
+                 vary stays with ``// lint: allow(config-field)`` on
+                 its line and a comment naming the test that needs it.
 
 Suppress a rule on one line with a trailing ``// lint: allow(<rule>)``.
 
@@ -241,15 +244,45 @@ def config_fields(stripped: str) -> list[tuple[int, str, str]]:
     return fields
 
 
+def config_holders(stripped_headers: list[str]) -> dict[str, set[str]]:
+    """For each ``*Config`` struct, the config structs whose objects
+    reach it: itself and, transitively, every struct with a member of
+    its type (``ExperimentConfig`` holds ``HierarchyConfig`` holds
+    ``LevelConfig``)."""
+    members: dict[str, str] = {}
+    for text in stripped_headers:
+        for m in CONFIG_STRUCT_RE.finditer(text):
+            depth, i = 1, m.end()
+            while depth and i < len(text):
+                depth += {"{": 1, "}": -1}.get(text[i], 0)
+                i += 1
+            members[m.group(1)] = text[m.end():i]
+    holders = {s: {s} for s in members}
+    changed = True
+    while changed:
+        changed = False
+        for outer, body in members.items():
+            for inner in holders:
+                if re.search(rf"\b{inner}\b", body) and \
+                        not holders[outer] <= holders[inner]:
+                    holders[inner] |= holders[outer]
+                    changed = True
+    return holders
+
+
 def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
-    """The config-field rule over the config headers among @p files;
-    assignments are searched in every setter directory."""
+    """The config-field rule over the config headers among @p files.
+    An assignment counts in a file of a setter directory that names
+    the field's struct or a config struct holding it, so a same-named
+    member of an unrelated struct does not hide an unset field."""
     headers = [p for p in files
                if p.relative_to(REPO_ROOT).parts[0] == "src"
                and p.suffix in (".hh", ".hpp")]
     setters = {p: strip_comments_and_strings(
                    p.read_text(encoding="utf-8"))
                for p in cxx_files(CONFIG_SETTER_DIRS)}
+    holders = config_holders(
+        [t for p, t in setters.items() if p.suffix in (".hh", ".hpp")])
     violations = []
     for header in headers:
         stripped = strip_comments_and_strings(
@@ -259,8 +292,11 @@ def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
                 rf"(?:\.|->)\s*{name}\b(?:\s*\.\s*\w+|\s*\[[^\]]*\])*"
                 r"\s*(?:[-+*/|&]?=(?!=)|\.\s*(?:assign|push_back|"
                 r"emplace_back|resize|insert)\s*\()")
-            if any(assign.search(text) for p, text in setters.items()
-                   if p != header):
+            named = re.compile(
+                r"\b(?:" + "|".join(sorted(holders.get(struct, {struct})))
+                + r")\b")
+            if any(assign.search(text) and named.search(text)
+                   for p, text in setters.items() if p != header):
                 continue
             violations.append(Violation(
                 header, lineno, "config-field",
