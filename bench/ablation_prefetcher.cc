@@ -22,8 +22,7 @@ namespace
 {
 
 harness::ExperimentConfig
-config(double gbps, idio::PrefetcherKind kind, std::uint32_t window,
-       bool dynamicFsm)
+config(double gbps, std::uint32_t prefetchWindowLines, bool dynamicFsm)
 {
     harness::ExperimentConfig cfg;
     cfg.numNfs = 2;
@@ -31,8 +30,7 @@ config(double gbps, idio::PrefetcherKind kind, std::uint32_t window,
     cfg.rateGbps = gbps;
     cfg.applyPolicy(dynamicFsm ? idio::Policy::Idio
                                : idio::Policy::Static);
-    cfg.idio.prefetcher = kind;
-    cfg.idio.prefetchWindowLines = window;
+    cfg.idio.prefetchWindowLines = prefetchWindowLines;
     return cfg;
 }
 
@@ -43,13 +41,11 @@ main()
 {
     std::printf("=== Ablation: simple queued vs CPU-paced MLC "
                 "prefetcher ===\n");
-    bench::printConfigEcho(
-        config(100.0, idio::PrefetcherKind::SimpleQueue, 0, true));
+    bench::printConfigEcho(config(100.0, 0, true));
 
     for (double gbps : {100.0, 25.0}) {
         std::printf("--- burst rate %.0f Gbps ---\n", gbps);
-        const auto base = bench::runSingleBurst(
-            config(gbps, idio::PrefetcherKind::SimpleQueue, 0, true));
+        const auto base = bench::runSingleBurst(config(gbps, 0, true));
 
         stats::TablePrinter table({"prefetcher", "fsm", "mlcWB",
                                    "llcWB", "dramWr", "exec ms",
@@ -67,12 +63,10 @@ main()
 
         row("simple(32q)", base, "dynamic");
         row("simple(32q)",
-            bench::runSingleBurst(config(
-                gbps, idio::PrefetcherKind::SimpleQueue, 0, false)),
-            "static");
+            bench::runSingleBurst(config(gbps, 0, false)), "static");
         for (std::uint32_t window : {2048u, 4096u, 8192u}) {
-            const auto m = bench::runSingleBurst(config(
-                gbps, idio::PrefetcherKind::CpuPaced, window, true));
+            const auto m =
+                bench::runSingleBurst(config(gbps, window, true));
             row(("cpu-paced(w=" + std::to_string(window) + ")")
                     .c_str(),
                 m, "dynamic");

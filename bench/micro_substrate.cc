@@ -268,10 +268,10 @@ void
 BM_DmaPacketRun(benchmark::State &state)
 {
     // One RX packet's DMA work as the NIC queues it: a header line and
-    // a 24-line body (a 25-line payload), its completion callback, one
-    // descriptor line and the descriptor's callback, pumped a line per
-    // 2 ns through a target that does nothing. Host time per iteration
-    // is the DMA layer's cost per packet.
+    // a 24-line body (a 25-line payload), its payload completion, one
+    // descriptor line and the descriptor's completion, pumped a line
+    // per 2 ns through a target that does nothing. Host time per
+    // iteration is the DMA layer's cost per packet.
     class NullTarget : public nic::DmaTarget
     {
       public:
@@ -281,10 +281,13 @@ BM_DmaPacketRun(benchmark::State &state)
 
     sim::Simulation s;
     NullTarget target;
-    nic::DmaEngine dma(s, "dma", target, 32.0);
     std::uint64_t sink = 0;
-    const std::uint32_t done = dma.registerHandler(
-        "done", [&sink](const nic::DmaArgs &args) { sink += args[0]; });
+    auto onDone = [&sink](const nic::DmaCompletion &done) {
+        sink += done.index;
+    };
+    nic::DmaEngine dma(s, "dma", target, 32.0,
+                       nic::DmaEngine::Sink::fromCallable(&onDone), 1,
+                       1024);
     nic::TlpMeta head;
     head.isHeader = true;
     const nic::TlpMeta body;
@@ -292,9 +295,11 @@ BM_DmaPacketRun(benchmark::State &state)
     for (auto _ : state) {
         dma.enqueueWrite(buf, head);
         dma.enqueueWrite(buf + 64, body, 24);
-        dma.enqueueCallback(done, {1});
+        dma.enqueueCompletion(
+            {nic::DmaCompletion::Kind::PayloadDone, false, 0, 1});
         dma.enqueueWrite(0x2000, body);
-        dma.enqueueCallback(done, {1});
+        dma.enqueueCompletion(
+            {nic::DmaCompletion::Kind::DescComplete, false, 0, 1});
         s.runFor(sim::oneUs);
     }
     benchmark::DoNotOptimize(sink);

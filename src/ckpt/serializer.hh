@@ -72,8 +72,11 @@ namespace ckpt
  * RNG; the LLC's DDIO width follows its array. _eventq section
  * version 5 drops the wheel base and geometry: the section is
  * {tick, nextSeq, processed, pending}.
+ * v6: a pending DMA completion is a typed record, a kind tag
+ * (PayloadDone, DescComplete, TxDone) plus u32 queue, u32 index and
+ * the burst bit, in place of a handler name and six argument words.
  */
-constexpr std::uint32_t formatVersion = 5;
+constexpr std::uint32_t formatVersion = 6;
 
 /** File magic, first 8 bytes of every checkpoint. */
 constexpr std::array<char, 8> magic = {'I', 'D', 'I', 'O',

@@ -43,16 +43,6 @@ enum class Policy
 /** Printable policy name. */
 const char *policyName(Policy p);
 
-/**
- * Prefetcher flavour (Sec. V-C plus the paper's suggested
- * improvement).
- */
-enum class PrefetcherKind
-{
-    SimpleQueue, ///< the paper's queued prefetcher
-    CpuPaced,    ///< stalls while too many prefetched lines are unread
-};
-
 /** Parse a policy name ("ddio", "invalidate", ...); nullopt if unknown. */
 std::optional<Policy> tryParsePolicy(const std::string &name);
 
@@ -94,14 +84,13 @@ struct IdioConfig
     /** MLC-pressure threshold, million transactions/second. */
     double mlcThrMtps = 50.0;
 
-    /** Prefetcher flavour. */
-    PrefetcherKind prefetcher = PrefetcherKind::SimpleQueue;
-
     /**
-     * CpuPaced: maximum prefetched-but-unconsumed MLC lines (half the
-     * 1 MB MLC by default).
+     * Prefetcher pacing (Sec. V-C plus the paper's suggested
+     * improvement). 0 is the paper's queued prefetcher; above 0, a
+     * CPU-paced prefetcher stalls while this many prefetched lines
+     * are still unread.
      */
-    std::uint32_t prefetchWindowLines = 8192;
+    std::uint32_t prefetchWindowLines = 0;
 
     /** mlcTHR converted to transactions per control interval. */
     std::uint32_t

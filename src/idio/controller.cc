@@ -38,14 +38,10 @@ IdioController::IdioController(sim::Simulation &simulation,
                    [this] { controlPlaneTick(); },
                    name + ".controlPlane")
 {
-    const std::uint32_t window =
-        cfg.prefetcher == PrefetcherKind::CpuPaced
-            ? cfg.prefetchWindowLines
-            : 0;
     for (std::uint32_t c = 0; c < hierarchy.numCores(); ++c) {
         prefetchers.push_back(std::make_unique<MlcPrefetcher>(
             simulation, name + ".prefetcher" + std::to_string(c),
-            hierarchy, c, window));
+            hierarchy, c, cfg.prefetchWindowLines));
     }
 }
 
@@ -57,7 +53,7 @@ IdioController::start()
     hier.setMlcWbObserver(
         cache::MemoryHierarchy::MlcWbObserver::fromMember<
             &IdioController::onMlcWriteback>(this));
-    if (cfg.prefetcher == PrefetcherKind::CpuPaced) {
+    if (cfg.prefetchWindowLines != 0) {
         hier.setPrefetchRetireObserver(
             cache::MemoryHierarchy::PrefetchRetireObserver::fromMember<
                 &IdioController::onPrefetchRetire>(this));

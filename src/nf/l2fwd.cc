@@ -15,13 +15,12 @@ L2Fwd::L2Fwd(sim::Simulation &simulation, const std::string &name,
              cpu::Core &core, dpdk::RxQueue &rxQueue,
              const NfConfig &config, bool selfInvalidate)
     : NetworkFunction(simulation, name, core, rxQueue, config,
-                      selfInvalidate),
-      txDoneHandler(rxQueue.port().dmaEngine().registerHandler(
-          name + ".txDone",
-          [this](const nic::DmaArgs &args) {
-              onTxDone(static_cast<std::uint32_t>(args[0]));
-          }))
+                      selfInvalidate)
 {
+    rxQueue.port().setTxDoneWatcher(
+        rxQueue.queueIndex(),
+        sim::Delegate<void(std::uint32_t)>::fromMember<&L2Fwd::onTxDone>(
+            this));
 }
 
 sim::Tick
@@ -34,11 +33,8 @@ L2Fwd::processPacket(cpu::Core &c, dpdk::Mbuf &m)
     lat += perLineCost;
 
     // Zero-copy TX of the same DMA buffer; completion recycles it.
-    // The completion goes through a named handler so a pending TX
-    // survives a checkpoint.
     ++txInFlight;
-    rxq.port().transmit(m.dataAddr, txBytes(m), txDoneHandler,
-                        nic::DmaArgs{m.idx, 0, 0, 0, 0, 0});
+    rxq.port().transmit(m.dataAddr, txBytes(m), rxq.queueIndex(), m.idx);
     return lat;
 }
 

@@ -53,7 +53,6 @@ class L2Fwd : public NetworkFunction
     void onTxDone(std::uint32_t mbufIdx);
 
     std::uint32_t txInFlight = 0;
-    std::uint32_t txDoneHandler; ///< named DMA completion handler
 };
 
 /**

@@ -13,14 +13,16 @@ namespace nic
 {
 
 DmaEngine::DmaEngine(sim::Simulation &simulation, const std::string &name,
-                     DmaTarget &target, double pcieGBps)
+                     DmaTarget &target, double pcieGBps, Sink sink,
+                     std::uint32_t queues, std::uint32_t ringSize)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       linesWritten(statGroup, "linesWritten",
                    "inbound DMA cachelines written"),
       linesRead(statGroup, "linesRead", "outbound DMA cachelines read"),
       callbacks(statGroup, "callbacks", "completion callbacks fired"),
-      target(target), pumpEvent(*this)
+      target(target), sink(sink), queues(queues), ringSize(ringSize),
+      pumpEvent(*this)
 {
     const double ns = static_cast<double>(mem::lineSize) / pcieGBps;
     lineTime = std::max<sim::Tick>(1, sim::nsToTicks(ns));
@@ -45,53 +47,35 @@ DmaEngine::enqueueWrite(sim::Addr addr, const TlpMeta &meta,
                         std::uint32_t lines)
 {
     if (lines != 0)
-        push(Transfer{mem::lineAlign(addr), meta, lines,
-                      Transfer::Kind::WriteLine});
+        push(Transfer(Transfer::Kind::WriteLine, mem::lineAlign(addr),
+                      meta, lines));
 }
 
 void
 DmaEngine::enqueueRead(sim::Addr addr, std::uint32_t lines)
 {
     if (lines != 0)
-        push(Transfer{mem::lineAlign(addr), {}, lines,
-                      Transfer::Kind::ReadLine});
-}
-
-std::uint32_t
-DmaEngine::registerHandler(const std::string &handlerName,
-                           DmaHandler fn)
-{
-    for (const Handler &h : handlers) {
-        if (h.hname == handlerName)
-            sim::panic("DMA handler '%s' registered twice on '%s'",
-                       handlerName.c_str(), name().c_str());
-    }
-    handlers.push_back(Handler{handlerName, std::move(fn)});
-    return static_cast<std::uint32_t>(handlers.size() - 1);
+        push(Transfer(Transfer::Kind::ReadLine, mem::lineAlign(addr),
+                      {}, lines));
 }
 
 void
-DmaEngine::enqueueCallback(std::uint32_t handlerId,
-                           const DmaArgs &args)
+DmaEngine::enqueueCompletion(const DmaCompletion &done)
 {
-    SIM_ASSERT(handlerId < handlers.size(),
-               "enqueueCallback with an unregistered handler id");
-    pendingCbs.push_back(PendingCallback{handlerId, args});
-    push(Transfer{0, {}, 1, Transfer::Kind::Callback});
+    push(Transfer(done));
 }
 
 void
 DmaEngine::pump()
 {
-    // Run consecutive callbacks for free; transfers occupy the link
-    // for lineTime per line.
+    // Hand consecutive completions over for free; transfers occupy
+    // the link for lineTime per line.
     while (!xfers.empty() &&
-           xfers.front().kind == Transfer::Kind::Callback) {
+           xfers.front().kind == Transfer::Kind::Completion) {
+        const DmaCompletion done = xfers.front().done;
         xfers.pop_front();
-        const PendingCallback cb = pendingCbs.front();
-        pendingCbs.pop_front();
         ++callbacks;
-        handlers[cb.handlerId].fn(cb.args);
+        sink(done);
     }
 
     if (xfers.empty())
@@ -99,14 +83,14 @@ DmaEngine::pump()
 
     // Take the front run's next line before calling out, as if that
     // line had been its own queue entry.
-    Transfer &run = xfers.front();
-    const Transfer::Kind kind = run.kind;
-    const sim::Addr addr = run.addr;
-    const TlpMeta meta = run.meta;
-    if (--run.lines == 0)
+    Transfer &front = xfers.front();
+    const Transfer::Kind kind = front.kind;
+    const sim::Addr addr = front.run.addr;
+    const TlpMeta meta = front.run.meta;
+    if (--front.lines == 0)
         xfers.pop_front();
     else
-        run.addr += mem::lineSize;
+        front.run.addr += mem::lineSize;
 
     if (kind == Transfer::Kind::WriteLine) {
         target.dmaWrite(addr, meta);
@@ -121,6 +105,20 @@ DmaEngine::pump()
     eventq().scheduleIn(&pumpEvent, lineTime);
 }
 
+namespace
+{
+
+/**
+ * Checkpoint record tags: a line record's tag is its transfer kind, a
+ * completion's is completionTag plus its DmaCompletion::Kind.
+ */
+constexpr std::uint8_t completionTag = 2;
+constexpr std::uint8_t lastTag =
+    completionTag +
+    static_cast<std::uint8_t>(DmaCompletion::Kind::TxDone);
+
+} // anonymous namespace
+
 void
 DmaEngine::serialize(ckpt::Serializer &s) const
 {
@@ -131,25 +129,20 @@ DmaEngine::serialize(ckpt::Serializer &s) const
     for (const Transfer &t : xfers)
         records += t.lines;
     s.writeU64(records);
-    auto cb = pendingCbs.begin();
     for (const Transfer &t : xfers) {
+        if (t.kind == Transfer::Kind::Completion) {
+            s.writeU8(completionTag +
+                      static_cast<std::uint8_t>(t.done.kind));
+            s.writeU32(t.done.queue);
+            s.writeU32(t.done.index);
+            s.writeBool(t.done.burst);
+            continue;
+        }
         for (std::uint32_t i = 0; i < t.lines; ++i) {
             s.writeU8(static_cast<std::uint8_t>(t.kind));
-            switch (t.kind) {
-              case Transfer::Kind::WriteLine:
-                s.writeU64(t.addr + std::uint64_t(i) * mem::lineSize);
-                serializeTlpMeta(s, t.meta);
-                break;
-              case Transfer::Kind::ReadLine:
-                s.writeU64(t.addr + std::uint64_t(i) * mem::lineSize);
-                break;
-              case Transfer::Kind::Callback:
-                s.writeString(handlers[cb->handlerId].hname);
-                for (const std::uint64_t a : cb->args)
-                    s.writeU64(a);
-                ++cb;
-                break;
-            }
+            s.writeU64(t.run.addr + std::uint64_t(i) * mem::lineSize);
+            if (t.kind == Transfer::Kind::WriteLine)
+                serializeTlpMeta(s, t.run.meta);
         }
     }
 }
@@ -159,43 +152,38 @@ DmaEngine::unserialize(ckpt::Deserializer &d)
 {
     ckpt::unserializeEvent(d, &pumpEvent);
     xfers.clear();
-    pendingCbs.clear();
     const std::uint64_t count = d.readU64();
     for (std::uint64_t i = 0; i < count; ++i) {
-        Transfer t{0, {}, 1, static_cast<Transfer::Kind>(d.readU8())};
-        switch (t.kind) {
-          case Transfer::Kind::WriteLine:
-            t.addr = d.readU64();
-            t.meta = unserializeTlpMeta(d);
-            break;
-          case Transfer::Kind::ReadLine:
-            t.addr = d.readU64();
-            break;
-          case Transfer::Kind::Callback: {
-            const std::string hname = d.readString();
-            PendingCallback cb{};
-            const auto h = std::find_if(
-                handlers.begin(), handlers.end(),
-                [&](const Handler &x) { return x.hname == hname; });
-            if (h == handlers.end())
-                sim::fatal("ckpt: checkpointed DMA handler '%s' is "
-                           "not registered on '%s'",
-                           hname.c_str(), name().c_str());
-            cb.handlerId =
-                static_cast<std::uint32_t>(h - handlers.begin());
-            for (std::uint64_t &a : cb.args)
-                a = d.readU64();
-            pendingCbs.push_back(cb);
-            break;
-          }
-          default:
-            sim::fatal("ckpt: bad DMA op kind in section '%s'",
-                       name().c_str());
-        }
+        const std::uint8_t tag = d.readU8();
+        if (tag > lastTag)
+            sim::fatal("ckpt: bad DMA record kind %u in section '%s'",
+                       tag, name().c_str());
         // One line per entry, uncoalesced. Push directly: restore must
         // not re-arm the pump here, the checkpointed pumpEvent
         // schedule is replayed instead.
-        xfers.push_back(t);
+        if (tag < completionTag) {
+            const auto kind = static_cast<Transfer::Kind>(tag);
+            const sim::Addr addr = d.readU64();
+            const TlpMeta meta = kind == Transfer::Kind::WriteLine
+                                     ? unserializeTlpMeta(d)
+                                     : TlpMeta{};
+            xfers.push_back(Transfer(kind, addr, meta, 1));
+            continue;
+        }
+        DmaCompletion done{};
+        done.kind = static_cast<DmaCompletion::Kind>(tag - completionTag);
+        done.queue = d.readU32();
+        done.index = d.readU32();
+        done.burst = d.readBool();
+        if (done.queue >= queues ||
+            (done.kind != DmaCompletion::Kind::TxDone &&
+             done.index >= ringSize))
+            sim::fatal("ckpt: DMA completion (queue %u, index %u) is "
+                       "out of range for %u queues of %u descriptors "
+                       "in section '%s'",
+                       done.queue, done.index, queues, ringSize,
+                       name().c_str());
+        xfers.push_back(Transfer(done));
     }
 }
 

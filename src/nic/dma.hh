@@ -6,22 +6,21 @@
  * bandwidth, one cacheline per line time. A transfer is a run of
  * consecutive lines queued as one entry; each line still reaches the
  * DmaTarget (the root-complex-side IDIO controller / DDIO logic) as
- * its own write, or is read for the TX egress path. Callback entries
- * fire in order with the surrounding transfers, letting the NIC
- * observe transfer completion (descriptor writeback, TX done).
+ * its own write, or is read for the TX egress path. Completion
+ * records reach the engine's sink in order with the surrounding
+ * lines, letting the NIC observe transfer completion (payload done,
+ * descriptor writeback, TX done).
  */
 
 #ifndef IDIO_NIC_DMA_HH
 #define IDIO_NIC_DMA_HH
 
-#include <array>
 #include <deque>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "mem/addr.hh"
 #include "nic/tlp.hh"
+#include "sim/delegate.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 #include "stats/registry.hh"
@@ -30,14 +29,27 @@ namespace nic
 {
 
 /**
- * Arguments carried by a *named* DMA completion callback. Fixed-size
- * so pending callbacks are checkpointable: owners pack whatever the
- * handler needs (indices, addresses, timestamps) into the slots.
+ * One DMA completion of a port: the payload of descriptor @c index of
+ * ring @c queue has been written (PayloadDone), so has its descriptor
+ * (DescComplete), or the frame in mbuf @c index has been read for TX
+ * on @c queue (TxDone). It holds only what the ring slot does not.
  */
-using DmaArgs = std::array<std::uint64_t, 6>;
+struct DmaCompletion
+{
+    enum class Kind : std::uint8_t
+    {
+        PayloadDone,
+        DescComplete,
+        TxDone,
+    };
 
-/** A named completion handler registered with registerHandler(). */
-using DmaHandler = std::function<void(const DmaArgs &)>;
+    Kind kind;
+    bool burst;          ///< PayloadDone: the burst bit its writeback carries
+    std::uint32_t queue;
+    std::uint32_t index; ///< descriptor index; TxDone: mbuf index
+
+    bool operator==(const DmaCompletion &) const = default;
+};
 
 /**
  * Root-complex-side consumer of DMA transactions. Implemented by the
@@ -63,12 +75,20 @@ class DmaEngine : public sim::SimObject
     stats::StatGroup statGroup;
 
   public:
+    /** Receives every completion, in order with the lines around it. */
+    using Sink = sim::Delegate<void(const DmaCompletion &)>;
+
     /**
      * @param target Root-complex handler for DMA transactions.
      * @param pcieGBps Effective PCIe bandwidth for this port.
+     * @param sink The owner's completion handler.
+     * @param queues, ringSize The port's queues and ring entries: a
+     *        restored completion's queue must be below @p queues and
+     *        its descriptor index below @p ringSize.
      */
     DmaEngine(sim::Simulation &simulation, const std::string &name,
-              DmaTarget &target, double pcieGBps);
+              DmaTarget &target, double pcieGBps, Sink sink,
+              std::uint32_t queues, std::uint32_t ringSize);
 
     ~DmaEngine() override;
 
@@ -83,17 +103,8 @@ class DmaEngine : public sim::SimObject
     /** Queue an outbound read of @p lines cachelines from @p addr. */
     void enqueueRead(sim::Addr addr, std::uint32_t lines = 1);
 
-    /**
-     * Register a named completion handler. Handlers must be
-     * registered in deterministic construction order; the returned id
-     * is stable for a given configuration, and the checkpoint stores
-     * the *name* so id drift across versions still restores correctly.
-     */
-    std::uint32_t registerHandler(const std::string &handlerName,
-                                  DmaHandler fn);
-
-    /** Queue an in-order completion callback by handler id. */
-    void enqueueCallback(std::uint32_t handlerId, const DmaArgs &args);
+    /** Queue @p done for the sink, behind every line queued so far. */
+    void enqueueCompletion(const DmaCompletion &done);
 
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;
@@ -106,10 +117,9 @@ class DmaEngine : public sim::SimObject
 
   private:
     /**
-     * One queued transfer: @p lines consecutive cachelines from
-     * @p addr, or (Callback) the position of the next pending
-     * callback record. The pump advances the front run a line at a
-     * time. Kind values are the checkpoint's record tags.
+     * One queued transfer: a run of @c lines consecutive cachelines
+     * from @c run.addr, or one completion. The pump advances the
+     * front run a line at a time.
      */
     struct Transfer
     {
@@ -117,28 +127,35 @@ class DmaEngine : public sim::SimObject
         {
             WriteLine,
             ReadLine,
-            Callback,
+            Completion,
         };
 
-        sim::Addr addr;
-        TlpMeta meta;
+        struct Run
+        {
+            sim::Addr addr;
+            TlpMeta meta;
+        };
+
+        Transfer(Kind kind, sim::Addr addr, const TlpMeta &meta,
+                 std::uint32_t lines)
+            : run{addr, meta}, lines(lines), kind(kind)
+        {
+        }
+
+        explicit Transfer(const DmaCompletion &done)
+            : done(done), lines(1), kind(Kind::Completion)
+        {
+        }
+
+        union
+        {
+            Run run;            ///< WriteLine, ReadLine
+            DmaCompletion done; ///< Completion
+        };
         std::uint32_t lines;
         Kind kind;
     };
     static_assert(sizeof(Transfer) == 24);
-
-    /** A completion callback waiting for its Callback transfer. */
-    struct PendingCallback
-    {
-        std::uint32_t handlerId;
-        DmaArgs args;
-    };
-
-    struct Handler
-    {
-        std::string hname;
-        DmaHandler fn;
-    };
 
     class PumpEvent : public sim::Event
     {
@@ -158,10 +175,11 @@ class DmaEngine : public sim::SimObject
     void pump();
 
     DmaTarget &target;
+    Sink sink;
+    std::uint32_t queues;
+    std::uint32_t ringSize;
     sim::Tick lineTime;
     std::deque<Transfer> xfers;
-    std::deque<PendingCallback> pendingCbs;
-    std::vector<Handler> handlers;
     PumpEvent pumpEvent;
 };
 

@@ -16,42 +16,6 @@ namespace nic
 namespace
 {
 
-/** Pack a Classification into one DmaArgs slot (and back). */
-std::uint64_t
-packClassification(const Classification &cls)
-{
-    return std::uint64_t(cls.appClass) |
-           (std::uint64_t(cls.destCore) << 8) |
-           (std::uint64_t(cls.burstActive ? 1 : 0) << 40);
-}
-
-Classification
-unpackClassification(std::uint64_t v)
-{
-    Classification cls;
-    cls.appClass = static_cast<std::uint8_t>(v & 0xff);
-    cls.destCore = static_cast<sim::CoreId>((v >> 8) & 0xffffffffu);
-    cls.burstActive = ((v >> 40) & 1) != 0;
-    return cls;
-}
-
-/** Pack (descriptor index, queue) into one DmaArgs slot. */
-std::uint64_t
-packDescRef(std::uint32_t idx, std::uint32_t queue)
-{
-    return std::uint64_t(idx) | (std::uint64_t(queue) << 32);
-}
-
-std::uint32_t descRefIdx(std::uint64_t v)
-{
-    return static_cast<std::uint32_t>(v & 0xffffffffu);
-}
-
-std::uint32_t descRefQueue(std::uint64_t v)
-{
-    return static_cast<std::uint32_t>(v >> 32);
-}
-
 /** The descriptor batching delay in ticks. */
 constexpr sim::Tick descWbDelay = sim::nsToTicks(Nic::descWbDelayNs);
 
@@ -90,10 +54,12 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
               "packets dropped because the RX ring was full"),
       txPackets(statGroup, "txPackets", "packets transmitted"),
       txBytes(statGroup, "txBytes", "bytes transmitted"),
-      cfg(validated(name, config, numQueues)),
+      cfg(validated(name, config, numQueues)), firstCore(firstCore),
       trc(simulation.tracer().registerSource(name)),
       fdir(numQueues),
-      dma(simulation, name + ".dma", target, cfg.pcieGBps),
+      dma(simulation, name + ".dma", target, cfg.pcieGBps,
+          DmaEngine::Sink::fromMember<&Nic::onDmaCompletion>(this),
+          numQueues, cfg.ringSize),
       cls(simulation, name + ".classifier", firstCore, numQueues)
 {
     rings.reserve(numQueues);
@@ -106,15 +72,7 @@ Nic::Nic(sim::Simulation &simulation, const std::string &name,
     queueRx.assign(numQueues, 0);
     queueDrops.assign(numQueues, 0);
     ringWatchers.resize(numQueues);
-
-    payloadDoneHandler = dma.registerHandler(
-        name + ".payloadDone",
-        [this](const DmaArgs &args) { onPayloadDone(args); });
-    descCompleteHandler = dma.registerHandler(
-        name + ".descComplete", [this](const DmaArgs &args) {
-            onDescComplete(descRefIdx(args[0]),
-                           descRefQueue(args[0]));
-        });
+    txDoneWatchers.resize(numQueues);
 }
 
 Nic::~Nic()
@@ -173,35 +131,36 @@ Nic::deliver(net::Packet pkt)
     dma.enqueueWrite(slot.bufAddr, cls.tlpFor(pktCls, true), headLines);
     dma.enqueueWrite(slot.bufAddr + mem::lineSize,
                      cls.tlpFor(pktCls, false), lines - headLines);
-    const sim::Tick dmaStart = now();
-    dma.enqueueCallback(payloadDoneHandler,
-                        DmaArgs{packDescRef(idx, q),
-                                packClassification(pktCls),
-                                dmaStart, pkt.id, lines,
-                                slot.bufAddr});
+    dma.enqueueCompletion(DmaCompletion{DmaCompletion::Kind::PayloadDone,
+                                        pktCls.burstActive, q, idx});
 }
 
 void
-Nic::onPayloadDone(const DmaArgs &args)
+Nic::onDmaCompletion(const DmaCompletion &done)
 {
-    const std::uint32_t idx = descRefIdx(args[0]);
-    const std::uint32_t queue = descRefQueue(args[0]);
-    const Classification pktCls = unpackClassification(args[1]);
-    [[maybe_unused]] const sim::Tick dmaStart = args[2];
-    [[maybe_unused]] const std::uint64_t pktId = args[3];
-    [[maybe_unused]] const auto lines =
-        static_cast<std::uint32_t>(args[4]);
-    [[maybe_unused]] const sim::Addr bufAddr = args[5];
-    IDIO_TRACE_COMPLETE(trc, trace::EventKind::NicDmaPayload, dmaStart,
-                        now() - dmaStart, pktId, lines, bufAddr);
-    startDescriptorWriteback(idx, queue, pktCls);
+    switch (done.kind) {
+      case DmaCompletion::Kind::PayloadDone:
+        onPayloadDone(done);
+        break;
+      case DmaCompletion::Kind::DescComplete:
+        onDescComplete(done.index, done.queue);
+        break;
+      case DmaCompletion::Kind::TxDone:
+        if (txDoneWatchers[done.queue])
+            txDoneWatchers[done.queue](done.index);
+        break;
+    }
 }
 
 void
-Nic::startDescriptorWriteback(std::uint32_t descIdx,
-                              std::uint32_t queue,
-                              const Classification &pktCls)
+Nic::onPayloadDone(const DmaCompletion &done)
 {
+    [[maybe_unused]] const RxSlot &slot =
+        rings[done.queue].slot(done.index);
+    IDIO_TRACE_COMPLETE(trc, trace::EventKind::NicDmaPayload,
+                        slot.pkt.nicArrival, now() - slot.pkt.nicArrival,
+                        slot.pkt.id, slot.pkt.lines(), slot.bufAddr);
+
     // Descriptor writeback happens a little after the payload DMA
     // (hardware batches completions); the descriptor lines are normal
     // DDIO writes tagged class 0 so they never take the direct-DRAM
@@ -209,12 +168,12 @@ Nic::startDescriptorWriteback(std::uint32_t descIdx,
     TlpMeta meta;
     meta.appClass = 0;
     meta.isHeader = false;
-    meta.isBurst = pktCls.burstActive;
-    meta.destCore = pktCls.destCore;
+    meta.isBurst = done.burst;
+    meta.destCore = firstCore + done.queue;
 
     // The delay is a constant, so pending writebacks complete in FIFO
     // order and each one's event pops the deque's front.
-    pendingWbs.emplace_back(*this, descIdx, queue, meta);
+    pendingWbs.emplace_back(*this, done.index, done.queue, meta);
     eventq().scheduleIn(&pendingWbs.back().event, descWbDelay);
 }
 
@@ -231,9 +190,8 @@ Nic::descWbFire()
     dma.enqueueWrite(base, wb.meta,
                      static_cast<std::uint32_t>(
                          mem::linesSpanned(base, rxDescBytes)));
-    dma.enqueueCallback(descCompleteHandler,
-                        DmaArgs{packDescRef(wb.descIdx, wb.queue),
-                                0, 0, 0, 0, 0});
+    dma.enqueueCompletion(DmaCompletion{
+        DmaCompletion::Kind::DescComplete, false, wb.queue, wb.descIdx});
     pendingWbs.pop_front();
 }
 
@@ -250,13 +208,14 @@ Nic::onDescComplete(std::uint32_t descIdx, std::uint32_t queue)
 
 void
 Nic::transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
-              std::uint32_t txDoneHandler, const DmaArgs &args)
+              std::uint32_t queue, std::uint32_t mbufIdx)
 {
     dma.enqueueRead(bufAddr, static_cast<std::uint32_t>(
                                  mem::linesSpanned(bufAddr, frameBytes)));
     ++txPackets;
     txBytes += frameBytes;
-    dma.enqueueCallback(txDoneHandler, args);
+    dma.enqueueCompletion(DmaCompletion{DmaCompletion::Kind::TxDone,
+                                        false, queue, mbufIdx});
 }
 
 void

@@ -108,12 +108,24 @@ class Nic : public sim::SimObject
     }
 
     /**
-     * Egress: DMA-read a frame for transmission; the named handler
-     * @p txDoneHandler of the port's DMA engine runs with @p args once
-     * the last line has been read.
+     * Invoked with the mbuf index once a frame transmitted on
+     * @p queue has been read (the NF recycles the buffer then). One
+     * watcher per queue.
+     */
+    void
+    setTxDoneWatcher(std::uint32_t queue,
+                     sim::Delegate<void(std::uint32_t)> w)
+    {
+        txDoneWatchers[queue] = w;
+    }
+
+    /**
+     * Egress: DMA-read the frame in mbuf @p mbufIdx for transmission
+     * on @p queue; the queue's TX-done watcher runs once the last
+     * line has been read.
      */
     void transmit(sim::Addr bufAddr, std::uint32_t frameBytes,
-                  std::uint32_t txDoneHandler, const DmaArgs &args);
+                  std::uint32_t queue, std::uint32_t mbufIdx);
 
     /** RX ring of queue @p q (queue 0 is the legacy single ring). */
     RxRing &
@@ -140,7 +152,6 @@ class Nic : public sim::SimObject
     /** @} */
 
     IdioClassifier &classifier() { return cls; }
-    DmaEngine &dmaEngine() { return dma; }
     const NicConfig &config() const { return cfg; }
 
     void serialize(ckpt::Serializer &s) const override;
@@ -193,16 +204,16 @@ class Nic : public sim::SimObject
         TlpMeta meta;
     };
 
-    void startDescriptorWriteback(std::uint32_t descIdx,
-                                  std::uint32_t queue,
-                                  const Classification &pktCls);
+    void onDmaCompletion(const DmaCompletion &done);
+    void onPayloadDone(const DmaCompletion &done);
     void descWbFire();
-    void onPayloadDone(const DmaArgs &args);
     void onDescComplete(std::uint32_t descIdx, std::uint32_t queue);
 
     NicConfig cfg;
+    sim::CoreId firstCore;
     RxTap rxTap;
     std::vector<sim::Delegate<void()>> ringWatchers;
+    std::vector<sim::Delegate<void(std::uint32_t)>> txDoneWatchers;
     trace::Source trc;
     FlowDirector fdir;
     DmaEngine dma;
@@ -212,8 +223,6 @@ class Nic : public sim::SimObject
     std::vector<std::uint64_t> queueDrops;
     /** Oldest first; a deque keeps each entry's event in place. */
     std::deque<PendingWb> pendingWbs;
-    std::uint32_t payloadDoneHandler;
-    std::uint32_t descCompleteHandler;
 };
 
 } // namespace nic

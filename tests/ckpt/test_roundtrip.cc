@@ -55,15 +55,96 @@ statsJson(harness::TestSystem &sys)
     return os.str();
 }
 
-/** Run cold to T2, checkpointing at T on the way through. */
+/** Where one section's fields sit in a checkpoint blob. */
+struct SectionAt
+{
+    std::size_t version;  ///< u32 section version
+    std::size_t checksum; ///< u64 FNV-1a of the payload
+    std::size_t payload;  ///< first payload byte
+    std::size_t size;     ///< payload bytes
+};
+
+/** Walk @p blob's section table (serializer.hh) to @p name. */
+SectionAt
+sectionAt(const std::vector<std::uint8_t> &blob, const std::string &name)
+{
+    auto read = [&blob](std::size_t pos, auto &out) {
+        std::memcpy(&out, blob.data() + pos, sizeof(out));
+    };
+    std::size_t pos = 8 + 4 + 8 + 8; // magic, format, seed, tick
+    std::uint32_t count = 0;
+    read(pos, count);
+    pos += 4;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::uint32_t nameLen = 0;
+        read(pos, nameLen);
+        pos += 4;
+        const std::string n(blob.begin() + std::ptrdiff_t(pos),
+                            blob.begin() + std::ptrdiff_t(pos + nameLen));
+        pos += nameLen;
+        SectionAt s{};
+        s.version = pos;
+        std::uint64_t size = 0;
+        read(pos + 4, size);
+        s.checksum = pos + 12;
+        s.payload = pos + 20;
+        s.size = std::size_t(size);
+        pos = s.payload + s.size;
+        if (n == name)
+            return s;
+    }
+    ADD_FAILURE() << "no section '" << name << "'";
+    return SectionAt{};
+}
+
+/** DMA record tags of a pending completion (nic/dma.cc). */
+constexpr std::uint8_t payloadDoneTag = 2;
+constexpr std::uint8_t txDoneTag = 4;
+
+/** Blob offset of each pending completion record in a DMA section. */
+std::vector<std::size_t>
+dmaCompletions(const std::vector<std::uint8_t> &blob, const SectionAt &sec)
+{
+    std::vector<std::size_t> found;
+    if (sec.size == 0)
+        return found; // sectionAt() failed
+    const std::size_t end = sec.payload + sec.size;
+    std::size_t pos = sec.payload;
+    if (blob[pos++] != 0)
+        pos += 16; // the pump event's {when, seq}
+    std::uint64_t records = 0;
+    std::memcpy(&records, blob.data() + pos, sizeof(records));
+    pos += sizeof(records);
+    for (std::uint64_t i = 0; i < records && pos < end; ++i) {
+        // Write line: tag, addr, TLP meta. Read line: tag, addr.
+        // Completion: tag, queue, index, burst bit.
+        const std::uint8_t tag = blob[pos];
+        if (tag >= payloadDoneTag)
+            found.push_back(pos);
+        pos += tag == 0 ? 16 : tag == 1 ? 9 : 10;
+    }
+    EXPECT_EQ(pos, end);
+    return found;
+}
+
+/** Recompute @p sec's checksum after its payload was rewritten. */
 void
+resum(std::vector<std::uint8_t> &blob, const SectionAt &sec)
+{
+    const std::uint64_t sum =
+        ckpt::fnv1a(blob.data() + sec.payload, sec.size);
+    std::memcpy(blob.data() + sec.checksum, &sum, sizeof(sum));
+}
+
+/** Run cold to T2, checkpointing at T on the way through. */
+std::vector<std::uint8_t>
 expectRoundTripIdentical(const harness::ExperimentConfig &cfg)
 {
     harness::TestSystem cold(cfg);
     cold.start();
     cold.runFor(ckptTick);
     const auto blob = cold.checkpoint();
-    ASSERT_FALSE(blob.empty());
+    EXPECT_FALSE(blob.empty());
     const harness::Totals atCkpt = cold.totals();
     cold.runFor(endTick - ckptTick);
     const harness::Totals want = cold.totals();
@@ -78,6 +159,7 @@ expectRoundTripIdentical(const harness::ExperimentConfig &cfg)
 
     EXPECT_EQ(warm.totals(), want);
     EXPECT_EQ(statsJson(warm), wantJson);
+    return blob;
 }
 
 TEST(CkptRoundTrip, DdioTouchDropMidBurst)
@@ -94,8 +176,22 @@ TEST(CkptRoundTrip, IdioTouchDropMidBurst)
 
 TEST(CkptRoundTrip, IdioL2FwdMidBurst)
 {
-    expectRoundTripIdentical(
+    const auto blob = expectRoundTripIdentical(
         burstConfig(idio::Policy::Idio, harness::NfKind::L2Fwd));
+
+    // The cut holds a pending payload and TX completion, so both
+    // record kinds are saved and replayed.
+    std::size_t payload = 0;
+    std::size_t tx = 0;
+    for (const char *port : {"system.nf0.nic.dma", "system.nf1.nic.dma"}) {
+        for (const std::size_t pos :
+             dmaCompletions(blob, sectionAt(blob, port))) {
+            payload += blob[pos] == payloadDoneTag;
+            tx += blob[pos] == txDoneTag;
+        }
+    }
+    EXPECT_GE(payload, 1u);
+    EXPECT_GE(tx, 1u);
 }
 
 TEST(CkptRoundTrip, IdioCopyTouchDropMidBurst)
@@ -202,48 +298,6 @@ TEST(CkptRoundTrip, SeedMismatchIsFatal)
                 "seed");
 }
 
-/** Where one section's fields sit in a checkpoint blob. */
-struct SectionAt
-{
-    std::size_t version;  ///< u32 section version
-    std::size_t checksum; ///< u64 FNV-1a of the payload
-    std::size_t payload;  ///< first payload byte
-    std::size_t size;     ///< payload bytes
-};
-
-/** Walk @p blob's section table (serializer.hh) to @p name. */
-SectionAt
-sectionAt(const std::vector<std::uint8_t> &blob, const std::string &name)
-{
-    auto read = [&blob](std::size_t pos, auto &out) {
-        std::memcpy(&out, blob.data() + pos, sizeof(out));
-    };
-    std::size_t pos = 8 + 4 + 8 + 8; // magic, format, seed, tick
-    std::uint32_t count = 0;
-    read(pos, count);
-    pos += 4;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t nameLen = 0;
-        read(pos, nameLen);
-        pos += 4;
-        const std::string n(blob.begin() + std::ptrdiff_t(pos),
-                            blob.begin() + std::ptrdiff_t(pos + nameLen));
-        pos += nameLen;
-        SectionAt s{};
-        s.version = pos;
-        std::uint64_t size = 0;
-        read(pos + 4, size);
-        s.checksum = pos + 12;
-        s.payload = pos + 20;
-        s.size = std::size_t(size);
-        pos = s.payload + s.size;
-        if (n == name)
-            return s;
-    }
-    ADD_FAILURE() << "no section '" << name << "'";
-    return SectionAt{};
-}
-
 /** A mid-burst checkpoint of the DDIO single-burst system. */
 std::vector<std::uint8_t>
 ddioCheckpoint()
@@ -287,9 +341,52 @@ TEST(CkptEventqDeathTest, PendingCountMismatchIsFatal)
     ++n;
     std::memcpy(pending, &n, sizeof(n));
     // Keep the section checksum valid so the count check is reached.
-    const std::uint64_t sum = ckpt::fnv1a(blob.data() + eq.payload, eq.size);
-    std::memcpy(blob.data() + eq.checksum, &sum, sizeof(sum));
+    resum(blob, eq);
     expectRestoreFatal(blob, "pending events");
+}
+
+/**
+ * Rewrite the first pending completion of port 0's DMA section in a
+ * mid-burst checkpoint: @p edit gets the record's tag byte.
+ */
+template <typename Edit>
+std::vector<std::uint8_t>
+withBadCompletion(Edit edit)
+{
+    auto blob = ddioCheckpoint();
+    const SectionAt dma = sectionAt(blob, "system.nf0.nic.dma");
+    const std::vector<std::size_t> done = dmaCompletions(blob, dma);
+    EXPECT_FALSE(done.empty());
+    if (!done.empty())
+        edit(blob.data() + done.front());
+    resum(blob, dma);
+    return blob;
+}
+
+TEST(CkptDmaDeathTest, CompletionQueueOutOfRangeIsFatal)
+{
+    // Each port of the two-NF machine has one queue.
+    const auto blob = withBadCompletion([](std::uint8_t *rec) {
+        const std::uint32_t queue = 1;
+        std::memcpy(rec + 1, &queue, sizeof(queue));
+    });
+    expectRestoreFatal(blob, "out of range .*system.nf0.nic.dma");
+}
+
+TEST(CkptDmaDeathTest, CompletionIndexOutOfRangeIsFatal)
+{
+    const auto blob = withBadCompletion([](std::uint8_t *rec) {
+        const std::uint32_t index = 256; // the ring has 256 entries
+        std::memcpy(rec + 5, &index, sizeof(index));
+    });
+    expectRestoreFatal(blob, "out of range .*system.nf0.nic.dma");
+}
+
+TEST(CkptDmaDeathTest, UnknownCompletionKindIsFatal)
+{
+    const auto blob =
+        withBadCompletion([](std::uint8_t *rec) { rec[0] = 5; });
+    expectRestoreFatal(blob, "bad DMA record kind 5 .*system.nf0.nic.dma");
 }
 
 /**

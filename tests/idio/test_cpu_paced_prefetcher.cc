@@ -121,7 +121,6 @@ TEST(CpuPacedController, EndToEndConfigWorks)
     cache::MemoryHierarchy hier(s, "sys", hcfg);
 
     auto cfg = idio::IdioConfig{.policy = idio::Policy::Idio};
-    cfg.prefetcher = idio::PrefetcherKind::CpuPaced;
     cfg.prefetchWindowLines = 8;
     idio::IdioController ctrl(s, "idio", hier, cfg);
     ctrl.start();

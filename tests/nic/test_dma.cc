@@ -1,6 +1,6 @@
 /**
  * @file
- * DMA engine tests: pacing, ordering, callbacks, runs, checkpoints.
+ * DMA engine tests: pacing, ordering, completions, runs, checkpoints.
  */
 
 #include <gtest/gtest.h>
@@ -46,13 +46,52 @@ class RecordingTarget : public nic::DmaTarget
     std::vector<Rec> recs;
 };
 
+/** The engine's sink: records every completion with its tick. */
+struct CompletionLog
+{
+    explicit CompletionLog(sim::Simulation &s) : s(s) {}
+
+    void
+    record(const nic::DmaCompletion &done)
+    {
+        at.push_back(s.now());
+        dones.push_back(done);
+    }
+
+    nic::DmaEngine::Sink
+    sink()
+    {
+        return nic::DmaEngine::Sink::fromMember<&CompletionLog::record>(
+            this);
+    }
+
+    sim::Simulation &s;
+    std::vector<sim::Tick> at;
+    std::vector<nic::DmaCompletion> dones;
+};
+
+/** Bounds of the engine under test: 2 queues of 16 descriptors. */
+constexpr std::uint32_t queues = 2;
+constexpr std::uint32_t ringSize = 16;
+
+nic::DmaCompletion
+payloadDone(std::uint32_t queue, std::uint32_t idx)
+{
+    return {nic::DmaCompletion::Kind::PayloadDone, true, queue, idx};
+}
+
 class DmaTest : public ::testing::Test
 {
   protected:
-    DmaTest() : target(s), dma(s, "dma", target, 32.0) {}
+    DmaTest()
+        : target(s), log(s),
+          dma(s, "dma", target, 32.0, log.sink(), queues, ringSize)
+    {
+    }
 
     sim::Simulation s;
     RecordingTarget target;
+    CompletionLog log;
     nic::DmaEngine dma; // 32 GB/s -> 2 ns per line
 };
 
@@ -85,32 +124,29 @@ TEST_F(DmaTest, BandwidthPacing)
 
 TEST_F(DmaTest, CallbackFiresAfterPrecedingTransfers)
 {
-    sim::Tick cbTime = 0;
-    const std::uint32_t h = dma.registerHandler(
-        "cb", [&](const nic::DmaArgs &) { cbTime = s.now(); });
     dma.enqueueWrite(0x100, {});
     dma.enqueueWrite(0x140, {});
-    dma.enqueueCallback(h, {});
+    dma.enqueueCompletion(payloadDone(1, 5));
     s.runFor(sim::oneUs);
 
     ASSERT_EQ(target.recs.size(), 2u);
-    EXPECT_GE(cbTime, target.recs[1].when);
+    ASSERT_EQ(log.at.size(), 1u);
+    EXPECT_GE(log.at[0], target.recs[1].when);
+    EXPECT_EQ(log.dones[0], payloadDone(1, 5));
     EXPECT_EQ(dma.callbacks.get(), 1u);
 }
 
 TEST_F(DmaTest, CallbackOrderingInterleaved)
 {
-    std::vector<int> order;
-    const std::uint32_t h = dma.registerHandler(
-        "cb", [&](const nic::DmaArgs &args) {
-            order.push_back(static_cast<int>(args[0]));
-        });
+    const nic::DmaCompletion tx{nic::DmaCompletion::Kind::TxDone, false,
+                                0, 900};
     dma.enqueueWrite(0x100, {});
-    dma.enqueueCallback(h, {1});
+    dma.enqueueCompletion(payloadDone(0, 1));
     dma.enqueueWrite(0x140, {});
-    dma.enqueueCallback(h, {2});
+    dma.enqueueCompletion(tx);
     s.runFor(sim::oneUs);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(log.dones,
+              (std::vector<nic::DmaCompletion>{payloadDone(0, 1), tx}));
 }
 
 TEST_F(DmaTest, MetadataDeliveredIntact)
@@ -185,16 +221,14 @@ TEST_F(DmaTest, RunArrivesOneLinePerLineTime)
 
 TEST_F(DmaTest, CallbackAfterRunFiresAfterItsLastLine)
 {
-    sim::Tick cbTime = 0;
-    const std::uint32_t h = dma.registerHandler(
-        "cb", [&](const nic::DmaArgs &) { cbTime = s.now(); });
     dma.enqueueRead(0x2000, 4);
-    dma.enqueueCallback(h, {});
+    dma.enqueueCompletion(payloadDone(0, 0));
     s.runFor(sim::oneUs);
 
     ASSERT_EQ(target.recs.size(), 4u);
     EXPECT_EQ(dma.linesRead.get(), 4u);
-    EXPECT_EQ(cbTime, target.recs[3].when + sim::nsToTicks(2.0));
+    ASSERT_EQ(log.at.size(), 1u);
+    EXPECT_EQ(log.at[0], target.recs[3].when + sim::nsToTicks(2.0));
     EXPECT_EQ(dma.callbacks.get(), 1u);
 }
 
@@ -207,29 +241,26 @@ TEST_F(DmaTest, ZeroLineEnqueueSchedulesNothing)
     EXPECT_TRUE(target.recs.empty());
 }
 
-/** One engine in its own simulation, with a handler named "done". */
+/** One engine in its own simulation, logging its completions. */
 struct Rig
 {
     Rig()
-        : target(s), dma(s, "dma", target, 32.0),
-          done(dma.registerHandler(
-              "done",
-              [this](const nic::DmaArgs &args) {
-                  doneAt.push_back(s.now());
-                  doneArgs.push_back(args);
-              }))
+        : target(s), log(s),
+          dma(s, "dma", target, 32.0, log.sink(), queues, ringSize)
     {
     }
 
     sim::Simulation s;
     RecordingTarget target;
+    CompletionLog log;
     nic::DmaEngine dma;
-    std::uint32_t done;
-    std::vector<sim::Tick> doneAt;
-    std::vector<nic::DmaArgs> doneArgs;
 };
 
-const nic::DmaArgs cbArgs{7, 6, 5, 4, 3, 2};
+const nic::DmaCompletion done = payloadDone(1, 15);
+
+/** A TX completion names an mbuf, which the ring size does not bound. */
+const nic::DmaCompletion txDone{nic::DmaCompletion::Kind::TxDone, false, 1,
+                                900};
 
 /** Far enough for 2 of 5 lines (at 0 and 2 ns), not the third. */
 const sim::Tick twoLines = sim::nsToTicks(3.0);
@@ -238,14 +269,14 @@ TEST(DmaCheckpoint, RunSavesAsOneRecordPerLine)
 {
     Rig run;
     run.dma.enqueueWrite(0x1000, runMeta(), 5);
-    run.dma.enqueueCallback(run.done, cbArgs);
+    run.dma.enqueueCompletion(done);
     run.s.runFor(twoLines);
     ASSERT_EQ(run.target.recs.size(), 2u);
 
     Rig lines;
     for (std::uint32_t i = 0; i < 5; ++i)
         lines.dma.enqueueWrite(0x1000 + i * 64, runMeta());
-    lines.dma.enqueueCallback(lines.done, cbArgs);
+    lines.dma.enqueueCompletion(done);
     lines.s.runFor(twoLines);
     ASSERT_EQ(lines.target.recs.size(), 2u);
 
@@ -256,26 +287,30 @@ TEST(DmaCheckpoint, RestoredRunFinishesAtTheSameTicks)
 {
     Rig cold;
     cold.dma.enqueueWrite(0x1000, runMeta(), 5);
-    cold.dma.enqueueCallback(cold.done, cbArgs);
+    cold.dma.enqueueCompletion(done);
+    cold.dma.enqueueRead(0x4000);
+    cold.dma.enqueueCompletion(txDone);
     cold.s.runFor(twoLines);
     const auto blob = ckpt::save(cold.s);
     cold.s.runFor(sim::oneUs);
-    ASSERT_EQ(cold.target.recs.size(), 5u);
-    ASSERT_EQ(cold.doneAt.size(), 1u);
+    ASSERT_EQ(cold.target.recs.size(), 6u);
+    ASSERT_EQ(cold.log.dones,
+              (std::vector<nic::DmaCompletion>{done, txDone}));
 
     Rig warm;
     ckpt::restore(warm.s, blob);
     warm.s.runFor(sim::oneUs - twoLines);
 
-    ASSERT_EQ(warm.target.recs.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(warm.target.recs.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
         const RecordingTarget::Rec &want = cold.target.recs[i + 2];
+        EXPECT_EQ(warm.target.recs[i].kind, want.kind);
         EXPECT_EQ(warm.target.recs[i].addr, want.addr);
         EXPECT_EQ(warm.target.recs[i].when, want.when);
         EXPECT_EQ(warm.target.recs[i].meta, want.meta);
     }
-    EXPECT_EQ(warm.doneAt, cold.doneAt);
-    EXPECT_EQ(warm.doneArgs, cold.doneArgs);
+    EXPECT_EQ(warm.log.at, cold.log.at);
+    EXPECT_EQ(warm.log.dones, cold.log.dones);
     EXPECT_EQ(warm.dma.linesWritten.get(), 5u);
 }
 

@@ -202,14 +202,17 @@ TEST_F(NicTest, SmallPacketSingleLine)
 
 TEST_F(NicTest, TransmitReadsEveryLine)
 {
-    bool done = false;
-    const std::uint32_t txDone = port->dmaEngine().registerHandler(
-        "txDone", [&](const nic::DmaArgs &) { done = true; });
-    port->transmit(bufs[5], 1514, txDone, {});
+    std::vector<std::uint32_t> done;
+    auto onTxDone = [&](std::uint32_t mbufIdx) {
+        done.push_back(mbufIdx);
+    };
+    port->setTxDoneWatcher(
+        0, sim::Delegate<void(std::uint32_t)>::fromCallable(&onTxDone));
+    port->transmit(bufs[5], 1514, 0, 5);
     s.runFor(10 * sim::oneUs);
 
     EXPECT_EQ(target.reads.size(), 24u);
-    EXPECT_TRUE(done);
+    EXPECT_EQ(done, std::vector<std::uint32_t>{5});
     EXPECT_EQ(port->txPackets.get(), 1u);
     EXPECT_EQ(port->txBytes.get(), 1514u);
 }

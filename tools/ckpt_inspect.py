@@ -23,7 +23,7 @@ import struct
 import sys
 
 MAGIC = b"IDIOCKPT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 EVENTQ_VERSION = 5
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -85,7 +85,9 @@ def inspect(path: str) -> int:
           f"tick {tick} ({tick / 1e6:.3f} us)   {count} sections")
     if version != FORMAT_VERSION:
         print(f"FAIL formatVersion {version}; this tool understands "
-              f"{FORMAT_VERSION} only (v4 and older wrote every cache "
+              f"{FORMAT_VERSION} only (v5 wrote each pending DMA "
+              "completion as a handler name and six argument words, "
+              "not a typed record; v4 and older wrote every cache "
               "slot)")
         failures += 1
         return 1
