@@ -32,14 +32,16 @@ constexpr const char *eventqSection = "_eventq";
 
 // _eventq holds only what the replay cannot rebuild: the time base
 // and the counters. Firing order is the (tick, seq) order whatever the
-// wheel geometry, so the geometry is not recorded.
+// wheel geometry, so the geometry is not recorded. The processed
+// field is the logical-step count, which does not depend on how many
+// steps the queue's agent ran inside one dispatch.
 void
 saveEventq(Serializer &s, sim::EventQueue &eq)
 {
     s.beginSection(eventqSection, /*version=*/5);
     s.writeTick(eq.now());
     s.writeU64(sim::EventQueueRestoreAccess::nextSeq(eq));
-    s.writeU64(eq.processedEvents());
+    s.writeU64(eq.logicalSteps());
     s.writeU64(eq.pending());
     s.endSection();
 }
@@ -48,7 +50,7 @@ saveEventq(Serializer &s, sim::EventQueue &eq)
 struct EventqCounters
 {
     std::uint64_t nextSeq;
-    std::uint64_t processed;
+    std::uint64_t steps;
     std::uint64_t pending;
 };
 
@@ -67,7 +69,7 @@ restoreEventqTick(Deserializer &d, sim::EventQueue &eq)
     const sim::Tick tick = d.readTick();
     EventqCounters c;
     c.nextSeq = d.readU64();
-    c.processed = d.readU64();
+    c.steps = d.readU64();
     c.pending = d.readU64();
     d.endSection();
     sim::EventQueueRestoreAccess::setCurTick(eq, tick);
@@ -84,7 +86,7 @@ restoreEventqCounters(sim::EventQueue &eq, const EventqCounters &c)
                    eq.pending(), eventqSection,
                    (unsigned long long)c.pending);
     sim::EventQueueRestoreAccess::setNextSeq(eq, c.nextSeq);
-    sim::EventQueueRestoreAccess::setProcessed(eq, c.processed);
+    sim::EventQueueRestoreAccess::setLogicalSteps(eq, c.steps);
 }
 
 void

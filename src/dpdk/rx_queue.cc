@@ -28,6 +28,7 @@ RxQueue::RxQueue(cpu::Core &core, nic::Nic &port, Mempool &pool,
               ? port.name() + ".pmd"
               : port.name() + ".pmd.q" + std::to_string(queueIdx)))
 {
+    port.bindMempool(queueIdx, pool.capacity());
 }
 
 void

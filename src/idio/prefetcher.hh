@@ -83,7 +83,8 @@ class MlcPrefetcher : public sim::SimObject
     void unserialize(ckpt::Deserializer &d) override;
 
   private:
-    class IssueEvent : public sim::Event
+    /** Run by the queue's agent (see sim::AgentEvent). */
+    class IssueEvent : public sim::AgentEvent
     {
       public:
         explicit IssueEvent(MlcPrefetcher &owner) : owner(owner) {}

@@ -6,6 +6,7 @@
 #include "dma.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/simulation.hh"
 
@@ -22,6 +23,7 @@ DmaEngine::DmaEngine(sim::Simulation &simulation, const std::string &name,
       linesRead(statGroup, "linesRead", "outbound DMA cachelines read"),
       callbacks(statGroup, "callbacks", "completion callbacks fired"),
       target(target), sink(sink), queues(queues), ringSize(ringSize),
+      poolSizes(queues, std::numeric_limits<std::uint32_t>::max()),
       pumpEvent(*this)
 {
     const double ns = static_cast<double>(mem::lineSize) / pcieGBps;
@@ -63,6 +65,13 @@ void
 DmaEngine::enqueueCompletion(const DmaCompletion &done)
 {
     push(Transfer(done));
+}
+
+void
+DmaEngine::bindMempool(std::uint32_t queue, std::uint32_t mbufs)
+{
+    SIM_ASSERT(queue < queues, "bindMempool: queue out of range");
+    poolSizes[queue] = mbufs;
 }
 
 void
@@ -182,6 +191,12 @@ DmaEngine::unserialize(ckpt::Deserializer &d)
                        "out of range for %u queues of %u descriptors "
                        "in section '%s'",
                        done.queue, done.index, queues, ringSize,
+                       name().c_str());
+        if (done.kind == DmaCompletion::Kind::TxDone &&
+            done.index >= poolSizes[done.queue])
+            sim::fatal("ckpt: TX completion of mbuf %u is out of range "
+                       "for queue %u's pool of %u in section '%s'",
+                       done.index, done.queue, poolSizes[done.queue],
                        name().c_str());
         xfers.push_back(Transfer(done));
     }

@@ -17,6 +17,7 @@
 
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "mem/addr.hh"
 #include "nic/tlp.hh"
@@ -106,6 +107,19 @@ class DmaEngine : public sim::SimObject
     /** Queue @p done for the sink, behind every line queued so far. */
     void enqueueCompletion(const DmaCompletion &done);
 
+    /**
+     * Queue @p queue's frames sit in a pool of @p mbufs buffers: a
+     * restored TxDone's mbuf index must be below it. A queue no pool
+     * was bound to accepts any index.
+     */
+    void bindMempool(std::uint32_t queue, std::uint32_t mbufs);
+
+    /** Buffers of the pool bound to @p queue (see bindMempool()). */
+    std::uint32_t mempoolSize(std::uint32_t queue) const
+    {
+        return poolSizes[queue];
+    }
+
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;
 
@@ -157,7 +171,8 @@ class DmaEngine : public sim::SimObject
     };
     static_assert(sizeof(Transfer) == 24);
 
-    class PumpEvent : public sim::Event
+    /** Run by the queue's agent (see sim::AgentEvent). */
+    class PumpEvent : public sim::AgentEvent
     {
       public:
         explicit PumpEvent(DmaEngine &owner) : owner(owner) {}
@@ -178,6 +193,7 @@ class DmaEngine : public sim::SimObject
     Sink sink;
     std::uint32_t queues;
     std::uint32_t ringSize;
+    std::vector<std::uint32_t> poolSizes; ///< per queue, see bindMempool()
     sim::Tick lineTime;
     std::deque<Transfer> xfers;
     PumpEvent pumpEvent;

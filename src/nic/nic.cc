@@ -262,7 +262,8 @@ Nic::unserialize(ckpt::Deserializer &d)
         sim::fatal("ckpt: '%s' queue count mismatch (checkpoint %u, "
                    "config %u)",
                    name().c_str(), queues, numQueues());
-    for (RxRing &ring : rings) {
+    for (std::uint32_t q = 0; q < queues; ++q) {
+        RxRing &ring = rings[q];
         const std::uint32_t hw = d.readU32();
         const std::uint32_t sw = d.readU32();
         const std::uint32_t n = d.readU32();
@@ -275,6 +276,12 @@ Nic::unserialize(ckpt::Deserializer &d)
             RxSlot &slot = ring.slot(i);
             slot.bufAddr = d.readU64();
             slot.mbufIdx = d.readU32();
+            if (slot.mbufIdx >= dma.mempoolSize(q))
+                sim::fatal("ckpt: RX slot %u of queue %u holds mbuf %u, "
+                           "out of range for its pool of %u in section "
+                           "'%s'",
+                           i, q, slot.mbufIdx, dma.mempoolSize(q),
+                           name().c_str());
             slot.armed = d.readBool();
             slot.inFlight = d.readBool();
             slot.dd = d.readBool();

@@ -120,6 +120,17 @@ class Nic : public sim::SimObject
     }
 
     /**
+     * Ring @p queue is armed from, and transmits from, a pool of
+     * @p mbufs buffers: restore rejects a ring slot or TX completion
+     * naming a buffer outside it.
+     */
+    void
+    bindMempool(std::uint32_t queue, std::uint32_t mbufs)
+    {
+        dma.bindMempool(queue, mbufs);
+    }
+
+    /**
      * Egress: DMA-read the frame in mbuf @p mbufIdx for transmission
      * on @p queue; the queue's TX-done watcher runs once the last
      * line has been read.

@@ -55,6 +55,7 @@ EventQueue::~EventQueue()
         for (auto &slot : level)
             unmark(slot);
     unmark(drainBatch);
+    unmark(agentCal);
 }
 
 void
@@ -71,7 +72,10 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->_scheduled = true;
     ev->_when = when;
     ev->_seq = seq;
-    insert(when, seq, ev);
+    if (ev->_agent)
+        scheduleMember(ev, when, seq);
+    else
+        insert(when, seq, ev);
 }
 
 void
@@ -79,6 +83,10 @@ EventQueue::deschedule(Event *ev)
 {
     if (!ev->_scheduled)
         panic("descheduling unscheduled event '%s'", ev->name().c_str());
+    if (ev->_agent) {
+        descheduleMember(ev);
+        return;
+    }
 
     const Tick when = ev->_when;
     const std::uint64_t seq = ev->_seq;
@@ -86,7 +94,12 @@ EventQueue::deschedule(Event *ev)
     --livePending;
     if (seq & 1) [[unlikely]]
         forgetRecovered(ev);
+    eraseEntry(when, seq);
+}
 
+void
+EventQueue::eraseEntry(Tick when, std::uint64_t seq)
+{
     if (minValid && when == cachedMin)
         minValid = false;
 
@@ -152,9 +165,10 @@ EventQueue::cascade(unsigned level, std::size_t idx)
 Tick
 EventQueue::computeMin() const
 {
-    // Mid-drain remnants of the active tick still count as pending.
+    // Mid-drain remnants of the active tick still count as pending
+    // (the entry at drainPos is the one being dispatched).
     if (draining) {
-        for (std::size_t i = drainPos; i < drainBatch.size(); ++i)
+        for (std::size_t i = drainPos + 1; i < drainBatch.size(); ++i)
             if (drainBatch[i].ev)
                 return curTick;
     }
@@ -188,6 +202,8 @@ EventQueue::nextEventTick() const
     for (std::size_t i = drainPos; i < drainBatch.size(); ++i)
         if (drainBatch[i].ev && drainBatch[i].when < earliest)
             earliest = drainBatch[i].when;
+    for (const Entry &e : agentCal)
+        earliest = std::min(earliest, e.when);
     return earliest;
 }
 
@@ -196,11 +212,12 @@ EventQueue::fireTickSlow()
 {
     std::uint64_t fired = 0;
     // Every curTick entry lives in its level-0 slot (advanceTo
-    // cascaded it there). Swap the slot out and fire it in one pass; events scheduled into the same tick
-    // mid-drain land in the (now empty) slot and are picked up by the
-    // outer loop — still in seq order, since new seqs exceed every
-    // batched one.
-    const std::size_t idx = slotIndex(0, curTick);
+    // cascaded it there). Swap the slot out and fire it in one pass;
+    // events scheduled into the same tick mid-drain land in the (now
+    // empty) slot and are picked up by the outer loop — still in seq
+    // order, since new seqs exceed every batched one.
+    const Tick t = curTick;
+    const std::size_t idx = slotIndex(0, t);
     auto &slot = slots[0][idx];
     draining = true;
     const auto bySeq = [](const Entry &a, const Entry &b) {
@@ -211,7 +228,7 @@ EventQueue::fireTickSlow()
         clearSlotMark(0, idx);
         // A level-0 slot covers a single tick, and same-tick entries
         // are seq-sorted by construction: direct appends use fresh
-        // ascending seqs, insertAt() keeps same-tick order, and
+        // ascending seqs, placeOrdered() keeps same-tick order, and
         // cascades preserve it. (Whole level-1+ slots are NOT
         // seq-sorted — a cascade appends older entries behind newer
         // ones of other ticks.) Keep a defensive re-sort behind an
@@ -225,6 +242,10 @@ EventQueue::fireTickSlow()
             fireEntry(e);
             ++fired;
         }
+        // The agent ran ahead: runAhead() ended the drain (nothing of
+        // tick t was left) and the min cache is exact.
+        if (curTick != t)
+            return fired;
         drainBatch.clear();
         drainPos = 0;
     }
@@ -246,33 +267,146 @@ EventQueue::fireTickSlow()
 }
 
 void
-EventQueue::insertAt(const Entry &e)
+EventQueue::placeOrdered(const Entry &e)
 {
     if (minValid && e.when < cachedMin)
         cachedMin = e.when;
-    ++livePending;
     const auto bySeq = [](const Entry &a, const Entry &b) {
         return a.seq < b.seq;
     };
-    if (draining && e.when == curTick) {
-        // The tick is being drained: the entry belongs among the
-        // batch's unfired remainder (the slot only holds schedules
-        // made during this drain, all of which sort after it).
+    const unsigned l = levelFor(e.when);
+    const std::size_t idx = slotIndex(l, e.when);
+    auto &slot = slots[l][idx];
+    if (draining && e.when == curTick &&
+        (slot.empty() || e.seq < slot.front().seq)) {
+        // The tick is being drained: the batch's unfired remainder
+        // fires before the slot, which holds only schedules made
+        // during this drain. The entry belongs in the batch unless it
+        // sorts after the first of those.
         drainBatch.insert(std::upper_bound(drainBatch.begin() +
                                                drainPos + 1,
                                            drainBatch.end(), e, bySeq),
                           e);
         return;
     }
-    const unsigned l = levelFor(e.when);
-    const std::size_t idx = slotIndex(l, e.when);
-    auto &slot = slots[l][idx];
     // Level-1+ slots mix ticks; only same-tick order matters.
     auto it = std::find_if(slot.begin(), slot.end(), [&e](const Entry &o) {
         return o.when == e.when && o.seq > e.seq;
     });
     slot.insert(it, e);
     markSlot(l, idx);
+}
+
+void
+EventQueue::scheduleMember(Event *ev, Tick when, std::uint64_t seq)
+{
+    ++livePending;
+    agentCal.push_back(Entry{when, seq, ev});
+    // A fresh seq sorts after every pending one: the member moves the
+    // agent's entry only if it is due at an earlier tick.
+    if (agentRunning)
+        return;
+    if (agentEvent._scheduled) {
+        if (when >= agentEvent._when)
+            return;
+        agentEvent._scheduled = false;
+        eraseEntry(agentEvent._when, agentEvent._seq);
+    }
+    placeAgent();
+}
+
+void
+EventQueue::descheduleMember(Event *ev)
+{
+    ev->_scheduled = false;
+    --livePending;
+    const auto it = std::find_if(
+        agentCal.begin(), agentCal.end(),
+        [ev](const Entry &e) { return e.ev == ev; });
+    SIM_ASSERT(it != agentCal.end(), "member missing from the agent");
+    *it = agentCal.back();
+    agentCal.pop_back();
+    if (agentRunning || ev->_seq != agentEvent._seq ||
+        !agentEvent._scheduled)
+        return;
+    agentEvent._scheduled = false;
+    eraseEntry(agentEvent._when, agentEvent._seq);
+    placeAgent();
+}
+
+std::size_t
+EventQueue::agentMin() const
+{
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < agentCal.size(); ++i) {
+        const Entry &e = agentCal[i];
+        const Entry &b = agentCal[best];
+        if (e.when < b.when || (e.when == b.when && e.seq < b.seq))
+            best = i;
+    }
+    return best;
+}
+
+void
+EventQueue::placeAgent()
+{
+    if (agentCal.empty())
+        return;
+    const Entry &m = agentCal[agentMin()];
+    agentEvent._scheduled = true;
+    agentEvent._when = m.when;
+    agentEvent._seq = m.seq;
+    placeOrdered(Entry{m.when, m.seq, &agentEvent});
+}
+
+void
+EventQueue::runAgent()
+{
+    // fireEntry() took the agent's entry out and counted its first
+    // member's step as the dispatch. The member is the earliest, at
+    // (curTick, dispatchSeq).
+    agentRunning = true;
+    minValid = false; // the cache may still hold the fired entry
+    std::size_t i = agentMin();
+    for (;;) {
+        const Entry m = agentCal[i];
+        agentCal[i] = agentCal.back();
+        agentCal.pop_back();
+        m.ev->_scheduled = false;
+        m.ev->process();
+        if (agentCal.empty())
+            break;
+        i = agentMin();
+        const Entry &next = agentCal[i];
+        if (!runAhead(next.when, next.seq, next.ev)) {
+            agentRunning = false;
+            placeAgent();
+            return;
+        }
+    }
+    agentRunning = false;
+}
+
+bool
+EventQueue::runAhead(Tick t, std::uint64_t s, Event *ev)
+{
+    if (runAheadForbidden || t > runLimit || peekNextTick() <= t)
+        return false;
+    if (t != curTick) {
+        // Nothing of the old tick is left to drain.
+        if (draining) {
+            drainBatch.clear();
+            drainPos = 0;
+            draining = false;
+        }
+        advanceTo(t);
+    }
+    --livePending;
+    if (sleepActive)
+        noteDispatch(Entry{t, s, ev});
+    dispatchSeq = s;
+    ++nSteps;
+    return true;
 }
 
 bool
@@ -330,7 +464,8 @@ EventQueue::wakeAt(Event *ev, Tick t, std::uint64_t s)
     ev->_scheduled = true;
     ev->_when = z.g;
     ev->_seq = seq;
-    insertAt(Entry{z.g, seq, ev});
+    ++livePending;
+    placeOrdered(Entry{z.g, seq, ev});
     recovered.push_back(Recovered{ev, z.g});
     updateSleepActive();
     z.owner->awoke();
@@ -519,7 +654,25 @@ EventQueue::selfCheckConsistent() const
         if (drainBatch[i].ev)
             ++liveInWheel;
 
-    return livePending == liveInWheel;
+    // The agent's entry is not a pending event of its own; its
+    // members are, and outside its dispatch it sits at the earliest.
+    if (agentEvent._scheduled)
+        --liveInWheel;
+    for (const Entry &e : agentCal) {
+        if (!e.ev->_agent || !e.ev->_scheduled || e.ev->_when != e.when ||
+            e.ev->_seq != e.seq || e.when < curTick)
+            return false;
+    }
+    if (!agentRunning) {
+        if (agentEvent._scheduled == agentCal.empty())
+            return false;
+        if (!agentCal.empty()) {
+            const Entry &m = agentCal[agentMin()];
+            if (m.when != agentEvent._when || m.seq != agentEvent._seq)
+                return false;
+        }
+    }
+    return livePending == liveInWheel + agentCal.size();
 }
 
 void
@@ -539,6 +692,7 @@ EventQueueRestoreAccess::clearPending(EventQueue &eq)
     for (auto &words : eq.occupied)
         words.fill(0);
     drop(eq.drainBatch);
+    drop(eq.agentCal);
     eq.drainPos = 0;
     // Sleepers' owners reset their own state on restore.
     eq.sleeps.clear();

@@ -33,6 +33,22 @@
  * take even entry seqs (2n for the n-th); a recovered repeat takes
  * the odd position 2n - 1 just ahead of the n-th real schedule,
  * which is where its own schedule would have sorted.
+ *
+ * The agent: an AgentEvent (a DMA pump, an MLC prefetch issue: a
+ * producer that re-arms itself once per cacheline) is not placed in
+ * the wheel. Every pending one sits in the agent's flat calendar, and
+ * the agent holds one wheel entry at its earliest member's (tick,
+ * seq). A member schedule still takes a fresh seq, so same-tick order
+ * against every other event is unchanged. When the agent's entry
+ * fires it runs that member, then keeps running the next earliest
+ * member inline, moving now() forward (run-ahead), as long as no
+ * other entry is due at or before the member's tick and the tick is
+ * within the run call's limit. On a tie it gives way: its entry goes
+ * back into the wheel at the member's (tick, seq), where the member
+ * would have sorted. Each inline step is logged for the sleepers like
+ * a dispatch, so processedEvents() counts wheel dispatches and
+ * logicalSteps() counts dispatches plus inline steps: the work a
+ * queue without the agent would have dispatched.
  */
 
 #ifndef IDIO_SIM_EVENT_QUEUE_HH
@@ -67,6 +83,7 @@ enum class SchedulerBackend : std::uint8_t
 class Event
 {
   public:
+    Event() = default;
     virtual ~Event();
 
     /** Invoked by the queue when simulated time reaches the event. */
@@ -89,13 +106,30 @@ class Event
      */
     std::uint64_t seq() const { return _seq; }
 
+  protected:
+    /** For AgentEvent: the queue runs the event through its agent. */
+    explicit Event(bool agentMember) : _agent(agentMember) {}
+
   private:
     friend class EventQueue;
     friend struct EventQueueRestoreAccess;
 
     bool _scheduled = false;
+    bool _agent = false;
     Tick _when = 0;
     std::uint64_t _seq = 0; // identifies the live queue entry
+};
+
+/**
+ * An event the queue runs through its agent (see the file comment):
+ * schedule and deschedule it like any Event. Meant for producers that
+ * re-arm themselves at a short fixed interval and that nothing else
+ * is due between, most of the time.
+ */
+class AgentEvent : public Event
+{
+  protected:
+    AgentEvent() : Event(true) {}
 };
 
 /**
@@ -185,11 +219,12 @@ class EventQueue
      * Events scheduled exactly at @p limit still fire. Same-tick events
      * are drained in one fused pass, in (tick, seq) order.
      *
-     * @return number of events processed.
+     * @return number of wheel dispatches.
      */
     std::uint64_t
     runUntil(Tick limit)
     {
+        runLimit = limit;
         std::uint64_t processed = 0;
         for (;;) {
             if (!minValid) {
@@ -211,8 +246,17 @@ class EventQueue
     /** Run until the queue drains completely. */
     std::uint64_t run() { return runUntil(maxTick); }
 
-    /** Total events processed over the queue's lifetime. */
+    /**
+     * Wheel dispatches since construction or restore (the agent's
+     * inline steps not included).
+     */
     std::uint64_t processedEvents() const { return nProcessed; }
+
+    /**
+     * Events run: dispatches plus the agent's inline steps, carried
+     * across a checkpoint. Independent of how the queue batches them.
+     */
+    std::uint64_t logicalSteps() const { return nSteps; }
 
     /**
      * @{ Sleeping events.
@@ -390,24 +434,30 @@ class EventQueue
         e.ev->_scheduled = false;
         e.ev->process();
         ++nProcessed;
+        ++nSteps;
     }
 
     /**
      * Fire every event scheduled at curTick, in seq order. The
      * singleton case (one pending event at this tick — the dominant
      * cadence) stays inline; fan-out ticks take the batch-swap drain
-     * in fireTickSlow().
+     * in fireTickSlow(). A dispatch of the agent that ran ahead
+     * leaves the tick: then the drain stops and the run loop goes on
+     * from the new now().
      */
     std::uint64_t
     fireCurTick()
     {
-        const std::size_t idx = slotIndex(0, curTick);
+        const Tick t = curTick;
+        const std::size_t idx = slotIndex(0, t);
         auto &slot = slots[0][idx];
         if (slot.size() == 1) {
             const Entry e = slot.front();
             slot.clear();
             clearSlotMark(0, idx);
             fireEntry(e);
+            if (curTick != t) // ran ahead; the min cache is exact
+                return 1;
             if (slot.empty()) { // no chained same-tick schedule
                 cachedMin = maxTick;
                 minValid = livePending == 0;
@@ -427,11 +477,48 @@ class EventQueue
     std::uint64_t freshSeq() { return (nextSeq++) << 1; }
 
     /**
-     * Place an entry whose seq is not fresh (a recovered repeat):
-     * same-tick entries stay in ascending seq order wherever it
-     * lands, the active drain batch included.
+     * Place an entry whose seq is not fresh (a recovered repeat, the
+     * agent's entry): same-tick entries stay in ascending seq order
+     * wherever it lands, the active drain batch included. The caller
+     * counts it as pending or not.
      */
-    void insertAt(const Entry &e);
+    void placeOrdered(const Entry &e);
+
+    /** Take the live entry (when, seq) out of the wheel. */
+    void eraseEntry(Tick when, std::uint64_t seq);
+
+    // --- The agent ----------------------------------------------
+    /** The agent's wheel entry: runs the earliest member. */
+    class AgentDispatch final : public Event
+    {
+      public:
+        explicit AgentDispatch(EventQueue &q) : q(q) {}
+        void process() override { q.runAgent(); }
+        std::string name() const override { return "eventq.agent"; }
+
+      private:
+        EventQueue &q;
+    };
+
+    void scheduleMember(Event *ev, Tick when, std::uint64_t seq);
+    void descheduleMember(Event *ev);
+
+    /** Index of the earliest pending member in agentCal. */
+    std::size_t agentMin() const;
+
+    /** Put the agent's entry at the earliest member, if any. */
+    void placeAgent();
+
+    /** The agent's dispatch: its members' steps, run ahead. */
+    void runAgent();
+
+    /**
+     * From inside the agent's dispatch: make the member step at
+     * (@p t, @p s) a logical dispatch, as fireEntry() would. Fails
+     * when another entry is due at or before @p t, or @p t is past
+     * the run call's limit.
+     */
+    bool runAhead(Tick t, std::uint64_t s, Event *ev);
 
     // --- Sleeping events ----------------------------------------
     // A sleeper's next skipped repeat sits at tick `g` with entry seq
@@ -533,6 +620,16 @@ class EventQueue
     /** Test seam: refuse every sleep() (never-parking reference). */
     bool sleepForbidden = false;
 
+    /** Pending members, unordered (each has its own when and seq). */
+    std::vector<Entry> agentCal;
+    AgentDispatch agentEvent{*this};
+    /** Inside runAgent(): members are stepped, the entry is out. */
+    bool agentRunning = false;
+    /** Test seam: the agent runs one member per dispatch. */
+    bool runAheadForbidden = false;
+    /** Limit of the run call in progress (run-ahead stops there). */
+    Tick runLimit = 0;
+
     // --- Hierarchical timing wheel --------------------------------
     // slots[l][i] (declared last) holds the entries of level l, slot
     // i, placed against curTick; level-0 slots cover exactly one tick.
@@ -558,6 +655,7 @@ class EventQueue
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t nProcessed = 0;
+    std::uint64_t nSteps = 0;
 
     // Declared last, after every scalar above. Behind the 48 KiB of
     // slot headers, the counters sat a multiple of 4 KiB past the low
@@ -608,6 +706,24 @@ struct EventQueueTestAccess
     {
         eq.sleepForbidden = true;
     }
+
+    /**
+     * Let the agent run one member per dispatch from now on: every
+     * member step is then its own dispatch, which is the reference
+     * the run-ahead is checked against.
+     */
+    static void
+    forbidRunAhead(EventQueue &eq)
+    {
+        eq.runAheadForbidden = true;
+    }
+
+    /** Member events pending in the agent's calendar. */
+    static std::size_t
+    agentMembers(const EventQueue &eq)
+    {
+        return eq.agentCal.size();
+    }
 };
 
 /**
@@ -649,9 +765,15 @@ struct EventQueueRestoreAccess
         eq.nextSeq = s;
     }
 
-    static void setProcessed(EventQueue &eq, std::uint64_t n)
+    /**
+     * The checkpoint carries the logical-step count, which does not
+     * depend on how the queue batched the steps. The dispatch count
+     * is the restoring queue's own and starts over.
+     */
+    static void setLogicalSteps(EventQueue &eq, std::uint64_t n)
     {
-        eq.nProcessed = n;
+        eq.nSteps = n;
+        eq.nProcessed = 0;
     }
     /** @} */
 };

@@ -97,13 +97,26 @@ class Simulation
     }
 
     /**
-     * Total events processed. Host-independent, which makes it the
-     * work counter the perf bench reports and CI gates on.
+     * Wheel dispatches: host-independent, the scheduler's cost
+     * counter that the perf bench reports as events per packet. The
+     * queue's agent runs most DMA pump and prefetch issue steps
+     * inside one dispatch, so this counts fewer than the events run;
+     * totalLogicalSteps() counts those.
      */
     std::uint64_t
     totalProcessedEvents() const
     {
         return queue.processedEvents();
+    }
+
+    /**
+     * Events run: dispatches plus the agent's inline steps. Exact,
+     * and the same whether or not the agent runs ahead.
+     */
+    std::uint64_t
+    totalLogicalSteps() const
+    {
+        return queue.logicalSteps();
     }
 
   private:

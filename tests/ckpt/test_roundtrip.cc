@@ -200,6 +200,69 @@ TEST(CkptRoundTrip, IdioCopyTouchDropMidBurst)
         idio::Policy::Idio, harness::NfKind::CopyTouchDrop));
 }
 
+/** Section @p name opens with a pending DMA pump's {when, seq}. */
+bool
+pumpPending(const std::vector<std::uint8_t> &blob, const std::string &name)
+{
+    const SectionAt sec = sectionAt(blob, name);
+    return sec.size != 0 && blob[sec.payload] != 0;
+}
+
+/** Prefetcher section @p name ends with a pending issue's {when, seq}. */
+bool
+issuePending(const std::vector<std::uint8_t> &blob, const std::string &name)
+{
+    const SectionAt sec = sectionAt(blob, name);
+    if (sec.size < 12)
+        return false;
+    std::uint64_t hints = 0; // after the u32 outstanding count
+    std::memcpy(&hints, blob.data() + sec.payload + 4, sizeof(hints));
+    const std::size_t at = sec.payload + 12 + 8 * std::size_t(hints);
+    return at < sec.payload + sec.size && blob[at] != 0;
+}
+
+TEST(CkptRoundTrip, CutInsideAnAgentStretch)
+{
+    // Mid-burst, off every pump and issue grid: the cut's run limit
+    // ends a stretch of the queue's agent while it holds both ports'
+    // pumps and a prefetcher's issue. The restored run finishes
+    // bit-identically, its logical steps included, and takes the
+    // dispatches the uncut run took after the cut.
+    const auto cfg =
+        burstConfig(idio::Policy::Idio, harness::NfKind::TouchDrop);
+    const sim::Tick cut = ckptTick + 1234;
+
+    harness::TestSystem cold(cfg);
+    cold.start();
+    cold.runFor(cut);
+    const auto blob = cold.checkpoint();
+    const sim::EventQueue &coldQ = cold.simulation().eventq();
+    EXPECT_TRUE(pumpPending(blob, "system.nf0.nic.dma"));
+    EXPECT_TRUE(pumpPending(blob, "system.nf1.nic.dma"));
+    EXPECT_TRUE(issuePending(blob, "system.idio.prefetcher0") ||
+                issuePending(blob, "system.idio.prefetcher1"));
+    const std::size_t membersAtCut =
+        sim::EventQueueTestAccess::agentMembers(coldQ);
+    EXPECT_GE(membersAtCut, 3u);
+    const std::uint64_t dispatchesAtCut = coldQ.processedEvents();
+    EXPECT_LT(dispatchesAtCut, coldQ.logicalSteps());
+    cold.runFor(endTick - cut);
+
+    harness::TestSystem warm(cfg);
+    warm.start();
+    warm.restore(blob);
+    const sim::EventQueue &warmQ = warm.simulation().eventq();
+    EXPECT_EQ(sim::EventQueueTestAccess::agentMembers(warmQ),
+              membersAtCut);
+    warm.runFor(endTick - cut);
+
+    EXPECT_EQ(warm.totals(), cold.totals());
+    EXPECT_EQ(statsJson(warm), statsJson(cold));
+    EXPECT_EQ(warmQ.logicalSteps(), coldQ.logicalSteps());
+    EXPECT_EQ(warmQ.processedEvents(),
+              coldQ.processedEvents() - dispatchesAtCut);
+}
+
 TEST(CkptRoundTrip, SaveIsObservationallyPure)
 {
     // Saving must only read state: a run that checkpoints mid-burst
@@ -298,31 +361,40 @@ TEST(CkptRoundTrip, SeedMismatchIsFatal)
                 "seed");
 }
 
-/** A mid-burst checkpoint of the DDIO single-burst system. */
-std::vector<std::uint8_t>
-ddioCheckpoint()
+/** The DDIO TouchDrop single-burst system. */
+harness::ExperimentConfig
+ddioConfig()
 {
-    harness::TestSystem sys(
-        burstConfig(idio::Policy::Ddio, harness::NfKind::TouchDrop));
+    return burstConfig(idio::Policy::Ddio, harness::NfKind::TouchDrop);
+}
+
+/** A mid-burst checkpoint of @p cfg's single-burst system. */
+std::vector<std::uint8_t>
+midBurstCheckpoint(const harness::ExperimentConfig &cfg = ddioConfig())
+{
+    harness::TestSystem sys(cfg);
     sys.start();
     sys.runFor(ckptTick);
     return sys.checkpoint();
 }
 
-/** Restore @p blob into a fresh DDIO system; it must die naming @p what. */
+/** Restore @p blob into a fresh @p cfg system; it must die naming @p what. */
 void
 expectRestoreFatal(const std::vector<std::uint8_t> &blob,
-                   const std::string &what)
+                   const std::string &what,
+                   const harness::ExperimentConfig &cfg = ddioConfig())
 {
-    harness::TestSystem sys(
-        burstConfig(idio::Policy::Ddio, harness::NfKind::TouchDrop));
+    harness::TestSystem sys(cfg);
     sys.start();
     EXPECT_EXIT(sys.restore(blob), ::testing::ExitedWithCode(1), what);
 }
 
+/** Buffers in each NF's pool: the 256-entry ring plus 128 head-room. */
+constexpr std::uint32_t poolMbufs = 256 + 128;
+
 TEST(CkptEventqDeathTest, SectionVersion4IsFatal)
 {
-    auto blob = ddioCheckpoint();
+    auto blob = midBurstCheckpoint();
     const SectionAt eq = sectionAt(blob, "_eventq");
     ASSERT_EQ(eq.size, 32u); // {tick, nextSeq, processed, pending}
     const std::uint32_t v4 = 4;
@@ -332,7 +404,7 @@ TEST(CkptEventqDeathTest, SectionVersion4IsFatal)
 
 TEST(CkptEventqDeathTest, PendingCountMismatchIsFatal)
 {
-    auto blob = ddioCheckpoint();
+    auto blob = midBurstCheckpoint();
     const SectionAt eq = sectionAt(blob, "_eventq");
     ASSERT_EQ(eq.size, 32u);
     std::uint8_t *pending = blob.data() + eq.payload + 24;
@@ -353,7 +425,7 @@ template <typename Edit>
 std::vector<std::uint8_t>
 withBadCompletion(Edit edit)
 {
-    auto blob = ddioCheckpoint();
+    auto blob = midBurstCheckpoint();
     const SectionAt dma = sectionAt(blob, "system.nf0.nic.dma");
     const std::vector<std::size_t> done = dmaCompletions(blob, dma);
     EXPECT_FALSE(done.empty());
@@ -387,6 +459,46 @@ TEST(CkptDmaDeathTest, UnknownCompletionKindIsFatal)
     const auto blob =
         withBadCompletion([](std::uint8_t *rec) { rec[0] = 5; });
     expectRestoreFatal(blob, "bad DMA record kind 5 .*system.nf0.nic.dma");
+}
+
+TEST(CkptNicDeathTest, RxSlotMbufOutOfRangeIsFatal)
+{
+    auto blob = midBurstCheckpoint();
+    const SectionAt nic = sectionAt(blob, "system.nf0.nic");
+    // Queue count, ring 0's heads and size, slot 0's buffer address,
+    // then slot 0's mbuf index.
+    std::uint32_t mbuf = 0;
+    std::memcpy(&mbuf, blob.data() + nic.payload + 24, sizeof(mbuf));
+    ASSERT_LT(mbuf, poolMbufs);
+    mbuf = poolMbufs;
+    std::memcpy(blob.data() + nic.payload + 24, &mbuf, sizeof(mbuf));
+    resum(blob, nic);
+    expectRestoreFatal(blob, "mbuf 384, out of range .*'system.nf0.nic'");
+}
+
+TEST(CkptDmaDeathTest, TxDoneMbufOutOfRangeIsFatal)
+{
+    // L2Fwd transmits: mid-burst, a TX completion is queued behind
+    // the frame's read lines.
+    const auto cfg =
+        burstConfig(idio::Policy::Idio, harness::NfKind::L2Fwd);
+    auto blob = midBurstCheckpoint(cfg);
+    for (const std::string port : {"system.nf0.nic.dma",
+                                   "system.nf1.nic.dma"}) {
+        const SectionAt dma = sectionAt(blob, port);
+        for (const std::size_t at : dmaCompletions(blob, dma)) {
+            if (blob[at] != txDoneTag)
+                continue;
+            std::memcpy(blob.data() + at + 5, &poolMbufs,
+                        sizeof(poolMbufs));
+            resum(blob, dma);
+            expectRestoreFatal(blob,
+                               "mbuf 384 is out of range .*'" + port + "'",
+                               cfg);
+            return;
+        }
+    }
+    ADD_FAILURE() << "no TX completion pending at the cut";
 }
 
 /**

@@ -19,18 +19,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <fstream>
-#include <iterator>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "harness/run_report.hh"
-#include "harness/system.hh"
-#include "sim/rng.hh"
-#include "stats/json.hh"
-#include "trace/chrome_export.hh"
+#include "reference_run.hh"
 
 #include "../sim/callback_event.hh"
 
@@ -39,120 +30,35 @@ namespace
 
 using harness::ExperimentConfig;
 using harness::TestSystem;
+using simtest::Artifacts;
+using simtest::alignGrids;
+using simtest::statsJson;
 
-struct Artifacts
+void
+neverSleep(sim::EventQueue &eq)
 {
-    harness::Totals totals;
-    std::vector<harness::TenantTotals> tenants;
-    std::string stats;
-    std::string trace;
-    std::vector<double> timeline;
-    std::uint64_t events = 0;
-    std::uint64_t sweeps = 0;
-};
-
-std::string
-statsJson(TestSystem &sys)
-{
-    std::ostringstream os;
-    stats::writeJson(os, sys.simulation().statsRegistry());
-    return os.str();
-}
-
-std::string
-traceBytes(TestSystem &sys, const std::string &tag)
-{
-    const std::string path =
-        ::testing::TempDir() + "/idle_sleep_" + tag + "_trace.json";
-    EXPECT_TRUE(trace::writeChromeTrace(path, sys.simulation().tracer()));
-    std::ifstream in(path);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
+    sim::EventQueueTestAccess::forbidSleep(eq);
 }
 
 void
 prepare(TestSystem &sys, bool sleeping)
 {
-    if (!sleeping)
-        sim::EventQueueTestAccess::forbidSleep(sys.simulation().eventq());
-    harness::enableTracing(sys, 1u << 14);
-    // An in-run sampler over counters the sleeping cores owe.
-    auto &nf0 = sys.nf(0);
-    sys.timeline().trackRate("emptyPolls",
-                             [&nf0] { return nf0.emptyPolls.get(); });
-    sys.timeline().trackRate("l1Hits", [&sys] {
-        return sys.hierarchy().l1(0).hits.get();
-    });
+    simtest::prepare(sys, sleeping ? simtest::Seam{} : neverSleep);
 }
 
-Artifacts
-collect(TestSystem &sys, const std::string &tag)
-{
-    Artifacts a;
-    a.totals = sys.totals();
-    a.tenants = sys.tenantTotals();
-    a.stats = statsJson(sys);
-    a.trace = traceBytes(sys, tag);
-    for (const char *name : {"emptyPolls", "l1Hits"})
-        for (const auto &p : sys.timeline().series(name).points())
-            a.timeline.push_back(p.value);
-    a.events = sys.simulation().totalProcessedEvents();
-    a.sweeps = sys.invariantChecker().sweeps();
-    return a;
-}
-
-/**
- * Run @p cfg in uneven slices (every slice end wakes the cores), the
- * last one ending on the checker's sweep grid.
- */
 Artifacts
 run(const ExperimentConfig &cfg, bool sleeping, const std::string &tag)
 {
-    TestSystem sys(cfg);
-    prepare(sys, sleeping);
-    sys.start();
-    sys.timeline().start();
-    sim::Rng slices(cfg.seed * 7919);
-    for (int i = 0; i < 6; ++i)
-        sys.runFor((5 + slices.below(40)) * sim::oneUs);
-    const sim::Tick grid = TestSystem::checkGrid;
-    sys.runFor(grid - sys.simulation().now() % grid);
-    return collect(sys, tag);
+    return simtest::runSliced(cfg, sleeping ? simtest::Seam{} : neverSleep,
+                              tag);
 }
 
 void
 expectSame(const Artifacts &got, const Artifacts &ref,
            const std::string &what)
 {
-    EXPECT_EQ(got.totals, ref.totals) << what;
-    EXPECT_EQ(got.tenants, ref.tenants) << what;
-    EXPECT_EQ(got.stats, ref.stats) << what;
-    EXPECT_EQ(got.trace, ref.trace) << what;
-    EXPECT_EQ(got.timeline, ref.timeline) << what;
-    EXPECT_GT(ref.totals.processedPackets, 0u) << what;
+    simtest::expectSameOutputs(got, ref, what);
     EXPECT_LT(got.events, ref.events) << what << ": no core slept";
-    if (sim::InvariantChecker::compiledIn) {
-        EXPECT_GT(got.sweeps, 0u) << what << ": the checker never swept";
-    }
-}
-
-/**
- * Poll grid on the DMA pump grid: 1 GHz cores (whole-ns latencies),
- * @p pcieGBps PCIe (16 GB/s: 4 ns per line) and an idle gap that makes
- * the poll period (L1 latency + gap) a whole number of line times near
- * 100 ns. Every event then lands on a whole ns and repeats share ticks
- * with DMA completions.
- */
-void
-alignGrids(ExperimentConfig &cfg, double pcieGBps = 16.0)
-{
-    cfg.hier.cpuFreqGHz = 1.0;
-    cfg.nic.pcieGBps = pcieGBps;
-    const double lineNs = 64.0 / pcieGBps;
-    const double periodNs = lineNs * std::round(100.0 / lineNs);
-    cfg.nf.idlePollGapNs = periodNs - cfg.hier.l1.latencyCycles;
-    cfg.nf.perPacketCostNs = 100.0;
-    cfg.nf.perLineCostNs = 8.0;
 }
 
 ExperimentConfig

@@ -4,9 +4,9 @@
  * canonical runs.
  *
  * Each case runs the benches' own loop (bench::runLoop, to the drain
- * or the horizon, no settle time) and asserts the exact events
- * dispatched and, for the tenant mix, the exact per-tenant tail
- * latencies in ticks. The constants are the
+ * or the horizon, no settle time) and asserts the exact events run
+ * (logical steps), the wheel dispatches they took and, for the tenant
+ * mix, the exact per-tenant tail latencies in ticks. The constants are the
  * values the simulator produced when these gates moved here from the
  * perf smoke's committed trajectory file, in release and checker-on
  * builds alike: the invariant checker and the tracer must not change
@@ -34,7 +34,8 @@ namespace
 struct BurstWork
 {
     std::uint64_t packets = 0;
-    std::uint64_t events = 0;
+    std::uint64_t steps = 0;  ///< events run
+    std::uint64_t events = 0; ///< wheel dispatches
     std::uint64_t outputDigest = 0; ///< FNV-1a of stats JSON + totals
 };
 
@@ -65,6 +66,7 @@ drainOneBurst(const harness::ExperimentConfig &config)
     bench::runLoop(sys, {.drainPackets =
                              sys.config().expectedBurstTotal()});
     return {sys.totals().processedPackets,
+            sys.simulation().totalLogicalSteps(),
             sys.simulation().totalProcessedEvents(), outputDigest(sys)};
 }
 
@@ -79,7 +81,8 @@ TEST(PinnedWork, SingleBurst)
 
     const BurstWork w = drainOneBurst(cfg);
     EXPECT_EQ(w.packets, 2048u);
-    EXPECT_EQ(w.events, 107250u);
+    EXPECT_EQ(w.steps, 107250u);
+    EXPECT_EQ(w.events, 12678u);
 }
 
 TEST(PinnedWork, Scaled32)
@@ -96,7 +99,8 @@ TEST(PinnedWork, Scaled32)
 
     const BurstWork w = drainOneBurst(cfg);
     EXPECT_EQ(w.packets, 8192u);
-    EXPECT_EQ(w.events, 493517u);
+    EXPECT_EQ(w.steps, 493517u);
+    EXPECT_EQ(w.events, 97931u);
     // The 32-queue machine's every statistic, byte for byte.
     EXPECT_EQ(w.outputDigest, 0x398de66320338a68ull);
 }

@@ -6,7 +6,10 @@
  * Pollers reschedule themselves every period and count their
  * dispatches. Actors are callback events that fire at random ticks (many on
  * the pollers' grids, many sharing a tick), observe every poller's
- * count, wake pollers at random and schedule more actors. The same
+ * count, wake pollers at random and schedule more actors. Pumps are
+ * agent members re-arming on the pollers' grids: the queue's agent
+ * runs them ahead over sleeping repeats, and they observe and wake
+ * from inside those inline steps. The same
  * seeded scenario runs once with sleeping forbidden (the reference)
  * and once with pollers sleeping after every dispatch; the actors'
  * observation logs must be identical.
@@ -67,6 +70,28 @@ class Poller : public sim::Event, private sim::Sleeper
     Tick period;
 };
 
+/** An agent member that runs a callable (a DMA pump's cadence). */
+class Pump : public sim::AgentEvent
+{
+  public:
+    Pump(EventQueue &q, std::function<void()> step)
+        : q(q), step(std::move(step))
+    {
+    }
+
+    ~Pump() override
+    {
+        if (scheduled())
+            q.deschedule(this);
+    }
+
+    void process() override { step(); }
+
+  private:
+    EventQueue &q;
+    std::function<void()> step;
+};
+
 struct Observation
 {
     Tick when;
@@ -114,18 +139,42 @@ runScenario(std::uint64_t seed, bool sleeping)
         const int id = nextActor++;
         cb.at(when, [&act, id] { act(id); });
     };
+    // Observe (syncing the sleepers first, else an observation would
+    // be stale).
+    auto observe = [&](int id) {
+        q.syncSleepers();
+        Observation o{q.now(), id, {}};
+        for (const auto &p : pollers)
+            o.counts.push_back(p->count);
+        out.log.push_back(std::move(o));
+    };
+
+    // Two pumps: period 5 on the first and fourth pollers' ticks,
+    // period 10 on the second's. Each step may observe or wake a
+    // poller; a stopped pump waits for an actor to restart it.
+    std::vector<std::unique_ptr<Pump>> pumps;
+    const Tick pumpPeriods[] = {5, 10};
+    const Tick pumpStarts[] = {0, 3};
+    for (int i = 0; i < 2; ++i) {
+        pumps.push_back(std::make_unique<Pump>(q, [&, i] {
+            if (rng.chance(0.3))
+                observe(-100 - i);
+            if (rng.chance(0.2))
+                pollers[rng.below(pollers.size())]->wake();
+            if (rng.chance(0.95))
+                q.schedule(pumps[i].get(), q.now() + pumpPeriods[i]);
+        }));
+        q.schedule(pumps.back().get(), pumpStarts[i]);
+    }
+
     act = [&](int id) {
-        // Observe (syncing the sleepers first, else an observation
-        // would be stale), wake a poller before or after scheduling
-        // children, or do nothing observable at all.
-        const bool observe = rng.chance(0.5);
-        if (observe) {
-            q.syncSleepers();
-            Observation o{q.now(), id, {}};
-            for (const auto &p : pollers)
-                o.counts.push_back(p->count);
-            out.log.push_back(std::move(o));
-        }
+        // Observe, wake a poller before or after scheduling children,
+        // restart a pump, or do nothing observable at all.
+        if (rng.chance(0.5))
+            observe(id);
+        Pump &pump = *pumps[rng.below(pumps.size())];
+        if (!pump.scheduled() && rng.chance(0.5))
+            q.schedule(&pump, q.now() + rng.below(12));
         const bool wake = rng.chance(0.4);
         const bool wakeFirst = rng.chance(0.5);
         Poller &target = *pollers[rng.below(pollers.size())];
@@ -167,6 +216,7 @@ runScenario(std::uint64_t seed, bool sleeping)
         last.counts.push_back(p->count);
     out.log.push_back(std::move(last));
     out.processed = q.processedEvents();
+    EXPECT_LT(out.processed, q.logicalSteps()) << "nothing ran ahead";
     EXPECT_TRUE(q.selfCheckConsistent());
     return out;
 }

@@ -13,6 +13,12 @@
  * (L0 same-tick slots, L1/L2 cascades, and levels 3-5 out to 2^40
  * ticks) and to land next to block boundaries.
  *
+ * Agent members (sim::AgentEvent) re-arm themselves from inside
+ * their steps, as DMA pumps and prefetch issues do, at deltas that
+ * often cross a level-0 block boundary or tie with other events. The
+ * reference models the agent's run-ahead naively, so the dispatch and
+ * logical-step counts must match too.
+ *
  * The full-system mid-burst checkpoint gate (stats + trace
  * byte-equality across save/restore) lives in tests/ckpt/ and
  * tests/integration/; here a queue-level rebuild test covers the
@@ -66,6 +72,39 @@ class ScriptedEvent : public Event
     int id;
 };
 
+/** splitmix64: an agent member's plan for one step. */
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * A short re-arm delta from @p now: same tick, a few ticks, the
+ * pump's and issue's 2000 and 5000, or within one of the next level-0
+ * or level-1 block boundary.
+ */
+Tick
+rearmDelta(std::uint64_t r, Tick now)
+{
+    switch (r % 5) {
+    case 0:
+        return (r >> 8) % 3;
+    case 1:
+        return 1 + (r >> 8) % 16;
+    case 2:
+        return (r >> 8) % 2 ? 2000 : 5000;
+    default: {
+        const unsigned k = r % 5 == 3 ? 8 : 16;
+        const Tick boundary = ((now >> k) + 1) << k;
+        return boundary - now + (r >> 8) % 3 - 1;
+    }
+    }
+}
+
 /** Largest delta drawDelta() returns (a 2^40 block plus slack). */
 constexpr Tick maxDelta = (Tick(1) << 41);
 
@@ -109,12 +148,16 @@ drawDelta(std::mt19937_64 &rng, Tick now)
 class Lockstep
 {
   public:
-    explicit Lockstep(int nMembers) : refSeq(nMembers, none)
+    explicit Lockstep(int nMembers, int nAgents = 0)
+        : refSeq(nMembers, none), refAgentSeq(nAgents, none),
+          agentSteps(nAgents, {0, 0})
     {
         for (int i = 0; i < nMembers; ++i) {
             members.push_back(std::make_unique<ScriptedEvent>(
                 wheel, wheelLog, memberId(i)));
         }
+        for (int i = 0; i < nAgents; ++i)
+            agents.push_back(std::make_unique<AgentMember>(*this, i));
     }
 
     ~Lockstep()
@@ -122,6 +165,9 @@ class Lockstep
         for (auto &m : members)
             if (m->scheduled())
                 wheel.deschedule(m.get());
+        for (auto &a : agents)
+            if (a->scheduled())
+                wheel.deschedule(a.get());
     }
 
     /**
@@ -133,7 +179,7 @@ class Lockstep
     void
     apply(std::mt19937_64 &rng)
     {
-        const std::uint64_t kind = rng() % 8;
+        const std::uint64_t kind = rng() % (agents.empty() ? 8 : 10);
         const std::size_t m = rng() % members.size();
         const Tick delta = drawDelta(rng, wheel.now());
         const bool reuse = rng() % 4 == 0;
@@ -164,6 +210,15 @@ class Lockstep
                 descheduleMember(m);
             scheduleMember(m, when);
             break;
+        case 8: // (re)start an agent member
+        case 9: {
+            const std::size_t a = rng() % agents.size();
+            if (agents[a]->scheduled())
+                descheduleAgent(a);
+            if (kind == 8)
+                scheduleAgent(a, when);
+            break;
+        }
         default:
             runUntil(wheel.now() + delta);
             break;
@@ -175,7 +230,9 @@ class Lockstep
     {
         const std::uint64_t a = wheel.runUntil(limit);
         const std::uint64_t b = ref.runUntil(limit);
-        EXPECT_EQ(a, b) << "events fired by runUntil(" << limit << ")";
+        EXPECT_EQ(a, b) << "dispatches of runUntil(" << limit << ")";
+        EXPECT_EQ(wheel.logicalSteps(), ref.logicalSteps())
+            << "steps of runUntil(" << limit << ")";
     }
 
     /**
@@ -207,6 +264,10 @@ class Lockstep
             EXPECT_EQ(members[i]->scheduled(), refScheduled)
                 << "member " << i;
         }
+        for (std::size_t i = 0; i < agents.size(); ++i) {
+            EXPECT_EQ(agents[i]->scheduled(), refAgentSeq[i] != none)
+                << "agent member " << i;
+        }
     }
 
     EventQueue wheel;
@@ -218,6 +279,97 @@ class Lockstep
     static constexpr std::uint64_t none = ~std::uint64_t(0);
 
     static int memberId(std::size_t i) { return 1000 + int(i); }
+    static int agentId(std::size_t i) { return 2000 + int(i); }
+
+    /** An agent member on the wheel side. */
+    class AgentMember : public sim::AgentEvent
+    {
+      public:
+        AgentMember(Lockstep &ls, std::size_t i) : ls(ls), i(i) {}
+        void process() override { ls.agentStep(i, true); }
+
+      private:
+        Lockstep &ls;
+        std::size_t i;
+    };
+
+    /**
+     * Agent member @p i steps on the wheel (@p onWheel) or the
+     * reference side. Its plan is a function of (i, step number)
+     * only: mostly re-arm itself, sometimes also restart another
+     * member or schedule a callback that may tie with members. Every
+     * so often, audit the wheel from inside the agent's dispatch.
+     */
+    void
+    agentStep(std::size_t i, bool onWheel)
+    {
+        const Tick now = onWheel ? wheel.now() : ref.now();
+        (onWheel ? wheelLog : refLog).push_back({now, agentId(i)});
+        if (!onWheel)
+            refAgentSeq[i] = none;
+        const std::uint64_t n = agentSteps[i][onWheel]++;
+        const std::uint64_t r = mix(i * 0x100000001ull + n);
+        if (onWheel && n % 64 == 0) {
+            EXPECT_TRUE(wheel.selfCheckConsistent()) << "inside a step";
+        }
+        if (r % 8 != 0)
+            scheduleAgentOn(onWheel, i, now + rearmDelta(r >> 3, now));
+        const std::uint64_t r2 = mix(r);
+        if (r2 % 16 == 0) {
+            const std::size_t j = (r2 >> 4) % agents.size();
+            if (onWheel ? agents[j]->scheduled()
+                        : refAgentSeq[j] != none) {
+                if (onWheel) {
+                    wheel.deschedule(agents[j].get());
+                } else {
+                    ref.deschedule(refAgentSeq[j]);
+                    refAgentSeq[j] = none;
+                }
+            }
+            scheduleAgentOn(onWheel, j, now + rearmDelta(r2 >> 12, now));
+        } else if (r2 % 16 < 3) {
+            const int id = -agentId(i) * 1000 - int(n % 1000);
+            const Tick when = now + rearmDelta(r2 >> 12, now);
+            if (onWheel) {
+                wheelCalls.at(when, [this, id] {
+                    wheelLog.push_back({wheel.now(), id});
+                });
+            } else {
+                ref.schedule(when, [this, id] {
+                    refLog.push_back({ref.now(), id});
+                });
+            }
+        }
+    }
+
+    /** Schedule agent member @p i on one side only. */
+    void
+    scheduleAgentOn(bool onWheel, std::size_t i, Tick when)
+    {
+        if (onWheel) {
+            wheel.schedule(agents[i].get(), when);
+            return;
+        }
+        refAgentSeq[i] = ref.schedule(
+            when, [this, i] { agentStep(i, false); }, true);
+    }
+
+    void
+    scheduleAgent(std::size_t i, Tick when)
+    {
+        remember(when);
+        scheduleAgentOn(true, i, when);
+        scheduleAgentOn(false, i, when);
+        EXPECT_EQ(agents[i]->seq(), refAgentSeq[i]) << "agent member " << i;
+    }
+
+    void
+    descheduleAgent(std::size_t i)
+    {
+        wheel.deschedule(agents[i].get());
+        ref.deschedule(refAgentSeq[i]);
+        refAgentSeq[i] = none;
+    }
 
     void
     remember(Tick when)
@@ -273,6 +425,10 @@ class Lockstep
     simtest::Callbacks wheelCalls{wheel};
     std::vector<std::unique_ptr<ScriptedEvent>> members;
     std::vector<std::uint64_t> refSeq;
+    std::vector<std::unique_ptr<AgentMember>> agents;
+    std::vector<std::uint64_t> refAgentSeq;
+    /** Steps each agent member took: [reference, wheel]. */
+    std::vector<std::array<std::uint64_t, 2>> agentSteps;
     std::array<Tick, 8> recent{};
     std::size_t nextRecent = 0;
     int nextCallback = 0;
@@ -300,6 +456,34 @@ TEST(SchedulerDifferential, RandomizedWorkloadsFireIdentically)
             ASSERT_EQ(ls.wheelLog[i].id, ls.refLog[i].id)
                 << "seed " << seed << " firing " << i;
         }
+    }
+}
+
+/**
+ * Self-re-arming agent members among callbacks and plain members: the
+ * agent runs them ahead exactly where the reference fires them, and
+ * takes the dispatches the reference's model of it predicts.
+ */
+TEST(SchedulerDifferential, AgentRunAheadMatchesTheReference)
+{
+    for (const std::uint64_t seed : {3ull, 5ull, 0xA6E47ull}) {
+        Lockstep ls(8, 6);
+        std::mt19937_64 rng(seed);
+        for (int op = 0; op < 3000; ++op) {
+            ls.apply(rng);
+            if (op % 256 == 0) {
+                ls.expectAgree();
+                EXPECT_TRUE(ls.wheel.selfCheckConsistent());
+            }
+            ASSERT_FALSE(::testing::Test::HasFailure())
+                << "seed " << seed << " op " << op;
+        }
+        ls.drain();
+        ls.expectAgree();
+        EXPECT_TRUE(ls.wheel.selfCheckConsistent());
+        ASSERT_EQ(ls.wheelLog, ls.refLog) << "seed " << seed;
+        EXPECT_LT(ls.wheel.processedEvents(), ls.wheel.logicalSteps())
+            << "seed " << seed << ": nothing ran ahead";
     }
 }
 

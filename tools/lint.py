@@ -28,10 +28,14 @@ Custom rules (beyond what clang-tidy covers):
                  ``->f +=``, ``.f.x =``, ``.f[i] =``, ``.f.assign(``,
                  or a designated initializer ``{.f = ...}``) in src/
                  outside the header that declares it, or in bench/,
-                 examples/ or perfbench/, in a file that names the
-                 field's struct or a config struct holding it (so
-                 ``ip.dscp =`` does not count for
-                 ``ExperimentConfig::dscp``). A value no workload
+                 examples/ or perfbench/. An assignment counts only
+                 through a variable that file declares with the
+                 field's struct or a config struct holding it
+                 (``cfg.hier.l1.f =`` with ``ExperimentConfig cfg``;
+                 ``tcfg.interval =`` on a ``WayTunerConfig`` does not
+                 count for ``IocaConfig::interval``), a designated
+                 initializer only in a file that names one of those
+                 structs. A value no workload
                  sets is a constant: declare it ``constexpr`` beside
                  the code that uses it. A field that tests alone must
                  vary stays with ``// lint: allow(config-field)`` on
@@ -270,11 +274,49 @@ def config_holders(stripped_headers: list[str]) -> dict[str, set[str]]:
     return holders
 
 
+# The receiver of a member access ending at the end of the text: an
+# identifier, then any chain of `[i]`, `()`, `.m` and `->m`.
+RECEIVER_RE = re.compile(
+    r"(?<![\w.>])(\w+)(?:\s*\[[^\]]*\]|\s*\(\s*\)|"
+    r"\s*(?:\.|->)\s*\w+)*\s*$")
+
+
+def declared_types(stripped: str, structs: set[str]) -> dict[str, set[str]]:
+    """Variable name -> the config structs it is declared with in
+    @p stripped (`T x`, `const ns::T &x`, `T *x`, a parameter or a
+    range-for variable alike)."""
+    decl = re.compile(
+        r"\b(" + "|".join(sorted(structs)) + r")\s*(?:const\s*)?"
+        r"[&*]*\s*(?:const\s*)?[&*]*\s*(\w+)\s*(?=[=;,(){\[:]|$)",
+        re.MULTILINE)
+    types: dict[str, set[str]] = {}
+    for m in decl.finditer(stripped):
+        types.setdefault(m.group(2), set()).add(m.group(1))
+    return types
+
+
+def sets_field(text: str, assign: re.Pattern[str], designated:
+               re.Pattern[str], holders: set[str],
+               types: dict[str, set[str]]) -> bool:
+    """True when @p text assigns the field through a receiver
+    declared in @p text with one of the @p holders types, or names a
+    holder and sets the field in a designated initializer."""
+    for m in assign.finditer(text):
+        recv = RECEIVER_RE.search(text, 0, m.start())
+        if recv and types.get(recv.group(1), set()) & holders:
+            return True
+    return bool(designated.search(text)) and any(
+        re.search(rf"\b{h}\b", text) for h in holders)
+
+
 def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
     """The config-field rule over the config headers among @p files.
-    An assignment counts in a file of a setter directory that names
-    the field's struct or a config struct holding it, so a same-named
-    member of an unrelated struct does not hide an unset field."""
+    An assignment `x.f =` counts in a file of a setter directory when
+    that file declares `x` with the field's struct or a config struct
+    holding it (`cfg.hier.l1.f =` with `ExperimentConfig cfg`), so a
+    same-named member of an unrelated struct does not hide an unset
+    field. A designated initializer `{.f = ...}` counts in a file that
+    names the struct or a holder."""
     headers = [p for p in files
                if p.relative_to(REPO_ROOT).parts[0] == "src"
                and p.suffix in (".hh", ".hpp")]
@@ -283,6 +325,8 @@ def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
                for p in cxx_files(CONFIG_SETTER_DIRS)}
     holders = config_holders(
         [t for p, t in setters.items() if p.suffix in (".hh", ".hpp")])
+    types = {p: declared_types(text, set(holders))
+             for p, text in setters.items()}
     violations = []
     for header in headers:
         stripped = strip_comments_and_strings(
@@ -292,10 +336,9 @@ def check_config_fields(files: list[pathlib.Path]) -> list[Violation]:
                 rf"(?:\.|->)\s*{name}\b(?:\s*\.\s*\w+|\s*\[[^\]]*\])*"
                 r"\s*(?:[-+*/|&]?=(?!=)|\.\s*(?:assign|push_back|"
                 r"emplace_back|resize|insert)\s*\()")
-            named = re.compile(
-                r"\b(?:" + "|".join(sorted(holders.get(struct, {struct})))
-                + r")\b")
-            if any(assign.search(text) and named.search(text)
+            designated = re.compile(rf"[{{,]\s*\.{name}\s*=(?!=)")
+            reach = holders.get(struct, {struct})
+            if any(sets_field(text, assign, designated, reach, types[p])
                    for p, text in setters.items() if p != header):
                 continue
             violations.append(Violation(
