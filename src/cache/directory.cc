@@ -5,6 +5,7 @@
 
 #include "directory.hh"
 
+#include "sim/checker/invariant_checker.hh"
 #include "sim/simulation.hh"
 
 namespace cache
@@ -32,28 +33,33 @@ directorySets(std::uint64_t numEntries, std::uint32_t assoc)
 MlcDirectory::MlcDirectory(sim::Simulation &simulation,
                            const std::string &name,
                            std::uint64_t numEntries, std::uint32_t assoc,
-                           ReplKind replacement)
+                           ReplKind replacement, std::uint32_t numCores)
     : sim::SimObject(simulation, name),
       statGroup(simulation.statsRegistry(), name),
       lookups(statGroup, "lookups", "directory lookups"),
       insertions(statGroup, "insertions", "directory insertions"),
       capacityEvictions(statGroup, "capacityEvictions",
                         "entries displaced by capacity pressure"),
+      cores(numCores),
       array(TagArray::withSets(directorySets(numEntries, assoc), assoc,
                                replacement,
-                               /*withSharers=*/true))
+                               /*withOwners=*/true))
 {
+    SIM_ASSERT(numCores >= 1 && numCores <= 64,
+               "directory owners must fit a 64-bit sharer word");
 }
 
 DirectoryVictim
 MlcDirectory::add(sim::CoreId core, sim::Addr addr)
 {
+    // A snoop filter probes before it inserts, and `lookups` counts
+    // that probe; the model skips it, as the caller has just seen the
+    // line untracked.
     ++lookups;
-    const std::uint64_t bit = std::uint64_t(1) << core;
-    if (const LineRef ref = array.lookup(addr)) {
-        array.sharers(ref) |= bit;
-        array.touch(ref);
-        return {};
+    if constexpr (sim::InvariantChecker::compiledIn) {
+        SIM_ASSERT(core < cores, "directory add for a nonexistent core");
+        SIM_ASSERT(!array.contains(addr),
+                   "directory add of a line an MLC already holds");
     }
 
     DirectoryVictim victim;
@@ -61,11 +67,11 @@ MlcDirectory::add(sim::CoreId core, sim::Addr addr)
     if (slot.valid()) {
         victim.valid = true;
         victim.addr = slot.addr();
-        victim.sharers = array.sharers(slot);
+        victim.owner = array.owner(slot);
         ++capacityEvictions;
     }
     array.fill(slot, addr, false, false);
-    array.sharers(slot) = bit;
+    array.owner(slot) = static_cast<std::uint8_t>(core);
     ++insertions;
     return victim;
 }
@@ -74,18 +80,7 @@ void
 MlcDirectory::remove(sim::CoreId core, sim::Addr addr)
 {
     const LineRef ref = array.lookup(addr);
-    if (!ref)
-        return;
-    std::uint64_t &sharers = array.sharers(ref);
-    sharers &= ~(std::uint64_t(1) << core);
-    if (sharers == 0)
-        array.invalidate(ref);
-}
-
-void
-MlcDirectory::removeAll(sim::Addr addr)
-{
-    if (const LineRef ref = array.lookup(addr))
+    if (ref && array.owner(ref) == core)
         array.invalidate(ref);
 }
 
@@ -98,7 +93,7 @@ MlcDirectory::serialize(ckpt::Serializer &s) const
 void
 MlcDirectory::unserialize(ckpt::Deserializer &d)
 {
-    array.unserialize(d);
+    array.unserialize(d, cores);
 }
 
 } // namespace cache

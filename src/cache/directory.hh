@@ -28,53 +28,67 @@ struct DirectoryVictim
 {
     bool valid = false;
     sim::Addr addr = 0;
-    std::uint64_t sharers = 0;
+    sim::CoreId owner = 0;
 };
 
 /**
  * Set-associative snoop-filter directory over MLC-resident lines.
+ * Migratory coherence keeps one MLC copy of a line, so an entry names
+ * one owner core.
  */
 class MlcDirectory : public sim::SimObject
 {
     stats::StatGroup statGroup;
 
   public:
+    /** ownerOf() of an untracked line. */
+    static constexpr int noOwner = -1;
+
     /**
      * @param numEntries Total tracked-line capacity.
      * @param assoc Directory associativity.
+     * @param numCores Cores whose MLCs it tracks, in [1, 64] (a
+     *        checkpoint writes the owner as a bit of a 64-bit word).
      */
     MlcDirectory(sim::Simulation &simulation, const std::string &name,
                  std::uint64_t numEntries, std::uint32_t assoc,
-                 ReplKind replacement);
+                 ReplKind replacement, std::uint32_t numCores);
 
-    /** Sharer bit-vector for @p addr (0 when untracked). */
-    std::uint64_t
-    sharersOf(sim::Addr addr) const
+    /** The entry tracking @p addr; null when untracked. */
+    LineRef lookup(sim::Addr addr) { return array.lookup(addr); }
+
+    /** Owner core of the valid entry @p entry. */
+    sim::CoreId owner(const LineRef &entry) const
     {
-        return array.sharersOf(addr);
+        return array.owner(entry);
     }
 
-    /** True when any MLC holds @p addr. */
+    /** Drop the valid entry @p entry. */
+    void drop(const LineRef &entry) { array.invalidate(entry); }
+
+    /** Owner core of @p addr, or noOwner when untracked. */
+    int ownerOf(sim::Addr addr) const { return array.ownerOf(addr); }
+
+    /** True when some MLC holds @p addr. */
     bool
     isTracked(sim::Addr addr) const
     {
-        return sharersOf(addr) != 0;
+        return array.contains(addr);
     }
 
     /**
-     * Record that @p core 's MLC now holds @p addr.
+     * Record that @p core 's MLC now holds @p addr, which no MLC held
+     * (every caller has just seen the line untracked; checker builds
+     * assert it).
      *
      * @return a victim entry (valid=true) when an unrelated line had to
      *         be displaced to make room; the caller must back-
-     *         invalidate the victim's sharers.
+     *         invalidate the victim's owner.
      */
     DirectoryVictim add(sim::CoreId core, sim::Addr addr);
 
     /** Record that @p core 's MLC dropped @p addr. */
     void remove(sim::CoreId core, sim::Addr addr);
-
-    /** Drop the whole entry for @p addr (all sharers). */
-    void removeAll(sim::Addr addr);
 
     /** Number of tracked lines. */
     std::uint64_t trackedLines() const { return array.countValid(); }
@@ -92,6 +106,7 @@ class MlcDirectory : public sim::SimObject
     /** @} */
 
   private:
+    std::uint32_t cores;
     TagArray array;
 };
 

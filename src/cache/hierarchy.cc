@@ -7,6 +7,7 @@
 
 #include "ckpt/serializer.hh"
 #include "mem/phys_alloc.hh"
+#include "sim/checker/invariant_checker.hh"
 #include "sim/simulation.hh"
 
 namespace cache
@@ -67,7 +68,7 @@ MemoryHierarchy::MemoryHierarchy(sim::Simulation &simulation,
     const auto dirEntries = static_cast<std::uint64_t>(entries);
     dir = std::make_unique<MlcDirectory>(simulation, name + ".dir",
                                          dirEntries, cfg.directoryAssoc,
-                                         cfg.replacement);
+                                         cfg.replacement, cfg.numCores);
 
     dramModel =
         std::make_unique<mem::DramModel>(simulation, name + ".dram");
@@ -247,12 +248,8 @@ void
 MemoryHierarchy::l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty)
 {
     PrivateCache &l1c = *l1s[core];
-    if (LineRef ref = l1c.probe(addr)) {
-        l1c.tags().touch(ref);
-        if (makeDirty)
-            ref.setDirty();
-        return;
-    }
+    if constexpr (sim::InvariantChecker::compiledIn)
+        SIM_ASSERT(!l1c.contains(addr), "L1 fill of a line in L1");
     const LineRef slot = l1c.tags().findFillSlot(addr);
     if (slot.valid()) {
         // Write a dirty L1 victim through to its MLC line.
@@ -301,108 +298,104 @@ MemoryHierarchy::dropFromL1(sim::CoreId core, sim::Addr addr,
 void
 MemoryHierarchy::invalidateMlcCopies(sim::Addr addr)
 {
-    const std::uint64_t sharers = dir->sharersOf(addr);
-    if (!sharers)
+    const LineRef entry = dir->lookup(addr);
+    if (!entry)
         return;
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(sharers & (std::uint64_t(1) << c)))
-            continue;
-        dropFromL1(c, addr);
-        if (LineRef ref = mlcs[c]->probe(addr)) {
-            notePrefetchGone(c, ref.prefetched());
-            mlcs[c]->tags().invalidate(ref);
-            ++mlcs[c]->pcieInvals;
-            IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
-                               now(), 0, c, addr);
-        }
+    const sim::CoreId c = dir->owner(entry);
+    dir->drop(entry);
+    dropFromL1(c, addr);
+    if (LineRef ref = mlcs[c]->probe(addr)) {
+        notePrefetchGone(c, ref.prefetched());
+        mlcs[c]->tags().invalidate(ref);
+        ++mlcs[c]->pcieInvals;
+        IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval, now(),
+                           0, c, addr);
     }
-    dir->removeAll(addr);
 }
 
 bool
 MemoryHierarchy::migrateFromPeers(sim::CoreId requester, sim::Addr addr,
                                   bool *dirtyOut, bool *ioOut)
 {
-    const std::uint64_t sharers =
-        dir->sharersOf(addr) & ~(std::uint64_t(1) << requester);
-    if (!sharers)
+    const LineRef entry = dir->lookup(addr);
+    if (!entry || dir->owner(entry) == requester)
         return false;
+    const sim::CoreId c = dir->owner(entry);
+    dir->drop(entry);
 
-    bool found = false;
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(sharers & (std::uint64_t(1) << c)))
-            continue;
-        bool l1Dirty = false;
-        dropFromL1(c, addr, &l1Dirty);
-        if (LineRef ref = mlcs[c]->probe(addr)) {
-            *dirtyOut = *dirtyOut || ref.dirty() || l1Dirty;
-            *ioOut = *ioOut || ref.io();
-            notePrefetchGone(c, ref.prefetched());
-            mlcs[c]->tags().invalidate(ref);
-            dir->remove(c, addr);
-            found = true;
-        } else {
-            dir->remove(c, addr);
-        }
-    }
-    if (found)
-        ++coherenceMigrations;
-    return found;
+    bool l1Dirty = false;
+    dropFromL1(c, addr, &l1Dirty);
+    const LineRef ref = mlcs[c]->probe(addr);
+    if (!ref)
+        return false;
+    *dirtyOut = *dirtyOut || ref.dirty() || l1Dirty;
+    *ioOut = *ioOut || ref.io();
+    notePrefetchGone(c, ref.prefetched());
+    mlcs[c]->tags().invalidate(ref);
+    ++coherenceMigrations;
+    return true;
 }
 
 void
 MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
 {
-    // The directory lost track of this line; every MLC copy must go.
-    // Dirty copies are written back into the LLC like normal victims.
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(victim.sharers & (std::uint64_t(1) << c)))
-            continue;
-        bool l1Dirty = false;
-        dropFromL1(c, victim.addr, &l1Dirty);
-        if (LineRef ref = mlcs[c]->probe(victim.addr)) {
-            const bool dirty = ref.dirty() || l1Dirty;
-            const bool io = ref.io();
-            notePrefetchGone(c, ref.prefetched());
-            mlcs[c]->tags().invalidate(ref);
-            ++mlcs[c]->backInvals;
-            if (dirty)
-                ++mlcs[c]->writebacks;
-            else
-                ++mlcs[c]->cleanEvictions;
-            IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict,
-                               now(), 0, dirty ? 1 : 0, victim.addr);
-            llcInsertVictim(victim.addr, dirty, io, allocMasks[c]);
-            if (mlcWbObserver)
-                mlcWbObserver(c);
-        }
-    }
+    // The directory lost track of this line; its MLC copy must go. A
+    // dirty copy is written back into the LLC like a normal victim.
+    const sim::CoreId c = victim.owner;
+    bool l1Dirty = false;
+    dropFromL1(c, victim.addr, &l1Dirty);
+    const LineRef ref = mlcs[c]->probe(victim.addr);
+    if (!ref)
+        return;
+    const bool dirty = ref.dirty() || l1Dirty;
+    const bool io = ref.io();
+    notePrefetchGone(c, ref.prefetched());
+    mlcs[c]->tags().invalidate(ref);
+    ++mlcs[c]->backInvals;
+    if (dirty)
+        ++mlcs[c]->writebacks;
+    else
+        ++mlcs[c]->cleanEvictions;
+    IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict, now(), 0,
+                       dirty ? 1 : 0, victim.addr);
+    llcInsertVictim(victim.addr, dirty, io, allocMasks[c]);
+    if (mlcWbObserver)
+        mlcWbObserver(c);
 }
 
 bool
 MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
 {
-    addr = mem::lineAlign(addr);
+    return selfInvalidate(core, mem::lineAlign(addr)) !=
+           SelfInval::Fault;
+}
+
+MemoryHierarchy::SelfInval
+MemoryHierarchy::selfInvalidate(sim::CoreId core, sim::Addr addr)
+{
     if (cfg.pageAttributes && !cfg.pageAttributes->isInvalidatable(addr)) {
         ++selfInvalFaults;
-        return false;
+        return SelfInval::Fault;
     }
 
     dropFromL1(core, addr);
+    SelfInval result = SelfInval::MlcMiss;
     if (LineRef ref = mlcs[core]->probe(addr)) {
         notePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->selfInvals;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheSelfInval,
                            now(), 0, core, addr);
+        // Only an MLC copy is tracked: on a miss there is no entry.
+        dir->remove(core, addr);
+        result = SelfInval::MlcDrop;
     }
-    dir->remove(core, addr);
 
     if (LineRef ref = sharedLlc->probe(addr)) {
         sharedLlc->tags().invalidate(ref);
         ++sharedLlc->selfInvals;
     }
-    return true;
+    return result;
 }
 
 std::uint64_t
@@ -412,11 +405,8 @@ MemoryHierarchy::invalidateRange(sim::CoreId core, sim::Addr addr,
     std::uint64_t dropped = 0;
     sim::Addr a = mem::lineAlign(addr);
     for (std::uint64_t n = mem::linesSpanned(addr, bytes); n > 0;
-         --n, a += mem::lineSize) {
-        const bool hadLine = mlcs[core]->contains(a);
-        if (coreInvalidate(core, a) && hadLine)
-            ++dropped;
-    }
+         --n, a += mem::lineSize)
+        dropped += selfInvalidate(core, a) == SelfInval::MlcDrop;
     return dropped;
 }
 
@@ -477,36 +467,30 @@ MemoryHierarchy::pcieRead(sim::Addr addr)
     addr = mem::lineAlign(addr);
     ++pcieReads;
 
-    // Pull dirty MLC copies back into the LLC and invalidate them
+    // Pull a dirty MLC copy back into the LLC and invalidate it
     // (paper Fig. 3 right: egress reads invalidate MLC copies).
-    std::uint64_t sharers = dir->sharersOf(addr);
-    if (sharers) {
-        for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-            if (!(sharers & (std::uint64_t(1) << c)))
-                continue;
-            bool l1Dirty = false;
-            dropFromL1(c, addr, &l1Dirty);
-            if (LineRef ref = mlcs[c]->probe(addr)) {
-                const bool dirty = ref.dirty() || l1Dirty;
-                const bool io = ref.io();
-                notePrefetchGone(c, ref.prefetched());
-                mlcs[c]->tags().invalidate(ref);
-                ++mlcs[c]->pcieInvals;
-                IDIO_TRACE_INSTANT(
-                    trc, trace::EventKind::CachePcieInval, now(), 0,
-                    c, addr);
-                if (dirty) {
-                    ++mlcs[c]->writebacks;
-                    IDIO_TRACE_INSTANT(
-                        trc, trace::EventKind::CacheMlcEvict, now(),
-                        0, 1, addr);
-                    llcInsertVictim(addr, true, io, ~WayMask(0));
-                    if (mlcWbObserver)
-                        mlcWbObserver(c);
-                }
+    if (const LineRef entry = dir->lookup(addr)) {
+        const sim::CoreId c = dir->owner(entry);
+        dir->drop(entry);
+        bool l1Dirty = false;
+        dropFromL1(c, addr, &l1Dirty);
+        if (LineRef ref = mlcs[c]->probe(addr)) {
+            const bool dirty = ref.dirty() || l1Dirty;
+            const bool io = ref.io();
+            notePrefetchGone(c, ref.prefetched());
+            mlcs[c]->tags().invalidate(ref);
+            ++mlcs[c]->pcieInvals;
+            IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
+                               now(), 0, c, addr);
+            if (dirty) {
+                ++mlcs[c]->writebacks;
+                IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict,
+                                   now(), 0, 1, addr);
+                llcInsertVictim(addr, true, io, ~WayMask(0));
+                if (mlcWbObserver)
+                    mlcWbObserver(c);
             }
         }
-        dir->removeAll(addr);
     }
 
     if (LineRef ref = sharedLlc->probe(addr)) {
@@ -529,8 +513,9 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
     // stealing it on a speculative hint would thrash. (DMA hints never
     // hit this case — the inbound write already invalidated all MLC
     // copies — but the guard keeps the single-owner invariant under
-    // arbitrary usage.)
-    if (dir->sharersOf(addr) & ~(std::uint64_t(1) << core))
+    // arbitrary usage.) This core's MLC just missed, so a tracked
+    // line is another core's.
+    if (dir->isTracked(addr))
         return false;
 
     bool dirty = false;

@@ -230,30 +230,45 @@ class MemoryHierarchy : public sim::SimObject
     /** Evict a valid LLC line (DRAM write when dirty). */
     void evictLlcLine(const LineRef &line);
 
-    /** Fill @p core 's L1 with @p addr (must already be in MLC). */
+    /**
+     * Fill @p core 's L1 with @p addr, which must be in its MLC and
+     * not in its L1 (coreAccess has just missed it there).
+     */
     void l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty);
 
     /** Drop @p addr from @p core 's L1, merging dirtiness into MLC. */
     void dropFromL1(sim::CoreId core, sim::Addr addr,
                     bool *dirtyOut = nullptr);
 
-    /** Invalidate all MLC/L1 copies (inbound DMA overwrite). */
+    /** Invalidate the owner's MLC/L1 copy (inbound DMA overwrite). */
     void invalidateMlcCopies(sim::Addr addr);
 
     /**
-     * Migratory coherence: pull the line out of any *other* core's
-     * private caches (merging dirtiness) so a single owner remains.
+     * Migratory coherence: when another core owns the line, pull it
+     * out of that core's private caches (merging dirtiness) and drop
+     * its directory entry, so the requester can become the owner.
      *
      * @return true when a copy was migrated; outputs its state.
      */
     bool migrateFromPeers(sim::CoreId requester, sim::Addr addr,
                           bool *dirtyOut, bool *ioOut);
 
-    /** Back-invalidate sharers of a directory capacity victim. */
+    /** Back-invalidate the owner of a directory capacity victim. */
     void handleDirectoryVictim(const DirectoryVictim &victim);
 
     mem::AccessResult coreAccess(sim::CoreId core, sim::Addr addr,
                                  mem::AccessType type);
+
+    /** How a self-invalidate went: refused, or what the MLC held. */
+    enum class SelfInval
+    {
+        Fault,   ///< page not Invalidatable; nothing dropped
+        MlcMiss, ///< the MLC did not hold the line
+        MlcDrop, ///< the line was dropped from the MLC
+    };
+
+    /** coreInvalidate() of line-aligned @p addr, with its outcome. */
+    SelfInval selfInvalidate(sim::CoreId core, sim::Addr addr);
 
     /** Fire the retire hook when a departing line was prefetched. */
     void

@@ -90,12 +90,12 @@ checkDirectoryConsistency(MemoryHierarchy &hier,
 {
     const MlcDirectory &dir = hier.directory();
 
-    // Forward: every valid MLC line carries its sharer bit.
+    // Forward: every valid MLC line names its core as the owner.
     for (sim::CoreId c = 0; c < hier.numCores(); ++c) {
         forEachValid(hier.mlcOf(c).tags(), [&](const CacheLine &l,
                                                std::uint32_t,
                                                std::uint32_t) {
-            if (!(dir.sharersOf(l.addr) & (std::uint64_t(1) << c))) {
+            if (dir.ownerOf(l.addr) != static_cast<int>(c)) {
                 report.fail("MLC line " + hexAddr(l.addr) + " of core " +
                             std::to_string(c) +
                             " is untracked by the directory");
@@ -103,7 +103,7 @@ checkDirectoryConsistency(MemoryHierarchy &hier,
         });
     }
 
-    // Backward: every directory sharer bit points at a real MLC copy.
+    // Backward: every directory owner holds a real MLC copy.
     forEachValid(dir.tags(), [&](const CacheLine &entry, std::uint32_t,
                                  std::uint32_t) {
         for (sim::CoreId c = 0; c < 64; ++c) {
@@ -116,7 +116,7 @@ checkDirectoryConsistency(MemoryHierarchy &hier,
             } else if (!hier.mlcOf(c).contains(entry.addr)) {
                 report.fail("directory entry " + hexAddr(entry.addr) +
                             " claims core " + std::to_string(c) +
-                            " as sharer but its MLC lacks the line");
+                            " as owner but its MLC lacks the line");
             }
         }
     });

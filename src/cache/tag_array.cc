@@ -36,11 +36,17 @@ setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
     return static_cast<std::uint32_t>(lines / assoc);
 }
 
-/** Words of a block's byte area: W flags, W replacement, 1 clock. */
+/**
+ * 32-bit words of a set block: W tags, then W flag bytes, W
+ * replacement bytes, the clock byte and W owner bytes in a directory,
+ * padded so every block is a multiple of 8 bytes.
+ */
 std::uint32_t
-byteWords(std::uint32_t assoc)
+blockWordsFor(std::uint32_t assoc, bool withOwners)
 {
-    return (2 * assoc + 1 + 7) / 8;
+    const std::uint32_t bytes =
+        4 * assoc + 2 * assoc + 1 + (withOwners ? assoc : 0);
+    return (bytes + 7) / 8 * 2;
 }
 
 /** Seed of the random policy (the historical policy default). */
@@ -58,25 +64,32 @@ TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t assoc,
 }
 
 TagArray::TagArray(std::uint32_t numSets, std::uint32_t assoc,
-                   ReplKind repl, bool withSharers, int)
+                   ReplKind repl, bool withOwners, int)
     : nSets(numSets), nWays(assoc),
       setsPow2(numSets != 0 && (numSets & (numSets - 1)) == 0),
       setMask(numSets - 1), kind(repl),
-      blockWords(assoc + byteWords(assoc) + (withSharers ? assoc : 0)),
-      sharerOff(withSharers ? assoc + byteWords(assoc) : 0),
-      rng(randomSeed)
+      blockWords(blockWordsFor(assoc, withOwners)),
+      ownerOff(withOwners ? 2 * assoc + 1 : 0), rng(randomSeed)
 {
     resetBlocks();
 }
 
 TagArray
 TagArray::withSets(std::uint32_t numSets, std::uint32_t assoc,
-                   ReplKind repl, bool withSharers)
+                   ReplKind repl, bool withOwners)
 {
     checkAssoc(assoc);
     if (numSets == 0)
         sim::fatal("tag array needs at least one set");
-    return TagArray(numSets, assoc, repl, withSharers, 0);
+    return TagArray(numSets, assoc, repl, withOwners, 0);
+}
+
+void
+TagArray::fatalLineRange(sim::Addr addr)
+{
+    sim::fatal("cache fill of %#llx: line number past the 32-bit tag "
+               "range (simulated memory is 4 GB)",
+               (unsigned long long)addr);
 }
 
 void
@@ -84,7 +97,7 @@ TagArray::resetBlocks()
 {
     // Build one empty block and copy it into every set: the store is
     // written once, which is most of a machine's construction time.
-    std::vector<std::uint64_t> blank(blockWords, 0);
+    std::vector<std::uint32_t> blank(blockWords, 0);
     std::fill(blank.begin(), blank.begin() + nWays, LineRef::invalidTag);
     if (kind == ReplKind::Srrip)
         std::fill_n(replOf(blank.data()), nWays, srripMax);
@@ -137,18 +150,18 @@ TagArray::victimSlow(std::uint32_t set, WayMask candidates)
 CacheLine
 TagArray::lineAt(std::uint32_t set, std::uint32_t way) const
 {
-    const std::uint64_t *b = block(set);
+    const std::uint32_t *b = block(set);
     CacheLine l;
     if (b[way] == LineRef::invalidTag)
         return l;
-    const std::uint8_t f = flagsOf(b)[way];
-    l.addr = b[way];
+    const std::uint8_t *f = flagsOf(b) + way;
+    l.addr = sim::Addr(b[way]) << mem::lineShift;
     l.valid = true;
-    l.dirty = f & LineRef::dirtyBit;
-    l.io = f & LineRef::ioBit;
-    l.prefetched = f & LineRef::prefetchedBit;
-    l.ddioAlloc = f & LineRef::ddioAllocBit;
-    l.sharers = sharerOff != 0 ? b[sharerOff + way] : 0;
+    l.dirty = *f & LineRef::dirtyBit;
+    l.io = *f & LineRef::ioBit;
+    l.prefetched = *f & LineRef::prefetchedBit;
+    l.ddioAlloc = *f & LineRef::ddioAllocBit;
+    l.sharers = ownerOff != 0 ? std::uint64_t(1) << f[ownerOff] : 0;
     return l;
 }
 
@@ -186,7 +199,7 @@ TagArray::serialize(ckpt::Serializer &s) const
     s.writeU32(nSets);
     s.writeU32(nWays);
     s.writeU8(static_cast<std::uint8_t>(kind));
-    s.writeBool(sharerOff != 0);
+    s.writeBool(ownerOff != 0);
     if (kind == ReplKind::Random) {
         for (const std::uint64_t w : rng.state())
             s.writeU64(w);
@@ -201,7 +214,7 @@ TagArray::serialize(ckpt::Serializer &s) const
         const WayMask used = lowWays(nWays) & ~freeWays[set];
         if (used == 0)
             continue;
-        const std::uint64_t *b = block(set);
+        const std::uint32_t *b = block(set);
         const std::uint8_t *r = replOf(b);
         s.writeU32(set);
         s.writeU8(r[nWays]);
@@ -220,18 +233,19 @@ TagArray::serialize(ckpt::Serializer &s) const
                             (r[v] == r[w] && std::uint32_t(v) < w);
                 }
             }
+            const std::uint8_t *f = flagsOf(b) + w;
             s.writeU8(static_cast<std::uint8_t>(w));
-            s.writeU64(b[w]);
-            s.writeU8(flagsOf(b)[w]);
+            s.writeU64(sim::Addr(b[w]) << mem::lineShift);
+            s.writeU8(*f);
             s.writeU8(repl);
-            if (sharerOff != 0)
-                s.writeU64(b[sharerOff + w]);
+            if (ownerOff != 0)
+                s.writeU64(std::uint64_t(1) << f[ownerOff]);
         }
     }
 }
 
 void
-TagArray::unserialize(ckpt::Deserializer &d)
+TagArray::unserialize(ckpt::Deserializer &d, std::uint32_t numOwners)
 {
     std::array<char, 4> magic;
     d.readBytes(magic.data(), magic.size());
@@ -240,10 +254,10 @@ TagArray::unserialize(ckpt::Deserializer &d)
     const std::uint32_t sets = d.readU32();
     const std::uint32_t ways = d.readU32();
     const std::uint8_t policy = d.readU8();
-    const bool withSharers = d.readBool();
+    const bool withOwners = d.readBool();
     if (sets != nSets || ways != nWays ||
         policy != static_cast<std::uint8_t>(kind) ||
-        withSharers != (sharerOff != 0)) {
+        withOwners != (ownerOff != 0)) {
         sim::fatal("ckpt: tag-array geometry mismatch (checkpoint "
                    "%ux%u policy %u, config %ux%u policy %u)",
                    sets, ways, policy, nSets, nWays,
@@ -266,7 +280,7 @@ TagArray::unserialize(ckpt::Deserializer &d)
                        "(%u sets)",
                        set, nSets);
         prevSet = set;
-        std::uint64_t *b = block(set);
+        std::uint32_t *b = block(set);
         std::uint8_t *r = replOf(b);
         r[nWays] = d.readU8();
         const std::uint32_t count = d.readU8();
@@ -277,16 +291,30 @@ TagArray::unserialize(ckpt::Deserializer &d)
             const std::uint32_t w = d.readU8();
             const std::uint64_t tag = d.readU64();
             if (w >= nWays || !(freeWays[set] >> w & 1) ||
-                tag != mem::lineAlign(tag) || setIndex(tag) != set) {
+                tag != mem::lineAlign(tag) || setIndex(tag) != set ||
+                mem::lineNumber(tag) >= LineRef::invalidTag) {
                 sim::fatal("ckpt: bad tag-array slot (set %u, way %u, "
                            "tag %#llx)",
                            set, w, (unsigned long long)tag);
             }
-            b[w] = tag;
-            flagsOf(b)[w] = d.readU8();
+            std::uint8_t *f = flagsOf(b) + w;
+            b[w] = static_cast<std::uint32_t>(mem::lineNumber(tag));
+            *f = d.readU8();
             r[w] = d.readU8();
-            if (sharerOff != 0)
-                b[sharerOff + w] = d.readU64();
+            if (ownerOff != 0) {
+                const std::uint64_t sharers = d.readU64();
+                const int owner = std::countr_zero(sharers);
+                if (std::popcount(sharers) != 1 ||
+                    std::uint32_t(owner) >= numOwners) {
+                    sim::fatal("ckpt: section '%s': directory entry "
+                               "%#llx has sharer word %#llx (want one "
+                               "owner core below %u)",
+                               d.sectionName().c_str(),
+                               (unsigned long long)tag,
+                               (unsigned long long)sharers, numOwners);
+                }
+                f[ownerOff] = static_cast<std::uint8_t>(owner);
+            }
             freeWays[set] &= ~(WayMask(1) << w);
         }
     }

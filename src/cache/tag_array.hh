@@ -4,16 +4,19 @@
  *
  * TagArray is the storage substrate shared by the private caches, the
  * non-inclusive LLC, and the Excl-MLC directory. Each set is one
- * contiguous block of 64-bit words:
+ * contiguous block of 32-bit words, padded to a multiple of 8 bytes:
  *
- *     W tags | W flag bytes, W replacement bytes, 1 clock byte, pad |
- *     W sharer words (directory arrays only)
+ *     W tags | W flag bytes, W replacement bytes, 1 clock byte,
+ *     W owner bytes (directory arrays only), pad
  *
  * A slot is valid when its tag is not invalidTag, and the tag is the
- * line address, so a probe reads only the set's block: two host
- * cachelines for a 12-way LLC set. The replacement byte is an LRU
- * stamp taken from the set's clock, or an SRRIP RRPV. Random
- * replacement uses neither; it draws from the array's RNG.
+ * line number (the address over 64), so a probe reads only the set's
+ * block: 80 bytes for a 12-way LLC set. Simulated memory is 4 GB, so
+ * every line number fits; a fill past the 32-bit range is fatal. The
+ * replacement byte is an LRU stamp taken from the set's clock, or an
+ * SRRIP RRPV. Random replacement uses neither; it draws from the
+ * array's RNG. Migratory coherence keeps one MLC owner per line, so a
+ * directory slot names its owner core in one byte.
  */
 
 #ifndef IDIO_CACHE_TAG_ARRAY_HH
@@ -60,7 +63,8 @@ struct CacheLine
     bool io = false;
     bool prefetched = false;
     bool ddioAlloc = false;
-    std::uint64_t sharers = 0; ///< presence bits; directory only
+    /** Presence bits, 1 << owner; directory only (0 elsewhere). */
+    std::uint64_t sharers = 0;
 };
 
 /**
@@ -71,8 +75,11 @@ struct CacheLine
 class LineRef
 {
   public:
-    /** Tag of an invalid slot: misaligned, so no probe can match it. */
-    static constexpr std::uint64_t invalidTag = 1;
+    /**
+     * Tag of an invalid slot. No line is filled with it, and a probe
+     * of a line number this large or larger misses.
+     */
+    static constexpr std::uint32_t invalidTag = 0xffffffff;
 
     /** @{ Bits of a slot's flag byte. */
     static constexpr std::uint8_t dirtyBit = 1;
@@ -90,7 +97,7 @@ class LineRef
     explicit operator bool() const { return tagp != nullptr; }
 
     bool valid() const { return *tagp != invalidTag; }
-    sim::Addr addr() const { return *tagp; }
+    sim::Addr addr() const { return sim::Addr(*tagp) << mem::lineShift; }
 
     bool dirty() const { return *flagp & dirtyBit; }
     bool io() const { return *flagp & ioBit; }
@@ -102,7 +109,7 @@ class LineRef
     void setPrefetched(bool on = true) { put(prefetchedBit, on); }
     void setDdioAlloc(bool on = true) { put(ddioAllocBit, on); }
 
-    /** Snapshot of the slot (sharers are the directory's: 0 here). */
+    /** Snapshot of the slot (the owner is the directory's: 0 here). */
     CacheLine
     line() const
     {
@@ -121,7 +128,7 @@ class LineRef
   private:
     friend class TagArray;
 
-    LineRef(std::uint32_t s, std::uint32_t w, std::uint64_t *t,
+    LineRef(std::uint32_t s, std::uint32_t w, std::uint32_t *t,
             std::uint8_t *f)
         : set(s), way(w), tagp(t), flagp(f)
     {
@@ -134,7 +141,7 @@ class LineRef
                     : std::uint8_t(*flagp & ~bit);
     }
 
-    std::uint64_t *tagp = nullptr;
+    std::uint32_t *tagp = nullptr;
     std::uint8_t *flagp = nullptr;
 };
 
@@ -153,10 +160,10 @@ class TagArray
 
     /**
      * Construct with an explicit set count instead of a byte size.
-     * @p withSharers adds a sharer word per slot (the directory).
+     * @p withOwners adds an owner byte per slot (the directory).
      */
     static TagArray withSets(std::uint32_t numSets, std::uint32_t assoc,
-                             ReplKind repl, bool withSharers = false);
+                             ReplKind repl, bool withOwners = false);
 
     std::uint32_t numSets() const { return nSets; }
     std::uint32_t assoc() const { return nWays; }
@@ -169,7 +176,8 @@ class TagArray
     std::uint64_t
     stateBytes() const
     {
-        return (store.size() + freeWays.size()) * sizeof(std::uint64_t);
+        return store.size() * sizeof(std::uint32_t) +
+               freeWays.size() * sizeof(WayMask);
     }
 
     /**
@@ -180,25 +188,24 @@ class TagArray
     std::uint32_t
     setIndex(sim::Addr addr) const
     {
-        const std::uint64_t line = mem::lineNumber(addr);
-        if (setsPow2)
-            return static_cast<std::uint32_t>(line & setMask);
-        return static_cast<std::uint32_t>(line % nSets);
+        return setOfLine(mem::lineNumber(addr));
     }
 
     /**
      * Find a valid line matching @p addr; null on a miss. Invalid
-     * slots hold a misaligned tag that never equals a line-aligned
-     * probe, so the scan is one compare per way.
+     * slots hold invalidTag, which no probed line number equals, so
+     * the scan is one compare per way and stops at the first match.
      */
     LineRef
     lookup(sim::Addr addr)
     {
-        addr = mem::lineAlign(addr);
-        const std::uint32_t set = setIndex(addr);
-        std::uint64_t *b = block(set);
+        const std::uint64_t line = mem::lineNumber(addr);
+        if (line >= LineRef::invalidTag)
+            return LineRef{};
+        const std::uint32_t set = setOfLine(line);
+        std::uint32_t *b = block(set);
         for (std::uint32_t w = 0; w < nWays; ++w) {
-            if (b[w] == addr)
+            if (b[w] == line)
                 return slotIn(set, w, b);
         }
         return LineRef{};
@@ -208,23 +215,29 @@ class TagArray
     bool
     contains(sim::Addr addr) const
     {
-        return findWay(mem::lineAlign(addr)) >= 0;
+        return findWay(mem::lineNumber(addr)) >= 0;
     }
 
-    /** Sharer word of @p addr's slot; 0 when absent (directory). */
-    std::uint64_t
-    sharersOf(sim::Addr addr) const
+    /** Owner byte of @p addr 's slot, or -1 when absent (directory). */
+    int
+    ownerOf(sim::Addr addr) const
     {
-        addr = mem::lineAlign(addr);
-        const int w = findWay(addr);
-        return w < 0 ? 0 : block(setIndex(addr))[sharerOff + w];
+        const std::uint64_t line = mem::lineNumber(addr);
+        const int w = findWay(line);
+        return w < 0 ? -1 : flagsOf(block(setOfLine(line)))[ownerOff + w];
     }
 
-    /** The sharer word of @p ref 's slot (directory arrays only). */
-    std::uint64_t &
-    sharers(const LineRef &ref)
+    /** The owner byte of @p ref 's slot (directory arrays only). */
+    std::uint8_t &
+    owner(const LineRef &ref)
     {
-        return block(ref.set)[sharerOff + ref.way];
+        return ref.flagp[ownerOff];
+    }
+
+    std::uint8_t
+    owner(const LineRef &ref) const
+    {
+        return ref.flagp[ownerOff];
     }
 
     /** Record a use of an existing line. */
@@ -258,7 +271,7 @@ class TagArray
     LineRef
     findFillSlot(sim::Addr addr, WayMask candidates = ~WayMask(0))
     {
-        const std::uint32_t set = setIndex(mem::lineAlign(addr));
+        const std::uint32_t set = setIndex(addr);
         candidates &= lowWays(nWays);
         SIM_ASSERT(candidates != 0, "no candidate ways for fill");
 
@@ -272,17 +285,19 @@ class TagArray
     /**
      * Install @p addr into @p slot (which the caller already emptied or
      * chose to overwrite) with the given flags, clear its other flags
-     * and sharers, and inform the policy. @return the slot.
+     * and inform the policy; a directory then sets the owner. A line
+     * number past the 32-bit tag range is fatal. @return the slot.
      */
     LineRef
     fill(const LineRef &slot, sim::Addr addr, bool dirty, bool io)
     {
-        std::uint64_t *b = block(slot.set);
-        *slot.tagp = mem::lineAlign(addr);
+        const std::uint64_t line = mem::lineNumber(addr);
+        if (line >= LineRef::invalidTag)
+            fatalLineRange(addr);
+        std::uint32_t *b = block(slot.set);
+        *slot.tagp = static_cast<std::uint32_t>(line);
         *slot.flagp = std::uint8_t((dirty ? LineRef::dirtyBit : 0) |
                                    (io ? LineRef::ioBit : 0));
-        if (sharerOff != 0)
-            b[sharerOff + slot.way] = 0;
         freeWays[slot.set] &= ~(WayMask(1) << slot.way);
         if (kind == ReplKind::Lru)
             stampLru(b, slot.way);
@@ -330,69 +345,86 @@ class TagArray
      * @{ Checkpoint the valid slots: per set holding any, its index,
      * clock and, per valid way, the way, tag, flags, replacement byte
      * (LRU stamps renumbered to ranks among the valid ways) and, in a
-     * directory, sharers; plus the random policy's RNG. The geometry
-     * is structural (rebuilt from config); unserialize validates it.
+     * directory, the owner as a sharer word (1 << owner); plus the
+     * random policy's RNG. The tag is written as the line address.
+     * The geometry is structural (rebuilt from config); unserialize
+     * validates it, and in a directory fails unless every sharer
+     * word has exactly one bit set, for a core below @p numOwners.
      */
     void serialize(ckpt::Serializer &s) const;
-    void unserialize(ckpt::Deserializer &d);
+    void unserialize(ckpt::Deserializer &d, std::uint32_t numOwners = 0);
     /** @} */
 
   private:
     TagArray(std::uint32_t numSets, std::uint32_t assoc, ReplKind repl,
-             bool withSharers, int);
+             bool withOwners, int);
+
+    /** Set index of line number @p line (see setIndex). */
+    std::uint32_t
+    setOfLine(std::uint64_t line) const
+    {
+        if (setsPow2)
+            return static_cast<std::uint32_t>(line & setMask);
+        return static_cast<std::uint32_t>(line % nSets);
+    }
+
+    /** The fatal error of a fill past the 32-bit line range. */
+    [[noreturn]] static void fatalLineRange(sim::Addr addr);
 
     /** SRRIP-HP: RRPV on insertion ("long") and the eviction value. */
     static constexpr std::uint8_t srripMax = 3;
     static constexpr std::uint8_t srripLong = srripMax - 1;
 
-    std::uint64_t *
+    std::uint32_t *
     block(std::uint32_t set)
     {
         return &store[std::size_t(set) * blockWords];
     }
 
-    const std::uint64_t *
+    const std::uint32_t *
     block(std::uint32_t set) const
     {
         return &store[std::size_t(set) * blockWords];
     }
 
     std::uint8_t *
-    flagsOf(std::uint64_t *b) const
+    flagsOf(std::uint32_t *b) const
     {
         return reinterpret_cast<std::uint8_t *>(b + nWays);
     }
 
     const std::uint8_t *
-    flagsOf(const std::uint64_t *b) const
+    flagsOf(const std::uint32_t *b) const
     {
         return reinterpret_cast<const std::uint8_t *>(b + nWays);
     }
 
     /** Replacement bytes of a block; the set clock follows them. */
-    std::uint8_t *replOf(std::uint64_t *b) const
+    std::uint8_t *replOf(std::uint32_t *b) const
     {
         return flagsOf(b) + nWays;
     }
 
-    const std::uint8_t *replOf(const std::uint64_t *b) const
+    const std::uint8_t *replOf(const std::uint32_t *b) const
     {
         return flagsOf(b) + nWays;
     }
 
     LineRef
-    slotIn(std::uint32_t set, std::uint32_t way, std::uint64_t *b) const
+    slotIn(std::uint32_t set, std::uint32_t way, std::uint32_t *b) const
     {
         return LineRef(set, way, b + way, flagsOf(b) + way);
     }
 
-    /** Way holding line-aligned @p addr, or -1. */
+    /** Way holding line number @p line, or -1. */
     int
-    findWay(sim::Addr addr) const
+    findWay(std::uint64_t line) const
     {
-        const std::uint64_t *b = block(setIndex(addr));
+        if (line >= LineRef::invalidTag)
+            return -1;
+        const std::uint32_t *b = block(setOfLine(line));
         for (std::uint32_t w = 0; w < nWays; ++w) {
-            if (b[w] == addr)
+            if (b[w] == line)
                 return static_cast<int>(w);
         }
         return -1;
@@ -404,7 +436,7 @@ class TagArray
      * ranks, which keeps every way's order.
      */
     void
-    stampLru(std::uint64_t *b, std::uint32_t way)
+    stampLru(std::uint32_t *b, std::uint32_t way)
     {
         std::uint8_t *r = replOf(b);
         if (r[nWays] == 0xff)
@@ -444,10 +476,11 @@ class TagArray
     bool setsPow2;          ///< nSets is a power of two
     std::uint32_t setMask;  ///< nSets - 1, valid when setsPow2
     ReplKind kind;
-    std::uint32_t blockWords; ///< 64-bit words per set block
-    std::uint32_t sharerOff;  ///< word offset of the sharers; 0 = none
+    std::uint32_t blockWords; ///< 32-bit words per set block
+    /** Owner bytes' offset from the flag bytes; 0 = no owners. */
+    std::uint32_t ownerOff;
 
-    std::vector<std::uint64_t> store;  ///< numSets blocks
+    std::vector<std::uint32_t> store;  ///< numSets blocks
     std::vector<WayMask> freeWays;     ///< per set: bit w = way invalid
     sim::Rng rng;                      ///< random replacement only
 };

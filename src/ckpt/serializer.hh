@@ -195,6 +195,15 @@ class Deserializer
      */
     void endSection();
 
+    /** Name of the open section, for readers' error messages. */
+    const std::string &
+    sectionName() const
+    {
+        if (!cur)
+            sim::panic("ckpt: sectionName() outside a section");
+        return cur->name;
+    }
+
     /** @{ Typed field readers (mirror the Serializer writers). */
     void readBytes(void *out, std::size_t n);
 

@@ -14,8 +14,10 @@
 #ifndef IDIO_MEM_PHYS_ALLOC_HH
 #define IDIO_MEM_PHYS_ALLOC_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <iterator>
+#include <vector>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -74,18 +76,30 @@ class PhysAllocator
     sim::Addr
     allocateInvalidatable(std::uint64_t bytes)
     {
-        sim::Addr a = allocate((bytes + pageSize - 1) & ~(pageSize - 1),
-                               pageSize);
-        for (sim::Addr p = a; p < a + bytes; p += pageSize)
-            invalidatablePages.insert(p);
+        const std::uint64_t span = (bytes + pageSize - 1) & ~(pageSize - 1);
+        const sim::Addr a = allocate(span, pageSize);
+        if (span == 0)
+            return a;
+        // The bump pointer only grows, so the ranges stay sorted; one
+        // that starts where the last ends extends it.
+        if (!invalidatable.empty() && invalidatable.back().end == a)
+            invalidatable.back().end = a + span;
+        else
+            invalidatable.push_back({a, a + span});
         return a;
     }
 
-    /** True when the page containing @p a is marked invalidatable. */
+    /**
+     * True when the page containing @p a is marked invalidatable: a
+     * binary search of the marked ranges, which cover whole pages.
+     */
     bool
     isInvalidatable(sim::Addr a) const
     {
-        return invalidatablePages.count(pageAlign(a)) != 0;
+        auto it = std::upper_bound(
+            invalidatable.begin(), invalidatable.end(), a,
+            [](sim::Addr x, const PageRange &r) { return x < r.begin; });
+        return it != invalidatable.begin() && a < std::prev(it)->end;
     }
 
     /** Bytes allocated so far. */
@@ -95,7 +109,14 @@ class PhysAllocator
     sim::Addr base;
     sim::Addr limit;
     sim::Addr next;
-    std::unordered_set<sim::Addr> invalidatablePages;
+
+    /** Invalidatable pages [begin, end), page aligned. */
+    struct PageRange
+    {
+        sim::Addr begin;
+        sim::Addr end;
+    };
+    std::vector<PageRange> invalidatable; ///< sorted, disjoint
 };
 
 } // namespace mem

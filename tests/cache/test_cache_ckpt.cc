@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -193,6 +194,84 @@ TEST(CacheCkptDeath, GeometryMismatchIsFatal)
     const auto blob = saveCaches(small);
     EXPECT_EXIT(restoreCaches(big, blob), ::testing::ExitedWithCode(1),
                 "geometry mismatch");
+}
+
+/**
+ * A checkpoint of @p h 's directory, which tracks exactly one line,
+ * with that entry's sharer word replaced by @p sharers. The layout is
+ * ckpt/serializer.hh's: a one-section blob ends with the section's
+ * payload, preceded by its length and checksum, and the payload ends
+ * with the last entry's sharer word.
+ */
+std::vector<std::uint8_t>
+directoryWithSharers(cache::MemoryHierarchy &h, std::uint64_t sharers)
+{
+    const std::string &name = h.directory().name();
+    ckpt::Serializer s;
+    s.beginSection(name);
+    h.directory().serialize(s);
+    s.endSection();
+    const std::vector<std::uint8_t> blob = s.finish(1, 0);
+
+    // Header (magic, version, seed, tick, count), then the section's
+    // name length, name and version before its payload length.
+    const std::size_t lenAt = 8 + 4 + 8 + 8 + 4 + 4 + name.size() + 4;
+    std::uint64_t len = 0;
+    std::memcpy(&len, blob.data() + lenAt, sizeof(len));
+    std::vector<std::uint8_t> payload(blob.end() - std::ptrdiff_t(len),
+                                      blob.end());
+    std::memcpy(payload.data() + payload.size() - sizeof(sharers),
+                &sharers, sizeof(sharers));
+
+    ckpt::Serializer t;
+    t.beginSection(name);
+    t.writeBytes(payload.data(), payload.size());
+    t.endSection();
+    return t.finish(1, 0);
+}
+
+void
+restoreDirectory(cache::MemoryHierarchy &h,
+                 const std::vector<std::uint8_t> &blob)
+{
+    ckpt::Deserializer d(blob);
+    d.beginSection(h.directory().name());
+    h.directory().unserialize(d);
+    d.endSection();
+}
+
+TEST(CacheCkpt, DirectoryOwnerIsSavedAsOneSharerBit)
+{
+    sim::Simulation s1, s2;
+    cache::MemoryHierarchy orig(s1, "sys", testutil::tinyConfig());
+    cache::MemoryHierarchy copy(s2, "sys", testutil::tinyConfig());
+    orig.coreRead(1, 0x40);
+    ASSERT_EQ(orig.directory().trackedLines(), 1u);
+
+    // The unpatched word round-trips; core 0's bit restores core 0.
+    restoreDirectory(copy, directoryWithSharers(orig, 0b10));
+    EXPECT_EQ(copy.directory().ownerOf(0x40), 1);
+    restoreDirectory(copy, directoryWithSharers(orig, 0b01));
+    EXPECT_EQ(copy.directory().ownerOf(0x40), 0);
+}
+
+TEST(CacheCkptDeath, DirectoryEntryWithoutOneValidOwnerIsFatal)
+{
+    sim::Simulation s1, s2;
+    cache::MemoryHierarchy orig(s1, "sys", testutil::tinyConfig());
+    cache::MemoryHierarchy copy(s2, "sys", testutil::tinyConfig());
+    orig.coreRead(1, 0x40);
+
+    // No owner, two owners, and owners past the 2-core machine.
+    for (const std::uint64_t sharers :
+         {std::uint64_t(0), std::uint64_t(0b11), std::uint64_t(0b100),
+          std::uint64_t(1) << 63, ~std::uint64_t(0)}) {
+        const auto blob = directoryWithSharers(orig, sharers);
+        EXPECT_EXIT(restoreDirectory(copy, blob),
+                    ::testing::ExitedWithCode(1),
+                    "section 'sys\\.dir'.*sharer word")
+            << std::hex << sharers;
+    }
 }
 
 } // anonymous namespace

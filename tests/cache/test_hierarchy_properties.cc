@@ -81,9 +81,8 @@ class HierarchyPropertyTest
                     const auto &line = mlc.lineAt(s, w);
                     if (!line.valid)
                         continue;
-                    const auto sharers =
-                        hier->directory().sharersOf(line.addr);
-                    ASSERT_TRUE(sharers & (1ull << c))
+                    ASSERT_EQ(hier->directory().ownerOf(line.addr),
+                              static_cast<int>(c))
                         << "untracked MLC line";
                     // I4: no other MLC holds it.
                     for (std::uint32_t o = 0; o < cores; ++o) {

@@ -149,6 +149,42 @@ TEST(TagArray, TouchAffectsLruOrder)
     EXPECT_EQ(victim.addr(), 0x40u);
 }
 
+TEST(TagArray, TagsAreLineNumbersBelowTheReservedTag)
+{
+    // The highest line a tag can hold and one tag-width above it.
+    const sim::Addr top = sim::Addr(cache::LineRef::invalidTag - 1)
+                          << mem::lineShift;
+    const sim::Addr above = sim::Addr(1) << (32 + mem::lineShift);
+    TagArray a = makeArray(2 * 64, 2); // one set, 2 ways
+
+    // The reserved invalid tag never matches an empty slot's probe.
+    EXPECT_FALSE(a.lookup(top + mem::lineSize));
+    EXPECT_FALSE(a.contains(top + mem::lineSize));
+
+    a.fill(a.findFillSlot(top), top, false, false);
+    a.fill(a.findFillSlot(0x40), 0x40, false, false);
+    ASSERT_TRUE(a.lookup(top));
+    EXPECT_EQ(a.lookup(top).addr(), top);
+
+    // A line past the tag range misses, even where its low 32 bits
+    // equal a resident line's number.
+    EXPECT_FALSE(a.lookup(above + 0x40));
+    EXPECT_FALSE(a.contains(above + 0x40));
+    EXPECT_FALSE(a.lookup(above + top));
+}
+
+TEST(TagArrayDeath, FillPastTheTagRangeIsFatal)
+{
+    TagArray a = makeArray(4096, 4);
+    for (const sim::Addr addr :
+         {sim::Addr(cache::LineRef::invalidTag) << mem::lineShift,
+          sim::Addr(1) << (32 + mem::lineShift), ~sim::Addr(0)}) {
+        EXPECT_EXIT(a.fill(a.findFillSlot(addr), addr, false, false),
+                    ::testing::ExitedWithCode(1), "32-bit tag range")
+            << std::hex << addr;
+    }
+}
+
 TEST(TagArrayDeath, BadGeometryIsFatal)
 {
     EXPECT_EXIT(makeArray(100, 4), ::testing::ExitedWithCode(1),

@@ -71,10 +71,9 @@ TEST_P(InvariantTest, ConservationLawsHold)
                 const auto &line = mlc.lineAt(set, w);
                 if (!line.valid)
                     continue;
-                // Directory tracks every MLC line.
-                ASSERT_TRUE(
-                    sys.hierarchy().directory().sharersOf(line.addr) &
-                    (1ull << c));
+                // Directory tracks every MLC line, owned by its core.
+                ASSERT_EQ(sys.hierarchy().directory().ownerOf(line.addr),
+                          static_cast<int>(c));
                 // Mostly-exclusive LLC.
                 ASSERT_FALSE(sys.hierarchy().llc().contains(line.addr));
             }

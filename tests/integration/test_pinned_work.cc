@@ -110,7 +110,10 @@ TEST(PinnedWork, Scaled32CacheStateBytes)
     // The cache layer's host footprint on the 32-core machine: one
     // block per set in every tag array plus its free-way masks. The
     // earlier three-array layout (24-byte line structs, tags and
-    // 64-bit LRU stamps) held 86769664 bytes here.
+    // 64-bit LRU stamps) held 86769664 bytes here, and blocks of
+    // 64-bit address tags with a 64-bit directory sharer word per way
+    // held 30670848; 32-bit line-number tags and a one-byte directory
+    // owner hold 16646144.
     harness::ExperimentConfig cfg;
     cfg.numNfs = 32;
     cfg.rxQueues = 32;
@@ -118,7 +121,7 @@ TEST(PinnedWork, Scaled32CacheStateBytes)
     cfg.nfKind = harness::NfKind::TouchDrop;
     cfg.applyPolicy(idio::Policy::Idio);
     harness::TestSystem sys(cfg);
-    EXPECT_EQ(sys.hierarchy().stateBytes(), 30670848u);
+    EXPECT_EQ(sys.hierarchy().stateBytes(), 16646144u);
 }
 
 /**

@@ -56,6 +56,33 @@ TEST(PhysAlloc, InvalidatableCoversWholePagesOnly)
     EXPECT_EQ(inv % mem::pageSize, 0u);
 }
 
+TEST(PhysAlloc, InvalidatableRangesKeepTheirGaps)
+{
+    mem::PhysAllocator a;
+    const sim::Addr before = a.allocate(mem::pageSize, mem::pageSize);
+    const sim::Addr r1 = a.allocateInvalidatable(2 * mem::pageSize);
+    const sim::Addr r2 = a.allocateInvalidatable(mem::pageSize); // adjacent
+    const sim::Addr gap = a.allocate(mem::pageSize, mem::pageSize);
+    const sim::Addr empty = a.allocateInvalidatable(0);
+    const sim::Addr r3 = a.allocateInvalidatable(mem::pageSize);
+    const sim::Addr after = a.allocate(mem::pageSize, mem::pageSize);
+    ASSERT_EQ(r2, r1 + 2 * mem::pageSize);
+
+    EXPECT_FALSE(a.isInvalidatable(0));
+    EXPECT_FALSE(a.isInvalidatable(before));
+    EXPECT_FALSE(a.isInvalidatable(r1 - 1));
+    EXPECT_TRUE(a.isInvalidatable(r1));
+    EXPECT_TRUE(a.isInvalidatable(r2 - 1));
+    EXPECT_TRUE(a.isInvalidatable(r2));
+    EXPECT_TRUE(a.isInvalidatable(r2 + mem::pageSize - 1));
+    EXPECT_FALSE(a.isInvalidatable(gap));
+    EXPECT_FALSE(a.isInvalidatable(r3 - 1));
+    EXPECT_EQ(empty, r3); // a zero-byte buffer marks no page
+    EXPECT_TRUE(a.isInvalidatable(r3));
+    EXPECT_FALSE(a.isInvalidatable(after));
+    EXPECT_FALSE(a.isInvalidatable(~sim::Addr(0)));
+}
+
 TEST(PhysAlloc, TracksAllocatedBytes)
 {
     mem::PhysAllocator a;

@@ -126,7 +126,7 @@ TEST_F(CacheCorruptionDeathTest, UntrackedMlcLinePanics)
 
     // Drop the directory entry while the MLC still holds the line.
     hier.coreRead(0, 0x1000);
-    hier.directory().removeAll(0x1000);
+    hier.directory().remove(0, 0x1000);
 
     EXPECT_DEATH(chk.check(), "untracked by the directory");
 }
